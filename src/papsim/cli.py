@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--quiet", action="store_true", help="suppress summary output")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for any randomized post-processing")
 
     for name, doc in (("stirap", "piecewise STIRAP train"),
                       ("crp", "piecewise chirped Raman passage"),
@@ -191,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--out", help="write map CSV here")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel worker processes (default: PAPSIM_WORKERS or 1)")
+                   help="parallel worker processes, at most one per column "
+                        "and core (default: PAPSIM_WORKERS or 1)")
 
     p = sub.add_parser("revivals", help="wave-packet revival diagnostics")
     common(p)
@@ -216,15 +215,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        seed = getattr(args, "seed", None)
-        if seed is None and getattr(args, "config", None):
-            # the config may carry rng_seed; cheap to peek before running
-            try:
-                seed = load_config(args.config).get("rng_seed")
-            except OSError:
-                seed = None
-        if seed is not None:
-            np.random.seed(seed)
         if args.command in _RUNNERS:
             return _cmd_run(args, args.command)
         if args.command == "scan":

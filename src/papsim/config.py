@@ -134,6 +134,7 @@ def validate_config(cfg: dict) -> None:
             _require(isinstance(value, str), f"output.{key} must be a path")
     if "decay" in cfg:
         _require(isinstance(cfg["decay"], bool), "decay must be true or false")
+    # rng_seed is still accepted so older configs load; nothing is random
     if "rng_seed" in cfg:
         _require(isinstance(cfg["rng_seed"], int), "rng_seed must be an integer")
 

@@ -16,6 +16,19 @@ d phi = K * carrier_detuning per unit time plus the per-pulse constant;
 it is evaluated analytically from the schedule, never integrated.
 
 Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2).
+
+Every pulse and window goes through one fixed-step RK4 kernel, _rk4.
+Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
+stack of P states or operators of shape (P, n, m), one step h per
+problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
+half-step grid, by one vectorized rabi_envelope call (windows sample
+their callables once on the same grid). run_schedule integrates the
+operators of all distinct pulses of a schedule, pump and dump together,
+in a single batched pass and applies them per event by exact phase
+conjugation; record="dense" keeps operator snapshots every dense_stride
+steps of that same pass and applies them to the state entering each
+pulse. propagate_pulse and propagate_window are one-problem callers of
+the same kernel. oracle_propagate stays apart as the independent check.
 """
 
 from __future__ import annotations
@@ -127,7 +140,8 @@ def pulse_center_phase(pulse: PulseSpec, center_time: float) -> float:
 
 # --- Hamiltonian assembly ---
 
-def _absorption_matrix(system: LevelSystem, pulse: PulseSpec) -> np.ndarray:
+def _absorption_matrix(system: LevelSystem, channel: str,
+                       phase_mask=None) -> np.ndarray:
     """Absorption-leg coupling matrix A (excited rows) for a unit envelope.
 
     H(t) = diag + w(t) * (exp(-i phi(t)) A + exp(+i phi(t)) A^dagger).
@@ -137,17 +151,17 @@ def _absorption_matrix(system: LevelSystem, pulse: PulseSpec) -> np.ndarray:
     n = system.n_levels
     A = np.zeros((n, n), dtype=complex)
     sl_e = system.slice_excited()
-    if pulse.channel == "pump":
+    if channel == "pump":
         sl_g = system.slice_ground_a()
         A[sl_e, sl_g] = -0.5 * system.pump_dipoles.T
     else:
         couplings = system.dump_dipoles.T.astype(complex)
         if system.dipole_phases is not None:
             couplings = couplings * np.exp(1j * system.dipole_phases)[:, None]
-        if pulse.phase_mask is not None:
-            if len(pulse.phase_mask) != system.n_excited:
+        if phase_mask is not None:
+            if len(phase_mask) != system.n_excited:
                 raise ValueError("phase_mask must hold one phase per excited level")
-            couplings = couplings * np.exp(1j * np.asarray(pulse.phase_mask))[:, None]
+            couplings = couplings * np.exp(1j * np.asarray(phase_mask))[:, None]
         sl_b = system.slice_ground_b()
         A[sl_e, sl_b] = -0.5 * couplings
     return A
@@ -157,49 +171,115 @@ def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
     return frame.detunings(system) - 0.5j * system.decay_rates()
 
 
-def _integrate_pulse(y: np.ndarray, system: LevelSystem, pulse: PulseSpec,
-                     frame: PhaseFrame, center_phase: float, steps: int,
-                     sample_stride: int | None = None):
-    """RK4 over one pulse support. y is a state vector or an operator.
+# --- the RK4 kernel ---
+
+# steps whose drive coefficients are laid out at once; bounds the
+# kernel's scratch memory independently of the number of steps
+_BLOCK_STEPS = 64
+
+
+def _step_generators(basis: np.ndarray, channels, n: int, steps: int):
+    """Yield (G(t), G(t + h/2), G(t + h)) of every step, G = -i h H.
+
+    Each G(tau_j) is one small product of the drive samples at tau_j,
+    (1, drive_c, conj(drive_c), ...), with the stacked basis (diag, A_c,
+    A_c^dagger, ...); the samples are laid out one block of steps at a
+    time, so no per-sample Hamiltonian stack is ever built.
+    """
+    P = basis.shape[0]
+    coef = np.ones((2 * _BLOCK_STEPS + 1, P, 1, basis.shape[1]),
+                   dtype=complex)
+
+    def generator(j: int) -> np.ndarray:
+        return (coef[j] @ basis).reshape(P, n, n)
+
+    for k0 in range(0, steps, _BLOCK_STEPS):
+        k1 = min(k0 + _BLOCK_STEPS, steps)
+        rows = slice(2 * k0, 2 * k1 + 1)
+        for c, (_, drive) in enumerate(channels):
+            samples = drive[:, rows].T
+            coef[:samples.shape[0], :, 0, 1 + 2 * c] = samples
+            coef[:samples.shape[0], :, 0, 2 + 2 * c] = samples.conj()
+        g_end = generator(0)
+        for i in range(k1 - k0):
+            g_start, g_end = g_end, generator(2 * i + 2)
+            yield g_start, generator(2 * i + 1), g_end
+
+
+def _rk4(diag: np.ndarray, channels, y: np.ndarray, h: np.ndarray,
+         stride: int | None = None):
+    """Fixed-step RK4 of P independent problems in one vectorized pass.
+
+    diag is the (n,) diagonal; channels is a list of (A_c, drive_c) with
+    A_c an (n, n) or (P, n, n) absorption matrix and drive_c the (P,
+    2 steps + 1) complex drive w e^{-i phi} sampled on the half-step
+    grid tau_j = j h / 2. y is (P, n, m): state columns (m = 1) or
+    operators (m = n), and h the (P,) step of each problem. Extra memory
+    is O(P n^2) besides the drives.
+
+    Returns (y, snapshots): snapshots stacks y after every stride-th
+    step strictly inside the run, shape (k, P, n, m), or is None.
+    """
+    P, n = y.shape[0], diag.size
+    mats = [np.broadcast_to(np.diag(diag), (P, n, n))]
+    for A, _ in channels:
+        A = np.broadcast_to(A, (P, n, n))
+        mats += [A, A.conj().swapaxes(1, 2)]
+    basis = (-1j * h[:, None, None, None] * np.stack(mats, axis=1)).reshape(
+        P, len(mats), n * n)
+    steps = (channels[0][1].shape[1] - 1) // 2
+
+    snapshots = (np.empty(((steps - 1) // stride,) + y.shape, dtype=complex)
+                 if stride else None)
+    for k, (g_start, g_mid, g_end) in enumerate(
+            _step_generators(basis, channels, n, steps)):
+        k1 = g_start @ y
+        k2 = g_mid @ (y + 0.5 * k1)
+        k3 = g_mid @ (y + 0.5 * k2)
+        k4 = g_end @ (y + k3)
+        y = y + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+        if stride and (k + 1) % stride == 0 and k + 1 < steps:
+            snapshots[(k + 1) // stride - 1] = y
+    return y, snapshots
+
+
+def _pulse_drive(pulse: PulseSpec, center_phase: float, steps: int) -> np.ndarray:
+    """w e^{-i phi} on the half-step grid of the pulse support.
 
     The carrier phase is center_phase at the support midpoint and slides
-    at K * carrier_detuning away from it. Returns (y, samples) where
-    samples is None or a list of (tau, y_copy) at every sample_stride
-    steps.
+    at K * carrier_detuning away from it.
     """
     T = pulse.support_ps
-    h = T / steps
-    diag = _diagonal(system, frame)
-    A = _absorption_matrix(system, pulse)
-    Ah = A.conj().T
-    delta_omega = K_RAD_PS_PER_CM * pulse.carrier_detuning
-    amp_is_matrix = y.ndim == 2
+    tau = np.linspace(0.0, T, 2 * steps + 1)
+    phi = center_phase + K_RAD_PS_PER_CM * pulse.carrier_detuning * (tau - T / 2.0)
+    return rabi_envelope(pulse, tau) * np.exp(-1j * phi)
 
-    def rhs(tau: float, state: np.ndarray) -> np.ndarray:
-        w = float(rabi_envelope(pulse, tau))
-        phi = center_phase + delta_omega * (tau - T / 2.0)
-        drive = w * np.exp(-1j * phi)
-        if amp_is_matrix:
-            out = diag[:, None] * state
-        else:
-            out = diag * state
-        out = out + drive * (A @ state) + np.conj(drive) * (Ah @ state)
-        return -1j * out
 
-    samples = [] if sample_stride else None
-    for k in range(steps):
-        t = k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2.0, y + (h / 2.0) * k1)
-        k3 = rhs(t + h / 2.0, y + (h / 2.0) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if samples is not None and (k + 1) % sample_stride == 0:
-            samples.append(((k + 1) * h, y.copy()))
-    if not np.all(np.isfinite(y)):
+def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
+                      center_phases, y: np.ndarray, steps: int,
+                      stride: int | None = None):
+    """RK4 over each pulse's support, all pulses in one batched pass.
+
+    y is (P, n, m), one state column or operator per pulse. Raises
+    NumericsError naming the channel of the first pulse that blew up.
+    """
+    A = np.stack([_absorption_matrix(system, p.channel, p.phase_mask)
+                  for p in pulses])
+    drive = np.empty((len(pulses), 2 * steps + 1), dtype=complex)
+    for row, pulse, phi in zip(drive, pulses, center_phases):
+        row[:] = _pulse_drive(pulse, phi, steps)
+    h = np.array([p.support_ps / steps for p in pulses])
+    y, snapshots = _rk4(_diagonal(system, frame), [(A, drive)], y, h, stride)
+    bad = ~np.isfinite(y).all(axis=(1, 2))
+    if bad.any():
         raise NumericsError(
-            f"non-finite amplitudes while integrating a {pulse.channel} pulse")
-    return y, samples
+            f"non-finite amplitudes while integrating a "
+            f"{pulses[int(np.argmax(bad))].channel} pulse")
+    return y, snapshots
+
+
+def _steps(steps: int | None) -> int:
+    return MIN_STEPS_PER_PULSE if steps is None else max(int(steps), 4)
 
 
 def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
@@ -211,12 +291,12 @@ def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
     center is pulse.carrier_phase plus the analytic comb slip
     K * carrier_detuning * t_center.
     """
-    n_steps = MIN_STEPS_PER_PULSE if steps is None else max(int(steps), 4)
     t_center = state.time + pulse.support_ps / 2.0
-    phi_c = pulse_center_phase(pulse, t_center)
-    y, _ = _integrate_pulse(state.amplitudes.astype(complex), system, pulse,
-                            frame, phi_c, n_steps)
-    return QuantumState(y, state.time + pulse.support_ps)
+    y = state.amplitudes.astype(complex)[None, :, None]
+    y, _ = _integrate_pulses(system, frame, [pulse],
+                             [pulse_center_phase(pulse, t_center)], y,
+                             _steps(steps))
+    return QuantumState(y[0, :, 0], state.time + pulse.support_ps)
 
 
 def free_evolve(state: QuantumState, system: LevelSystem, dt: float,
@@ -271,13 +351,18 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     boundary, "dense" additionally samples inside each pulse every
     dense_stride RK4 steps, "none" records only the endpoints.
 
-    Identical pulses reuse one integrated evolution operator; per-event
-    carrier phases enter through an exact diagonal conjugation, so a
-    train of equal pulses costs one integration plus matrix-vector
-    products.
+    The distinct pulses of the schedule (equal up to carrier phase) are
+    integrated together in one batched pass, each into its evolution
+    operator; per-event carrier phases enter through an exact diagonal
+    conjugation, so a train costs one pass plus matrix-vector products.
+    Dense recording keeps operator snapshots from the same pass and
+    applies them to the state entering each pulse.
     """
     if record not in ("compressed", "dense", "none"):
         raise ValueError(f"unknown record policy {record!r}")
+    dense = record == "dense"
+    if dense and dense_stride < 1:
+        raise ValueError("dense_stride must be >= 1")
     if frame is None:
         frame = PhaseFrame.for_system(system)
     if len(state.amplitudes) != system.n_levels:
@@ -291,37 +376,36 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
 
-    n_steps = MIN_STEPS_PER_PULSE if steps is None else max(int(steps), 4)
+    n_steps = _steps(steps)
+    distinct: dict = {}
+    for ev in schedule.events:
+        distinct.setdefault(_operator_cache_key(ev.pulse), ev.pulse)
+    index = {key: i for i, key in enumerate(distinct)}
+    pulses = list(distinct.values())
+    eye = np.broadcast_to(np.eye(system.n_levels, dtype=complex),
+                          (len(pulses), system.n_levels, system.n_levels))
+    ops, snapshots = _integrate_pulses(
+        system, frame, pulses, [0.0] * len(pulses), eye, n_steps,
+        dense_stride if dense else None)
+
     times = [state.time]
     pops = [state.populations()]
-    dense = record == "dense"
-    cache: dict = {}
-
     current = state
     for ev in schedule.events:
         start = ev.time - ev.pulse.support_ps / 2.0
         dt = start - current.time
         if dt > 0:
             current = free_evolve(current, system, dt, frame)
-        phi_c = pulse_center_phase(ev.pulse, ev.time)
+        i = index[_operator_cache_key(ev.pulse)]
+        z = _phase_conjugation(system, ev.pulse,
+                               pulse_center_phase(ev.pulse, ev.time))
+        rotated = np.conj(z) * current.amplitudes
         if dense:
-            y, samples = _integrate_pulse(
-                current.amplitudes.astype(complex), system, ev.pulse, frame,
-                phi_c, n_steps, sample_stride=dense_stride)
-            for tau, ys in samples[:-1]:
-                times.append(start + tau)
-                pops.append(np.abs(ys) ** 2)
-            current = QuantumState(y, start + ev.pulse.support_ps)
-        else:
-            key = _operator_cache_key(ev.pulse)
-            U = cache.get(key)
-            if U is None:
-                eye = np.eye(system.n_levels, dtype=complex)
-                U, _ = _integrate_pulse(eye, system, ev.pulse, frame, 0.0, n_steps)
-                cache[key] = U
-            z = _phase_conjugation(system, ev.pulse, phi_c)
-            amps = z * (U @ (np.conj(z) * current.amplitudes))
-            current = QuantumState(amps, start + ev.pulse.support_ps)
+            inner = z * (snapshots[:, i] @ rotated)
+            h = ev.pulse.support_ps / n_steps
+            times.extend(start + dense_stride * np.arange(1, len(inner) + 1) * h)
+            pops.extend(np.abs(inner) ** 2)
+        current = QuantumState(z * (ops[i] @ rotated), start + ev.pulse.support_ps)
         if record != "none" or ev is schedule.events[-1]:
             times.append(current.time)
             pops.append(current.populations())
@@ -345,62 +429,40 @@ def propagate_window(state: QuantumState, system: LevelSystem,
 
     pump_rabi / dump_rabi are callables Omega(t) (rad/ps) of absolute
     time; pump_phase / dump_phase optionally give the carrier phases
-    phi(t) (rad). Smooth adiabatic references with overlapping envelopes
-    use this; scheduled trains never need it.
+    phi(t) (rad). Each callable is sampled once on the half-step grid.
+    Smooth adiabatic references with overlapping envelopes use this;
+    scheduled trains never need it.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
     steps = max(int(steps), 4)
     h = duration / steps
-    diag = _diagonal(system, frame)
-    n = system.n_levels
-    sl_e = system.slice_excited()
-    sl_g = system.slice_ground_a()
-    sl_b = system.slice_ground_b()
-
-    Ap = np.zeros((n, n), dtype=complex)
-    Ap[sl_e, sl_g] = -0.5 * system.pump_dipoles.T
-    Aph = Ap.conj().T
-    dump_couplings = system.dump_dipoles.T.astype(complex)
-    if system.dipole_phases is not None:
-        dump_couplings = dump_couplings * np.exp(1j * system.dipole_phases)[:, None]
-    Ad = np.zeros((n, n), dtype=complex)
-    Ad[sl_e, sl_b] = -0.5 * dump_couplings
-    Adh = Ad.conj().T
-
-    zero = lambda t: 0.0
-    pp = pump_phase or zero
-    dp = dump_phase or zero
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        wp = pump_rabi(t) * np.exp(-1j * pp(t))
-        wd = dump_rabi(t) * np.exp(-1j * dp(t))
-        out = diag * y
-        out = out + wp * (Ap @ y) + np.conj(wp) * (Aph @ y)
-        out = out + wd * (Ad @ y) + np.conj(wd) * (Adh @ y)
-        return -1j * out
-
-    y = state.amplitudes.astype(complex)
     t0 = state.time
-    times = [t0]
-    pops = [np.abs(y) ** 2]
-    for k in range(steps):
-        t = t0 + k * h
-        k1 = rhs(t, y)
-        k2 = rhs(t + h / 2.0, y + (h / 2.0) * k1)
-        k3 = rhs(t + h / 2.0, y + (h / 2.0) * k2)
-        k4 = rhs(t + h, y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if record_stride and ((k + 1) % record_stride == 0 or k == steps - 1):
-            times.append(t0 + (k + 1) * h)
-            pops.append(np.abs(y) ** 2)
+    grid = t0 + np.linspace(0.0, duration, 2 * steps + 1)
+
+    def drive(rabi, phase) -> np.ndarray:
+        d = np.fromiter(map(rabi, grid), complex, grid.size)
+        if phase is not None:
+            d *= np.exp(-1j * np.fromiter(map(phase, grid), float, grid.size))
+        return d[None, :]
+
+    channels = [
+        (_absorption_matrix(system, "pump"), drive(pump_rabi, pump_phase)),
+        (_absorption_matrix(system, "dump"), drive(dump_rabi, dump_phase))]
+    y, snapshots = _rk4(_diagonal(system, frame), channels,
+                        state.amplitudes.astype(complex)[None, :, None],
+                        np.array([h]), record_stride)
     if not np.all(np.isfinite(y)):
         raise NumericsError("non-finite amplitudes in windowed propagation")
-    if not record_stride:
-        times.append(t0 + duration)
-        pops.append(np.abs(y) ** 2)
+    final = QuantumState(y[0, :, 0], t0 + duration)
+    times = [t0]
+    pops = [state.populations()]
+    if record_stride:
+        times.extend(t0 + record_stride * np.arange(1, len(snapshots) + 1) * h)
+        pops.extend(np.abs(snapshots[:, 0, :, 0]) ** 2)
+    times.append(final.time)
+    pops.append(final.populations())
     pops_arr = np.array(pops)
-    final = QuantumState(y, t0 + duration)
     return Trajectory(np.array(times), pops_arr, pops_arr.sum(axis=1),
                       system.labels, final)
 

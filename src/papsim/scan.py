@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import config_fingerprint
+from .config import ConfigError, config_fingerprint
 from .levels import LevelSystem, system_to_dict
 from .propagator import NumericsError
 from .protocols import run_pair_train, run_piecewise_crp, run_piecewise_stirap
@@ -29,7 +29,11 @@ def resolve_workers(workers: int | None = None) -> int:
     """Worker count: explicit argument, else environment, else serial."""
     if workers is None:
         env = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(env) if env else 1
+        try:
+            workers = int(env) if env else 1
+        except ValueError:
+            raise ConfigError(
+                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
@@ -94,7 +98,8 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     Each cell rebuilds its comb-locked frame from its own delta_T, which
     is how a repetition-rate scan with a maintained Raman lock works.
     Results are deterministic and independent of the worker count: cells
-    are pure functions of (levels, base_config, delta_T, delta_t).
+    are pure functions of (levels, base_config, delta_T, delta_t). The
+    pool never has more processes than columns or cores.
     """
     delta_T_axis = _validate_axis(delta_T_grid, "delta_T_grid")
     delta_t_axis = _validate_axis(delta_t_grid, "delta_t_grid")
@@ -104,7 +109,7 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     base.pop("record", None)
 
     jobs = [(levels, base, dT, delta_t_axis) for dT in delta_T_axis]
-    n_workers = min(resolve_workers(workers), len(jobs))
+    n_workers = min(resolve_workers(workers), len(jobs), os.cpu_count() or 1)
     if n_workers == 1:
         columns = [_scan_column(job) for job in jobs]
     else:

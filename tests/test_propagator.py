@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from papsim import (K_RAD_PS_PER_CM, NumericsError, PhaseFrame, QuantumState,
-                    build_three_level, build_synthetic_molecule, build_train,
-                    free_evolve, ground_state, make_pulse, oracle_propagate,
+                    TrainEvent, build_three_level, build_synthetic_molecule,
+                    build_train, free_evolve, ground_state, make_pulse,
+                    make_schedule, oracle_propagate,
                     propagate_pulse, propagate_window, run_schedule,
                     SyntheticMoleculeSpec)
 from papsim.levels import Level
@@ -222,6 +223,27 @@ def test_record_policies():
         run_schedule(st, sys3, sched, frame, record="sparse")
 
 
+def test_dense_keeps_the_last_in_pulse_sample():
+    # 810 steps at stride 20: samples after steps 20 .. 800 lie inside the
+    # pulse, then the pulse end follows 10 steps later
+    sys3 = _resonant()
+    frame = PhaseFrame.for_system(sys3)
+    pulse = make_pulse("sin2", 100.0, math.pi / 2.0)
+    sched = make_schedule([TrainEvent(pulse.support_ps / 2.0, pulse)],
+                          1, 1.0, 0.0, "single")
+    st = ground_state(sys3, 0.0)
+    dense = run_schedule(st, sys3, sched, frame, record="dense",
+                         dense_stride=20, steps=810)
+    assert len(dense.times) == 1 + 40 + 1
+    gaps = np.diff(dense.times) / (pulse.support_ps / 810)
+    assert np.allclose(gaps, [20.0] * 40 + [10.0])
+    whole = run_schedule(st, sys3, sched, frame, record="dense",
+                         dense_stride=20, steps=800)
+    assert len(whole.times) == 1 + 39 + 1
+    with pytest.raises(ValueError):
+        run_schedule(st, sys3, sched, frame, record="dense", dense_stride=0)
+
+
 def test_late_state_rejected():
     sys3 = _resonant()
     sched = _train(sys3, n_pairs=2)
@@ -264,6 +286,25 @@ def test_nonfinite_amplitudes_raise():
     huge = make_pulse("sin2", 100.0, 1e12)
     with np.errstate(all="ignore"), pytest.raises(NumericsError):
         propagate_pulse(ground_state(sys3), sys3, huge, frame, steps=50)
+
+
+def test_blowup_in_a_batch_names_its_channel():
+    # one huge pulse among ordinary ones: the batch raises, naming the
+    # channel of the pulse that blew up, instead of returning NaN operators
+    sys3 = _resonant()
+    frame = PhaseFrame.for_system(sys3)
+    for bad in ("pump", "dump"):
+        good = "dump" if bad == "pump" else "pump"
+        pulses = [make_pulse("sin2", 100.0, 1.0, channel=good),
+                  make_pulse("sin2", 100.0, 1e12, channel=bad),
+                  make_pulse("gaussian", 80.0, 2.0, channel=good)]
+        events, t = [], 0.0
+        for p in pulses:
+            events.append(TrainEvent(t + p.support_ps / 2.0, p))
+            t += p.support_ps + 1.0
+        sched = make_schedule(events, 1, 1.0, 0.0, "mixed")
+        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=bad):
+            run_schedule(ground_state(sys3, 0.0), sys3, sched, frame, steps=50)
 
 
 def test_window_with_silent_drives_is_free_evolution():

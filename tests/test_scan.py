@@ -1,15 +1,16 @@
 """Delay scans, beat spectra, revival diagnostics, robustness sweeps."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM,
-                    SyntheticMoleculeSpec, build_synthetic_molecule,
-                    build_three_level, fft_delta_t, resolve_workers,
-                    revival_diagnostics, robustness_sweep, run_pair_train,
-                    scan_2d)
+from papsim import (C_CM_PER_PS, ConfigError, EfficiencyMap,
+                    K_RAD_PS_PER_CM, SyntheticMoleculeSpec,
+                    build_synthetic_molecule, build_three_level, fft_delta_t,
+                    resolve_workers, revival_diagnostics, robustness_sweep,
+                    run_pair_train, scan_2d)
 
 BASE = {"n_pairs": 5, "pump_area": math.pi, "dump_area": math.pi}
 
@@ -60,6 +61,20 @@ def test_workers_environment_default(monkeypatch):
     monkeypatch.setenv("PAPSIM_WORKERS", "3")
     assert resolve_workers() == 3
     assert resolve_workers(2) == 2
+
+
+def test_workers_environment_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("PAPSIM_WORKERS", "two")
+    with pytest.raises(ConfigError, match="PAPSIM_WORKERS"):
+        resolve_workers()
+
+
+def test_scan_pool_is_bounded_by_columns_and_cores(monkeypatch):
+    sys3 = build_three_level()
+    assert scan_2d(sys3, BASE, [10.0], [4.0], workers=4).details["workers"] == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    emap = scan_2d(sys3, BASE, [8.0, 10.0], [4.0], workers=4)
+    assert emap.details["workers"] == 1
 
 
 def _cosine_map(freq_cm=45.0, n=64, h=0.05):
