@@ -15,11 +15,10 @@ from .levels import (Level, LevelSystem, SyntheticMoleculeSpec,
                      build_synthetic_molecule, build_three_level, load_system,
                      raman_shift, save_system, strip_decay, system_from_dict,
                      system_to_dict, validate_system)
-from .fields import (CombSpec, PulseSpec, RamanLock, TrainEvent, TrainSchedule,
-                     build_train, comb_frequency, design_dump_phase_mask,
-                     make_pulse, make_schedule, quadratic_phase, rabi_envelope,
-                     raman_lock_f0_dump, schedule_to_text, spectral_amplitude,
-                     stirap_weights, crp_weights)
+from .fields import (PulseSpec, TrainEvent, TrainSchedule, build_train,
+                     design_dump_phase_mask, make_pulse, make_schedule,
+                     quadratic_phase, rabi_envelope, schedule_to_text,
+                     spectral_amplitude, stirap_weights, crp_weights)
 from .propagator import (NumericsError, QuantumState, PhaseFrame, Trajectory,
                          free_evolve, ground_state, oracle_propagate,
                          propagate_pulse, propagate_window, run_schedule)
@@ -42,10 +41,10 @@ __all__ = [
     "Level", "LevelSystem", "SyntheticMoleculeSpec", "build_synthetic_molecule",
     "build_three_level", "load_system", "raman_shift", "save_system",
     "strip_decay", "system_from_dict", "system_to_dict", "validate_system",
-    "CombSpec", "PulseSpec", "RamanLock", "TrainEvent", "TrainSchedule",
-    "build_train", "comb_frequency", "design_dump_phase_mask", "make_pulse",
-    "make_schedule", "quadratic_phase", "rabi_envelope", "raman_lock_f0_dump",
-    "schedule_to_text", "spectral_amplitude", "stirap_weights", "crp_weights",
+    "PulseSpec", "TrainEvent", "TrainSchedule", "build_train",
+    "design_dump_phase_mask", "make_pulse", "make_schedule", "quadratic_phase",
+    "rabi_envelope", "schedule_to_text", "spectral_amplitude", "stirap_weights",
+    "crp_weights",
     "NumericsError", "QuantumState", "PhaseFrame", "Trajectory",
     "free_evolve", "ground_state", "oracle_propagate", "propagate_pulse",
     "propagate_window", "run_schedule",

@@ -22,16 +22,13 @@ from .io import (read_map_csv, write_map_csv, write_result_json,
                  write_revivals_csv, write_spectrum_csv, write_sweep_csv,
                  write_trajectory_csv)
 from .propagator import NumericsError, PhaseFrame
-from .protocols import run_pair_train, run_piecewise_crp, run_piecewise_stirap
+from .protocols import RUNNERS as _RUNNERS
 from .scan import fft_delta_t, revival_diagnostics, robustness_sweep, scan_2d
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
-
-_RUNNERS = {"stirap": run_piecewise_stirap, "crp": run_piecewise_crp,
-            "pairs": run_pair_train}
 
 
 def _frame_from_config(cfg: dict, system) -> PhaseFrame | None:

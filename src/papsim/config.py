@@ -93,7 +93,7 @@ def validate_config(cfg: dict) -> None:
     _require("system" in cfg, "config needs a system section")
     _validate_system_section(cfg["system"])
 
-    if protocol in ("stirap", "crp", "pairs"):
+    if protocol in _TRAIN_KEYS:
         _require("train" in cfg, f"protocol {protocol!r} needs a train section")
         _validate_train(cfg["train"], protocol)
     if protocol == "scan":
@@ -117,8 +117,9 @@ def validate_config(cfg: dict) -> None:
         sweep = cfg["sweep"]
         _check_keys(sweep, _SWEEP_KEYS, "sweep")
         swept = sweep.get("protocol")
-        _require(swept in ("stirap", "crp", "pairs"),
-                 f"sweep.protocol must be stirap, crp or pairs, got {swept!r}")
+        _require(swept in _TRAIN_KEYS,
+                 f"sweep.protocol must be one of {tuple(_TRAIN_KEYS)}, "
+                 f"got {swept!r}")
         _validate_train(cfg["train"], swept)
         _require(sweep.get("parameter") in ("n_pairs", "area_scale", "alpha"),
                  "sweep.parameter must be n_pairs, area_scale or alpha")

@@ -1,9 +1,9 @@
-"""Pulses, frequency combs, and pulse-train schedules.
+"""Pulses and pulse-train schedules.
 
 A train realizes a smooth adiabatic passage piecewise: each short pulse
-carries the integral action of one interval of the reference envelope,
-and the carrier phase of each pulse is set analytically from the comb
-parameters, never by integrating optical cycles.
+carries the integral action of one interval of the reference envelope.
+Carrier phases here are the train's own phase schedule; the comb's
+part is added analytically by the propagator's PhaseFrame.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
+from .units import K_RAD_PS_PER_CM
 
 PULSE_SHAPES = ("sin2", "gaussian")
 CHANNELS = ("pump", "dump")
@@ -139,68 +139,6 @@ def spectral_amplitude(pulse: PulseSpec, detuning_cm) -> np.ndarray:
         return out if np.ndim(detuning_cm) else float(out[0])
     sigma = pulse.gaussian_sigma_ps
     return np.exp(-(sigma * omega) ** 2 / 2.0)
-
-
-# --- frequency combs ---
-
-@dataclass(frozen=True)
-class CombSpec:
-    """Comb parameters for one pump/dump pair of pulse trains.
-
-    f_rep and the offsets are THz (= 1/ps); n_pump and n_dump are the
-    tooth indices of the two carriers. The carrier angular frequency of a
-    channel is 2 pi (N f_rep + f0) rad/ps.
-    """
-
-    f_rep: float
-    f0_pump: float = 0.0
-    f0_dump: float = 0.0
-    n_pump: int = 0
-    n_dump: int = 0
-
-
-def comb_frequency(comb: CombSpec, channel: str) -> float:
-    """Carrier angular frequency (rad/ps) of a comb channel."""
-    if channel == "pump":
-        n, f0 = comb.n_pump, comb.f0_pump
-    elif channel == "dump":
-        n, f0 = comb.n_dump, comb.f0_dump
-    else:
-        raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
-    return 2.0 * math.pi * (n * comb.f_rep + f0)
-
-
-@dataclass(frozen=True)
-class RamanLock:
-    """Result of locking the dump comb offset to the pump comb.
-
-    f0_dump is reduced into [0, f_rep); raw is the unreduced value and
-    n_adjust the integer number of f_rep subtracted to reduce it.
-    """
-
-    f0_dump: float
-    raw: float
-    n_adjust: int
-
-
-def raman_lock_f0_dump(f_rep: float, n_tooth: int, raman_shift: float,
-                       f0_pump: float = 0.0) -> RamanLock:
-    """Dump comb offset that keeps the two-photon resonance exact.
-
-    The dump carrier must sit one Raman frequency above the pump carrier
-    (modulo whole teeth), so f0_dump = f0_pump + raman_shift*c + N*f_rep
-    with raman_shift in cm^-1 and raman_shift*c the Raman frequency in
-    THz. The returned offset is reduced into [0, f_rep).
-    """
-    if f_rep <= 0:
-        raise ValueError("f_rep must be positive")
-    raw = f0_pump + raman_shift * C_CM_PER_PS + n_tooth * f_rep
-    n_adjust = math.floor(raw / f_rep)
-    f0 = raw - n_adjust * f_rep
-    if f0 >= f_rep:  # guard the half-ulp edge
-        f0 -= f_rep
-        n_adjust += 1
-    return RamanLock(f0, raw, n_adjust)
 
 
 # --- train schedules ---

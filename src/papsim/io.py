@@ -10,6 +10,7 @@ values bitwise.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -23,6 +24,23 @@ MAP_FORMAT = "papsim-map v1"
 def _r(value) -> str:
     """repr of a scalar as a plain float: exact round-trip, no numpy tags."""
     return repr(float(value))
+
+
+def _write_text(path: str, text: str) -> None:
+    """Write text to path atomically: a temporary file beside it, then a rename.
+
+    A failed write leaves any earlier file at path as it was and removes
+    the temporary file. The file gets the mode a plain open gives a new
+    file.
+    """
+    tmp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _header_lines(kind: str, fingerprint: str | None) -> list[str]:
@@ -45,17 +63,20 @@ def write_map_csv(path: str, emap: EfficiencyMap) -> None:
     for i, dt in enumerate(emap.delta_t_axis):
         row = ",".join(_r(v) for v in emap.efficiency[i])
         lines.append(f"{_r(dt)},{row}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_map_csv(path: str) -> EfficiencyMap:
-    """Read a map written by write_map_csv."""
+    """Read a map written by write_map_csv; other files are a ValueError."""
     meta: dict = {}
     rows: list[list[float]] = []
     delta_T: np.ndarray | None = None
     dts: list[float] = []
     with open(path) as fh:
+        tag = fh.readline().strip()
+        if tag != f"# {MAP_FORMAT}":
+            raise ValueError(f"{path} is not a map file: its first line is "
+                             f"{tag!r}, expected '# {MAP_FORMAT}'")
         for raw in fh:
             line = raw.strip()
             if not line:
@@ -87,8 +108,7 @@ def write_spectrum_csv(path: str, spectrum: BeatSpectrum,
     lines.append("frequency_cm1,magnitude")
     for w, a in zip(spectrum.frequency_axis, spectrum.magnitude):
         lines.append(f"{_r(w)},{_r(a)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_sweep_csv(path: str, sweep: SweepResult,
@@ -97,8 +117,7 @@ def write_sweep_csv(path: str, sweep: SweepResult,
     lines.append(f"{sweep.parameter},efficiency")
     for v, e in zip(sweep.values, sweep.efficiency):
         lines.append(f"{_r(v)},{_r(e)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_revivals_csv(path: str, report: RevivalReport,
@@ -107,8 +126,7 @@ def write_revivals_csv(path: str, report: RevivalReport,
     lines.append("time_ps,fidelity")
     for t, f in zip(report.times, report.fidelity):
         lines.append(f"{_r(t)},{_r(f)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path: str, result: RunResult,
@@ -120,8 +138,7 @@ def write_trajectory_csv(path: str, result: RunResult,
     for k in range(len(traj.times)):
         pops = ",".join(_r(p) for p in traj.populations[k])
         lines.append(f"{_r(traj.times[k])},{pops},{_r(traj.norms[k])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def result_to_dict(result: RunResult,
@@ -157,6 +174,4 @@ def write_result_json(path: str, result: RunResult, config: dict | None = None,
         data["fingerprint"] = fingerprint
     if config is not None:
         data["config"] = config
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    _write_text(path, json.dumps(data, indent=2) + "\n")

@@ -1,9 +1,12 @@
 """High-level runners for the piecewise transfer schemes.
 
-Each runner assembles a pulse-train schedule, propagates the system's
-initial state through it, and reduces the trajectory to a RunResult:
-the end-state population accounting plus the peak transient excited
-population seen anywhere along the run.
+The three train protocols (stirap, crp, pairs) differ only in the
+train kind, which sets the pulse weights and phases, so their runners
+wrap one private runner. It assembles the schedule, propagates the
+system's initial state through it, and reduces the trajectory to a
+RunResult: the end-state population accounting plus the peak transient
+excited population seen anywhere along the run. RUNNERS maps each
+protocol name to its runner.
 
 The smooth reference passage (run_reference_ap) drives the same
 Hamiltonian with continuous overlapping envelopes instead of a train;
@@ -125,14 +128,41 @@ def result_from_trajectory(system: LevelSystem, trajectory: Trajectory,
     )
 
 
-def _run(system: LevelSystem, schedule: TrainSchedule, frame: PhaseFrame,
-         record: str, steps: int | None, dense_stride: int,
-         details: dict) -> RunResult:
-    start = schedule.start_time if schedule.events else 0.0
-    state = ground_state(system, start)
-    traj = run_schedule(state, system, schedule, frame, record=record,
+def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
+               delta_T: float, delta_t_small: float | None, pump_area: float,
+               dump_area: float, *, shape: str, fwhm: float,
+               pump_carrier_detuning: float, dump_carrier_detuning: float,
+               frame: PhaseFrame | None, f0_pump: float, record: str,
+               steps: int | None, dense_stride: int, dump_phase_mask=None,
+               alpha_pump: float = 0.0, alpha_dump: float = 0.0,
+               sigma_pairs: float | None = None,
+               extra_pump_dump_delay: float = 0.0) -> RunResult:
+    """The body of the three train runners; only kind "crp" reads the chirp."""
+    if delta_t_small is None:
+        delta_t_small = delta_T / 2.0
+    chirp = {}
+    if kind == "crp":
+        delta_t_small += extra_pump_dump_delay
+        chirp = {"alpha_pump": alpha_pump, "alpha_dump": alpha_dump}
+    if frame is None:
+        frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
+    pump = make_pulse(shape, fwhm, pump_area,
+                      carrier_detuning=pump_carrier_detuning, channel="pump")
+    dump = make_pulse(shape, fwhm, dump_area,
+                      carrier_detuning=dump_carrier_detuning, channel="dump",
+                      phase_mask=dump_phase_mask)
+    schedule = build_train(kind, n_pairs, delta_T, delta_t_small, pump, dump,
+                           sigma_pairs=sigma_pairs, **chirp)
+    details = {"protocol": protocol, "n_pairs": n_pairs, "delta_T": delta_T,
+               "delta_t_small": delta_t_small, **chirp,
+               "pump_area": pump_area, "dump_area": dump_area,
+               "shape": shape, "fwhm": fwhm}
+    if kind == "crp":
+        details["extra_pump_dump_delay"] = extra_pump_dump_delay
+    state = ground_state(levels, schedule.start_time)
+    traj = run_schedule(state, levels, schedule, frame, record=record,
                         dense_stride=dense_stride, steps=steps)
-    return result_from_trajectory(system, traj, schedule, frame, details)
+    return result_from_trajectory(levels, traj, schedule, frame, details)
 
 
 def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
@@ -157,21 +187,13 @@ def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
     both carriers sit on comb teeth and the two-photon (Raman) offset is
     kept exact.
     """
-    if delta_t_small is None:
-        delta_t_small = delta_T / 2.0
-    if frame is None:
-        frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
-    pump = make_pulse(shape, fwhm, pump_area,
-                      carrier_detuning=pump_carrier_detuning, channel="pump")
-    dump = make_pulse(shape, fwhm, dump_area,
-                      carrier_detuning=dump_carrier_detuning, channel="dump",
-                      phase_mask=dump_phase_mask)
-    schedule = build_train("stirap", n_pairs, delta_T, delta_t_small,
-                           pump, dump)
-    details = {"protocol": "stirap", "n_pairs": n_pairs, "delta_T": delta_T,
-               "delta_t_small": delta_t_small, "pump_area": pump_area,
-               "dump_area": dump_area, "shape": shape, "fwhm": fwhm}
-    return _run(levels, schedule, frame, record, steps, dense_stride, details)
+    return _run_train(
+        "stirap", "stirap", levels, n_pairs, delta_T, delta_t_small,
+        pump_area, dump_area, shape=shape, fwhm=fwhm,
+        pump_carrier_detuning=pump_carrier_detuning,
+        dump_carrier_detuning=dump_carrier_detuning,
+        dump_phase_mask=dump_phase_mask, frame=frame, f0_pump=f0_pump,
+        record=record, steps=steps, dense_stride=dense_stride)
 
 
 def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
@@ -198,24 +220,15 @@ def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
     pump comb as a delay stage would; a transfer this adiabatic should
     barely notice.
     """
-    if delta_t_small is None:
-        delta_t_small = delta_T / 2.0
-    delta_t_small += extra_pump_dump_delay
-    if frame is None:
-        frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
-    pump = make_pulse(shape, fwhm, pump_area,
-                      carrier_detuning=pump_carrier_detuning, channel="pump")
-    dump = make_pulse(shape, fwhm, dump_area,
-                      carrier_detuning=dump_carrier_detuning, channel="dump")
-    schedule = build_train("crp", n_pairs, delta_T, delta_t_small,
-                           pump, dump, alpha_pump=alpha_pump,
-                           alpha_dump=alpha_dump, sigma_pairs=sigma_pairs)
-    details = {"protocol": "crp", "n_pairs": n_pairs, "delta_T": delta_T,
-               "delta_t_small": delta_t_small, "alpha_pump": alpha_pump,
-               "alpha_dump": alpha_dump, "pump_area": pump_area,
-               "dump_area": dump_area, "shape": shape, "fwhm": fwhm,
-               "extra_pump_dump_delay": extra_pump_dump_delay}
-    return _run(levels, schedule, frame, record, steps, dense_stride, details)
+    return _run_train(
+        "crp", "crp", levels, n_pairs, delta_T, delta_t_small,
+        pump_area, dump_area, shape=shape, fwhm=fwhm,
+        pump_carrier_detuning=pump_carrier_detuning,
+        dump_carrier_detuning=dump_carrier_detuning, frame=frame,
+        f0_pump=f0_pump, record=record, steps=steps,
+        dense_stride=dense_stride, alpha_pump=alpha_pump,
+        alpha_dump=alpha_dump, sigma_pairs=sigma_pairs,
+        extra_pump_dump_delay=extra_pump_dump_delay)
 
 
 def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
@@ -241,19 +254,19 @@ def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
     while delta_T moves the teeth, matching how a locked scan is run.
     n_pairs = 0 is the identity.
     """
-    if frame is None:
-        frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
-    pump = make_pulse(shape, fwhm, pump_area,
-                      carrier_detuning=pump_carrier_detuning, channel="pump")
-    dump = make_pulse(shape, fwhm, dump_area,
-                      carrier_detuning=dump_carrier_detuning, channel="dump",
-                      phase_mask=dump_phase_mask)
-    schedule = build_train("flat_pairs", n_pairs, delta_T, delta_t_small,
-                           pump, dump)
-    details = {"protocol": "pairs", "n_pairs": n_pairs, "delta_T": delta_T,
-               "delta_t_small": delta_t_small, "pump_area": pump_area,
-               "dump_area": dump_area, "shape": shape, "fwhm": fwhm}
-    return _run(levels, schedule, frame, record, steps, dense_stride, details)
+    return _run_train(
+        "pairs", "flat_pairs", levels, n_pairs, delta_T, delta_t_small,
+        pump_area, dump_area, shape=shape, fwhm=fwhm,
+        pump_carrier_detuning=pump_carrier_detuning,
+        dump_carrier_detuning=dump_carrier_detuning,
+        dump_phase_mask=dump_phase_mask, frame=frame, f0_pump=f0_pump,
+        record=record, steps=steps, dense_stride=dense_stride)
+
+
+# the CLI and the robustness sweeps dispatch through this table;
+# config._TRAIN_KEYS holds the same protocol names
+RUNNERS = {"stirap": run_piecewise_stirap, "crp": run_piecewise_crp,
+           "pairs": run_pair_train}
 
 
 # --- smooth reference passage ---

@@ -19,7 +19,7 @@ import numpy as np
 from .config import ConfigError, config_fingerprint
 from .levels import LevelSystem, system_to_dict
 from .propagator import NumericsError
-from .protocols import run_pair_train, run_piecewise_crp, run_piecewise_stirap
+from .protocols import RUNNERS, run_pair_train
 from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
 
 WORKERS_ENV_VAR = "PAPSIM_WORKERS"
@@ -250,7 +250,7 @@ class SweepResult:
 
 
 SWEEP_PARAMETERS = ("n_pairs", "area_scale", "alpha")
-SWEEP_PROTOCOLS = ("stirap", "crp", "pairs")
+SWEEP_PROTOCOLS = tuple(RUNNERS)
 
 
 def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
@@ -289,18 +289,10 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
             kwargs["alpha_pump"] = v
             kwargs["alpha_dump"] = v
         try:
-            effs[i] = _run_sweep_point(levels, protocol, kwargs)
+            res = RUNNERS[protocol](levels, **kwargs)
+            effs[i] = res.final_target_population
         except (ValueError, NumericsError):
             effs[i] = math.nan
     return SweepResult(parameter, vals, effs,
                        {"protocol": protocol, "base": base})
 
-
-def _run_sweep_point(levels: LevelSystem, protocol: str, kwargs: dict) -> float:
-    if protocol == "stirap":
-        res = run_piecewise_stirap(levels, **kwargs)
-    elif protocol == "crp":
-        res = run_piecewise_crp(levels, **kwargs)
-    else:
-        res = run_pair_train(levels, **kwargs)
-    return res.final_target_population

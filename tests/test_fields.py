@@ -1,4 +1,4 @@
-"""Pulse envelopes, comb bookkeeping, train schedules, and mask design."""
+"""Pulse envelopes, train schedules, and mask design."""
 
 import math
 
@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from papsim import (C_CM_PER_PS, CombSpec, K_RAD_PS_PER_CM, build_train,
-                    comb_frequency, crp_weights, design_dump_phase_mask,
-                    make_pulse, make_schedule, quadratic_phase, rabi_envelope,
-                    raman_lock_f0_dump, schedule_to_text, spectral_amplitude,
-                    stirap_weights)
+from papsim import (K_RAD_PS_PER_CM, build_train, crp_weights,
+                    design_dump_phase_mask, make_pulse, make_schedule,
+                    quadratic_phase, rabi_envelope, schedule_to_text,
+                    spectral_amplitude, stirap_weights)
 from papsim.fields import TrainEvent
 
 
@@ -66,21 +65,6 @@ def test_make_pulse_validation():
         make_pulse("sin2", 100.0, -1.0)
     with pytest.raises(ValueError):
         make_pulse("sin2", 100.0, 1.0, channel="probe")
-
-
-def test_comb_frequency_and_raman_lock():
-    comb = CombSpec(f_rep=0.1, f0_pump=0.02, n_pump=3358, n_dump=3288)
-    assert abs(comb_frequency(comb, "pump") - 2.0 * math.pi * 335.82) < 1e-9
-    with pytest.raises(ValueError):
-        comb_frequency(comb, "probe")
-
-    lock = raman_lock_f0_dump(0.1, 3358, 2333.0, f0_pump=0.02)
-    assert 0.0 <= lock.f0_dump < 0.1
-    # the lock preserves the Raman offset modulo whole teeth
-    residue = (0.02 + 2333.0 * C_CM_PER_PS - lock.f0_dump) / 0.1
-    assert abs(residue - round(residue)) < 1e-9
-    with pytest.raises(ValueError):
-        raman_lock_f0_dump(0.0, 1, 2333.0)
 
 
 def test_quadratic_phase_closed_form():

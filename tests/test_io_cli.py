@@ -39,6 +39,28 @@ def test_map_csv_round_trips_bitwise(tmp_path):
         read_map_csv(str(bad))
 
 
+def test_map_reader_checks_the_format_tag(tmp_path):
+    emap = EfficiencyMap(np.array([10.0]), np.array([4.0]),
+                         np.array([[0.5]]), "fp")
+    path = tmp_path / "map.csv"
+    write_map_csv(str(path), emap)
+    retagged = tmp_path / "retagged.csv"
+    retagged.write_text(path.read_text().replace("papsim-map v1",
+                                                 "papsim-sweep v1", 1))
+    with pytest.raises(ValueError, match="papsim-sweep v1") as err:
+        read_map_csv(str(retagged))
+    assert str(retagged) in str(err.value)
+
+    dts = 1.0 + 0.05 * np.arange(16)
+    col = np.cos(2.0 * np.pi * dts)
+    spec = fft_delta_t(EfficiencyMap(np.array([10.0]), dts, col[:, None], ""), 0)
+    spectrum = tmp_path / "spec.csv"
+    write_spectrum_csv(str(spectrum), spec, "fp")
+    with pytest.raises(ValueError, match="papsim-spectrum v1") as err:
+        read_map_csv(str(spectrum))
+    assert str(spectrum) in str(err.value)
+
+
 def test_trajectory_csv_shape(tmp_path):
     sys3 = build_three_level()
     res = run_piecewise_stirap(sys3, n_pairs=4, delta_T=10.0, record="dense")
@@ -74,6 +96,25 @@ def test_result_json(tmp_path):
              + r["leaked_ground_a"] + r["leaked_ground_b"]
              + r["residual_excited"] + r["decayed_loss"])
     assert abs(total - 1.0) < 1e-8
+
+
+def test_failed_write_keeps_the_earlier_file(tmp_path):
+    sys3 = build_three_level()
+    res = run_piecewise_stirap(sys3, n_pairs=4, delta_T=10.0, record="none")
+    path = tmp_path / "result.json"
+    write_result_json(str(path), res, config={"protocol": "stirap"})
+    before = path.read_bytes()
+    # an ndarray in the config is not JSON: the write must fail whole
+    with pytest.raises(TypeError):
+        write_result_json(str(path), res, config={"mask": np.zeros(2)})
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["result.json"]
+
+    # same mode as a file made by a plain open
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as fh:
+        fh.write("x")
+    assert path.stat().st_mode == plain.stat().st_mode
 
 
 def test_spectrum_csv(tmp_path):

@@ -166,3 +166,16 @@ def test_chopping_preserves_interval_actions():
 
     with pytest.raises(ValueError):
         train_from_reference("stirap", duration, 1.5, 0)
+
+
+@pytest.mark.parametrize("runner, args, keyword", [
+    (run_piecewise_stirap, (4, 10.0), "alpha_pump"),
+    (run_piecewise_stirap, (4, 10.0), "extra_pump_dump_delay"),
+    (run_piecewise_crp, (4, 10.0, 0.2, 0.2), "dump_phase_mask"),
+    (run_pair_train, (4, 10.0, 4.0), "alpha_pump"),
+    (run_pair_train, (4, 10.0, 4.0), "sigma_pairs"),
+])
+def test_runners_reject_keywords_of_other_protocols(runner, args, keyword):
+    # the three runners share one body, but each keeps its own signature
+    with pytest.raises(TypeError):
+        runner(build_three_level(), *args, record="none", **{keyword: 0.1})

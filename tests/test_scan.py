@@ -11,6 +11,7 @@ from papsim import (C_CM_PER_PS, ConfigError, EfficiencyMap,
                     build_synthetic_molecule, build_three_level, fft_delta_t,
                     resolve_workers, revival_diagnostics, robustness_sweep,
                     run_pair_train, scan_2d)
+from papsim.protocols import RUNNERS
 
 BASE = {"n_pairs": 5, "pump_area": math.pi, "dump_area": math.pi}
 
@@ -173,13 +174,17 @@ def test_revival_validation():
         revival_diagnostics(mol, np.ones(3), t_max=1.0, dt=2.0)
 
 
-def test_sweep_rows_match_individual_runs():
+@pytest.mark.parametrize("protocol", sorted(RUNNERS))
+def test_sweep_rows_match_individual_runs(protocol):
     sys3 = build_three_level()
     base = {"delta_T": 10.0, "delta_t_small": 5.0,
             "pump_area": math.pi, "dump_area": math.pi}
-    sweep = robustness_sweep(sys3, "pairs", "n_pairs", [5, 20], base_config=base)
+    if protocol == "crp":
+        base.update(alpha_pump=0.2, alpha_dump=0.2)
+    sweep = robustness_sweep(sys3, protocol, "n_pairs", [5, 20],
+                             base_config=base)
     for v, eff in zip(sweep.values, sweep.efficiency):
-        direct = run_pair_train(sys3, n_pairs=int(v), record="none", **base)
+        direct = RUNNERS[protocol](sys3, n_pairs=int(v), record="none", **base)
         assert eff == direct.final_target_population
     assert sweep.spread() >= 0.0
 
