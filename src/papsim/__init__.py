@@ -9,16 +9,15 @@ in rad (rad/ps).
 
 __version__ = "0.1.0"
 
-from .units import C_CM_PER_PS, K_RAD_PS_PER_CM, angular_to_wavenumber, \
-    wavenumber_to_angular, wavenumber_to_thz
+from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
 from .levels import (Level, LevelSystem, SyntheticMoleculeSpec,
                      build_synthetic_molecule, build_three_level, load_system,
                      raman_shift, save_system, strip_decay, system_from_dict,
                      system_to_dict, validate_system)
 from .fields import (PulseSpec, TrainEvent, TrainSchedule, build_train,
                      design_dump_phase_mask, make_pulse, make_schedule,
-                     quadratic_phase, rabi_envelope, schedule_to_text,
-                     spectral_amplitude, stirap_weights, crp_weights)
+                     quadratic_phase, rabi_envelope, spectral_amplitude,
+                     stirap_weights, crp_weights)
 from .propagator import (NumericsError, QuantumState, PhaseFrame, Trajectory,
                          free_evolve, ground_state, oracle_propagate,
                          propagate_pulse, propagate_window, run_schedule)
@@ -31,20 +30,17 @@ from .scan import (BeatSpectrum, EfficiencyMap, RevivalReport, SweepResult,
                    robustness_sweep, scan_2d)
 from .config import (ConfigError, build_system, config_fingerprint,
                      load_config, validate_config)
-from .io import (read_map_csv, result_to_dict, write_map_csv,
-                 write_result_json, write_spectrum_csv, write_sweep_csv,
-                 write_trajectory_csv)
+from .io import (read_map_csv, write_map_csv, write_result_json,
+                 write_spectrum_csv, write_sweep_csv, write_trajectory_csv)
 
 __all__ = [
-    "C_CM_PER_PS", "K_RAD_PS_PER_CM", "angular_to_wavenumber",
-    "wavenumber_to_angular", "wavenumber_to_thz",
+    "C_CM_PER_PS", "K_RAD_PS_PER_CM",
     "Level", "LevelSystem", "SyntheticMoleculeSpec", "build_synthetic_molecule",
     "build_three_level", "load_system", "raman_shift", "save_system",
     "strip_decay", "system_from_dict", "system_to_dict", "validate_system",
     "PulseSpec", "TrainEvent", "TrainSchedule", "build_train",
     "design_dump_phase_mask", "make_pulse", "make_schedule", "quadratic_phase",
-    "rabi_envelope", "schedule_to_text", "spectral_amplitude", "stirap_weights",
-    "crp_weights",
+    "rabi_envelope", "spectral_amplitude", "stirap_weights", "crp_weights",
     "NumericsError", "QuantumState", "PhaseFrame", "Trajectory",
     "free_evolve", "ground_state", "oracle_propagate", "propagate_pulse",
     "propagate_window", "run_schedule",
@@ -55,7 +51,6 @@ __all__ = [
     "fft_delta_t", "resolve_workers", "revival_diagnostics", "robustness_sweep",
     "scan_2d",
     "ConfigError", "build_system", "load_config", "validate_config",
-    "config_fingerprint", "read_map_csv", "result_to_dict", "write_map_csv",
-    "write_result_json", "write_spectrum_csv", "write_sweep_csv",
-    "write_trajectory_csv",
+    "config_fingerprint", "read_map_csv", "write_map_csv", "write_result_json",
+    "write_spectrum_csv", "write_sweep_csv", "write_trajectory_csv",
 ]

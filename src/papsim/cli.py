@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .config import (ConfigError, axis_values, build_system,
-                     config_fingerprint, load_config, sweep_values)
+                     config_fingerprint, load_config)
 from .io import (read_map_csv, write_map_csv, write_result_json,
                  write_revivals_csv, write_spectrum_csv, write_sweep_csv,
                  write_trajectory_csv)
@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICS = 3
 EXIT_IO = 4
+
+# read at import, before anything can wrap an entry of _RUNNERS
+_TRAIN_HELP = {name: runner.__doc__.split("\n", 1)[0]
+               for name, runner in _RUNNERS.items()}
 
 
 def _frame_from_config(cfg: dict, system) -> PhaseFrame | None:
@@ -80,7 +84,7 @@ def _cmd_scan(args) -> int:
     scan_cfg = cfg["scan"]
     dT = axis_values(scan_cfg, "delta_T")
     dts = axis_values(scan_cfg, "delta_t")
-    workers = args.workers if args.workers else scan_cfg.get("workers")
+    workers = scan_cfg.get("workers") if args.workers is None else args.workers
     emap = scan_2d(system, _train_kwargs(cfg), dT, dts, workers=workers)
     out = _out_path(cfg, "map", args.out)
     if not out:
@@ -121,7 +125,7 @@ def _cmd_revivals(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg, system, fingerprint = _load_for("sweep", args.config)
     sweep_cfg = cfg["sweep"]
-    values = sweep_values(sweep_cfg)
+    values = axis_values(sweep_cfg, "")
     base = _train_kwargs(cfg)
     frame = _frame_from_config(cfg, system)
     if frame is not None:
@@ -133,6 +137,12 @@ def _cmd_sweep(args) -> int:
     if not out:
         raise ConfigError("sweep needs --out or an output.sweep path")
     write_sweep_csv(out, result, fingerprint)
+    failures = result.details["failures"]
+    if failures:
+        value, reason = next(iter(failures.items()))
+        print(f"{len(failures)} of {len(values)} sweep points failed; "
+              f"first at {result.parameter}={value:g}: {reason}",
+              file=sys.stderr)
     if not args.quiet:
         finite = np.isfinite(result.efficiency)
         print(f"sweep of {result.parameter}: {finite.sum()}/{len(values)} "
@@ -174,9 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--quiet", action="store_true", help="suppress summary output")
 
-    for name, doc in (("stirap", "piecewise STIRAP train"),
-                      ("crp", "piecewise chirped Raman passage"),
-                      ("pairs", "comb-locked pump-dump pair train")):
+    for name, doc in _TRAIN_HELP.items():
         p = sub.add_parser(name, help=doc)
         common(p)
         p.add_argument("--out", help="write run summary JSON here")

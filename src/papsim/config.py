@@ -13,10 +13,9 @@ import json
 
 import numpy as np
 
+from .fields import PULSE_SHAPES
 from .levels import (LevelSystem, SyntheticMoleculeSpec, build_synthetic_molecule,
                      build_three_level, load_system, strip_decay, validate_system)
-
-PROTOCOLS = ("stirap", "crp", "pairs", "scan", "revivals", "sweep")
 
 
 class ConfigError(ValueError):
@@ -46,6 +45,10 @@ _TRAIN_KEYS = {
               "extra_pump_dump_delay"},
     "pairs": _TRAIN_COMMON,
 }
+
+PROTOCOLS = (*_TRAIN_KEYS, "scan", "revivals", "sweep")
+
+SWEEP_PARAMETERS = ("n_pairs", "area_scale", "alpha")
 
 _OUTPUT_KEYS = {"trajectory", "result", "map", "spectrum", "revivals", "sweep"}
 
@@ -121,8 +124,8 @@ def validate_config(cfg: dict) -> None:
                  f"sweep.protocol must be one of {tuple(_TRAIN_KEYS)}, "
                  f"got {swept!r}")
         _validate_train(cfg["train"], swept)
-        _require(sweep.get("parameter") in ("n_pairs", "area_scale", "alpha"),
-                 "sweep.parameter must be n_pairs, area_scale or alpha")
+        _require(sweep.get("parameter") in SWEEP_PARAMETERS,
+                 f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
         has_values = "values" in sweep
         has_range = all(k in sweep for k in ("start", "stop", "points"))
         _require(has_values or has_range,
@@ -181,8 +184,8 @@ def _validate_train_values(train: dict) -> None:
         if key in train:
             _require(float(train[key]) >= 0, f"train.{key} must be >= 0")
     if "shape" in train:
-        _require(train["shape"] in ("sin2", "gaussian"),
-                 "train.shape must be sin2 or gaussian")
+        _require(train["shape"] in PULSE_SHAPES,
+                 f"train.shape must be one of {PULSE_SHAPES}")
 
 
 def _validate_scan(scan: dict) -> None:
@@ -192,6 +195,10 @@ def _validate_scan(scan: dict) -> None:
         has_range = all(axis + s in scan for s in ("_start", "_stop", "_points"))
         _require(has_values or has_range,
                  f"scan needs {axis}_values or {axis}_start/_stop/_points")
+    if "workers" in scan:
+        workers = scan["workers"]
+        _require(type(workers) is int and workers >= 1,
+                 f"scan.workers must be an int >= 1, got {workers!r}")
 
 
 def build_system(cfg: dict) -> LevelSystem:
@@ -222,27 +229,19 @@ def build_system(cfg: dict) -> LevelSystem:
 
 
 def axis_values(section: dict, axis: str) -> np.ndarray:
-    """Resolve one scan/sweep axis: explicit values or start/stop/points."""
-    if axis + "_values" in section:
-        vals = np.asarray(section[axis + "_values"], dtype=float)
+    """A scan axis ("delta_T" or "delta_t") or, with axis "", the sweep
+    values: explicit values or start/stop/points."""
+    p = axis + "_" if axis else ""
+    if p + "values" in section:
+        vals = np.asarray(section[p + "values"], dtype=float)
         _require(vals.ndim == 1 and len(vals) > 0,
-                 f"{axis}_values must be a non-empty list")
+                 f"{p}values must be a non-empty list")
         return vals
-    start = float(section[axis + "_start"])
-    stop = float(section[axis + "_stop"])
-    points = int(section[axis + "_points"])
-    _require(points >= 1, f"{axis}_points must be >= 1")
+    start = float(section[p + "start"])
+    stop = float(section[p + "stop"])
+    points = int(section[p + "points"])
+    _require(points >= 1, f"{p}points must be >= 1")
     return np.linspace(start, stop, points)
-
-
-def sweep_values(section: dict) -> np.ndarray:
-    if "values" in section:
-        vals = np.asarray(section["values"], dtype=float)
-        _require(vals.ndim == 1 and len(vals) > 0, "sweep.values must be non-empty")
-        return vals
-    points = int(section["points"])
-    _require(points >= 1, "sweep.points must be >= 1")
-    return np.linspace(float(section["start"]), float(section["stop"]), points)
 
 
 def _canonical(obj):

@@ -177,13 +177,6 @@ class TrainSchedule:
         ev = self.events[0]
         return ev.time - ev.pulse.support_ps / 2.0
 
-    @property
-    def end_time(self) -> float:
-        if not self.events:
-            return 0.0
-        ev = self.events[-1]
-        return ev.time + ev.pulse.support_ps / 2.0
-
 
 def quadratic_phase(n, n0: float, alpha: float) -> np.ndarray:
     """Pulse-number phase law alpha*(n - n0)^2/2; second difference is alpha."""
@@ -307,15 +300,6 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
 
     return make_schedule(events, n_pairs, delta_T, delta_t_small, kind,
                          alpha_pump, alpha_dump, center)
-
-
-def schedule_to_text(schedule: TrainSchedule) -> str:
-    """Line-oriented export: one pulse per line (time_ps, channel, area, phase)."""
-    lines = ["# time_ps,channel,area_rad,phase_rad"]
-    for ev in schedule.events:
-        lines.append(f"{ev.time!r},{ev.pulse.channel},{ev.pulse.area!r},"
-                     f"{ev.pulse.carrier_phase!r}")
-    return "\n".join(lines) + "\n"
 
 
 # --- dump shaping ---

@@ -43,11 +43,16 @@ def _write_text(path: str, text: str) -> None:
             os.remove(tmp)
 
 
-def _header_lines(kind: str, fingerprint: str | None) -> list[str]:
+def _write_csv(path: str, kind: str, fingerprint: str | None,
+               header: list[str], rows) -> None:
+    """The one CSV layout: tag, version and fingerprint comment lines, the
+    given header lines, then one line of repr floats per row."""
     lines = [f"# {kind}", f"# version={__version__}"]
     if fingerprint:
         lines.append(f"# fingerprint={fingerprint}")
-    return lines
+    lines += header
+    lines += (",".join(map(_r, row)) for row in rows)
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_map_csv(path: str, emap: EfficiencyMap) -> None:
@@ -57,13 +62,10 @@ def write_map_csv(path: str, emap: EfficiencyMap) -> None:
     with its delta_t value. NaN cells (invalid schedules) are written
     literally, never as zeros.
     """
-    lines = _header_lines(MAP_FORMAT, emap.config_fingerprint)
-    lines.append("# rows=delta_t_ps cols=delta_T_ps values=target_population")
-    lines.append("delta_t_ps," + ",".join(_r(v) for v in emap.delta_T_axis))
-    for i, dt in enumerate(emap.delta_t_axis):
-        row = ",".join(_r(v) for v in emap.efficiency[i])
-        lines.append(f"{_r(dt)},{row}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, MAP_FORMAT, emap.config_fingerprint,
+               ["# rows=delta_t_ps cols=delta_T_ps values=target_population",
+                "delta_t_ps," + ",".join(map(_r, emap.delta_T_axis))],
+               np.column_stack([emap.delta_t_axis, emap.efficiency]))
 
 
 def read_map_csv(path: str) -> EfficiencyMap:
@@ -104,48 +106,39 @@ def read_map_csv(path: str) -> EfficiencyMap:
 
 def write_spectrum_csv(path: str, spectrum: BeatSpectrum,
                        fingerprint: str | None = None) -> None:
-    lines = _header_lines("papsim-spectrum v1", fingerprint)
-    lines.append("frequency_cm1,magnitude")
-    for w, a in zip(spectrum.frequency_axis, spectrum.magnitude):
-        lines.append(f"{_r(w)},{_r(a)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "papsim-spectrum v1", fingerprint,
+               ["frequency_cm1,magnitude"],
+               zip(spectrum.frequency_axis, spectrum.magnitude))
 
 
 def write_sweep_csv(path: str, sweep: SweepResult,
                     fingerprint: str | None = None) -> None:
-    lines = _header_lines("papsim-sweep v1", fingerprint)
-    lines.append(f"{sweep.parameter},efficiency")
-    for v, e in zip(sweep.values, sweep.efficiency):
-        lines.append(f"{_r(v)},{_r(e)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "papsim-sweep v1", fingerprint,
+               [f"{sweep.parameter},efficiency"],
+               zip(sweep.values, sweep.efficiency))
 
 
 def write_revivals_csv(path: str, report: RevivalReport,
                        fingerprint: str | None = None) -> None:
-    lines = _header_lines("papsim-revivals v1", fingerprint)
-    lines.append("time_ps,fidelity")
-    for t, f in zip(report.times, report.fidelity):
-        lines.append(f"{_r(t)},{_r(f)}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "papsim-revivals v1", fingerprint, ["time_ps,fidelity"],
+               zip(report.times, report.fidelity))
 
 
 def write_trajectory_csv(path: str, result: RunResult,
                          fingerprint: str | None = None) -> None:
     """Population trajectory of a run, one labeled column per level."""
     traj = result.trajectory
-    lines = _header_lines("papsim-trajectory v1", fingerprint)
-    lines.append("time_ps," + ",".join(traj.labels) + ",norm")
-    for k in range(len(traj.times)):
-        pops = ",".join(_r(p) for p in traj.populations[k])
-        lines.append(f"{_r(traj.times[k])},{pops},{_r(traj.norms[k])}")
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_csv(path, "papsim-trajectory v1", fingerprint,
+               ["time_ps," + ",".join(traj.labels) + ",norm"],
+               np.column_stack([traj.times, traj.populations, traj.norms]))
 
 
-def result_to_dict(result: RunResult,
-                   trajectory_path: str | None = None) -> dict:
-    """JSON-ready summary of a run: scalars plus a trajectory reference."""
+def write_result_json(path: str, result: RunResult, config: dict | None = None,
+                      fingerprint: str | None = None,
+                      trajectory_path: str | None = None) -> None:
+    """JSON summary of a run: its scalars plus a trajectory reference."""
     final = result.trajectory.final_state
-    data = {
+    summary = {
         "final_target_population": result.final_target_population,
         "final_initial_population": result.final_initial_population,
         "leaked_ground_a": result.leaked_ground_a,
@@ -161,15 +154,8 @@ def result_to_dict(result: RunResult,
         "details": result.details,
     }
     if trajectory_path is not None:
-        data["trajectory_file"] = trajectory_path
-    return data
-
-
-def write_result_json(path: str, result: RunResult, config: dict | None = None,
-                      fingerprint: str | None = None,
-                      trajectory_path: str | None = None) -> None:
-    data = {"version": __version__,
-            "result": result_to_dict(result, trajectory_path)}
+        summary["trajectory_file"] = trajectory_path
+    data = {"version": __version__, "result": summary}
     if fingerprint:
         data["fingerprint"] = fingerprint
     if config is not None:

@@ -15,7 +15,8 @@ pump, ground_b -> excited for the dump). phi(t) is the carrier phase,
 d phi = K * carrier_detuning per unit time plus the per-pulse constant;
 it is evaluated analytically from the schedule, never integrated.
 
-Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2).
+Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2),
+from the same diagonal the kernel uses.
 
 Every pulse and window goes through one fixed-step RK4 kernel, _rk4.
 Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
@@ -25,10 +26,11 @@ half-step grid, by one vectorized rabi_envelope call (windows sample
 their callables once on the same grid). run_schedule integrates the
 operators of all distinct pulses of a schedule, pump and dump together,
 in a single batched pass and applies them per event by exact phase
-conjugation; record="dense" keeps operator snapshots every dense_stride
-steps of that same pass and applies them to the state entering each
-pulse. propagate_pulse and propagate_window are one-problem callers of
-the same kernel. oracle_propagate stays apart as the independent check.
+conjugation; record="dense" keeps operator snapshots every
+_DENSE_STRIDE = 20 steps of that same pass (a fixed stride, not an
+option) and applies them to the state entering each pulse.
+propagate_pulse and propagate_window are one-problem callers of the
+same kernel. oracle_propagate stays apart as the independent check.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ MIN_STEPS_PER_PULSE = 800
 
 ORACLE_MAX_LEVELS = 32
 
+# record="dense" samples inside each pulse every this many RK4 steps
+_DENSE_STRIDE = 20
+
 
 class NumericsError(RuntimeError):
     """Propagation produced non-finite amplitudes."""
@@ -62,9 +67,6 @@ class QuantumState:
 
     def populations(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    def norm_squared(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
 
 
 def ground_state(system: LevelSystem, time: float = 0.0) -> QuantumState:
@@ -306,7 +308,7 @@ def free_evolve(state: QuantumState, system: LevelSystem, dt: float,
         raise ValueError("free evolution requires dt >= 0")
     if frame is None:
         frame = PhaseFrame.for_system(system)
-    factor = np.exp((-1j * frame.detunings(system) - 0.5 * system.decay_rates()) * dt)
+    factor = np.exp(-1j * _diagonal(system, frame) * dt)
     return QuantumState(state.amplitudes * factor, state.time + dt)
 
 
@@ -343,13 +345,13 @@ def _operator_cache_key(pulse: PulseSpec):
 
 def run_schedule(state: QuantumState, system: LevelSystem,
                  schedule: TrainSchedule, frame: PhaseFrame | None = None,
-                 record: str = "compressed", dense_stride: int = 20,
+                 record: str = "compressed",
                  steps: int | None = None) -> Trajectory:
     """Propagate a state through every event of a schedule.
 
     record policies: "compressed" stores populations at every event
     boundary, "dense" additionally samples inside each pulse every
-    dense_stride RK4 steps, "none" records only the endpoints.
+    _DENSE_STRIDE (20) RK4 steps, "none" records only the endpoints.
 
     The distinct pulses of the schedule (equal up to carrier phase) are
     integrated together in one batched pass, each into its evolution
@@ -361,8 +363,6 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     if record not in ("compressed", "dense", "none"):
         raise ValueError(f"unknown record policy {record!r}")
     dense = record == "dense"
-    if dense and dense_stride < 1:
-        raise ValueError("dense_stride must be >= 1")
     if frame is None:
         frame = PhaseFrame.for_system(system)
     if len(state.amplitudes) != system.n_levels:
@@ -386,7 +386,8 @@ def run_schedule(state: QuantumState, system: LevelSystem,
                           (len(pulses), system.n_levels, system.n_levels))
     ops, snapshots = _integrate_pulses(
         system, frame, pulses, [0.0] * len(pulses), eye, n_steps,
-        dense_stride if dense else None)
+        _DENSE_STRIDE if dense else None)
+    diag = _diagonal(system, frame)
 
     times = [state.time]
     pops = [state.populations()]
@@ -394,16 +395,17 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     for ev in schedule.events:
         start = ev.time - ev.pulse.support_ps / 2.0
         dt = start - current.time
+        amps = current.amplitudes
         if dt > 0:
-            current = free_evolve(current, system, dt, frame)
+            amps = amps * np.exp(-1j * diag * dt)
         i = index[_operator_cache_key(ev.pulse)]
         z = _phase_conjugation(system, ev.pulse,
                                pulse_center_phase(ev.pulse, ev.time))
-        rotated = np.conj(z) * current.amplitudes
+        rotated = np.conj(z) * amps
         if dense:
             inner = z * (snapshots[:, i] @ rotated)
             h = ev.pulse.support_ps / n_steps
-            times.extend(start + dense_stride * np.arange(1, len(inner) + 1) * h)
+            times.extend(start + _DENSE_STRIDE * np.arange(1, len(inner) + 1) * h)
             pops.extend(np.abs(inner) ** 2)
         current = QuantumState(z * (ops[i] @ rotated), start + ev.pulse.support_ps)
         if record != "none" or ev is schedule.events[-1]:

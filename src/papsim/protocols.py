@@ -133,7 +133,7 @@ def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
                dump_area: float, *, shape: str, fwhm: float,
                pump_carrier_detuning: float, dump_carrier_detuning: float,
                frame: PhaseFrame | None, f0_pump: float, record: str,
-               steps: int | None, dense_stride: int, dump_phase_mask=None,
+               steps: int | None, dump_phase_mask=None,
                alpha_pump: float = 0.0, alpha_dump: float = 0.0,
                sigma_pairs: float | None = None,
                extra_pump_dump_delay: float = 0.0) -> RunResult:
@@ -161,7 +161,7 @@ def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
         details["extra_pump_dump_delay"] = extra_pump_dump_delay
     state = ground_state(levels, schedule.start_time)
     traj = run_schedule(state, levels, schedule, frame, record=record,
-                        dense_stride=dense_stride, steps=steps)
+                        steps=steps)
     return result_from_trajectory(levels, traj, schedule, frame, details)
 
 
@@ -177,8 +177,7 @@ def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
                          frame: PhaseFrame | None = None,
                          f0_pump: float = 0.0,
                          record: str = "dense",
-                         steps: int | None = None,
-                         dense_stride: int = 20) -> RunResult:
+                         steps: int | None = None) -> RunResult:
     """Piecewise STIRAP: linear counter-ramped train, constant phase.
 
     pump_area and dump_area are the total integral action (rad) of each
@@ -193,7 +192,7 @@ def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
         pump_carrier_detuning=pump_carrier_detuning,
         dump_carrier_detuning=dump_carrier_detuning,
         dump_phase_mask=dump_phase_mask, frame=frame, f0_pump=f0_pump,
-        record=record, steps=steps, dense_stride=dense_stride)
+        record=record, steps=steps)
 
 
 def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
@@ -210,8 +209,7 @@ def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
                       frame: PhaseFrame | None = None,
                       f0_pump: float = 0.0,
                       record: str = "dense",
-                      steps: int | None = None,
-                      dense_stride: int = 20) -> RunResult:
+                      steps: int | None = None) -> RunResult:
     """Piecewise chirped Raman passage: Gaussian weights, quadratic phases.
 
     The pulse-to-pulse phase staircases alpha_pump and alpha_dump (rad
@@ -225,8 +223,7 @@ def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
         pump_area, dump_area, shape=shape, fwhm=fwhm,
         pump_carrier_detuning=pump_carrier_detuning,
         dump_carrier_detuning=dump_carrier_detuning, frame=frame,
-        f0_pump=f0_pump, record=record, steps=steps,
-        dense_stride=dense_stride, alpha_pump=alpha_pump,
+        f0_pump=f0_pump, record=record, steps=steps, alpha_pump=alpha_pump,
         alpha_dump=alpha_dump, sigma_pairs=sigma_pairs,
         extra_pump_dump_delay=extra_pump_dump_delay)
 
@@ -243,8 +240,7 @@ def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
                    frame: PhaseFrame | None = None,
                    f0_pump: float = 0.0,
                    record: str = "compressed",
-                   steps: int | None = None,
-                   dense_stride: int = 20) -> RunResult:
+                   steps: int | None = None) -> RunResult:
     """Unshaped train of identical pump-dump pairs.
 
     All pulses share the per-pulse area (total area / n_pairs) and a
@@ -260,7 +256,7 @@ def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
         pump_carrier_detuning=pump_carrier_detuning,
         dump_carrier_detuning=dump_carrier_detuning,
         dump_phase_mask=dump_phase_mask, frame=frame, f0_pump=f0_pump,
-        record=record, steps=steps, dense_stride=dense_stride)
+        record=record, steps=steps)
 
 
 # the CLI and the robustness sweeps dispatch through this table;
@@ -316,14 +312,14 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
                      separation: float | None = None,
                      peak_dump: float | None = None,
                      frame: PhaseFrame | None = None,
-                     steps: int | None = None,
-                     record_stride: int | None = None) -> RunResult:
+                     steps: int | None = None) -> RunResult:
     """Smooth adiabatic reference: continuous envelopes, same Hamiltonian.
 
     kind "stirap" drives the counterintuitive Gaussian pair, "crp" the
     coincident chirped pair. Everything else (frame, couplings, decay)
     is identical to the train runners, which is the point: differences
-    against a chopped train isolate the piecewise discretization.
+    against a chopped train isolate the piecewise discretization. The
+    trajectory records every max(1, steps // 400) steps.
     """
     pump, dump, pump_phase, dump_phase = reference_envelopes(
         kind, duration, peak_rabi, chirp_rate, sigma, separation, peak_dump)
@@ -331,13 +327,11 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
         frame = PhaseFrame.for_system(levels)
     if steps is None:
         steps = max(4000, int(duration * 200))
-    if record_stride is None:
-        record_stride = max(1, steps // 400)
     state = ground_state(levels, 0.0)
     traj = propagate_window(state, levels, pump, dump, frame, duration,
                             steps, pump_phase=pump_phase,
                             dump_phase=dump_phase,
-                            record_stride=record_stride)
+                            record_stride=max(1, steps // 400))
     details = {"protocol": f"reference_{kind}", "duration": duration,
                "peak_rabi": peak_rabi, "chirp_rate": chirp_rate}
     return result_from_trajectory(levels, traj, None, frame, details)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ConfigError, config_fingerprint
+from .config import SWEEP_PARAMETERS, ConfigError, config_fingerprint
 from .levels import LevelSystem, system_to_dict
 from .propagator import NumericsError
 from .protocols import RUNNERS, run_pair_train
@@ -58,10 +58,6 @@ class EfficiencyMap:
     def column(self, j: int) -> np.ndarray:
         """Efficiency against delta_t at delta_T_axis[j]."""
         return self.efficiency[:, j]
-
-    def row(self, i: int) -> np.ndarray:
-        """Efficiency against delta_T at delta_t_axis[i]."""
-        return self.efficiency[i, :]
 
 
 def _validate_axis(axis: np.ndarray, name: str) -> np.ndarray:
@@ -237,7 +233,10 @@ def revival_diagnostics(levels: LevelSystem, initial_excited_amplitudes,
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Efficiency table of a one-parameter robustness sweep."""
+    """Efficiency table of a one-parameter robustness sweep.
+
+    details["failures"] maps each NaN row's value to its error message.
+    """
 
     parameter: str
     values: np.ndarray
@@ -249,7 +248,6 @@ class SweepResult:
         return float(np.nanmax(self.efficiency) - np.nanmin(self.efficiency))
 
 
-SWEEP_PARAMETERS = ("n_pairs", "area_scale", "alpha")
 SWEEP_PROTOCOLS = tuple(RUNNERS)
 
 
@@ -275,6 +273,7 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
     base.setdefault("record", "none")
 
     effs = np.empty(vals.size)
+    failures = {}
     for i, v in enumerate(vals):
         kwargs = dict(base)
         if parameter == "n_pairs":
@@ -291,8 +290,10 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
         try:
             res = RUNNERS[protocol](levels, **kwargs)
             effs[i] = res.final_target_population
-        except (ValueError, NumericsError):
+        except (ValueError, NumericsError) as err:
             effs[i] = math.nan
+            failures[float(v)] = str(err)
     return SweepResult(parameter, vals, effs,
-                       {"protocol": protocol, "base": base})
+                       {"protocol": protocol, "base": base,
+                        "failures": failures})
 

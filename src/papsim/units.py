@@ -13,17 +13,3 @@ C_CM_PER_PS = 0.0299792458
 # rad/ps per cm^-1; the only place this constant is defined
 K_RAD_PS_PER_CM = 2.0 * math.pi * C_CM_PER_PS
 
-
-def wavenumber_to_angular(energy_cm: float) -> float:
-    """Convert a wavenumber (cm^-1) to an angular frequency (rad/ps)."""
-    return K_RAD_PS_PER_CM * energy_cm
-
-
-def angular_to_wavenumber(omega_rad_ps: float) -> float:
-    """Convert an angular frequency (rad/ps) to a wavenumber (cm^-1)."""
-    return omega_rad_ps / K_RAD_PS_PER_CM
-
-
-def wavenumber_to_thz(energy_cm: float) -> float:
-    """Convert a wavenumber (cm^-1) to an ordinary frequency (THz = 1/ps)."""
-    return C_CM_PER_PS * energy_cm

@@ -8,12 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from papsim import (ConfigError, EfficiencyMap, build_system,
-                    build_three_level, config_fingerprint, fft_delta_t,
-                    load_config, read_map_csv, run_piecewise_stirap,
-                    save_system, scan_2d, validate_config, write_map_csv,
-                    write_result_json, write_spectrum_csv,
-                    write_trajectory_csv)
+from papsim import (ConfigError, EfficiencyMap, RevivalReport, SweepResult,
+                    __version__, build_system, build_three_level,
+                    config_fingerprint, fft_delta_t, load_config,
+                    read_map_csv, run_piecewise_stirap, save_system, scan_2d,
+                    validate_config, write_map_csv, write_result_json,
+                    write_spectrum_csv, write_sweep_csv, write_trajectory_csv)
+from papsim.io import write_revivals_csv
 
 
 # --- exports ---
@@ -129,6 +130,24 @@ def test_spectrum_csv(tmp_path):
     assert len(data) - 1 == len(spec.frequency_axis)
 
 
+def test_sweep_and_revivals_csv_bytes(tmp_path):
+    sweep = SweepResult("n_pairs", np.array([1.0, 4.0]),
+                        np.array([math.nan, 0.1 + 0.2]))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(str(path), sweep, "fp123")
+    assert path.read_bytes() == (
+        f"# papsim-sweep v1\n# version={__version__}\n# fingerprint=fp123\n"
+        "n_pairs,efficiency\n1.0,nan\n4.0,0.30000000000000004\n").encode()
+
+    report = RevivalReport(np.array([0.0, 0.1]), np.array([1.0, 1.0 / 3.0]),
+                           np.array([]), np.array([]))
+    path = tmp_path / "revivals.csv"
+    write_revivals_csv(str(path), report)
+    assert path.read_bytes() == (
+        f"# papsim-revivals v1\n# version={__version__}\n"
+        "time_ps,fidelity\n0.0,1.0\n0.1,0.3333333333333333\n").encode()
+
+
 # --- config fingerprints ---
 
 def test_fingerprint_sensitivity():
@@ -203,6 +222,28 @@ def test_config_validation_rejects_problems():
                          "train": {"n_pairs": 2, "pump_area": 1.0,
                                    "dump_area": 1.0},
                          "scan": {"delta_T_values": [10.0]}})
+
+
+def test_scan_workers_must_be_a_positive_int(tmp_path):
+    cfg = {"protocol": "scan", "system": {"three_level": {}},
+           "train": {"n_pairs": 2, "pump_area": 1.0, "dump_area": 1.0},
+           "scan": {"delta_T_values": [10.0], "delta_t_values": [4.0]}}
+    validate_config({**cfg, "scan": {**cfg["scan"], "workers": 2}})
+    for bad in ("2", 2.5, 0, True):
+        with pytest.raises(ConfigError, match="scan.workers"):
+            validate_config({**cfg, "scan": {**cfg["scan"], "workers": bad}})
+
+    map_path = tmp_path / "map.csv"
+    text = _write_cfg(tmp_path, "text.cfg",
+                      {**cfg, "scan": {**cfg["scan"], "workers": "2"}})
+    proc = _cli("scan", "--config", text, "--out", str(map_path))
+    assert proc.returncode == 2 and "scan.workers" in proc.stderr
+    # --workers 0 is an error, not the default
+    ok = _write_cfg(tmp_path, "ok.cfg", cfg)
+    proc = _cli("scan", "--config", ok, "--out", str(map_path),
+                "--workers", "0")
+    assert proc.returncode == 2 and "workers" in proc.stderr
+    assert not map_path.exists()
 
 
 def test_build_system_from_config(tmp_path):
@@ -343,6 +384,20 @@ def test_cli_sweep_and_revivals(tmp_path):
     proc = _cli("sweep", "--config", sweep_cfg, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert "sweep of n_pairs" in proc.stdout
+
+    # failed points are counted on stderr with the first reason
+    ramps_cfg = _write_cfg(tmp_path, "ramps.cfg", {
+        "protocol": "sweep",
+        "system": {"three_level": {}},
+        "train": {"n_pairs": 4, "delta_T": 10.0, "pump_area": math.pi,
+                  "dump_area": math.pi, "steps": 100},
+        "sweep": {"protocol": "stirap", "parameter": "n_pairs",
+                  "values": [1, 4]},
+    })
+    proc = _cli("sweep", "--config", ramps_cfg, "--out", str(out), "--quiet")
+    assert proc.returncode == 0, proc.stderr
+    assert "1 of 2 sweep points failed" in proc.stderr
+    assert "n_pairs=1: stirap ramps need n_pairs >= 2" in proc.stderr
 
     rev_cfg = _write_cfg(tmp_path, "rev.cfg", {
         "protocol": "revivals",

@@ -32,7 +32,7 @@ def test_ground_state():
     st = ground_state(sys3, time=1.5)
     assert st.time == 1.5
     assert st.populations()[0] == 1.0
-    assert st.norm_squared() == 1.0
+    assert st.populations().sum() == 1.0
 
 
 def test_zero_area_pulse_is_free_evolution():
@@ -211,7 +211,7 @@ def test_record_policies():
     assert len(none.times) == 2
     compressed = run_schedule(st, sys3, sched, frame, record="compressed")
     assert len(compressed.times) == 1 + 8
-    dense = run_schedule(st, sys3, sched, frame, record="dense", dense_stride=20)
+    dense = run_schedule(st, sys3, sched, frame, record="dense")
     assert len(dense.times) > len(compressed.times)
     assert np.all(np.diff(dense.times) > 0.0)
     # all three agree on the endpoint
@@ -232,16 +232,12 @@ def test_dense_keeps_the_last_in_pulse_sample():
     sched = make_schedule([TrainEvent(pulse.support_ps / 2.0, pulse)],
                           1, 1.0, 0.0, "single")
     st = ground_state(sys3, 0.0)
-    dense = run_schedule(st, sys3, sched, frame, record="dense",
-                         dense_stride=20, steps=810)
+    dense = run_schedule(st, sys3, sched, frame, record="dense", steps=810)
     assert len(dense.times) == 1 + 40 + 1
     gaps = np.diff(dense.times) / (pulse.support_ps / 810)
     assert np.allclose(gaps, [20.0] * 40 + [10.0])
-    whole = run_schedule(st, sys3, sched, frame, record="dense",
-                         dense_stride=20, steps=800)
+    whole = run_schedule(st, sys3, sched, frame, record="dense", steps=800)
     assert len(whole.times) == 1 + 39 + 1
-    with pytest.raises(ValueError):
-        run_schedule(st, sys3, sched, frame, record="dense", dense_stride=0)
 
 
 def test_late_state_rejected():

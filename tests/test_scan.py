@@ -218,6 +218,14 @@ def test_sweep_validation_and_failures():
                            base_config={"delta_T": 10.0, "delta_t_small": 0.01,
                                         "pump_area": 1.0, "dump_area": 1.0})
     assert math.isnan(bad.efficiency[0])
+    assert list(bad.details["failures"]) == [2.0]
+    assert "overlap" in bad.details["failures"][2.0]
+    # each NaN row keeps its reason, keyed by the swept value
+    ramps = robustness_sweep(sys3, "stirap", "n_pairs", [1, 4],
+                             base_config={"delta_T": 10.0, "steps": 100})
+    assert math.isnan(ramps.efficiency[0]) and ramps.efficiency[1] > 0.0
+    assert list(ramps.details["failures"]) == [1.0]
+    assert "n_pairs >= 2" in ramps.details["failures"][1.0]
 
 
 def _beat_probe_system(dipole_phases=None):

@@ -2,10 +2,7 @@
 
 import math
 
-import numpy as np
-
-from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, angular_to_wavenumber,
-                    wavenumber_to_angular, wavenumber_to_thz)
+from papsim import C_CM_PER_PS, K_RAD_PS_PER_CM
 
 
 def test_conversion_constant():
@@ -13,23 +10,3 @@ def test_conversion_constant():
     assert abs(C_CM_PER_PS - 0.0299792458) < 1e-15
     assert abs(K_RAD_PS_PER_CM - 2.0 * math.pi * C_CM_PER_PS) < 1e-15
     assert abs(K_RAD_PS_PER_CM - 0.18836515673088532) < 1e-12
-
-
-def test_wavenumber_angular_round_trip():
-    x = np.array([0.0, 1.0, 45.0, 2333.0, 11200.0])
-    forward = wavenumber_to_angular(x)
-    assert np.allclose(forward, K_RAD_PS_PER_CM * x, rtol=0, atol=0)
-    back = angular_to_wavenumber(forward)
-    assert np.max(np.abs(back - x)) < 1e-9
-
-
-def test_wavenumber_to_thz():
-    # 11200 cm^-1 is a ~336 THz optical transition
-    f = wavenumber_to_thz(11200.0)
-    assert abs(f - 11200.0 * C_CM_PER_PS) < 1e-12
-    assert 335.0 < f < 336.0
-
-
-def test_scalar_inputs_stay_scalar():
-    assert np.ndim(wavenumber_to_angular(1.0)) == 0
-    assert np.ndim(angular_to_wavenumber(K_RAD_PS_PER_CM)) == 0
