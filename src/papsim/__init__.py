@@ -26,8 +26,8 @@ from .protocols import (RunResult, reference_envelopes, result_from_trajectory,
                         run_piecewise_stirap, run_reference_ap,
                         train_from_reference)
 from .scan import (BeatSpectrum, EfficiencyMap, RevivalReport, SweepResult,
-                   fft_delta_t, resolve_workers, revival_diagnostics,
-                   robustness_sweep, scan_2d)
+                   fft_delta_t, revival_diagnostics, robustness_sweep,
+                   scan_2d)
 from .config import (ConfigError, build_system, config_fingerprint,
                      load_config, validate_config)
 from .io import (read_map_csv, write_map_csv, write_result_json,
@@ -48,8 +48,7 @@ __all__ = [
     "run_pair_train", "run_piecewise_crp", "run_piecewise_stirap",
     "run_reference_ap", "train_from_reference",
     "BeatSpectrum", "EfficiencyMap", "RevivalReport", "SweepResult",
-    "fft_delta_t", "resolve_workers", "revival_diagnostics", "robustness_sweep",
-    "scan_2d",
+    "fft_delta_t", "revival_diagnostics", "robustness_sweep", "scan_2d",
     "ConfigError", "build_system", "load_config", "validate_config",
     "config_fingerprint", "read_map_csv", "write_map_csv", "write_result_json",
     "write_spectrum_csv", "write_sweep_csv", "write_trajectory_csv",

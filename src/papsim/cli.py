@@ -50,22 +50,22 @@ def _load_for(protocol: str, path: str):
     return cfg, build_system(cfg), config_fingerprint(cfg)
 
 
-def _train_kwargs(cfg: dict) -> dict:
-    kwargs = dict(cfg["train"])
-    mask = kwargs.get("dump_phase_mask")
-    if mask is not None:
-        kwargs["dump_phase_mask"] = tuple(float(p) for p in mask)
-    return kwargs
-
-
 def _out_path(cfg: dict, key: str, flag_value):
     return flag_value if flag_value else cfg.get("output", {}).get(key)
+
+
+def _report_failures(failures: dict, total: int, what: str, where) -> None:
+    """Failure count and the first reason on stderr, also under --quiet."""
+    if failures:
+        key, reason = next(iter(failures.items()))
+        print(f"{len(failures)} of {total} {what} failed; "
+              f"first at {where(key)}: {reason}", file=sys.stderr)
 
 
 def _cmd_run(args, protocol: str) -> int:
     cfg, system, fingerprint = _load_for(protocol, args.config)
     frame = _frame_from_config(cfg, system)
-    kwargs = _train_kwargs(cfg)
+    kwargs = dict(cfg["train"])
     traj_path = _out_path(cfg, "trajectory", args.trajectory)
     record = "dense" if traj_path else "compressed"
     result = _RUNNERS[protocol](system, frame=frame, record=record, **kwargs)
@@ -84,12 +84,15 @@ def _cmd_scan(args) -> int:
     scan_cfg = cfg["scan"]
     dT = axis_values(scan_cfg, "delta_T")
     dts = axis_values(scan_cfg, "delta_t")
-    workers = scan_cfg.get("workers") if args.workers is None else args.workers
-    emap = scan_2d(system, _train_kwargs(cfg), dT, dts, workers=workers)
+    workers = scan_cfg.get("workers", 1) if args.workers is None else args.workers
+    emap = scan_2d(system, dict(cfg["train"]), dT, dts, workers=workers)
     out = _out_path(cfg, "map", args.out)
     if not out:
         raise ConfigError("scan needs --out or an output.map path")
     write_map_csv(out, emap)
+    _report_failures(emap.details["failures"], emap.efficiency.size,
+                     "scan cells",
+                     lambda cell: f"delta_t={cell[0]:g}, delta_T={cell[1]:g}")
     if not args.quiet:
         finite = np.isfinite(emap.efficiency)
         print(f"map {emap.efficiency.shape[0]}x{emap.efficiency.shape[1]} "
@@ -126,7 +129,7 @@ def _cmd_sweep(args) -> int:
     cfg, system, fingerprint = _load_for("sweep", args.config)
     sweep_cfg = cfg["sweep"]
     values = axis_values(sweep_cfg, "")
-    base = _train_kwargs(cfg)
+    base = dict(cfg["train"])
     frame = _frame_from_config(cfg, system)
     if frame is not None:
         base["frame"] = frame
@@ -137,12 +140,8 @@ def _cmd_sweep(args) -> int:
     if not out:
         raise ConfigError("sweep needs --out or an output.sweep path")
     write_sweep_csv(out, result, fingerprint)
-    failures = result.details["failures"]
-    if failures:
-        value, reason = next(iter(failures.items()))
-        print(f"{len(failures)} of {len(values)} sweep points failed; "
-              f"first at {result.parameter}={value:g}: {reason}",
-              file=sys.stderr)
+    _report_failures(result.details["failures"], len(values), "sweep points",
+                     lambda value: f"{result.parameter}={value:g}")
     if not args.quiet:
         finite = np.isfinite(result.efficiency)
         print(f"sweep of {result.parameter}: {finite.sum()}/{len(values)} "
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write map CSV here")
     p.add_argument("--workers", type=int, default=None,
                    help="parallel worker processes, at most one per column "
-                        "and core (default: PAPSIM_WORKERS or 1)")
+                        "and core (default: scan.workers or 1)")
 
     p = sub.add_parser("revivals", help="wave-packet revival diagnostics")
     common(p)

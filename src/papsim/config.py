@@ -46,6 +46,10 @@ _TRAIN_KEYS = {
     "pairs": _TRAIN_COMMON,
 }
 
+# every other train key is a number; null in these means the runner's default
+_TRAIN_NUMBERS = set().union(*_TRAIN_KEYS.values()) - {"shape", "dump_phase_mask"}
+_TRAIN_NULLABLE = {"delta_t_small", "steps", "sigma_pairs"}
+
 PROTOCOLS = (*_TRAIN_KEYS, "scan", "revivals", "sweep")
 
 SWEEP_PARAMETERS = ("n_pairs", "area_scale", "alpha")
@@ -74,6 +78,17 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
     _require(isinstance(section, dict), f"{where} must be an object")
     extra = set(section) - allowed
     _require(not extra, f"unknown keys in {where}: {sorted(extra)}")
+
+
+def _check_numbers(section: dict, keys: set, where: str,
+                   nullable: set = frozenset()) -> None:
+    """Each of keys present in section is an int or float (not a bool)."""
+    for key in sorted(keys & set(section)):
+        value = section[key]
+        _require((isinstance(value, (int, float))
+                  and not isinstance(value, bool))
+                 or (value is None and key in nullable),
+                 f"{where}.{key} must be a number, got {value!r}")
 
 
 def load_config(path: str) -> dict:
@@ -112,6 +127,7 @@ def validate_config(cfg: dict) -> None:
         _require("revivals" in cfg, "protocol 'revivals' needs a revivals section")
         rev = cfg["revivals"]
         _check_keys(rev, _REVIVALS_KEYS, "revivals")
+        _check_numbers(rev, {"t_max", "dt", "threshold"}, "revivals")
         _require(float(rev.get("t_max", 0)) > 0, "revivals.t_max must be positive")
         _require(float(rev.get("dt", 0)) > 0, "revivals.dt must be positive")
     if protocol == "sweep":
@@ -132,6 +148,7 @@ def validate_config(cfg: dict) -> None:
                  "sweep needs either values or start/stop/points")
     if "frame" in cfg:
         _check_keys(cfg["frame"], _FRAME_KEYS, "frame")
+        _check_numbers(cfg["frame"], _FRAME_KEYS, "frame")
     if "output" in cfg:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "output")
         for key, value in cfg["output"].items():
@@ -176,7 +193,8 @@ def _validate_train(train: dict, protocol: str) -> None:
 def _validate_train_values(train: dict) -> None:
     if "n_pairs" in train:
         n = train["n_pairs"]
-        _require(isinstance(n, int) and n >= 0, "train.n_pairs must be an int >= 0")
+        _require(type(n) is int and n >= 0, "train.n_pairs must be an int >= 0")
+    _check_numbers(train, _TRAIN_NUMBERS, "train", _TRAIN_NULLABLE)
     for key in ("delta_T", "fwhm"):
         if key in train:
             _require(float(train[key]) > 0, f"train.{key} must be positive")

@@ -156,9 +156,7 @@ class TrainSchedule:
     """Ordered pulse events plus the recipe that generated them.
 
     delta_T is the inter-pair period (ps); delta_t_small the intra-pair
-    pump offset (ps, positive = pump after dump). alpha_pump/alpha_dump
-    are the quadratic phase coefficients (rad per pair index squared) and
-    n0 the index the phase parabola is centered on.
+    pump offset (ps, positive = pump after dump).
     """
 
     events: tuple[TrainEvent, ...]
@@ -166,9 +164,6 @@ class TrainSchedule:
     delta_T: float
     delta_t_small: float
     envelope_profile: str
-    alpha_pump: float = 0.0
-    alpha_dump: float = 0.0
-    n0: float = 0.0
 
     @property
     def start_time(self) -> float:
@@ -209,9 +204,7 @@ def _check_no_overlap(events: Sequence[TrainEvent]) -> None:
 
 
 def make_schedule(events: Iterable[TrainEvent], n_pairs: int, delta_T: float,
-                  delta_t_small: float, envelope_profile: str,
-                  alpha_pump: float = 0.0, alpha_dump: float = 0.0,
-                  n0: float = 0.0) -> TrainSchedule:
+                  delta_t_small: float, envelope_profile: str) -> TrainSchedule:
     """Validated schedule constructor: events sorted, supports disjoint.
 
     An empty event list is a legal do-nothing schedule.
@@ -219,13 +212,12 @@ def make_schedule(events: Iterable[TrainEvent], n_pairs: int, delta_T: float,
     ordered = tuple(sorted(events, key=lambda ev: ev.time))
     _check_no_overlap(ordered)
     return TrainSchedule(ordered, n_pairs, delta_T, delta_t_small,
-                         envelope_profile, alpha_pump, alpha_dump, n0)
+                         envelope_profile)
 
 
 def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
                 pump_pulse: PulseSpec, dump_pulse: PulseSpec, *,
                 alpha_pump: float = 0.0, alpha_dump: float = 0.0,
-                n0: float | None = None,
                 sigma_pairs: float | None = None) -> TrainSchedule:
     """Build a pump-dump pair train from one prototype pulse per channel.
 
@@ -245,9 +237,9 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
         (1 -> 0) inclusive, constant carrier phase.
     crp
         Gaussian envelope weights (sigma_pairs defaults to n_pairs/4,
-        centered on n0, default the train midpoint) with quadratic
-        carrier phase alpha*(n - n0)^2/2 on each channel. The dump
-        staircase is applied in the emission quadrature (stored phase
+        centered on the train midpoint n0 = (n_pairs - 1)/2) with
+        quadratic carrier phase alpha*(n - n0)^2/2 on each channel. The
+        dump staircase is applied in the emission quadrature (stored phase
         -alpha_dump*(n - n0)^2/2), so the two-photon phase of pair n
         advances by (alpha_pump + alpha_dump)*(n - n0)^2/2 and sweeps
         through the Raman resonance: that sweep is what makes the
@@ -264,10 +256,9 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
     if pump_pulse.channel != "pump" or dump_pulse.channel != "dump":
         raise ValueError("prototype pulses must carry their own channel")
     if n_pairs == 0:
-        return make_schedule((), 0, delta_T, delta_t_small, kind,
-                             alpha_pump, alpha_dump, 0.0)
+        return make_schedule((), 0, delta_T, delta_t_small, kind)
 
-    center = (n_pairs - 1) / 2.0 if n0 is None else float(n0)
+    center = (n_pairs - 1) / 2.0
 
     if kind == "stirap":
         w_pump, w_dump = stirap_weights(n_pairs)
@@ -298,8 +289,7 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
             pump_pulse, area=float(area_pump[n]),
             carrier_phase=pump_pulse.carrier_phase + float(ph_pump[n]))))
 
-    return make_schedule(events, n_pairs, delta_T, delta_t_small, kind,
-                         alpha_pump, alpha_dump, center)
+    return make_schedule(events, n_pairs, delta_T, delta_t_small, kind)
 
 
 # --- dump shaping ---

@@ -131,7 +131,6 @@ def result_from_trajectory(system: LevelSystem, trajectory: Trajectory,
 def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
                delta_T: float, delta_t_small: float | None, pump_area: float,
                dump_area: float, *, shape: str, fwhm: float,
-               pump_carrier_detuning: float, dump_carrier_detuning: float,
                frame: PhaseFrame | None, f0_pump: float, record: str,
                steps: int | None, dump_phase_mask=None,
                alpha_pump: float = 0.0, alpha_dump: float = 0.0,
@@ -146,10 +145,8 @@ def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
         chirp = {"alpha_pump": alpha_pump, "alpha_dump": alpha_dump}
     if frame is None:
         frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
-    pump = make_pulse(shape, fwhm, pump_area,
-                      carrier_detuning=pump_carrier_detuning, channel="pump")
-    dump = make_pulse(shape, fwhm, dump_area,
-                      carrier_detuning=dump_carrier_detuning, channel="dump",
+    pump = make_pulse(shape, fwhm, pump_area, channel="pump")
+    dump = make_pulse(shape, fwhm, dump_area, channel="dump",
                       phase_mask=dump_phase_mask)
     schedule = build_train(kind, n_pairs, delta_T, delta_t_small, pump, dump,
                            sigma_pairs=sigma_pairs, **chirp)
@@ -171,8 +168,6 @@ def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
                          delta_t_small: float | None = None,
                          shape: str = DEFAULT_SHAPE,
                          fwhm: float = DEFAULT_FWHM_FS,
-                         pump_carrier_detuning: float = 0.0,
-                         dump_carrier_detuning: float = 0.0,
                          dump_phase_mask=None,
                          frame: PhaseFrame | None = None,
                          f0_pump: float = 0.0,
@@ -189,8 +184,6 @@ def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
     return _run_train(
         "stirap", "stirap", levels, n_pairs, delta_T, delta_t_small,
         pump_area, dump_area, shape=shape, fwhm=fwhm,
-        pump_carrier_detuning=pump_carrier_detuning,
-        dump_carrier_detuning=dump_carrier_detuning,
         dump_phase_mask=dump_phase_mask, frame=frame, f0_pump=f0_pump,
         record=record, steps=steps)
 
@@ -204,8 +197,6 @@ def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
                       sigma_pairs: float | None = None,
                       shape: str = DEFAULT_SHAPE,
                       fwhm: float = DEFAULT_FWHM_FS,
-                      pump_carrier_detuning: float = 0.0,
-                      dump_carrier_detuning: float = 0.0,
                       frame: PhaseFrame | None = None,
                       f0_pump: float = 0.0,
                       record: str = "dense",
@@ -220,9 +211,7 @@ def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
     """
     return _run_train(
         "crp", "crp", levels, n_pairs, delta_T, delta_t_small,
-        pump_area, dump_area, shape=shape, fwhm=fwhm,
-        pump_carrier_detuning=pump_carrier_detuning,
-        dump_carrier_detuning=dump_carrier_detuning, frame=frame,
+        pump_area, dump_area, shape=shape, fwhm=fwhm, frame=frame,
         f0_pump=f0_pump, record=record, steps=steps, alpha_pump=alpha_pump,
         alpha_dump=alpha_dump, sigma_pairs=sigma_pairs,
         extra_pump_dump_delay=extra_pump_dump_delay)
@@ -234,8 +223,6 @@ def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
                    dump_area: float = DEFAULT_PAIR_AREA,
                    shape: str = DEFAULT_SHAPE,
                    fwhm: float = DEFAULT_FWHM_FS,
-                   pump_carrier_detuning: float = 0.0,
-                   dump_carrier_detuning: float = 0.0,
                    dump_phase_mask=None,
                    frame: PhaseFrame | None = None,
                    f0_pump: float = 0.0,
@@ -253,8 +240,6 @@ def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
     return _run_train(
         "pairs", "flat_pairs", levels, n_pairs, delta_T, delta_t_small,
         pump_area, dump_area, shape=shape, fwhm=fwhm,
-        pump_carrier_detuning=pump_carrier_detuning,
-        dump_carrier_detuning=dump_carrier_detuning,
         dump_phase_mask=dump_phase_mask, frame=frame, f0_pump=f0_pump,
         record=record, steps=steps)
 
@@ -268,39 +253,34 @@ RUNNERS = {"stirap": run_piecewise_stirap, "crp": run_piecewise_crp,
 # --- smooth reference passage ---
 
 def reference_envelopes(kind: str, duration: float, peak_rabi: float,
-                        chirp_rate: float = 0.0,
-                        sigma: float | None = None,
-                        separation: float | None = None,
-                        peak_dump: float | None = None):
+                        chirp_rate: float = 0.0):
     """Envelope and phase callables of the smooth reference passage.
 
     Returns (pump_rabi, dump_rabi, pump_phase, dump_phase), each a
-    function of absolute time over [0, duration].
+    function of absolute time over [0, duration]. Both envelopes are
+    Gaussians of width sigma = duration/8 and peak peak_rabi.
 
-    stirap: two Gaussians of width sigma (default duration/8), dump
-    centered separation (default 1.1 sigma) ahead of the pump, plain
-    carriers. crp: coincident Gaussians at the midpoint with opposite
-    quadratic phase chirp_rate*(t - t_mid)^2 / 2, so the two-photon
-    detuning sweeps at 2*chirp_rate through the Raman resonance.
+    stirap: dump centered 1.1 sigma ahead of the pump, plain carriers.
+    crp: coincident Gaussians at the midpoint with opposite quadratic
+    phase chirp_rate*(t - t_mid)^2 / 2, so the two-photon detuning
+    sweeps at 2*chirp_rate through the Raman resonance.
     """
     if kind not in ("stirap", "crp"):
         raise ValueError(f"kind must be 'stirap' or 'crp', got {kind!r}")
     if duration <= 0:
         raise ValueError("duration must be positive")
-    sig = duration / 8.0 if sigma is None else float(sigma)
-    peak_d = peak_rabi if peak_dump is None else float(peak_dump)
+    sig = duration / 8.0
     t_mid = duration / 2.0
 
     if kind == "stirap":
-        sep = 1.1 * sig if separation is None else float(separation)
-        t_dump = t_mid - sep / 2.0
-        t_pump = t_mid + sep / 2.0
+        t_dump = t_mid - 1.1 * sig / 2.0
+        t_pump = t_mid + 1.1 * sig / 2.0
         pump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_pump) / sig) ** 2)
-        dump = lambda t: peak_d * math.exp(-0.5 * ((t - t_dump) / sig) ** 2)
+        dump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_dump) / sig) ** 2)
         return pump, dump, None, None
 
     pump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_mid) / sig) ** 2)
-    dump = lambda t: peak_d * math.exp(-0.5 * ((t - t_mid) / sig) ** 2)
+    dump = pump
     pump_phase = lambda t: 0.5 * chirp_rate * (t - t_mid) ** 2
     dump_phase = lambda t: -0.5 * chirp_rate * (t - t_mid) ** 2
     return pump, dump, pump_phase, dump_phase
@@ -308,21 +288,19 @@ def reference_envelopes(kind: str, duration: float, peak_rabi: float,
 
 def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
                      peak_rabi: float, chirp_rate: float = 0.0, *,
-                     sigma: float | None = None,
-                     separation: float | None = None,
-                     peak_dump: float | None = None,
                      frame: PhaseFrame | None = None,
                      steps: int | None = None) -> RunResult:
     """Smooth adiabatic reference: continuous envelopes, same Hamiltonian.
 
     kind "stirap" drives the counterintuitive Gaussian pair, "crp" the
-    coincident chirped pair. Everything else (frame, couplings, decay)
-    is identical to the train runners, which is the point: differences
-    against a chopped train isolate the piecewise discretization. The
-    trajectory records every max(1, steps // 400) steps.
+    coincident chirped pair, both shaped as in reference_envelopes.
+    Everything else (frame, couplings, decay) is identical to the train
+    runners, which is the point: differences against a chopped train
+    isolate the piecewise discretization. The trajectory records every
+    max(1, steps // 400) steps.
     """
     pump, dump, pump_phase, dump_phase = reference_envelopes(
-        kind, duration, peak_rabi, chirp_rate, sigma, separation, peak_dump)
+        kind, duration, peak_rabi, chirp_rate)
     if frame is None:
         frame = PhaseFrame.for_system(levels)
     if steps is None:
@@ -339,14 +317,9 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
 
 def train_from_reference(kind: str, duration: float, peak_rabi: float,
                          n_pairs: int, *, chirp_rate: float = 0.0,
-                         sigma: float | None = None,
-                         separation: float | None = None,
-                         peak_dump: float | None = None,
                          delta_t_small: float | None = None,
                          shape: str = DEFAULT_SHAPE,
-                         fwhm: float = DEFAULT_FWHM_FS,
-                         pump_carrier_detuning: float = 0.0,
-                         dump_carrier_detuning: float = 0.0) -> TrainSchedule:
+                         fwhm: float = DEFAULT_FWHM_FS) -> TrainSchedule:
     """Chop a smooth reference passage into a pulse-pair schedule.
 
     The duration splits into n_pairs equal intervals. Pulse n of each
@@ -359,7 +332,7 @@ def train_from_reference(kind: str, duration: float, peak_rabi: float,
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     pump_env, dump_env, pump_phase, dump_phase = reference_envelopes(
-        kind, duration, peak_rabi, chirp_rate, sigma, separation, peak_dump)
+        kind, duration, peak_rabi, chirp_rate)
     delta_T = duration / n_pairs
     if delta_t_small is None:
         delta_t_small = delta_T / 2.0
@@ -376,12 +349,10 @@ def train_from_reference(kind: str, duration: float, peak_rabi: float,
         ph_p = pump_phase(t_pump) if pump_phase else 0.0
         ph_d = dump_phase(t_dump) if dump_phase else 0.0
         events.append(TrainEvent(t_dump, make_pulse(
-            shape, fwhm, max(area_d, 0.0),
-            carrier_detuning=dump_carrier_detuning,
-            carrier_phase=ph_d, channel="dump")))
+            shape, fwhm, max(area_d, 0.0), carrier_phase=ph_d,
+            channel="dump")))
         events.append(TrainEvent(t_pump, make_pulse(
-            shape, fwhm, max(area_p, 0.0),
-            carrier_detuning=pump_carrier_detuning,
-            carrier_phase=ph_p, channel="pump")))
+            shape, fwhm, max(area_p, 0.0), carrier_phase=ph_p,
+            channel="pump")))
     return make_schedule(events, n_pairs, delta_T, delta_t_small,
                          f"chopped_{kind}")

@@ -4,7 +4,7 @@ The 2D scan evaluates the unshaped pair-train transfer on a grid of
 inter-pair delays delta_T (columns) and intra-pair delays delta_t
 (rows). Cells are independent runs, so the scan parallelizes over
 columns; a failed cell (overlapping pulses, numerical blowup) becomes
-NaN rather than aborting the scan.
+NaN rather than aborting the scan, and the map's details keep its reason.
 """
 
 from __future__ import annotations
@@ -16,35 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SWEEP_PARAMETERS, ConfigError, config_fingerprint
+from .config import SWEEP_PARAMETERS, config_fingerprint
 from .levels import LevelSystem, system_to_dict
 from .propagator import NumericsError
 from .protocols import RUNNERS, run_pair_train
 from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
-
-WORKERS_ENV_VAR = "PAPSIM_WORKERS"
-
-
-def resolve_workers(workers: int | None = None) -> int:
-    """Worker count: explicit argument, else environment, else serial."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        try:
-            workers = int(env) if env else 1
-        except ValueError:
-            raise ConfigError(
-                f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
 
 @dataclass(frozen=True)
 class EfficiencyMap:
     """Transfer efficiency over the (delta_T, delta_t) delay plane.
 
     efficiency[i, j] belongs to delta_t_axis[i] and delta_T_axis[j];
-    NaN marks cells whose schedule was invalid. config_fingerprint
+    NaN marks cells whose run failed, and details["failures"] maps each
+    such cell's (delta_t, delta_T) to its error message. config_fingerprint
     hashes the full scan configuration so exports can be traced back to
     the run that made them.
     """
@@ -69,24 +53,26 @@ def _validate_axis(axis: np.ndarray, name: str) -> np.ndarray:
     return axis
 
 
-def _scan_column(args) -> np.ndarray:
-    """One delta_T column of the map; module-level so workers can pickle it."""
+def _scan_column(args) -> tuple[np.ndarray, dict]:
+    """One delta_T column of the map and the reasons of its failed cells;
+    module-level so workers can pickle it."""
     system, base, delta_T, delta_t_axis = args
     out = np.empty(delta_t_axis.size)
+    failures = {}
     for i, dt_small in enumerate(delta_t_axis):
         try:
             res = run_pair_train(system, delta_T=float(delta_T),
                                  delta_t_small=float(dt_small),
                                  record="none", **base)
             out[i] = res.final_target_population
-        except (ValueError, NumericsError):
+        except (ValueError, NumericsError) as err:
             out[i] = math.nan
-    return out
+            failures[(float(dt_small), float(delta_T))] = str(err)
+    return out, failures
 
 
 def scan_2d(levels: LevelSystem, base_config: dict,
-            delta_T_grid, delta_t_grid, *,
-            workers: int | None = None) -> EfficiencyMap:
+            delta_T_grid, delta_t_grid, *, workers: int = 1) -> EfficiencyMap:
     """Pair-train efficiency on the delay grid, Raman lock per delta_T.
 
     base_config holds the run_pair_train keyword arguments that stay
@@ -97,6 +83,8 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     are pure functions of (levels, base_config, delta_T, delta_t). The
     pool never has more processes than columns or cores.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     delta_T_axis = _validate_axis(delta_T_grid, "delta_T_grid")
     delta_t_axis = _validate_axis(delta_t_grid, "delta_t_grid")
     base = dict(base_config)
@@ -105,12 +93,12 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     base.pop("record", None)
 
     jobs = [(levels, base, dT, delta_t_axis) for dT in delta_T_axis]
-    n_workers = min(resolve_workers(workers), len(jobs), os.cpu_count() or 1)
+    n_workers = min(workers, len(jobs), os.cpu_count() or 1)
     if n_workers == 1:
-        columns = [_scan_column(job) for job in jobs]
+        results = [_scan_column(job) for job in jobs]
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            columns = list(pool.map(_scan_column, jobs))
+            results = list(pool.map(_scan_column, jobs))
 
     fingerprint = config_fingerprint({
         "protocol": "pairs",
@@ -119,9 +107,14 @@ def scan_2d(levels: LevelSystem, base_config: dict,
         "delta_T_grid": [float(x) for x in delta_T_axis],
         "delta_t_grid": [float(x) for x in delta_t_axis],
     })
-    details = {"n_pairs": base.get("n_pairs"), "workers": n_workers}
+    failures = {}
+    for _, column_failures in results:
+        failures.update(column_failures)
+    details = {"n_pairs": base.get("n_pairs"), "workers": n_workers,
+               "failures": failures}
     return EfficiencyMap(delta_T_axis, delta_t_axis,
-                         np.column_stack(columns), fingerprint, details)
+                         np.column_stack([col for col, _ in results]),
+                         fingerprint, details)
 
 
 @dataclass(frozen=True)
@@ -151,15 +144,14 @@ class BeatSpectrum:
         return float(self.frequency_axis[1 + int(np.argmax(self.magnitude[1:]))])
 
 
-def fft_delta_t(map: EfficiencyMap, delta_T_index: int,
-                window: str | None = None) -> BeatSpectrum:
+def fft_delta_t(map: EfficiencyMap, delta_T_index: int) -> BeatSpectrum:
     """Beat spectrum of the delta_t dependence at one delta_T.
 
     The column is mean-subtracted and Fourier transformed along the
     (uniform) delta_t axis; magnitudes of the non-negative half-spectrum
     are returned with the axis converted from 1/ps to cm^-1. Efficiency
     oscillating as cos(K * spacing * delta_t) therefore peaks at
-    spacing. window=None by default; "hann" tapers the column first.
+    spacing.
     """
     delta_t = np.asarray(map.delta_t_axis, dtype=float)
     if delta_t.size < 8:
@@ -173,14 +165,7 @@ def fft_delta_t(map: EfficiencyMap, delta_T_index: int,
         raise ValueError("column contains missing cells")
 
     signal = column - column.mean()
-    if window is None:
-        tapered = signal
-    elif window == "hann":
-        tapered = signal * np.hanning(signal.size)
-    else:
-        raise ValueError(f"unknown window {window!r}")
-
-    spectrum = np.fft.rfft(tapered)
+    spectrum = np.fft.rfft(signal)
     freq_cm1 = np.fft.rfftfreq(signal.size, d=h) / C_CM_PER_PS
     return BeatSpectrum(freq_cm1, np.abs(spectrum), delta_t, signal)
 
@@ -248,9 +233,6 @@ class SweepResult:
         return float(np.nanmax(self.efficiency) - np.nanmin(self.efficiency))
 
 
-SWEEP_PROTOCOLS = tuple(RUNNERS)
-
-
 def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
                      values, *, base_config: dict | None = None) -> SweepResult:
     """One protocol run per parameter value, everything else constant.
@@ -260,8 +242,8 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
     itself), "area_scale" multiplies both channel areas, "alpha" sets
     both chirp staircases of the crp protocol. Failed rows become NaN.
     """
-    if protocol not in SWEEP_PROTOCOLS:
-        raise ValueError(f"protocol must be one of {SWEEP_PROTOCOLS}")
+    if protocol not in RUNNERS:
+        raise ValueError(f"protocol must be one of {tuple(RUNNERS)}")
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
     if parameter == "alpha" and protocol != "crp":

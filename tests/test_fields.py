@@ -151,7 +151,8 @@ def test_crp_train_phase_staircases():
     # two-photon phase then advances by alpha_pump + alpha_dump
     assert np.max(np.abs(np.diff(php, 2) - alpha)) < 1e-12
     assert np.max(np.abs(np.diff(phd, 2) + alpha)) < 1e-12
-    assert sched.n0 == 19.5
+    # both parabolas are centered on the train midpoint, pair index 19.5
+    assert np.array_equal(php, php[::-1]) and np.array_equal(phd, phd[::-1])
     # gaussian weights peak at the center of the train
     areas = np.array([ev.pulse.area for ev in sched.events
                       if ev.pulse.channel == "pump"])

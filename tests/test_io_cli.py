@@ -14,6 +14,7 @@ from papsim import (ConfigError, EfficiencyMap, RevivalReport, SweepResult,
                     read_map_csv, run_piecewise_stirap, save_system, scan_2d,
                     validate_config, write_map_csv, write_result_json,
                     write_spectrum_csv, write_sweep_csv, write_trajectory_csv)
+from papsim.cli import main
 from papsim.io import write_revivals_csv
 
 
@@ -246,6 +247,31 @@ def test_scan_workers_must_be_a_positive_int(tmp_path):
     assert not map_path.exists()
 
 
+def test_config_numbers_must_be_numbers(tmp_path, capsys):
+    revivals = {"protocol": "revivals", "system": {"three_level": {}},
+                "revivals": {"t_max": 3.0, "dt": 0.001}}
+    for name, cfg, key in (
+            ("stirap", {**STIRAP_CFG, "train": {**STIRAP_CFG["train"],
+                                               "delta_T": "10"}},
+             "train.delta_T"),
+            ("pairs", _pairs_cfg(delta_t_small="4"), "train.delta_t_small"),
+            ("revivals", {**revivals, "revivals": {**revivals["revivals"],
+                                                   "threshold": "x"}},
+             "revivals.threshold"),
+            ("revivals", {**revivals, "revivals": {**revivals["revivals"],
+                                                   "t_max": "x"}},
+             "revivals.t_max")):
+        path = _write_cfg(tmp_path, "bad.cfg", cfg)
+        assert main([name, "--config", path, "--quiet"]) == 2
+        assert key in capsys.readouterr().err
+    for bad in (_pairs_cfg(fwhm=True), _pairs_cfg(n_pairs=True),
+                {**_pairs_cfg(), "frame": {"pump_offset": "1"}}):
+        with pytest.raises(ConfigError, match="must be"):
+            validate_config(bad)
+    # null keeps the runner's default where the runner has one
+    validate_config(_pairs_cfg(delta_t_small=None, steps=None))
+
+
 def test_build_system_from_config(tmp_path):
     cfg = {"protocol": "pairs",
            "system": {"three_level": {"pump_detuning": 5.0}},
@@ -369,6 +395,20 @@ def test_cli_scan_and_fft(tmp_path):
     proc = _cli("analyze-fft", "--map", str(map_path), "--column", "5",
                 "--out", str(spec_path))
     assert proc.returncode == 2
+
+
+def test_cli_scan_reports_failed_cells(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, "scan.cfg", {
+        "protocol": "scan", "system": {"three_level": {}},
+        "train": {"n_pairs": 2, "pump_area": 1.0, "dump_area": 1.0,
+                  "steps": 100},
+        "scan": {"delta_T_values": [10.0], "delta_t_values": [0.05, 4.0]}})
+    map_path = tmp_path / "map.csv"
+    assert main(["scan", "--config", cfg, "--out", str(map_path),
+                 "--quiet"]) == 0
+    err = capsys.readouterr().err
+    assert "1 of 2 scan cells failed" in err
+    assert "delta_t=0.05, delta_T=10: pulse supports overlap" in err
 
 
 def test_cli_sweep_and_revivals(tmp_path):

@@ -6,11 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from papsim import (C_CM_PER_PS, ConfigError, EfficiencyMap,
-                    K_RAD_PS_PER_CM, SyntheticMoleculeSpec,
-                    build_synthetic_molecule, build_three_level, fft_delta_t,
-                    resolve_workers, revival_diagnostics, robustness_sweep,
-                    run_pair_train, scan_2d)
+from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM,
+                    SyntheticMoleculeSpec, build_synthetic_molecule,
+                    build_three_level, fft_delta_t, revival_diagnostics,
+                    robustness_sweep, run_pair_train, scan_2d)
 from papsim.protocols import RUNNERS
 
 BASE = {"n_pairs": 5, "pump_area": math.pi, "dump_area": math.pi}
@@ -42,6 +41,10 @@ def test_invalid_cells_become_nan():
     emap = scan_2d(sys3, BASE, [10.0], [0.05, 4.0])
     assert math.isnan(emap.efficiency[0, 0])
     assert np.isfinite(emap.efficiency[1, 0])
+    # the failed cell keeps its reason, keyed by (delta_t, delta_T)
+    failures = emap.details["failures"]
+    assert list(failures) == [(0.05, 10.0)]
+    assert "overlap" in failures[(0.05, 10.0)]
 
 
 def test_scan_grid_validation():
@@ -53,21 +56,7 @@ def test_scan_grid_validation():
     with pytest.raises(ValueError):
         scan_2d(sys3, {"pump_area": math.pi}, [10.0], [4.0])
     with pytest.raises(ValueError):
-        resolve_workers(0)
-
-
-def test_workers_environment_default(monkeypatch):
-    monkeypatch.delenv("PAPSIM_WORKERS", raising=False)
-    assert resolve_workers() == 1
-    monkeypatch.setenv("PAPSIM_WORKERS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2
-
-
-def test_workers_environment_must_be_an_integer(monkeypatch):
-    monkeypatch.setenv("PAPSIM_WORKERS", "two")
-    with pytest.raises(ConfigError, match="PAPSIM_WORKERS"):
-        resolve_workers()
+        scan_2d(sys3, BASE, [10.0], [4.0], workers=0)
 
 
 def test_scan_pool_is_bounded_by_columns_and_cores(monkeypatch):
@@ -111,12 +100,6 @@ def test_fft_parseval():
 
 
 def test_fft_window_and_validation():
-    emap = _cosine_map()
-    windowed = fft_delta_t(emap, 0, window="hann")
-    assert abs(windowed.peak_frequency - 45.0) <= 2.0 * windowed.bin_width
-    with pytest.raises(ValueError):
-        fft_delta_t(emap, 0, window="kaiser")
-
     ragged = EfficiencyMap(np.array([10.0]),
                            np.array([1.0, 1.1, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8]),
                            np.ones((8, 1)), "")
