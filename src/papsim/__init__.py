@@ -16,8 +16,7 @@ from .levels import (Level, LevelSystem, SyntheticMoleculeSpec,
                      system_to_dict, validate_system)
 from .fields import (PulseSpec, TrainEvent, TrainSchedule, build_train,
                      design_dump_phase_mask, make_pulse, make_schedule,
-                     quadratic_phase, rabi_envelope, spectral_amplitude,
-                     stirap_weights, crp_weights)
+                     rabi_envelope)
 from .propagator import (NumericsError, QuantumState, PhaseFrame, Trajectory,
                          free_evolve, ground_state, oracle_propagate,
                          propagate_pulse, propagate_window, run_schedule)
@@ -39,8 +38,7 @@ __all__ = [
     "build_three_level", "load_system", "raman_shift", "save_system",
     "strip_decay", "system_from_dict", "system_to_dict", "validate_system",
     "PulseSpec", "TrainEvent", "TrainSchedule", "build_train",
-    "design_dump_phase_mask", "make_pulse", "make_schedule", "quadratic_phase",
-    "rabi_envelope", "spectral_amplitude", "stirap_weights", "crp_weights",
+    "design_dump_phase_mask", "make_pulse", "make_schedule", "rabi_envelope",
     "NumericsError", "QuantumState", "PhaseFrame", "Trajectory",
     "free_evolve", "ground_state", "oracle_propagate", "propagate_pulse",
     "propagate_window", "run_schedule",

@@ -104,15 +104,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_revivals(args) -> int:
     cfg, system, fingerprint = _load_for("revivals", args.config)
-    rev_cfg = cfg["revivals"]
-    weights = rev_cfg.get("weights")
+    rev_cfg = dict(cfg["revivals"])
+    weights = rev_cfg.pop("weights", None)
     if weights is None:
         # the packet a weak pump kick would excite from the initial level
         weights = system.pump_dipoles[system.initial_index]
-    report = revival_diagnostics(
-        system, weights, t_max=float(rev_cfg["t_max"]),
-        dt=float(rev_cfg["dt"]),
-        threshold=float(rev_cfg.get("threshold", 0.5)))
+    report = revival_diagnostics(system, weights, **rev_cfg)
     out = _out_path(cfg, "revivals", args.out)
     if out:
         write_revivals_csv(out, report, fingerprint)

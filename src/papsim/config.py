@@ -9,6 +9,7 @@ a default.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .fields import PULSE_SHAPES
 from .levels import (LevelSystem, SyntheticMoleculeSpec, build_synthetic_molecule,
                      build_three_level, load_system, strip_decay, validate_system)
+from .protocols import RUNNERS
 
 
 class ConfigError(ValueError):
@@ -34,21 +36,21 @@ _SYNTHETIC_KEYS = {"n_intermediate", "center_energy", "spacing_pattern",
                    "ground_b_energies", "initial_index", "target_index",
                    "dipole_phases"}
 
-_TRAIN_COMMON = {"n_pairs", "delta_T", "delta_t_small", "pump_area",
-                 "dump_area", "shape", "fwhm", "dump_phase_mask", "steps",
-                 "f0_pump"}
-
-_TRAIN_KEYS = {
-    "stirap": _TRAIN_COMMON,
-    "crp": (_TRAIN_COMMON - {"dump_phase_mask"})
-           | {"alpha_pump", "alpha_dump", "sigma_pairs",
-              "extra_pump_dump_delay"},
-    "pairs": _TRAIN_COMMON,
-}
+# a train section sets its runner's keywords, all but these three; it
+# must set the ones without a default and both areas
+_RUNNER_PARAMS = {name: inspect.signature(runner).parameters
+                  for name, runner in RUNNERS.items()}
+_TRAIN_KEYS = {name: set(params) - {"levels", "frame", "record"}
+               for name, params in _RUNNER_PARAMS.items()}
+_TRAIN_REQUIRED = {name: [key for key, param in params.items()
+                          if param.default is param.empty and key != "levels"]
+                   + ["pump_area", "dump_area"]
+                   for name, params in _RUNNER_PARAMS.items()}
 
 # every other train key is a number; null in these means the runner's default
 _TRAIN_NUMBERS = set().union(*_TRAIN_KEYS.values()) - {"shape", "dump_phase_mask"}
-_TRAIN_NULLABLE = {"delta_t_small", "steps", "sigma_pairs"}
+_TRAIN_NULLABLE = {key for params in _RUNNER_PARAMS.values()
+                   for key, param in params.items() if param.default is None}
 
 PROTOCOLS = (*_TRAIN_KEYS, "scan", "revivals", "sweep")
 
@@ -58,15 +60,14 @@ _OUTPUT_KEYS = {"trajectory", "result", "map", "spectrum", "revivals", "sweep"}
 
 _FRAME_KEYS = {"pump_offset", "two_photon_offset"}
 
-_AXIS_SUFFIXES = ("_start", "_stop", "_points", "_values")
+_AXIS_KEYS = ("values", "start", "stop", "points")
 
-_SCAN_KEYS = ({"delta_T" + s for s in _AXIS_SUFFIXES}
-              | {"delta_t" + s for s in _AXIS_SUFFIXES}
-              | {"workers"})
+_SCAN_KEYS = ({axis + key for axis in ("delta_T_", "delta_t_")
+               for key in _AXIS_KEYS} | {"workers"})
 
 _REVIVALS_KEYS = {"t_max", "dt", "threshold", "weights"}
 
-_SWEEP_KEYS = {"protocol", "parameter", "values", "start", "stop", "points"}
+_SWEEP_KEYS = {"protocol", "parameter", *_AXIS_KEYS}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -80,15 +81,37 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
     _require(not extra, f"unknown keys in {where}: {sorted(extra)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_numbers(section: dict, keys: set, where: str,
                    nullable: set = frozenset()) -> None:
     """Each of keys present in section is an int or float (not a bool)."""
     for key in sorted(keys & set(section)):
         value = section[key]
-        _require((isinstance(value, (int, float))
-                  and not isinstance(value, bool))
-                 or (value is None and key in nullable),
+        _require(_is_number(value) or (value is None and key in nullable),
                  f"{where}.{key} must be a number, got {value!r}")
+
+
+def _check_number_list(value, name: str) -> None:
+    _require(isinstance(value, list) and len(value) > 0
+             and all(_is_number(v) for v in value),
+             f"{name} must be a non-empty list of numbers, got {value!r}")
+
+
+def _check_axis(section: dict, prefix: str, where: str) -> None:
+    """Non-empty numeric values, else numeric start/stop and points >= 1."""
+    if prefix + "values" in section:
+        _check_number_list(section[prefix + "values"],
+                           f"{where}.{prefix}values")
+        return
+    _require(all(prefix + key in section for key in _AXIS_KEYS[1:]),
+             f"{where} needs {prefix}values or {prefix}start/stop/points")
+    _check_numbers(section, {prefix + "start", prefix + "stop"}, where)
+    points = section[prefix + "points"]
+    _require(type(points) is int and points >= 1,
+             f"{where}.{prefix}points must be an int >= 1, got {points!r}")
 
 
 def load_config(path: str) -> dict:
@@ -128,6 +151,8 @@ def validate_config(cfg: dict) -> None:
         rev = cfg["revivals"]
         _check_keys(rev, _REVIVALS_KEYS, "revivals")
         _check_numbers(rev, {"t_max", "dt", "threshold"}, "revivals")
+        if rev.get("weights") is not None:
+            _check_number_list(rev["weights"], "revivals.weights")
         _require(float(rev.get("t_max", 0)) > 0, "revivals.t_max must be positive")
         _require(float(rev.get("dt", 0)) > 0, "revivals.dt must be positive")
     if protocol == "sweep":
@@ -142,10 +167,7 @@ def validate_config(cfg: dict) -> None:
         _validate_train(cfg["train"], swept)
         _require(sweep.get("parameter") in SWEEP_PARAMETERS,
                  f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
-        has_values = "values" in sweep
-        has_range = all(k in sweep for k in ("start", "stop", "points"))
-        _require(has_values or has_range,
-                 "sweep needs either values or start/stop/points")
+        _check_axis(sweep, "", "sweep")
     if "frame" in cfg:
         _check_keys(cfg["frame"], _FRAME_KEYS, "frame")
         _check_numbers(cfg["frame"], _FRAME_KEYS, "frame")
@@ -179,15 +201,9 @@ def _validate_system_section(section: dict) -> None:
 
 def _validate_train(train: dict, protocol: str) -> None:
     _check_keys(train, _TRAIN_KEYS[protocol], "train")
-    for key in ("n_pairs", "delta_T", "pump_area", "dump_area"):
-        _require(key in train, f"train.{key} is required")
+    for key in _TRAIN_REQUIRED[protocol]:
+        _require(key in train, f"train.{key} is required for {protocol}")
     _validate_train_values(train)
-    if protocol == "crp":
-        _require("alpha_pump" in train and "alpha_dump" in train,
-                 "train.alpha_pump and train.alpha_dump are required for crp")
-    if protocol == "pairs":
-        _require("delta_t_small" in train,
-                 "train.delta_t_small is required for pair trains")
 
 
 def _validate_train_values(train: dict) -> None:
@@ -208,11 +224,8 @@ def _validate_train_values(train: dict) -> None:
 
 def _validate_scan(scan: dict) -> None:
     _check_keys(scan, _SCAN_KEYS, "scan")
-    for axis in ("delta_T", "delta_t"):
-        has_values = axis + "_values" in scan
-        has_range = all(axis + s in scan for s in ("_start", "_stop", "_points"))
-        _require(has_values or has_range,
-                 f"scan needs {axis}_values or {axis}_start/_stop/_points")
+    for axis in ("delta_T_", "delta_t_"):
+        _check_axis(scan, axis, "scan")
     if "workers" in scan:
         workers = scan["workers"]
         _require(type(workers) is int and workers >= 1,
@@ -247,19 +260,13 @@ def build_system(cfg: dict) -> LevelSystem:
 
 
 def axis_values(section: dict, axis: str) -> np.ndarray:
-    """A scan axis ("delta_T" or "delta_t") or, with axis "", the sweep
-    values: explicit values or start/stop/points."""
+    """A validated scan axis ("delta_T" or "delta_t") or, with axis "",
+    the sweep values: explicit values or start/stop/points."""
     p = axis + "_" if axis else ""
     if p + "values" in section:
-        vals = np.asarray(section[p + "values"], dtype=float)
-        _require(vals.ndim == 1 and len(vals) > 0,
-                 f"{p}values must be a non-empty list")
-        return vals
-    start = float(section[p + "start"])
-    stop = float(section[p + "stop"])
-    points = int(section[p + "points"])
-    _require(points >= 1, f"{p}points must be >= 1")
-    return np.linspace(start, stop, points)
+        return np.asarray(section[p + "values"], dtype=float)
+    return np.linspace(float(section[p + "start"]),
+                       float(section[p + "stop"]), section[p + "points"])
 
 
 def _canonical(obj):

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .units import K_RAD_PS_PER_CM
-
 PULSE_SHAPES = ("sin2", "gaussian")
 CHANNELS = ("pump", "dump")
 TRAIN_KINDS = ("stirap", "crp", "flat_pairs")
@@ -117,30 +115,6 @@ def rabi_envelope(pulse: PulseSpec, tau) -> np.ndarray:
     return np.where((tau >= 0.0) & (tau <= T), out, 0.0)
 
 
-def spectral_amplitude(pulse: PulseSpec, detuning_cm) -> np.ndarray:
-    """Relative spectral amplitude of the envelope at a detuning (cm^-1).
-
-    Analytic Fourier transform of the field envelope, normalized to 1 at
-    zero detuning. This is the weight with which the pulse addresses a
-    level offset from the carrier, useful for mask design and for reading
-    which intermediate levels a given pulse can see at all.
-    """
-    omega = K_RAD_PS_PER_CM * np.asarray(detuning_cm, dtype=float)
-    if pulse.shape == "sin2":
-        # F(w)/F(0) = sinc(x) / (1 - (x/pi)^2) with x = w T / 2; the poles
-        # at x = +-pi are removable (limit 1/2)
-        x = np.atleast_1d(omega * pulse.support_ps / 2.0)
-        denom = 1.0 - (x / np.pi) ** 2
-        safe = np.abs(denom) > 1e-9
-        out = np.empty_like(x)
-        out[safe] = np.sinc(x[safe] / np.pi) / denom[safe]
-        out[~safe] = np.pi / (2.0 * np.abs(x[~safe]))
-        out = np.abs(out)
-        return out if np.ndim(detuning_cm) else float(out[0])
-    sigma = pulse.gaussian_sigma_ps
-    return np.exp(-(sigma * omega) ** 2 / 2.0)
-
-
 # --- train schedules ---
 
 @dataclass(frozen=True)
@@ -171,26 +145,6 @@ class TrainSchedule:
             return 0.0
         ev = self.events[0]
         return ev.time - ev.pulse.support_ps / 2.0
-
-
-def quadratic_phase(n, n0: float, alpha: float) -> np.ndarray:
-    """Pulse-number phase law alpha*(n - n0)^2/2; second difference is alpha."""
-    n = np.asarray(n, dtype=float)
-    return alpha * (n - n0) ** 2 / 2.0
-
-
-def stirap_weights(n_pairs: int) -> tuple[np.ndarray, np.ndarray]:
-    """Counterintuitive linear ramps: pump 0 -> 1, dump 1 -> 0, inclusive."""
-    if n_pairs < 2:
-        raise ValueError("stirap ramps need n_pairs >= 2")
-    ramp = np.arange(n_pairs) / (n_pairs - 1)
-    return ramp, 1.0 - ramp
-
-
-def crp_weights(n_pairs: int, n0: float, sigma_pairs: float) -> np.ndarray:
-    """Gaussian pair weights exp(-(n - n0)^2 / 2 sigma^2)."""
-    n = np.arange(n_pairs)
-    return np.exp(-((n - n0) ** 2) / (2.0 * sigma_pairs**2))
 
 
 def _check_no_overlap(events: Sequence[TrainEvent]) -> None:
@@ -260,21 +214,19 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
 
     center = (n_pairs - 1) / 2.0
 
+    n = np.arange(n_pairs)
+    w_pump = w_dump = np.ones(n_pairs)
+    ph_pump = ph_dump = np.zeros(n_pairs)
     if kind == "stirap":
-        w_pump, w_dump = stirap_weights(n_pairs)
-        ph_pump = np.zeros(n_pairs)
-        ph_dump = np.zeros(n_pairs)
+        if n_pairs < 2:
+            raise ValueError("stirap ramps need n_pairs >= 2")
+        w_pump = n / (n_pairs - 1)
+        w_dump = 1.0 - w_pump
     elif kind == "crp":
         sigma = n_pairs / 4.0 if sigma_pairs is None else float(sigma_pairs)
-        w_pump = crp_weights(n_pairs, center, sigma)
-        w_dump = w_pump.copy()
-        ph_pump = quadratic_phase(np.arange(n_pairs), center, alpha_pump)
-        ph_dump = -quadratic_phase(np.arange(n_pairs), center, alpha_dump)
-    else:
-        w_pump = np.ones(n_pairs)
-        w_dump = np.ones(n_pairs)
-        ph_pump = np.zeros(n_pairs)
-        ph_dump = np.zeros(n_pairs)
+        w_pump = w_dump = np.exp(-((n - center) ** 2) / (2.0 * sigma**2))
+        ph_pump = alpha_pump * (n - center) ** 2 / 2.0
+        ph_dump = -(alpha_dump * (n - center) ** 2 / 2.0)
 
     area_pump = pump_pulse.area * w_pump / w_pump.sum()
     area_dump = dump_pulse.area * w_dump / w_dump.sum()

@@ -111,10 +111,6 @@ class LevelSystem:
         return slice(self.n_ground_a + self.n_excited, self.n_levels)
 
     @property
-    def initial_global_index(self) -> int:
-        return self.initial_index
-
-    @property
     def target_global_index(self) -> int:
         return self.n_ground_a + self.n_excited + self.target_index
 

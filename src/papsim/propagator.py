@@ -49,6 +49,8 @@ from .units import K_RAD_PS_PER_CM
 MIN_STEPS_PER_PULSE = 800
 
 ORACLE_MAX_LEVELS = 32
+# steps per stacked expm call of the oracle: 500 x 32 x 32 complex is 8 MB
+_ORACLE_CHUNK = 500
 
 # record="dense" samples inside each pulse every this many RK4 steps
 _DENSE_STRIDE = 20
@@ -72,7 +74,7 @@ class QuantumState:
 def ground_state(system: LevelSystem, time: float = 0.0) -> QuantumState:
     """All population in the system's initial level."""
     amps = np.zeros(system.n_levels, dtype=complex)
-    amps[system.initial_global_index] = 1.0
+    amps[system.initial_index] = 1.0
     return QuantumState(amps, time)
 
 
@@ -478,8 +480,9 @@ def oracle_propagate(state: QuantumState, system: LevelSystem,
 
     Deliberately independent of the RK4 path: the Hamiltonian is
     reassembled entrywise here and each step applies
-    expm(-i H(midpoint) h). At least 2000 steps per pulse; systems are
-    capped at 32 levels. Intended for verification, not production.
+    expm(-i H(midpoint) h), stacked per pulse in chunks of _ORACLE_CHUNK
+    steps. At least 2000 steps per pulse; systems are capped at 32
+    levels. Intended for verification, not production.
     """
     from scipy.linalg import expm
 
@@ -496,15 +499,13 @@ def oracle_propagate(state: QuantumState, system: LevelSystem,
     e_init = system.initial_level.energy
     n = system.n_levels
     sl_e = system.slice_excited()
+    excited = np.arange(sl_e.start, sl_e.stop)
 
-    diag = np.zeros(n, dtype=complex)
-    for k in range(n):
-        d = K_RAD_PS_PER_CM * (energies[k] - e_init)
-        if sl_e.start <= k < sl_e.stop:
-            d -= frame.omega_pump
-        elif k >= sl_e.stop:
-            d -= frame.omega_pump - frame.omega_dump
-        diag[k] = d - 0.5j * gammas[k]
+    # excited levels rotate with the pump, ground_b levels with pump - dump
+    offset = np.zeros(n)
+    offset[sl_e] = frame.omega_pump
+    offset[sl_e.stop:] = frame.omega_pump - frame.omega_dump
+    diag = K_RAD_PS_PER_CM * (energies - e_init) - offset - 0.5j * gammas
 
     amps = state.amplitudes.astype(complex)
     t_now = state.time
@@ -518,30 +519,29 @@ def oracle_propagate(state: QuantumState, system: LevelSystem,
         h = T / steps
         phi_c = pulse_center_phase(pulse, ev.time)
         dw = K_RAD_PS_PER_CM * pulse.carrier_detuning
-        for k in range(steps):
-            tau = (k + 0.5) * h
-            H = np.zeros((n, n), dtype=complex)
-            H[np.arange(n), np.arange(n)] = diag
-            w = float(rabi_envelope(pulse, tau))
-            phi = phi_c + dw * (tau - T / 2.0)
-            if pulse.channel == "pump":
-                for i in range(system.n_ground_a):
-                    for j in range(system.n_excited):
-                        c = -0.5 * system.pump_dipoles[i, j] * w * np.exp(-1j * phi)
-                        H[sl_e.start + j, i] += c
-                        H[i, sl_e.start + j] += np.conj(c)
-            else:
-                for i in range(system.n_ground_b):
-                    for j in range(system.n_excited):
-                        mu = complex(system.dump_dipoles[i, j])
-                        if system.dipole_phases is not None:
-                            mu *= np.exp(1j * system.dipole_phases[j])
-                        if pulse.phase_mask is not None:
-                            mu *= np.exp(1j * pulse.phase_mask[j])
-                        c = -0.5 * mu * w * np.exp(-1j * phi)
-                        H[sl_e.start + j, sl_e.stop + i] += c
-                        H[sl_e.stop + i, sl_e.start + j] += np.conj(c)
-            amps = expm(-1j * H * h) @ amps
+        tau = (np.arange(steps) + 0.5) * h
+        phi = phi_c + dw * (tau - T / 2.0)
+        field = rabi_envelope(pulse, tau) * np.exp(-1j * phi)
+        if pulse.channel == "pump":
+            mu = system.pump_dipoles.astype(complex)
+            ground = np.arange(system.n_ground_a)
+        else:
+            mu = system.dump_dipoles.astype(complex)
+            if system.dipole_phases is not None:
+                mu = mu * np.exp(1j * np.asarray(system.dipole_phases))
+            if pulse.phase_mask is not None:
+                mu = mu * np.exp(1j * np.asarray(pulse.phase_mask))
+            ground = np.arange(sl_e.stop, n)
+        # c[k, i, j] couples ground level i to excited level j at step k
+        c = -0.5 * mu[None] * field[:, None, None]
+        for lo in range(0, steps, _ORACLE_CHUNK):
+            part = c[lo:lo + _ORACLE_CHUNK]
+            H = np.zeros((len(part), n, n), dtype=complex)
+            H[:, np.arange(n), np.arange(n)] = diag
+            H[:, excited[None, :], ground[:, None]] = part
+            H[:, ground[:, None], excited[None, :]] = np.conj(part)
+            for factor in expm(-1j * H * h):
+                amps = factor @ amps
         t_now = start + T
         if not np.all(np.isfinite(amps)):
             raise NumericsError("oracle produced non-finite amplitudes")

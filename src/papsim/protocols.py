@@ -60,7 +60,8 @@ class RunResult:
     and initial levels themselves, leaked_ground_a / leaked_ground_b the
     remaining population of their manifolds (neighbor leakage),
     residual_excited the excited manifold, and decayed_loss the norm
-    lost to decay. These six add to 1 up to integrator error.
+    lost to decay. These six add to 1 up to rounding. None is clamped at
+    0, so a negative decayed_loss shows norm growth (integrator error).
     max_transient_excited is the largest excited-manifold population at
     any recorded sample, so it is only as sharp as the run's sampling
     (records inside pulses when the run uses record="dense").
@@ -83,7 +84,7 @@ class RunResult:
         return self.final_target_population
 
     def accounted_total(self) -> float:
-        """Sum of the six population fractions; 1 up to integrator error."""
+        """Sum of the six population fractions; 1 up to rounding."""
         return (self.final_target_population + self.final_initial_population
                 + self.leaked_ground_a + self.leaked_ground_b
                 + self.residual_excited + self.decayed_loss)
@@ -103,7 +104,7 @@ def result_from_trajectory(system: LevelSystem, trajectory: Trajectory,
                            details: dict | None = None) -> RunResult:
     """Reduce a propagated trajectory to the RunResult accounting."""
     pops = trajectory.final_state.populations()
-    i0 = system.initial_global_index
+    i0 = system.initial_index
     it = system.target_global_index
     final_target = float(pops[it])
     final_initial = float(pops[i0])
@@ -116,10 +117,10 @@ def result_from_trajectory(system: LevelSystem, trajectory: Trajectory,
     return RunResult(
         final_target_population=final_target,
         final_initial_population=final_initial,
-        leaked_ground_a=max(leaked_a, 0.0),
-        leaked_ground_b=max(leaked_b, 0.0),
+        leaked_ground_a=leaked_a,
+        leaked_ground_b=leaked_b,
         residual_excited=residual,
-        decayed_loss=max(decayed, 0.0),
+        decayed_loss=decayed,
         max_transient_excited=transient,
         trajectory=trajectory,
         schedule=schedule,

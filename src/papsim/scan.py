@@ -13,6 +13,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -53,6 +54,15 @@ def _validate_axis(axis: np.ndarray, name: str) -> np.ndarray:
     return axis
 
 
+def _efficiency(run, key, failures: dict) -> float:
+    """run()'s target population, or NaN with failures[key] the reason."""
+    try:
+        return run().final_target_population
+    except (ValueError, NumericsError) as err:
+        failures[key] = str(err)
+        return math.nan
+
+
 def _scan_column(args) -> tuple[np.ndarray, dict]:
     """One delta_T column of the map and the reasons of its failed cells;
     module-level so workers can pickle it."""
@@ -60,14 +70,10 @@ def _scan_column(args) -> tuple[np.ndarray, dict]:
     out = np.empty(delta_t_axis.size)
     failures = {}
     for i, dt_small in enumerate(delta_t_axis):
-        try:
-            res = run_pair_train(system, delta_T=float(delta_T),
-                                 delta_t_small=float(dt_small),
-                                 record="none", **base)
-            out[i] = res.final_target_population
-        except (ValueError, NumericsError) as err:
-            out[i] = math.nan
-            failures[(float(dt_small), float(delta_T))] = str(err)
+        out[i] = _efficiency(
+            partial(run_pair_train, system, delta_T=float(delta_T),
+                    delta_t_small=float(dt_small), record="none", **base),
+            (float(dt_small), float(delta_T)), failures)
     return out, failures
 
 
@@ -269,12 +275,8 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
         else:
             kwargs["alpha_pump"] = v
             kwargs["alpha_dump"] = v
-        try:
-            res = RUNNERS[protocol](levels, **kwargs)
-            effs[i] = res.final_target_population
-        except (ValueError, NumericsError) as err:
-            effs[i] = math.nan
-            failures[float(v)] = str(err)
+        effs[i] = _efficiency(partial(RUNNERS[protocol], levels, **kwargs),
+                              float(v), failures)
     return SweepResult(parameter, vals, effs,
                        {"protocol": protocol, "base": base,
                         "failures": failures})

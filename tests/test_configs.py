@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from papsim import build_system, load_config, scan_2d
+from papsim import (ConfigError, build_system, load_config, scan_2d,
+                    validate_config)
 from papsim.config import _TRAIN_KEYS, axis_values
 from papsim.protocols import RUNNERS
 
@@ -13,10 +14,25 @@ SHIPPED = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
 
 def test_config_keys_and_runners_agree():
-    assert set(_TRAIN_KEYS) == set(RUNNERS)
+    assert list(_TRAIN_KEYS) == list(RUNNERS)
     for protocol, keys in _TRAIN_KEYS.items():
-        # every train key a config may set is a keyword of its runner
-        assert keys <= set(inspect.signature(RUNNERS[protocol]).parameters)
+        # a train section may set exactly its runner's keywords but three
+        params = set(inspect.signature(RUNNERS[protocol]).parameters)
+        assert keys == params - {"levels", "frame", "record"}
+
+
+@pytest.mark.parametrize("protocol", list(RUNNERS))
+def test_train_section_rejects_frame_and_record(protocol):
+    train = {"n_pairs": 2, "delta_T": 10.0, "delta_t_small": 4.0,
+             "pump_area": 1.0, "dump_area": 1.0, "alpha_pump": 0.1,
+             "alpha_dump": 0.1}
+    train = {k: v for k, v in train.items() if k in _TRAIN_KEYS[protocol]}
+    cfg = {"protocol": protocol, "system": {"three_level": {}}}
+    validate_config({**cfg, "train": train})
+    for key, value in (("frame", None), ("record", "none")):
+        with pytest.raises(ConfigError,
+                           match=rf"unknown keys in train: \['{key}'\]"):
+            validate_config({**cfg, "train": {**train, key: value}})
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)

@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from papsim import (K_RAD_PS_PER_CM, build_train, crp_weights,
-                    design_dump_phase_mask, make_pulse, make_schedule,
-                    quadratic_phase, rabi_envelope, spectral_amplitude,
-                    stirap_weights)
+from papsim import (build_train, design_dump_phase_mask, make_pulse,
+                    make_schedule, rabi_envelope)
 from papsim.fields import TrainEvent
 
 
@@ -39,23 +37,6 @@ def test_envelope_integral_is_area(shape):
     assert rabi_envelope(p, p.support_ps + 1e-6) == 0.0
 
 
-def test_spectral_amplitude():
-    p = make_pulse("sin2", 100.0, 1.0)
-    assert abs(float(spectral_amplitude(p, 0.0)) - 1.0) < 1e-12
-    # a 100 fs pulse spans hundreds of cm^-1: nearby levels all addressed
-    assert float(spectral_amplitude(p, 45.0)) > 0.9
-    assert float(spectral_amplitude(p, 2000.0)) < 0.05
-    # removable poles of the sin2 transform stay finite
-    x_pole = 2.0 * np.pi / (K_RAD_PS_PER_CM * p.support_ps)
-    val = float(spectral_amplitude(p, x_pole))
-    assert np.isfinite(val) and 0.0 < val < 1.0
-
-    g = make_pulse("gaussian", 100.0, 1.0)
-    det = np.array([0.0, 50.0, 200.0])
-    expected = np.exp(-(g.gaussian_sigma_ps * K_RAD_PS_PER_CM * det) ** 2 / 2.0)
-    assert np.allclose(spectral_amplitude(g, det), expected, rtol=1e-12)
-
-
 def test_make_pulse_validation():
     with pytest.raises(ValueError):
         make_pulse("square", 100.0, 1.0)
@@ -67,38 +48,60 @@ def test_make_pulse_validation():
         make_pulse("sin2", 100.0, 1.0, channel="probe")
 
 
+def _prototypes(total=math.pi):
+    pump = make_pulse("sin2", 100.0, total, channel="pump")
+    dump = make_pulse("sin2", 100.0, total, channel="dump")
+    return pump, dump
+
+
+def _channel(sched, channel, attr):
+    return np.array([getattr(ev.pulse, attr) for ev in sched.events
+                      if ev.pulse.channel == channel])
+
+
 def test_quadratic_phase_closed_form():
+    pump, dump = _prototypes()
     n = np.arange(40)
     n0 = 19.5
     alpha = 0.2
-    ph = quadratic_phase(n, n0, alpha)
+    sched = build_train("crp", 40, 10.0, 5.0, pump, dump,
+                        alpha_pump=alpha, alpha_dump=alpha)
+    ph = _channel(sched, "pump", "carrier_phase")
     # bitwise the closed form, second difference alpha up to cancellation
     assert np.all(ph == alpha * (n - n0) ** 2 / 2.0)
+    assert np.all(_channel(sched, "dump", "carrier_phase") == -ph)
     assert np.max(np.abs(np.diff(ph, 2) - alpha)) < 1e-12
 
 
 def test_stirap_weights_ramps():
-    w_pump, w_dump = stirap_weights(50)
+    pump, dump = _prototypes()
+    sched = build_train("stirap", 50, 10.0, 5.0, pump, dump)
+    # areas are the ramp weights over their sum; the ends rescale them
+    a_pump = _channel(sched, "pump", "area")
+    a_dump = _channel(sched, "dump", "area")
+    w_pump, w_dump = a_pump / a_pump[-1], a_dump / a_dump[0]
     assert w_pump[0] == 0.0 and w_pump[-1] == 1.0
     assert w_dump[0] == 1.0 and w_dump[-1] == 0.0
     assert np.all(np.diff(w_pump) > 0.0)
     assert np.all(np.diff(w_dump) < 0.0)
     assert np.allclose(w_pump + w_dump, 1.0, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError):
-        stirap_weights(1)
+    with pytest.raises(ValueError, match="n_pairs >= 2"):
+        build_train("stirap", 1, 10.0, 5.0, pump, dump)
 
 
 def test_crp_weights_peak_at_center():
-    w = crp_weights(41, 20.0, 41.0 / 4.0)
-    assert w[20] == 1.0
-    assert np.all(w[:20] == w[40:20:-1])
-    assert np.all(np.diff(w[:21]) > 0.0)
-
-
-def _prototypes(total=math.pi):
-    pump = make_pulse("sin2", 100.0, total, channel="pump")
-    dump = make_pulse("sin2", 100.0, total, channel="dump")
-    return pump, dump
+    pump, dump = _prototypes()
+    # sigma_pairs defaults to n_pairs / 4
+    sched = build_train("crp", 41, 10.0, 5.0, pump, dump)
+    for channel in ("pump", "dump"):
+        areas = _channel(sched, channel, "area")
+        w = areas / areas[20]
+        assert w[20] == 1.0
+        assert np.all(w[:20] == w[40:20:-1])
+        assert np.all(np.diff(w[:21]) > 0.0)
+        assert np.allclose(w, np.exp(-((np.arange(41) - 20.0) ** 2)
+                                     / (2.0 * (41.0 / 4.0) ** 2)),
+                           rtol=1e-14, atol=0.0)
 
 
 def test_train_event_times_exact():

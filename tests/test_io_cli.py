@@ -249,7 +249,17 @@ def test_scan_workers_must_be_a_positive_int(tmp_path):
 
 def test_config_numbers_must_be_numbers(tmp_path, capsys):
     revivals = {"protocol": "revivals", "system": {"three_level": {}},
-                "revivals": {"t_max": 3.0, "dt": 0.001}}
+                "revivals": {"t_max": 3.0, "dt": 0.001, "weights": [1.0]}}
+    scan = {"protocol": "scan", "system": {"three_level": {}},
+            "train": {"n_pairs": 2, "pump_area": 1.0, "dump_area": 1.0},
+            "scan": {"delta_T_values": [10.0], "delta_t_start": 3.0,
+                     "delta_t_stop": 4.0, "delta_t_points": 2}}
+    sweep = {"protocol": "sweep", "system": {"three_level": {}},
+             "train": _pairs_cfg()["train"],
+             "sweep": {"protocol": "pairs", "parameter": "n_pairs",
+                       "values": [2]}}
+    for good in (revivals, scan, sweep):
+        validate_config(good)
     for name, cfg, key in (
             ("stirap", {**STIRAP_CFG, "train": {**STIRAP_CFG["train"],
                                                "delta_T": "10"}},
@@ -260,7 +270,19 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
              "revivals.threshold"),
             ("revivals", {**revivals, "revivals": {**revivals["revivals"],
                                                    "t_max": "x"}},
-             "revivals.t_max")):
+             "revivals.t_max"),
+            # scan axes, sweep values and revival weights name their key
+            ("revivals", {**revivals, "revivals": {**revivals["revivals"],
+                                                   "weights": ["a"]}},
+             "revivals.weights"),
+            ("scan", {**scan, "scan": {**scan["scan"], "delta_t_start": "x"}},
+             "scan.delta_t_start"),
+            ("scan", {**scan, "scan": {**scan["scan"], "delta_T_values": []}},
+             "scan.delta_T_values"),
+            ("scan", {**scan, "scan": {**scan["scan"], "delta_t_points": 2.5}},
+             "scan.delta_t_points"),
+            ("sweep", {**sweep, "sweep": {**sweep["sweep"], "values": ["a"]}},
+             "sweep.values")):
         path = _write_cfg(tmp_path, "bad.cfg", cfg)
         assert main([name, "--config", path, "--quiet"]) == 2
         assert key in capsys.readouterr().err

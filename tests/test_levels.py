@@ -40,7 +40,7 @@ def test_global_ordering_and_slices():
     assert mol.slice_ground_a() == slice(0, 2)
     assert mol.slice_excited() == slice(2, 5)
     assert mol.slice_ground_b() == slice(5, 6)
-    assert mol.initial_global_index == 0
+    assert mol.initial_index == 0
     assert mol.target_global_index == 5
     assert mol.labels == ("a0", "a1", "e0", "e1", "e2", "b0")
 
