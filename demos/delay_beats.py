@@ -14,7 +14,7 @@ The scan runs two columns of the 2D (delta_t, delta_T) map:
   column 1: delta_T pushed half a tooth off (successive pairs
             interfere destructively, transfer collapses)
 
-Run time is about half a minute.
+Run time is a few seconds.
 """
 
 import math

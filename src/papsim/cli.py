@@ -85,10 +85,10 @@ def _cmd_scan(args) -> int:
     dT = axis_values(scan_cfg, "delta_T")
     dts = axis_values(scan_cfg, "delta_t")
     workers = scan_cfg.get("workers", 1) if args.workers is None else args.workers
-    emap = scan_2d(system, dict(cfg["train"]), dT, dts, workers=workers)
     out = _out_path(cfg, "map", args.out)
     if not out:
         raise ConfigError("scan needs --out or an output.map path")
+    emap = scan_2d(system, dict(cfg["train"]), dT, dts, workers=workers)
     write_map_csv(out, emap)
     _report_failures(emap.details["failures"], emap.efficiency.size,
                      "scan cells",
@@ -130,12 +130,12 @@ def _cmd_sweep(args) -> int:
     frame = _frame_from_config(cfg, system)
     if frame is not None:
         base["frame"] = frame
-    result = robustness_sweep(system, sweep_cfg["protocol"],
-                              sweep_cfg["parameter"], values,
-                              base_config=base)
     out = _out_path(cfg, "sweep", args.out)
     if not out:
         raise ConfigError("sweep needs --out or an output.sweep path")
+    result = robustness_sweep(system, sweep_cfg["protocol"],
+                              sweep_cfg["parameter"], values,
+                              base_config=base)
     write_sweep_csv(out, result, fingerprint)
     _report_failures(result.details["failures"], len(values), "sweep points",
                      lambda value: f"{result.parameter}={value:g}")

@@ -211,6 +211,8 @@ def _validate_train_values(train: dict) -> None:
         n = train["n_pairs"]
         _require(type(n) is int and n >= 0, "train.n_pairs must be an int >= 0")
     _check_numbers(train, _TRAIN_NUMBERS, "train", _TRAIN_NULLABLE)
+    if train.get("dump_phase_mask") is not None:
+        _check_number_list(train["dump_phase_mask"], "train.dump_phase_mask")
     for key in ("delta_T", "fwhm"):
         if key in train:
             _require(float(train[key]) > 0, f"train.{key} must be positive")

@@ -23,14 +23,14 @@ Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
 stack of P states or operators of shape (P, n, m), one step h per
 problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
 half-step grid, by one vectorized rabi_envelope call (windows sample
-their callables once on the same grid). run_schedule integrates the
-operators of all distinct pulses of a schedule, pump and dump together,
-in a single batched pass and applies them per event by exact phase
-conjugation; record="dense" keeps operator snapshots every
-_DENSE_STRIDE = 20 steps of that same pass (a fixed stride, not an
-option) and applies them to the state entering each pulse.
-propagate_pulse and propagate_window are one-problem callers of the
-same kernel. oracle_propagate stays apart as the independent check.
+their callables once on the same grid). _pulse_operators integrates
+the distinct pulses that _event_table gathers from a set of schedules
+in one batched pass; the one event loop, _run_events, steps a (C, n)
+stack of states through them by exact phase conjugation, each row with
+its own events. run_schedule is one row (record="dense" applies
+operator snapshots kept every _DENSE_STRIDE = 20 steps of that pass),
+a scan column one row per cell. propagate_pulse and propagate_window
+call the kernel directly; oracle_propagate is the independent check.
 """
 
 from __future__ import annotations
@@ -331,18 +331,58 @@ class Trajectory:
     final_state: QuantumState
 
 
-def _phase_conjugation(system: LevelSystem, pulse: PulseSpec,
-                       phi: float) -> np.ndarray:
-    """Diagonal Z with Z H(0) Z^dagger = H(phi) for this pulse's channel."""
-    z = np.ones(system.n_levels, dtype=complex)
-    sl = system.slice_ground_a() if pulse.channel == "pump" else system.slice_ground_b()
-    z[sl] = np.exp(1j * phi)
-    return z
-
-
 def _operator_cache_key(pulse: PulseSpec):
     return (pulse.shape, pulse.fwhm, pulse.area, pulse.carrier_detuning,
             pulse.channel, pulse.phase_mask)
+
+
+def _event_table(schedule: TrainSchedule, pulses: dict) -> np.ndarray:
+    """(E, 5) rows of pulse start, support, operator index, center phase
+    and channel (0 pump, 1 dump); pulses maps the _operator_cache_key of
+    each distinct pulse to its (index, pulse), new ones taking the next."""
+    return np.array([
+        (ev.time - ev.pulse.support_ps / 2.0, ev.pulse.support_ps,
+         pulses.setdefault(_operator_cache_key(ev.pulse), (len(pulses), ev.pulse))[0],
+         pulse_center_phase(ev.pulse, ev.time), ev.pulse.channel == "dump")
+        for ev in schedule.events], dtype=float).reshape(-1, 5)
+
+
+def _pulse_operators(system: LevelSystem, frame: PhaseFrame, pulses: dict,
+                     steps: int | None, stride: int | None = None):
+    """(ops, snapshots) of the pulses _event_table collected, by index,
+    from one batched pass of _steps(steps) RK4 steps."""
+    n, P = system.n_levels, len(pulses)
+    if not P:
+        return np.empty((0, n, n), dtype=complex), None
+    eye = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n))
+    return _integrate_pulses(system, frame, [p for _, p in pulses.values()],
+                             [0.0] * P, eye, _steps(steps), stride)
+
+
+def _run_events(system: LevelSystem, frame: PhaseFrame, ops, tables, states, visit=None):
+    """Step a (C, n) stack of states, row c through the events of
+    tables[c], and return the final (amps, times). The tables are
+    equally long; a row's result does not depend on the other rows.
+    visit(k, start, op, rotated, z, amps, end) sees each event k."""
+    starts, supports, op_rows, phases, channels = np.array(
+        tables, dtype=float).reshape(len(tables), -1, 5).transpose(2, 0, 1)
+    times = np.column_stack([[st.time for st in states], starts + supports])
+    gaps, phases = starts - times[:, :-1], np.exp(1j * phases)
+    # the levels whose phase a pump (0) or a dump (1) carries, per event
+    level, excited = np.arange(system.n_levels), system.slice_excited()
+    carried = np.array([level < excited.start, level >= excited.stop])[channels.astype(int)]
+    op_rows, moving = op_rows.astype(int), gaps > 0
+    free = -1j * _diagonal(system, frame)
+    amps = np.array([st.amplitudes for st in states])
+    for k in range(starts.shape[1]):
+        amps = np.where(moving[:, k, None],
+                        amps * np.exp(free * gaps[:, k, None]), amps)
+        z = np.where(carried[:, k], phases[:, k, None], 1.0)
+        rotated = np.conj(z) * amps
+        amps = z * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
+        if visit is not None:
+            visit(k, starts[:, k], op_rows[:, k], rotated, z, amps, times[:, k + 1])
+    return amps, times[:, -1]
 
 
 def run_schedule(state: QuantumState, system: LevelSystem,
@@ -379,48 +419,31 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"({schedule.start_time} ps)")
 
     n_steps = _steps(steps)
-    distinct: dict = {}
-    for ev in schedule.events:
-        distinct.setdefault(_operator_cache_key(ev.pulse), ev.pulse)
-    index = {key: i for i, key in enumerate(distinct)}
-    pulses = list(distinct.values())
-    eye = np.broadcast_to(np.eye(system.n_levels, dtype=complex),
-                          (len(pulses), system.n_levels, system.n_levels))
-    ops, snapshots = _integrate_pulses(
-        system, frame, pulses, [0.0] * len(pulses), eye, n_steps,
-        _DENSE_STRIDE if dense else None)
-    diag = _diagonal(system, frame)
-
+    pulses: dict = {}
+    table = _event_table(schedule, pulses)
+    ops, snapshots = _pulse_operators(system, frame, pulses, n_steps,
+                                      _DENSE_STRIDE if dense else None)
     times = [state.time]
     pops = [state.populations()]
-    current = state
-    for ev in schedule.events:
-        start = ev.time - ev.pulse.support_ps / 2.0
-        dt = start - current.time
-        amps = current.amplitudes
-        if dt > 0:
-            amps = amps * np.exp(-1j * diag * dt)
-        i = index[_operator_cache_key(ev.pulse)]
-        z = _phase_conjugation(system, ev.pulse,
-                               pulse_center_phase(ev.pulse, ev.time))
-        rotated = np.conj(z) * amps
-        if dense:
-            inner = z * (snapshots[:, i] @ rotated)
-            h = ev.pulse.support_ps / n_steps
-            times.extend(start + _DENSE_STRIDE * np.arange(1, len(inner) + 1) * h)
-            pops.extend(np.abs(inner) ** 2)
-        current = QuantumState(z * (ops[i] @ rotated), start + ev.pulse.support_ps)
-        if record != "none" or ev is schedule.events[-1]:
-            times.append(current.time)
-            pops.append(current.populations())
 
+    def visit(k, start, op, rotated, z, amps, end):
+        if dense:
+            inner = z[0] * (snapshots[:, op[0]] @ rotated[0])
+            h = schedule.events[k].pulse.support_ps / n_steps
+            times.extend(start[0] + _DENSE_STRIDE * np.arange(1, len(inner) + 1) * h)
+            pops.extend(np.abs(inner) ** 2)
+        if record != "none" or k == len(schedule.events) - 1:
+            times.append(end[0])
+            pops.append(np.abs(amps[0]) ** 2)
+
+    amps, end = _run_events(system, frame, ops, [table], [state], visit)
     pops_arr = np.array(pops)
     return Trajectory(
         times=np.array(times),
         populations=pops_arr,
         norms=pops_arr.sum(axis=1),
         labels=system.labels,
-        final_state=current,
+        final_state=QuantumState(amps[0], float(end[0])),
     )
 
 

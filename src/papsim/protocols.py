@@ -17,6 +17,7 @@ which is the piecewise prescription.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -129,15 +130,14 @@ def result_from_trajectory(system: LevelSystem, trajectory: Trajectory,
     )
 
 
-def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
-               delta_T: float, delta_t_small: float | None, pump_area: float,
-               dump_area: float, *, shape: str, fwhm: float,
-               frame: PhaseFrame | None, f0_pump: float, record: str,
-               steps: int | None, dump_phase_mask=None,
-               alpha_pump: float = 0.0, alpha_dump: float = 0.0,
-               sigma_pairs: float | None = None,
-               extra_pump_dump_delay: float = 0.0) -> RunResult:
-    """The body of the three train runners; only kind "crp" reads the chirp."""
+def _train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
+           delta_T: float, delta_t_small: float | None, pump_area: float,
+           dump_area: float, *, shape: str, fwhm: float,
+           frame: PhaseFrame | None, f0_pump: float,
+           dump_phase_mask=None, alpha_pump: float = 0.0,
+           alpha_dump: float = 0.0, sigma_pairs: float | None = None,
+           extra_pump_dump_delay: float = 0.0):
+    """Schedule, frame and details of a runner; only "crp" reads the chirp."""
     if delta_t_small is None:
         delta_t_small = delta_T / 2.0
     chirp = {}
@@ -157,10 +157,27 @@ def _run_train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
                "shape": shape, "fwhm": fwhm}
     if kind == "crp":
         details["extra_pump_dump_delay"] = extra_pump_dump_delay
+    return schedule, frame, details
+
+
+def _run_train(protocol: str, kind: str, levels: LevelSystem, *args,
+               record: str, steps: int | None, **kwargs) -> RunResult:
+    """The body of the three train runners."""
+    schedule, frame, details = _train(protocol, kind, levels, *args, **kwargs)
     state = ground_state(levels, schedule.start_time)
     traj = run_schedule(state, levels, schedule, frame, record=record,
                         steps=steps)
     return result_from_trajectory(levels, traj, schedule, frame, details)
+
+
+def _pair_train(levels: LevelSystem, **kwargs):
+    """(schedule, frame, steps) of run_pair_train(levels, **kwargs), bound
+    to its signature, whose defaults are the only ones; scan cells use it."""
+    args = inspect.signature(run_pair_train).bind(levels, **kwargs)
+    args.apply_defaults()
+    steps, _ = args.arguments.pop("steps"), args.arguments.pop("record")
+    schedule, frame, _ = _train("pairs", "flat_pairs", **args.arguments)
+    return schedule, frame, steps
 
 
 def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,

@@ -19,8 +19,10 @@ import numpy as np
 
 from .config import SWEEP_PARAMETERS, config_fingerprint
 from .levels import LevelSystem, system_to_dict
-from .propagator import NumericsError
-from .protocols import RUNNERS, run_pair_train
+from .propagator import (NumericsError, _event_table, _pulse_operators,
+                         _run_events, ground_state)
+# run_pair_train stays a module attribute: the benchmark wraps it here
+from .protocols import RUNNERS, _pair_train, run_pair_train  # noqa: F401
 from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
 
 @dataclass(frozen=True)
@@ -54,27 +56,43 @@ def _validate_axis(axis: np.ndarray, name: str) -> np.ndarray:
     return axis
 
 
-def _efficiency(run, key, failures: dict) -> float:
-    """run()'s target population, or NaN with failures[key] the reason."""
+def _attempt(run, keys, failures: dict):
+    """run(), or None with failures[key] the reason it failed, per key."""
     try:
-        return run().final_target_population
+        return run()
     except (ValueError, NumericsError) as err:
-        failures[key] = str(err)
-        return math.nan
+        failures.update(dict.fromkeys(keys, str(err)))
+        return None
 
 
 def _scan_column(args) -> tuple[np.ndarray, dict]:
     """One delta_T column of the map and the reasons of its failed cells;
-    module-level so workers can pickle it."""
+    module-level so workers can pickle it. A cell whose schedule cannot
+    exist fails alone; the others share their frame (set by delta_T) and
+    pulses, so one operator pass, whose failure is each one's, serves
+    them all and they are stepped together."""
     system, base, delta_T, delta_t_axis = args
-    out = np.empty(delta_t_axis.size)
-    failures = {}
-    for i, dt_small in enumerate(delta_t_axis):
-        out[i] = _efficiency(
-            partial(run_pair_train, system, delta_T=float(delta_T),
-                    delta_t_small=float(dt_small), record="none", **base),
-            (float(dt_small), float(delta_T)), failures)
-    return out, failures
+    keys = [(float(dt_small), float(delta_T)) for dt_small in delta_t_axis]
+    failures, pulses = {}, {}
+
+    def build(key):
+        schedule, frame, steps = _pair_train(system, delta_T=key[1],
+                                             delta_t_small=key[0], **base)
+        return _event_table(schedule, pulses), schedule.start_time, frame, steps
+
+    cells = [_attempt(partial(build, key), [key], failures) for key in keys]
+    valid = [i for i, cell in enumerate(cells) if cell is not None]
+    out = np.full(len(keys), math.nan)
+    if valid:
+        tables, starts, frames, steps = zip(*(cells[i] for i in valid))
+        ops = _attempt(partial(_pulse_operators, system, frames[0], pulses, steps[0]),
+                       [keys[i] for i in valid], failures)
+        if ops is not None:
+            states = [ground_state(system, start) for start in starts]
+            amps, _ = _run_events(system, frames[0], ops[0], tables, states)
+            for i, row in zip(valid, amps):
+                out[i] = (np.abs(row) ** 2)[system.target_global_index]
+    return out, {key: failures[key] for key in keys if key in failures}
 
 
 def scan_2d(levels: LevelSystem, base_config: dict,
@@ -275,8 +293,8 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
         else:
             kwargs["alpha_pump"] = v
             kwargs["alpha_dump"] = v
-        effs[i] = _efficiency(partial(RUNNERS[protocol], levels, **kwargs),
-                              float(v), failures)
+        result = _attempt(partial(RUNNERS[protocol], levels, **kwargs), [float(v)], failures)
+        effs[i] = math.nan if result is None else result.final_target_population
     return SweepResult(parameter, vals, effs,
                        {"protocol": protocol, "base": base,
                         "failures": failures})

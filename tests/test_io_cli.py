@@ -14,6 +14,7 @@ from papsim import (ConfigError, EfficiencyMap, RevivalReport, SweepResult,
                     read_map_csv, run_piecewise_stirap, save_system, scan_2d,
                     validate_config, write_map_csv, write_result_json,
                     write_spectrum_csv, write_sweep_csv, write_trajectory_csv)
+from papsim import cli
 from papsim.cli import main
 from papsim.io import write_revivals_csv
 
@@ -282,7 +283,12 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
             ("scan", {**scan, "scan": {**scan["scan"], "delta_t_points": 2.5}},
              "scan.delta_t_points"),
             ("sweep", {**sweep, "sweep": {**sweep["sweep"], "values": ["a"]}},
-             "sweep.values")):
+             "sweep.values"),
+            # a dump phase mask is a list of numbers
+            ("pairs", _pairs_cfg(dump_phase_mask="x"), "train.dump_phase_mask"),
+            ("scan", {**scan, "train": {**scan["train"],
+                                        "dump_phase_mask": ["a"]}},
+             "train.dump_phase_mask")):
         path = _write_cfg(tmp_path, "bad.cfg", cfg)
         assert main([name, "--config", path, "--quiet"]) == 2
         assert key in capsys.readouterr().err
@@ -291,7 +297,31 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
         with pytest.raises(ConfigError, match="must be"):
             validate_config(bad)
     # null keeps the runner's default where the runner has one
-    validate_config(_pairs_cfg(delta_t_small=None, steps=None))
+    validate_config(_pairs_cfg(delta_t_small=None, steps=None,
+                               dump_phase_mask=None))
+    validate_config(_pairs_cfg(dump_phase_mask=[0.5]))
+
+
+def test_scan_and_sweep_check_the_output_path_first(tmp_path, monkeypatch,
+                                                   capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "scan_2d", never)
+    monkeypatch.setattr(cli, "robustness_sweep", never)
+    train = _pairs_cfg()["train"]
+    scan = {"protocol": "scan", "system": {"three_level": {}},
+            "train": {"n_pairs": 2, "pump_area": 1.0, "dump_area": 1.0},
+            "scan": {"delta_T_values": [10.0], "delta_t_values": [4.0]}}
+    sweep = {"protocol": "sweep", "system": {"three_level": {}},
+             "train": train, "sweep": {"protocol": "pairs",
+                                       "parameter": "n_pairs", "values": [2]}}
+    for name, cfg, message in (
+            ("scan", scan, "scan needs --out or an output.map path"),
+            ("sweep", sweep, "sweep needs --out or an output.sweep path")):
+        path = _write_cfg(tmp_path, f"{name}.cfg", cfg)
+        assert main([name, "--config", path, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_build_system_from_config(tmp_path):

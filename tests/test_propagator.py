@@ -13,7 +13,8 @@ from papsim import (K_RAD_PS_PER_CM, NumericsError, PhaseFrame, QuantumState,
                     propagate_pulse, propagate_window, run_schedule,
                     SyntheticMoleculeSpec)
 from papsim.levels import Level
-from papsim.propagator import pulse_center_phase
+from papsim.propagator import (_event_table, _pulse_operators, _run_events,
+                               pulse_center_phase)
 
 
 def _resonant():
@@ -333,3 +334,40 @@ def test_oracle_agrees_on_a_small_train():
     with pytest.raises(ValueError):
         oracle_propagate(ground_state(big), big, _train(big, n_pairs=1),
                          PhaseFrame.for_system(big))
+
+
+def test_event_rows_do_not_depend_on_the_stack():
+    """A row of the stacked event loop has the same bits at C = 1, 7, 256."""
+    mol = build_synthetic_molecule(SyntheticMoleculeSpec(
+        5, 11200.0, (12.0,), dipole_profile="gaussian", decay_lifetime=15.0,
+        ground_b_energies=(-2333.0,)))
+    frame = PhaseFrame.comb_locked(mol, 10.0)
+    pump = make_pulse("sin2", 100.0, 1.3, channel="pump")
+    dump = make_pulse("gaussian", 100.0, 0.7, channel="dump",
+                      phase_mask=(0.1, -0.4, 0.0, 0.9, 2.0))
+    # rows in and out of pair order, so operators and phases differ per row
+    dts = np.concatenate([np.linspace(-9.0, -1.0, 64),
+                          np.linspace(0.6, 9.0, 96), np.linspace(11.0, 19.0, 96)])
+    schedules = [build_train("flat_pairs", 3, 10.0, dt, pump, dump)
+                 for dt in dts]
+    pulses = {}
+    tables = [_event_table(s, pulses) for s in schedules]
+    assert len(pulses) == 2
+    ops, _ = _pulse_operators(mol, frame, pulses, 60)
+    states = [ground_state(mol, s.start_time) for s in schedules]
+
+    def run(rows):
+        return _run_events(mol, frame, ops, [tables[i] for i in rows],
+                           [states[i] for i in rows])
+
+    all_amps, all_times = run(range(len(dts)))
+    for rows in ([0], [100], [255], list(range(0, 256, 37)), list(range(90, 97))):
+        part_amps, part_times = run(rows)
+        assert np.array_equal(part_amps, all_amps[rows])
+        assert np.array_equal(part_times, all_times[rows])
+    # one row of the stack is what run_schedule computes
+    for i in (0, 100, 255):
+        direct = run_schedule(states[i], mol, schedules[i], frame,
+                              record="none", steps=60).final_state
+        assert np.array_equal(direct.amplitudes, all_amps[i])
+        assert direct.time == all_times[i]

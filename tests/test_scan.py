@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM,
+from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM, propagator,
                     SyntheticMoleculeSpec, build_synthetic_molecule,
                     build_three_level, fft_delta_t, revival_diagnostics,
                     robustness_sweep, run_pair_train, scan_2d)
@@ -45,6 +45,74 @@ def test_invalid_cells_become_nan():
     failures = emap.details["failures"]
     assert list(failures) == [(0.05, 10.0)]
     assert "overlap" in failures[(0.05, 10.0)]
+
+
+def _packet_molecule():
+    """1 + 5 + 1 levels with decay, the progression one 20 ps tooth apart."""
+    tooth = 1.0 / (C_CM_PER_PS * 20.0)
+    return build_synthetic_molecule(SyntheticMoleculeSpec(
+        5, round(11200.0 / tooth) * tooth, (tooth,), dipole_profile="gaussian",
+        decay_lifetime=15.0, ground_b_energies=(-2333.0,)))
+
+
+@pytest.mark.parametrize("system, base, delta_T, dts, failing", [
+    # a shaped gaussian dump, an offset comb and a set step count
+    pytest.param(_packet_molecule(),
+                 {"n_pairs": 4, "pump_area": 2.0, "dump_area": 1.5,
+                  "dump_phase_mask": [0.1, -0.3, 0.7, 0.0, 1.2],
+                  "f0_pump": 0.013, "shape": "gaussian", "steps": 300},
+                 20.0, [2.0, 3.0, 4.5, 6.0], [], id="shaped_packet"),
+    # at 9.95 ps the pump runs into the next pair's dump
+    pytest.param(build_three_level(), BASE, 10.0, [2.0, 9.95, 12.0], [9.95],
+                 id="overlap_in_the_middle"),
+    # delta_t_small > delta_T: each pump lands after the next pair's dump
+    pytest.param(build_three_level(pump_detuning=3.0, decay_rate=0.01), BASE,
+                 3.0, [3.5, 4.0, 5.5, 7.5], [], id="interleaved"),
+])
+def test_column_cells_match_direct_runs(system, base, delta_T, dts, failing):
+    """Valid cells keep the bits of their direct runs, failed ones their
+    row and reason."""
+    emap = scan_2d(system, base, [delta_T], dts)
+    failures = emap.details["failures"]
+    assert list(failures) == [(dt, delta_T) for dt in failing]
+    assert all("overlap" in reason for reason in failures.values())
+    for dt, cell in zip(dts, emap.column(0)):
+        if dt in failing:
+            assert math.isnan(cell)
+        else:
+            direct = run_pair_train(system, delta_T=delta_T, delta_t_small=dt,
+                                    record="none", **base)
+            assert cell == direct.final_target_population
+
+
+def test_column_integrates_its_operators_once(monkeypatch):
+    calls = []
+    integrate = propagator._integrate_pulses
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "_integrate_pulses", counted)
+    emap = scan_2d(build_three_level(), BASE, [8.0, 10.0],
+                   [0.05, 2.0, 3.0, 4.0])
+    assert np.isfinite(emap.efficiency[1:]).all()
+    # one pass per column, over the pump and the dump pulse
+    assert calls == [2, 2]
+
+
+def test_column_failure_gives_every_cell_a_reason():
+    sys3 = build_three_level()
+    # a mask needs one phase per excited level; the three-level system has
+    # one. The overlapping middle cell fails first, and keeps its row.
+    emap = scan_2d(sys3, {**BASE, "dump_phase_mask": [0.1, 0.2]}, [10.0],
+                   [2.0, 9.95, 12.0])
+    assert np.all(np.isnan(emap.efficiency))
+    failures = emap.details["failures"]
+    assert list(failures) == [(2.0, 10.0), (9.95, 10.0), (12.0, 10.0)]
+    assert "overlap" in failures[(9.95, 10.0)]
+    for key in ((2.0, 10.0), (12.0, 10.0)):
+        assert failures[key] == "phase_mask must hold one phase per excited level"
 
 
 def test_scan_grid_validation():
