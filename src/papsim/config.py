@@ -1,9 +1,10 @@
 """Run configuration files.
 
 Configs are JSON documents with a ``protocol`` field, a ``system``
-section, and per-protocol parameter sections. Unknown keys anywhere are
-rejected: a typo in a config must fail loudly, not silently fall back to
-a default.
+section, and the sections that protocol's command reads. Unknown keys
+anywhere are rejected, and so are a section or an output path the
+protocol does not read: a typo or a stray section must fail loudly, not
+silently fall back to a default or be ignored.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 from .fields import PULSE_SHAPES
 from .levels import (LevelSystem, SyntheticMoleculeSpec, build_synthetic_molecule,
                      build_three_level, load_system, strip_decay, validate_system)
+from .propagator import PhaseFrame
 from .protocols import RUNNERS
 
 
@@ -24,17 +26,17 @@ class ConfigError(ValueError):
     """A config file is malformed or inconsistent."""
 
 
-_TOP_KEYS = {"protocol", "system", "decay", "train", "frame", "scan",
-             "revivals", "sweep", "output", "rng_seed", "comment"}
+# per protocol: the sections its command reads, required and optional,
+# and the output paths it writes; every config may set the common keys
+_COMMON_KEYS = {"protocol", "system", "decay", "output", "rng_seed", "comment"}
+_PROTOCOL_TABLE = {
+    **dict.fromkeys(RUNNERS, (("train",), ("frame",), {"result", "trajectory"})),
+    "scan": (("train", "scan"), (), {"map"}),
+    "revivals": (("revivals",), (), {"revivals"}),
+    "sweep": (("train", "sweep"), ("frame",), {"sweep"})}
+PROTOCOLS = tuple(_PROTOCOL_TABLE)
 
 _SYSTEM_KEYS = {"three_level", "synthetic", "file"}
-
-_THREE_LEVEL_KEYS = {"pump_detuning", "dump_detuning", "decay_rate"}
-
-_SYNTHETIC_KEYS = {"n_intermediate", "center_energy", "spacing_pattern",
-                   "dipole_profile", "decay_lifetime", "ground_a_energies",
-                   "ground_b_energies", "initial_index", "target_index",
-                   "dipole_phases"}
 
 # a train section sets its runner's keywords, all but these three; it
 # must set the ones without a default and both areas
@@ -52,13 +54,7 @@ _TRAIN_NUMBERS = set().union(*_TRAIN_KEYS.values()) - {"shape", "dump_phase_mask
 _TRAIN_NULLABLE = {key for params in _RUNNER_PARAMS.values()
                    for key, param in params.items() if param.default is None}
 
-PROTOCOLS = (*_TRAIN_KEYS, "scan", "revivals", "sweep")
-
 SWEEP_PARAMETERS = ("n_pairs", "area_scale", "alpha")
-
-_OUTPUT_KEYS = {"trajectory", "result", "map", "spectrum", "revivals", "sweep"}
-
-_FRAME_KEYS = {"pump_offset", "two_photon_offset"}
 
 _AXIS_KEYS = ("values", "start", "stop", "points")
 
@@ -85,6 +81,41 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# the JSON form of each annotation the system and frame builders use
+_JSON_TYPES = {
+    "int": ("an int", lambda v: type(v) is int),
+    "float": ("a number", _is_number),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "None": ("null", lambda v: v is None),
+    "tuple[float, ...]": ("a list of numbers",
+                          lambda v: isinstance(v, list) and all(map(_is_number, v))),
+}
+
+
+def _json_types(builder) -> dict:
+    """keyword -> (name, check) of each JSON type its annotation allows,
+    for every keyword of builder but the system PhaseFrame.for_system takes."""
+    return {key: [_JSON_TYPES[part] for part in param.annotation.split(" | ")]
+            for key, param in inspect.signature(builder).parameters.items()
+            if key != "system"}
+
+
+_THREE_LEVEL_KEYS = _json_types(build_three_level)
+_SYNTHETIC_KEYS = _json_types(SyntheticMoleculeSpec)
+_SYNTHETIC_REQUIRED = [key for key, param in inspect.signature(
+    SyntheticMoleculeSpec).parameters.items() if param.default is param.empty]
+_FRAME_KEYS = _json_types(PhaseFrame.for_system)
+
+
+def _check_types(section: dict, types: dict, where: str) -> None:
+    """section sets only keys of types, each to a value of its JSON type."""
+    _check_keys(section, types.keys(), where)
+    for key, value in section.items():
+        _require(any(check(value) for _, check in types[key]),
+                 f"{where}.{key} must be "
+                 f"{' or '.join(name for name, _ in types[key])}, got {value!r}")
+
+
 def _check_numbers(section: dict, keys: set, where: str,
                    nullable: set = frozenset()) -> None:
     """Each of keys present in section is an int or float (not a bool)."""
@@ -102,11 +133,14 @@ def _check_number_list(value, name: str) -> None:
 
 def _check_axis(section: dict, prefix: str, where: str) -> None:
     """Non-empty numeric values, else numeric start/stop and points >= 1."""
+    ranged = [prefix + key for key in _AXIS_KEYS[1:] if prefix + key in section]
     if prefix + "values" in section:
+        _require(not ranged, f"{where}.{prefix}values excludes "
+                 + ", ".join(f"{where}.{key}" for key in ranged))
         _check_number_list(section[prefix + "values"],
                            f"{where}.{prefix}values")
         return
-    _require(all(prefix + key in section for key in _AXIS_KEYS[1:]),
+    _require(len(ranged) == 3,
              f"{where} needs {prefix}values or {prefix}start/stop/points")
     _check_numbers(section, {prefix + "start", prefix + "stop"}, where)
     points = section[prefix + "points"]
@@ -127,27 +161,25 @@ def load_config(path: str) -> dict:
 
 def validate_config(cfg: dict) -> None:
     """Raise ConfigError on the first structural problem found."""
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _require(isinstance(cfg, dict), "config must be an object")
     protocol = cfg.get("protocol")
     _require(protocol in PROTOCOLS,
              f"protocol must be one of {PROTOCOLS}, got {protocol!r}")
-    _require("system" in cfg, "config needs a system section")
+    required, optional, outputs = _PROTOCOL_TABLE[protocol]
+    _check_keys(cfg, _COMMON_KEYS.union(required, optional), f"a {protocol} config")
+    for section in ("system", *required):
+        _require(section in cfg, f"protocol {protocol!r} needs a {section} section")
     _validate_system_section(cfg["system"])
 
     if protocol in _TRAIN_KEYS:
-        _require("train" in cfg, f"protocol {protocol!r} needs a train section")
         _validate_train(cfg["train"], protocol)
     if protocol == "scan":
-        _require("train" in cfg, "protocol 'scan' needs a train section")
-        train = dict(cfg["train"])
         # the scanned delays come from the scan axes, not the train section
-        _check_keys(train, _TRAIN_KEYS["pairs"] - {"delta_T", "delta_t_small"},
+        _check_keys(cfg["train"], _TRAIN_KEYS["pairs"] - {"delta_T", "delta_t_small"},
                     "train")
-        _validate_train_values(train)
-        _require("scan" in cfg, "protocol 'scan' needs a scan section")
+        _validate_train_values(cfg["train"])
         _validate_scan(cfg["scan"])
     if protocol == "revivals":
-        _require("revivals" in cfg, "protocol 'revivals' needs a revivals section")
         rev = cfg["revivals"]
         _check_keys(rev, _REVIVALS_KEYS, "revivals")
         _check_numbers(rev, {"t_max", "dt", "threshold"}, "revivals")
@@ -156,8 +188,6 @@ def validate_config(cfg: dict) -> None:
         _require(float(rev.get("t_max", 0)) > 0, "revivals.t_max must be positive")
         _require(float(rev.get("dt", 0)) > 0, "revivals.dt must be positive")
     if protocol == "sweep":
-        _require("train" in cfg, "protocol 'sweep' needs a train section")
-        _require("sweep" in cfg, "protocol 'sweep' needs a sweep section")
         sweep = cfg["sweep"]
         _check_keys(sweep, _SWEEP_KEYS, "sweep")
         swept = sweep.get("protocol")
@@ -169,10 +199,9 @@ def validate_config(cfg: dict) -> None:
                  f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
         _check_axis(sweep, "", "sweep")
     if "frame" in cfg:
-        _check_keys(cfg["frame"], _FRAME_KEYS, "frame")
-        _check_numbers(cfg["frame"], _FRAME_KEYS, "frame")
+        _check_types(cfg["frame"], _FRAME_KEYS, "frame")
     if "output" in cfg:
-        _check_keys(cfg["output"], _OUTPUT_KEYS, "output")
+        _check_keys(cfg["output"], outputs, f"output of a {protocol} config")
         for key, value in cfg["output"].items():
             _require(isinstance(value, str), f"output.{key} must be a path")
     if "decay" in cfg:
@@ -187,14 +216,12 @@ def _validate_system_section(section: dict) -> None:
     _require(len(section) == 1,
              f"system must have exactly one of {sorted(_SYSTEM_KEYS)}")
     if "three_level" in section:
-        _check_keys(section["three_level"], _THREE_LEVEL_KEYS, "system.three_level")
+        _check_types(section["three_level"], _THREE_LEVEL_KEYS, "system.three_level")
     elif "synthetic" in section:
         syn = section["synthetic"]
-        _check_keys(syn, _SYNTHETIC_KEYS, "system.synthetic")
-        _require("n_intermediate" in syn and "center_energy" in syn
-                 and "spacing_pattern" in syn,
-                 "system.synthetic needs n_intermediate, center_energy, "
-                 "spacing_pattern")
+        _check_types(syn, _SYNTHETIC_KEYS, "system.synthetic")
+        _require(all(key in syn for key in _SYNTHETIC_REQUIRED),
+                 f"system.synthetic needs {', '.join(_SYNTHETIC_REQUIRED)}")
     else:
         _require(isinstance(section["file"], str), "system.file must be a path")
 
@@ -240,13 +267,9 @@ def build_system(cfg: dict) -> LevelSystem:
     if "three_level" in section:
         system = build_three_level(**section["three_level"])
     elif "synthetic" in section:
-        syn = dict(section["synthetic"])
-        for key in ("spacing_pattern", "ground_a_energies", "ground_b_energies",
-                    "dipole_phases"):
-            if key in syn and syn[key] is not None:
-                syn[key] = tuple(syn[key])
-        if isinstance(syn.get("dipole_profile"), list):
-            syn["dipole_profile"] = tuple(syn["dipole_profile"])
+        # the spec's sequences are tuples where JSON has lists
+        syn = {key: tuple(value) if isinstance(value, list) else value
+               for key, value in section["synthetic"].items()}
         system = build_synthetic_molecule(SyntheticMoleculeSpec(**syn))
     else:
         try:

@@ -23,13 +23,13 @@ Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
 stack of P states or operators of shape (P, n, m), one step h per
 problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
 half-step grid, by one vectorized rabi_envelope call (windows sample
-their callables once on the same grid). _pulse_operators integrates
-the distinct pulses that _event_table gathers from a set of schedules
-in one batched pass; the one event loop, _run_events, steps a (C, n)
-stack of states through them by exact phase conjugation, each row with
-its own events. run_schedule is one row (record="dense" applies
-operator snapshots kept every _DENSE_STRIDE = 20 steps of that pass),
-a scan column one row per cell. propagate_pulse and propagate_window
+their callables once on the same grid). The one event loop,
+_run_events, integrates the distinct pulses that _event_table gathers
+from a set of schedules in one batched pass, then steps a (C, n) stack
+of states through them by exact phase conjugation, each row with its
+own events. run_schedule is one row (record="dense" applies operator
+snapshots kept every _DENSE_STRIDE = 20 steps of that pass), a scan
+column one row per cell. propagate_pulse and propagate_window
 call the kernel directly; oracle_propagate is the independent check.
 """
 
@@ -347,29 +347,28 @@ def _event_table(schedule: TrainSchedule, pulses: dict) -> np.ndarray:
         for ev in schedule.events], dtype=float).reshape(-1, 5)
 
 
-def _pulse_operators(system: LevelSystem, frame: PhaseFrame, pulses: dict,
-                     steps: int | None, stride: int | None = None):
-    """(ops, snapshots) of the pulses _event_table collected, by index,
-    from one batched pass of _steps(steps) RK4 steps."""
+def _run_events(system: LevelSystem, frame: PhaseFrame, pulses: dict,
+                steps: int | None, tables, states, stride: int | None = None,
+                visit=None):
+    """Integrate the pulses _event_table collected, by index, in one
+    batched pass of _steps(steps) RK4 steps, then step a (C, n) stack of
+    states, row c through the events of tables[c], and return the final
+    (amps, times). The tables are equally long; a row's result does not
+    depend on the other rows. visit(k, start, op, rotated, z, amps, end,
+    snapshots) sees each event k; snapshots are the operators' states
+    every stride steps of the pass."""
     n, P = system.n_levels, len(pulses)
-    if not P:
-        return np.empty((0, n, n), dtype=complex), None
-    eye = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n))
-    return _integrate_pulses(system, frame, [p for _, p in pulses.values()],
-                             [0.0] * P, eye, _steps(steps), stride)
-
-
-def _run_events(system: LevelSystem, frame: PhaseFrame, ops, tables, states, visit=None):
-    """Step a (C, n) stack of states, row c through the events of
-    tables[c], and return the final (amps, times). The tables are
-    equally long; a row's result does not depend on the other rows.
-    visit(k, start, op, rotated, z, amps, end) sees each event k."""
+    ops = snapshots = None
+    if P:
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n))
+        ops, snapshots = _integrate_pulses(system, frame, [p for _, p in pulses.values()],
+                                           [0.0] * P, eye, _steps(steps), stride)
     starts, supports, op_rows, phases, channels = np.array(
         tables, dtype=float).reshape(len(tables), -1, 5).transpose(2, 0, 1)
     times = np.column_stack([[st.time for st in states], starts + supports])
     gaps, phases = starts - times[:, :-1], np.exp(1j * phases)
     # the levels whose phase a pump (0) or a dump (1) carries, per event
-    level, excited = np.arange(system.n_levels), system.slice_excited()
+    level, excited = np.arange(n), system.slice_excited()
     carried = np.array([level < excited.start, level >= excited.stop])[channels.astype(int)]
     op_rows, moving = op_rows.astype(int), gaps > 0
     free = -1j * _diagonal(system, frame)
@@ -381,7 +380,8 @@ def _run_events(system: LevelSystem, frame: PhaseFrame, ops, tables, states, vis
         rotated = np.conj(z) * amps
         amps = z * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
         if visit is not None:
-            visit(k, starts[:, k], op_rows[:, k], rotated, z, amps, times[:, k + 1])
+            visit(k, starts[:, k], op_rows[:, k], rotated, z, amps,
+                  times[:, k + 1], snapshots)
     return amps, times[:, -1]
 
 
@@ -409,11 +409,7 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         frame = PhaseFrame.for_system(system)
     if len(state.amplitudes) != system.n_levels:
         raise ValueError("state length does not match system")
-    if not schedule.events:
-        pops = state.populations()[None, :]
-        return Trajectory(np.array([state.time]), pops, pops.sum(axis=1),
-                          system.labels, state)
-    if state.time > schedule.start_time + 1e-12:
+    if schedule.events and state.time > schedule.start_time + 1e-12:
         raise ValueError(
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
@@ -421,12 +417,10 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     n_steps = _steps(steps)
     pulses: dict = {}
     table = _event_table(schedule, pulses)
-    ops, snapshots = _pulse_operators(system, frame, pulses, n_steps,
-                                      _DENSE_STRIDE if dense else None)
     times = [state.time]
     pops = [state.populations()]
 
-    def visit(k, start, op, rotated, z, amps, end):
+    def visit(k, start, op, rotated, z, amps, end, snapshots):
         if dense:
             inner = z[0] * (snapshots[:, op[0]] @ rotated[0])
             h = schedule.events[k].pulse.support_ps / n_steps
@@ -436,14 +430,16 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             times.append(end[0])
             pops.append(np.abs(amps[0]) ** 2)
 
-    amps, end = _run_events(system, frame, ops, [table], [state], visit)
+    amps, end = _run_events(system, frame, pulses, n_steps, [table], [state],
+                            _DENSE_STRIDE if dense else None, visit)
     pops_arr = np.array(pops)
     return Trajectory(
         times=np.array(times),
         populations=pops_arr,
         norms=pops_arr.sum(axis=1),
         labels=system.labels,
-        final_state=QuantumState(amps[0], float(end[0])),
+        # an empty schedule hands back the state it was given
+        final_state=QuantumState(amps[0], float(end[0])) if schedule.events else state,
     )
 
 

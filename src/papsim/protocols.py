@@ -21,8 +21,6 @@ import inspect
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
 from .fields import (
     TrainEvent,
     TrainSchedule,
@@ -347,6 +345,8 @@ def train_from_reference(kind: str, duration: float, peak_rabi: float,
     kick center. Kicks sit symmetrically about each interval midpoint,
     dump first, delta_t_small apart (default half an interval).
     """
+    from scipy.integrate import quad
+
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
     pump_env, dump_env, pump_phase, dump_phase = reference_envelopes(

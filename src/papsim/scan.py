@@ -19,8 +19,7 @@ import numpy as np
 
 from .config import SWEEP_PARAMETERS, config_fingerprint
 from .levels import LevelSystem, system_to_dict
-from .propagator import (NumericsError, _event_table, _pulse_operators,
-                         _run_events, ground_state)
+from .propagator import NumericsError, _event_table, _run_events, ground_state
 # run_pair_train stays a module attribute: the benchmark wraps it here
 from .protocols import RUNNERS, _pair_train, run_pair_train  # noqa: F401
 from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
@@ -85,12 +84,11 @@ def _scan_column(args) -> tuple[np.ndarray, dict]:
     out = np.full(len(keys), math.nan)
     if valid:
         tables, starts, frames, steps = zip(*(cells[i] for i in valid))
-        ops = _attempt(partial(_pulse_operators, system, frames[0], pulses, steps[0]),
-                       [keys[i] for i in valid], failures)
-        if ops is not None:
-            states = [ground_state(system, start) for start in starts]
-            amps, _ = _run_events(system, frames[0], ops[0], tables, states)
-            for i, row in zip(valid, amps):
+        states = [ground_state(system, start) for start in starts]
+        run = _attempt(partial(_run_events, system, frames[0], pulses, steps[0],
+                               tables, states), [keys[i] for i in valid], failures)
+        if run is not None:
+            for i, row in zip(valid, run[0]):
                 out[i] = (np.abs(row) ** 2)[system.target_global_index]
     return out, {key: failures[key] for key in keys if key in failures}
 

@@ -1,13 +1,16 @@
 """The shipped configs load, build and run; the protocol tables agree."""
 
+import dataclasses
 import inspect
 from pathlib import Path
 
 import pytest
 
-from papsim import (ConfigError, build_system, load_config, scan_2d,
+from papsim import (ConfigError, PhaseFrame, SyntheticMoleculeSpec,
+                    build_system, build_three_level, load_config, scan_2d,
                     validate_config)
-from papsim.config import _TRAIN_KEYS, axis_values
+from papsim.config import (_FRAME_KEYS, _SYNTHETIC_KEYS, _SYNTHETIC_REQUIRED,
+                           _THREE_LEVEL_KEYS, _TRAIN_KEYS, axis_values)
 from papsim.protocols import RUNNERS
 
 SHIPPED = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
@@ -19,6 +22,18 @@ def test_config_keys_and_runners_agree():
         # a train section may set exactly its runner's keywords but three
         params = set(inspect.signature(RUNNERS[protocol]).parameters)
         assert keys == params - {"levels", "frame", "record"}
+
+
+def test_system_and_frame_keys_are_their_builders_keywords():
+    assert set(_THREE_LEVEL_KEYS) == set(
+        inspect.signature(build_three_level).parameters)
+    fields = dataclasses.fields(SyntheticMoleculeSpec)
+    assert set(_SYNTHETIC_KEYS) == {f.name for f in fields}
+    # the spec's fields without a default, in field order
+    assert _SYNTHETIC_REQUIRED == ["n_intermediate", "center_energy",
+                                   "spacing_pattern"]
+    assert set(_FRAME_KEYS) == set(
+        inspect.signature(PhaseFrame.for_system).parameters) - {"system"}
 
 
 @pytest.mark.parametrize("protocol", list(RUNNERS))

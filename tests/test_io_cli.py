@@ -179,6 +179,10 @@ def _pairs_cfg(**train):
     return {"protocol": "pairs", "system": {"three_level": {}}, "train": base}
 
 
+SYNTHETIC = {"n_intermediate": 2, "center_energy": 11145.0,
+             "spacing_pattern": [45.0]}
+
+
 def test_config_validation_accepts_good_configs():
     validate_config(_pairs_cfg())
     validate_config({
@@ -224,6 +228,12 @@ def test_config_validation_rejects_problems():
                          "train": {"n_pairs": 2, "pump_area": 1.0,
                                    "dump_area": 1.0},
                          "scan": {"delta_T_values": [10.0]}})
+    # a list of pairs is not a train section, though dict() would take it
+    with pytest.raises(ConfigError, match="train must be an object"):
+        validate_config({"protocol": "scan", "system": {"three_level": {}},
+                         "train": [["n_pairs", 2]],
+                         "scan": {"delta_T_values": [10.0],
+                                  "delta_t_values": [4.0]}})
 
 
 def test_scan_workers_must_be_a_positive_int(tmp_path):
@@ -288,7 +298,18 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
             ("pairs", _pairs_cfg(dump_phase_mask="x"), "train.dump_phase_mask"),
             ("scan", {**scan, "train": {**scan["train"],
                                         "dump_phase_mask": ["a"]}},
-             "train.dump_phase_mask")):
+             "train.dump_phase_mask"),
+            # system values have the types of their builder's parameters
+            ("pairs", {**_pairs_cfg(), "system": {"three_level": {
+                "pump_detuning": "x"}}}, "system.three_level.pump_detuning"),
+            *(("pairs", {**_pairs_cfg(), "system": {"synthetic": {
+                **SYNTHETIC, key: value}}}, f"system.synthetic.{key}")
+              for key, value in (("n_intermediate", "3"), ("center_energy", "a"),
+                                 ("spacing_pattern", 45.0),
+                                 ("decay_lifetime", "1"),
+                                 ("dipole_profile", 1.0),
+                                 ("ground_b_energies", ["a"]),
+                                 ("initial_index", 0.0)))):
         path = _write_cfg(tmp_path, "bad.cfg", cfg)
         assert main([name, "--config", path, "--quiet"]) == 2
         assert key in capsys.readouterr().err
@@ -300,6 +321,62 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
     validate_config(_pairs_cfg(delta_t_small=None, steps=None,
                                dump_phase_mask=None))
     validate_config(_pairs_cfg(dump_phase_mask=[0.5]))
+    for synthetic in ({"decay_lifetime": None, "dipole_phases": None},
+                      {"dipole_profile": "gaussian", "dipole_phases": [0.1, 0.2]},
+                      {"dipole_profile": [1.0, 0.5], "decay_lifetime": 15}):
+        validate_config({**_pairs_cfg(),
+                         "system": {"synthetic": {**SYNTHETIC, **synthetic}}})
+
+
+_TRAIN = {"n_pairs": 2, "delta_T": 10.0, "pump_area": 1.0, "dump_area": 1.0}
+# per protocol: valid sections its command reads, and the outputs it writes
+_READS = {
+    "stirap": {"train": _TRAIN},
+    "crp": {"train": {**_TRAIN, "alpha_pump": 0.1, "alpha_dump": 0.1}},
+    "pairs": {"train": {**_TRAIN, "delta_t_small": 4.0}},
+    "scan": {"train": {"n_pairs": 2},
+             "scan": {"delta_T_values": [10.0], "delta_t_values": [4.0]}},
+    "revivals": {"revivals": {"t_max": 3.0, "dt": 0.001}},
+    "sweep": {"train": _TRAIN, "sweep": {"protocol": "stirap",
+                                         "parameter": "n_pairs", "values": [2]}},
+}
+_WRITES = {"stirap": ("result", "trajectory"), "crp": ("result", "trajectory"),
+           "pairs": ("result", "trajectory"), "scan": ("map",),
+           "revivals": ("revivals",), "sweep": ("sweep",)}
+# (protocol, what its config adds to that, the key the error must name)
+_UNREAD = [
+    *(("stirap", {section: _READS[section][section]}, section)
+      for section in ("scan", "sweep", "revivals")),
+    ("scan", {"frame": {"pump_offset": 1.0}}, "frame"),
+    ("revivals", {"train": _TRAIN}, "train"),
+    ("revivals", {"frame": {"pump_offset": 1.0}}, "frame"),
+    *((protocol, {"output": {key: key}}, key)
+      for protocol in _READS
+      for key in ("result", "trajectory", "map", "spectrum", "revivals", "sweep")
+      if key not in _WRITES[protocol]),
+    ("scan", {"scan": {**_READS["scan"]["scan"], "delta_t_start": "x"}},
+     "scan.delta_t_start"),
+    ("sweep", {"sweep": {**_READS["sweep"]["sweep"], "points": 3}},
+     "sweep.points"),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol, extra, key", _UNREAD,
+    ids=[f"{p}-{'output.' if 'output' in e else ''}{k}" for p, e, k in _UNREAD])
+def test_config_rejects_what_its_command_does_not_read(protocol, extra, key,
+                                                       tmp_path, capsys):
+    """A section, an output path or half an axis that the protocol's
+    command would ignore exits 2, names the key and writes nothing."""
+    cfg = {"protocol": protocol, "system": {"three_level": {}},
+           **_READS[protocol],
+           "output": {k: str(tmp_path / k) for k in _WRITES[protocol]}}
+    validate_config(cfg)
+    extra = {**extra, "output": {**cfg["output"], **extra.get("output", {})}}
+    path = _write_cfg(tmp_path, "bad.cfg", {**cfg, **extra})
+    assert main([protocol, "--config", path, "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
 
 
 def test_scan_and_sweep_check_the_output_path_first(tmp_path, monkeypatch,

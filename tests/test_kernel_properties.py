@@ -1,6 +1,10 @@
-"""Property tests of the batched RK4 kernel: batching changes no operator."""
+"""Property tests: batching changes no operator, a global phase changes
+no population, and a map survives its CSV round trip bitwise."""
 
 import math
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from papsim import PhaseFrame, make_pulse
+from papsim import (EfficiencyMap, PhaseFrame, QuantumState, TrainEvent,
+                    make_pulse, make_schedule, read_map_csv, run_schedule,
+                    write_map_csv)
 from papsim.levels import Level, LevelSystem
 from papsim.propagator import _integrate_pulses
 
@@ -72,3 +78,51 @@ def test_batched_operators_match_pulses_integrated_alone(case):
     for i, (pulse, phi) in enumerate(zip(pulses, phases)):
         alone, _ = _integrate_pulses(system, frame, [pulse], [phi], eye[:1], STEPS)
         assert np.max(np.abs(batch[i] - alone[0])) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems_and_pulses(), _floats(-math.pi, math.pi),
+       st.sampled_from(("compressed", "dense", "none")), st.data())
+def test_global_phase_leaves_populations_unchanged(case, theta, record, data):
+    system, pulses, phases = case
+    # the pulses one after another, 1 ps apart, each at its drawn phase
+    events, t = [], 0.0
+    for pulse, phi in zip(pulses, phases):
+        events.append(TrainEvent(t + pulse.support_ps / 2.0,
+                                 replace(pulse, carrier_phase=phi)))
+        t += pulse.support_ps + 1.0
+    schedule = make_schedule(events, len(events), 1.0, 0.0, "sequence")
+    n = system.n_levels
+    parts = np.array(data.draw(st.lists(_floats(-1.0, 1.0), min_size=2 * n,
+                                        max_size=2 * n)))
+    amps = parts[:n] + 1j * parts[n:]
+    amps[0] += 1.0  # never the zero vector
+    amps /= np.linalg.norm(amps)
+    frame = PhaseFrame.for_system(system)
+    plain, turned = (run_schedule(QuantumState(a, 0.0), system, schedule, frame,
+                                  record=record, steps=STEPS)
+                     for a in (amps, amps * np.exp(1j * theta)))
+    assert np.array_equal(plain.times, turned.times)
+    assert np.max(np.abs(plain.populations - turned.populations)) < 1e-12
+
+
+_cells = _floats(-1e300, 1e300) | st.just(math.nan)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_random_maps_round_trip_bitwise(rows, cols, data):
+    axis = lambda size: np.array(data.draw(st.lists(
+        _floats(-1e6, 1e6), min_size=size, max_size=size)))
+    efficiency = np.array(data.draw(st.lists(
+        _cells, min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    emap = EfficiencyMap(axis(cols), axis(rows), efficiency,
+                         data.draw(st.text("0123456789abcdef", min_size=16,
+                                           max_size=16)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "map.csv")
+        write_map_csv(path, emap)
+        back = read_map_csv(path)
+    for name in ("delta_T_axis", "delta_t_axis", "efficiency"):
+        assert getattr(back, name).tobytes() == getattr(emap, name).tobytes()
+    assert back.config_fingerprint == emap.config_fingerprint

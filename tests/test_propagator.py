@@ -13,8 +13,7 @@ from papsim import (K_RAD_PS_PER_CM, NumericsError, PhaseFrame, QuantumState,
                     propagate_pulse, propagate_window, run_schedule,
                     SyntheticMoleculeSpec)
 from papsim.levels import Level
-from papsim.propagator import (_event_table, _pulse_operators, _run_events,
-                               pulse_center_phase)
+from papsim.propagator import _event_table, _run_events, pulse_center_phase
 
 
 def _resonant():
@@ -353,11 +352,10 @@ def test_event_rows_do_not_depend_on_the_stack():
     pulses = {}
     tables = [_event_table(s, pulses) for s in schedules]
     assert len(pulses) == 2
-    ops, _ = _pulse_operators(mol, frame, pulses, 60)
     states = [ground_state(mol, s.start_time) for s in schedules]
 
     def run(rows):
-        return _run_events(mol, frame, ops, [tables[i] for i in rows],
+        return _run_events(mol, frame, pulses, 60, [tables[i] for i in rows],
                            [states[i] for i in rows])
 
     all_amps, all_times = run(range(len(dts)))

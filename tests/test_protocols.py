@@ -1,11 +1,16 @@
 """Transfer protocols: population accounting, transients, references."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import papsim
 from papsim import (PhaseFrame, build_three_level, reference_envelopes,
                     run_pair_train, run_piecewise_crp, run_piecewise_stirap,
                     run_reference_ap, train_from_reference)
@@ -166,6 +171,16 @@ def test_chopping_preserves_interval_actions():
 
     with pytest.raises(ValueError):
         train_from_reference("stirap", duration, 1.5, 0)
+
+
+def test_import_loads_no_scipy():
+    """import papsim loads numpy only; scipy waits for train_from_reference
+    and the oracle, the two places that use it."""
+    code = "import sys, papsim; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": str(Path(papsim.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("runner, args, keyword", [
