@@ -4,7 +4,8 @@ Configs are JSON documents with a ``protocol`` field, a ``system``
 section, and the sections that protocol's command reads. Unknown keys
 anywhere are rejected, and so are a section or an output path the
 protocol does not read: a typo or a stray section must fail loudly, not
-silently fall back to a default or be ignored.
+silently fall back to a default or be ignored. Every value takes the
+JSON type its reader declares, checked by the one ``_check_types``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class ConfigError(ValueError):
 
 # per protocol: the sections its command reads, required and optional,
 # and the output paths it writes; every config may set the common keys
-_COMMON_KEYS = {"protocol", "system", "decay", "output", "rng_seed", "comment"}
+_COMMON_KEYS = {"protocol", "system", "decay", "output", "comment"}
 _PROTOCOL_TABLE = {
     **dict.fromkeys(RUNNERS, (("train",), ("frame",), {"result", "trajectory"})),
     "scan": (("train", "scan"), (), {"map"}),
@@ -38,32 +39,7 @@ PROTOCOLS = tuple(_PROTOCOL_TABLE)
 
 _SYSTEM_KEYS = {"three_level", "synthetic", "file"}
 
-# a train section sets its runner's keywords, all but these three; it
-# must set the ones without a default and both areas
-_RUNNER_PARAMS = {name: inspect.signature(runner).parameters
-                  for name, runner in RUNNERS.items()}
-_TRAIN_KEYS = {name: set(params) - {"levels", "frame", "record"}
-               for name, params in _RUNNER_PARAMS.items()}
-_TRAIN_REQUIRED = {name: [key for key, param in params.items()
-                          if param.default is param.empty and key != "levels"]
-                   + ["pump_area", "dump_area"]
-                   for name, params in _RUNNER_PARAMS.items()}
-
-# every other train key is a number; null in these means the runner's default
-_TRAIN_NUMBERS = set().union(*_TRAIN_KEYS.values()) - {"shape", "dump_phase_mask"}
-_TRAIN_NULLABLE = {key for params in _RUNNER_PARAMS.values()
-                   for key, param in params.items() if param.default is None}
-
 SWEEP_PARAMETERS = ("n_pairs", "area_scale", "alpha")
-
-_AXIS_KEYS = ("values", "start", "stop", "points")
-
-_SCAN_KEYS = ({axis + key for axis in ("delta_T_", "delta_t_")
-               for key in _AXIS_KEYS} | {"workers"})
-
-_REVIVALS_KEYS = {"t_max", "dt", "threshold", "weights"}
-
-_SWEEP_KEYS = {"protocol", "parameter", *_AXIS_KEYS}
 
 
 def _require(cond: bool, message: str) -> None:
@@ -81,7 +57,7 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-# the JSON form of each annotation the system and frame builders use
+# the JSON form of each annotation a config's readers use
 _JSON_TYPES = {
     "int": ("an int", lambda v: type(v) is int),
     "float": ("a number", _is_number),
@@ -92,12 +68,17 @@ _JSON_TYPES = {
 }
 
 
-def _json_types(builder) -> dict:
-    """keyword -> (name, check) of each JSON type its annotation allows,
-    for every keyword of builder but the system PhaseFrame.for_system takes."""
-    return {key: [_JSON_TYPES[part] for part in param.annotation.split(" | ")]
-            for key, param in inspect.signature(builder).parameters.items()
-            if key != "system"}
+def _types(annotations: dict) -> dict:
+    """key -> (name, check) of each JSON type its annotation allows."""
+    return {key: [_JSON_TYPES[part] for part in annotation.split(" | ")]
+            for key, annotation in annotations.items()}
+
+
+def _json_types(reader, skip=("system",)) -> dict:
+    """The types of every keyword of reader but those in skip."""
+    return _types({key: param.annotation for key, param
+                   in inspect.signature(reader).parameters.items()
+                   if key not in skip})
 
 
 _THREE_LEVEL_KEYS = _json_types(build_three_level)
@@ -106,46 +87,79 @@ _SYNTHETIC_REQUIRED = [key for key, param in inspect.signature(
     SyntheticMoleculeSpec).parameters.items() if param.default is param.empty]
 _FRAME_KEYS = _json_types(PhaseFrame.for_system)
 
+# a train section sets its runner's keywords, all but these three; it
+# must set the ones without a default and both areas; a scan's train is
+# a pairs train without the two delays its axes set, and sets n_pairs
+_TRAIN_KEYS = {name: _json_types(runner, ("levels", "frame", "record"))
+               for name, runner in RUNNERS.items()}
+_TRAIN_REQUIRED = {name: [key for key, param
+                          in inspect.signature(runner).parameters.items()
+                          if param.default is param.empty and key != "levels"]
+                   + ["pump_area", "dump_area"]
+                   for name, runner in RUNNERS.items()}
+_TRAIN_KEYS["scan"] = {key: types for key, types in _TRAIN_KEYS["pairs"].items()
+                       if key not in ("delta_T", "delta_t_small")}
+_TRAIN_REQUIRED["scan"] = ["n_pairs"]
 
-def _check_types(section: dict, types: dict, where: str) -> None:
-    """section sets only keys of types, each to a value of its JSON type."""
+# every other section; scan.py reads scan, sweep and revivals and
+# imports config, so their annotation tables are literal here
+_AXIS_TYPES = {"values": "tuple[float, ...]", "start": "float",
+               "stop": "float", "points": "int"}
+_SECTION_KEYS = {
+    "frame": _FRAME_KEYS,
+    "scan": _types({"workers": "int",
+                    **{axis + key: annotation
+                       for axis in ("delta_T_", "delta_t_")
+                       for key, annotation in _AXIS_TYPES.items()}}),
+    "sweep": _types({"protocol": "str", "parameter": "str", **_AXIS_TYPES}),
+    "revivals": _types({"t_max": "float", "dt": "float", "threshold": "float",
+                        "weights": "tuple[float, ...] | None"}),
+}
+_SECTION_REQUIRED = {"revivals": ("t_max", "dt"), "sweep": ("protocol", "parameter")}
+
+# the bounds a type does not say, by key: (what the value must be, test)
+_BOUNDS = {
+    **dict.fromkeys(("train.delta_T", "train.fwhm", "revivals.t_max",
+                     "revivals.dt"), ("positive", lambda v: v > 0)),
+    **dict.fromkeys(("train.n_pairs", "train.pump_area", "train.dump_area"),
+                    (">= 0", lambda v: v >= 0)),
+    **dict.fromkeys(("scan.workers", "scan.delta_T_points",
+                     "scan.delta_t_points", "sweep.points"),
+                    (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("train.dump_phase_mask", "revivals.weights",
+                     "scan.delta_T_values", "scan.delta_t_values",
+                     "sweep.values"), ("non-empty", len)),
+    "train.shape": (f"one of {PULSE_SHAPES}", PULSE_SHAPES.__contains__),
+    "sweep.protocol": (f"one of {tuple(RUNNERS)}", RUNNERS.__contains__),
+    "sweep.parameter": (f"one of {SWEEP_PARAMETERS}", SWEEP_PARAMETERS.__contains__),
+}
+
+
+def _check_types(section: dict, types: dict, where: str, required=()) -> None:
+    """section sets only keys of types, each to a value of its JSON type
+    inside its bound, and sets every required key."""
     _check_keys(section, types.keys(), where)
     for key, value in section.items():
         _require(any(check(value) for _, check in types[key]),
                  f"{where}.{key} must be "
                  f"{' or '.join(name for name, _ in types[key])}, got {value!r}")
-
-
-def _check_numbers(section: dict, keys: set, where: str,
-                   nullable: set = frozenset()) -> None:
-    """Each of keys present in section is an int or float (not a bool)."""
-    for key in sorted(keys & set(section)):
-        value = section[key]
-        _require(_is_number(value) or (value is None and key in nullable),
-                 f"{where}.{key} must be a number, got {value!r}")
-
-
-def _check_number_list(value, name: str) -> None:
-    _require(isinstance(value, list) and len(value) > 0
-             and all(_is_number(v) for v in value),
-             f"{name} must be a non-empty list of numbers, got {value!r}")
+        what, within = _BOUNDS.get(f"{where}.{key}", (None, None))
+        _require(value is None or within is None or within(value),
+                 f"{where}.{key} must be {what}, got {value!r}")
+    for key in required:
+        _require(key in section, f"{where}.{key} is required")
 
 
 def _check_axis(section: dict, prefix: str, where: str) -> None:
-    """Non-empty numeric values, else numeric start/stop and points >= 1."""
-    ranged = [prefix + key for key in _AXIS_KEYS[1:] if prefix + key in section]
+    """Either prefix + values or the start/stop/points range, not both."""
+    ranged = [prefix + key for key in ("start", "stop", "points")
+              if prefix + key in section]
     if prefix + "values" in section:
         _require(not ranged, f"{where}.{prefix}values excludes "
                  + ", ".join(f"{where}.{key}" for key in ranged))
-        _check_number_list(section[prefix + "values"],
-                           f"{where}.{prefix}values")
-        return
-    _require(len(ranged) == 3,
-             f"{where} needs {prefix}values or {prefix}start/stop/points")
-    _check_numbers(section, {prefix + "start", prefix + "stop"}, where)
-    points = section[prefix + "points"]
-    _require(type(points) is int and points >= 1,
-             f"{where}.{prefix}points must be an int >= 1, got {points!r}")
+    else:
+        _require(len(ranged) == 3,
+                 f"{where} needs {prefix}values or {prefix}start/stop/points")
 
 
 def load_config(path: str) -> dict:
@@ -170,45 +184,26 @@ def validate_config(cfg: dict) -> None:
     for section in ("system", *required):
         _require(section in cfg, f"protocol {protocol!r} needs a {section} section")
     _validate_system_section(cfg["system"])
-
-    if protocol in _TRAIN_KEYS:
-        _validate_train(cfg["train"], protocol)
+    for section, types in _SECTION_KEYS.items():
+        if section in cfg:
+            _check_types(cfg[section], types, section,
+                         _SECTION_REQUIRED.get(section, ()))
     if protocol == "scan":
-        # the scanned delays come from the scan axes, not the train section
-        _check_keys(cfg["train"], _TRAIN_KEYS["pairs"] - {"delta_T", "delta_t_small"},
-                    "train")
-        _validate_train_values(cfg["train"])
-        _validate_scan(cfg["scan"])
-    if protocol == "revivals":
-        rev = cfg["revivals"]
-        _check_keys(rev, _REVIVALS_KEYS, "revivals")
-        _check_numbers(rev, {"t_max", "dt", "threshold"}, "revivals")
-        if rev.get("weights") is not None:
-            _check_number_list(rev["weights"], "revivals.weights")
-        _require(float(rev.get("t_max", 0)) > 0, "revivals.t_max must be positive")
-        _require(float(rev.get("dt", 0)) > 0, "revivals.dt must be positive")
+        for axis in ("delta_T_", "delta_t_"):
+            _check_axis(cfg["scan"], axis, "scan")
     if protocol == "sweep":
-        sweep = cfg["sweep"]
-        _check_keys(sweep, _SWEEP_KEYS, "sweep")
-        swept = sweep.get("protocol")
-        _require(swept in _TRAIN_KEYS,
-                 f"sweep.protocol must be one of {tuple(_TRAIN_KEYS)}, "
-                 f"got {swept!r}")
-        _validate_train(cfg["train"], swept)
-        _require(sweep.get("parameter") in SWEEP_PARAMETERS,
-                 f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
-        _check_axis(sweep, "", "sweep")
-    if "frame" in cfg:
-        _check_types(cfg["frame"], _FRAME_KEYS, "frame")
+        _check_axis(cfg["sweep"], "", "sweep")
+    if "train" in cfg:
+        # a sweep's train is the swept protocol's
+        trains = cfg["sweep"]["protocol"] if protocol == "sweep" else protocol
+        _check_types(cfg["train"], _TRAIN_KEYS[trains], "train",
+                     _TRAIN_REQUIRED[trains])
     if "output" in cfg:
         _check_keys(cfg["output"], outputs, f"output of a {protocol} config")
         for key, value in cfg["output"].items():
             _require(isinstance(value, str), f"output.{key} must be a path")
     if "decay" in cfg:
         _require(isinstance(cfg["decay"], bool), "decay must be true or false")
-    # rng_seed is still accepted so older configs load; nothing is random
-    if "rng_seed" in cfg:
-        _require(isinstance(cfg["rng_seed"], int), "rng_seed must be an integer")
 
 
 def _validate_system_section(section: dict) -> None:
@@ -218,47 +213,10 @@ def _validate_system_section(section: dict) -> None:
     if "three_level" in section:
         _check_types(section["three_level"], _THREE_LEVEL_KEYS, "system.three_level")
     elif "synthetic" in section:
-        syn = section["synthetic"]
-        _check_types(syn, _SYNTHETIC_KEYS, "system.synthetic")
-        _require(all(key in syn for key in _SYNTHETIC_REQUIRED),
-                 f"system.synthetic needs {', '.join(_SYNTHETIC_REQUIRED)}")
+        _check_types(section["synthetic"], _SYNTHETIC_KEYS, "system.synthetic",
+                     _SYNTHETIC_REQUIRED)
     else:
         _require(isinstance(section["file"], str), "system.file must be a path")
-
-
-def _validate_train(train: dict, protocol: str) -> None:
-    _check_keys(train, _TRAIN_KEYS[protocol], "train")
-    for key in _TRAIN_REQUIRED[protocol]:
-        _require(key in train, f"train.{key} is required for {protocol}")
-    _validate_train_values(train)
-
-
-def _validate_train_values(train: dict) -> None:
-    if "n_pairs" in train:
-        n = train["n_pairs"]
-        _require(type(n) is int and n >= 0, "train.n_pairs must be an int >= 0")
-    _check_numbers(train, _TRAIN_NUMBERS, "train", _TRAIN_NULLABLE)
-    if train.get("dump_phase_mask") is not None:
-        _check_number_list(train["dump_phase_mask"], "train.dump_phase_mask")
-    for key in ("delta_T", "fwhm"):
-        if key in train:
-            _require(float(train[key]) > 0, f"train.{key} must be positive")
-    for key in ("pump_area", "dump_area"):
-        if key in train:
-            _require(float(train[key]) >= 0, f"train.{key} must be >= 0")
-    if "shape" in train:
-        _require(train["shape"] in PULSE_SHAPES,
-                 f"train.shape must be one of {PULSE_SHAPES}")
-
-
-def _validate_scan(scan: dict) -> None:
-    _check_keys(scan, _SCAN_KEYS, "scan")
-    for axis in ("delta_T_", "delta_t_"):
-        _check_axis(scan, axis, "scan")
-    if "workers" in scan:
-        workers = scan["workers"]
-        _require(type(workers) is int and workers >= 1,
-                 f"scan.workers must be an int >= 1, got {workers!r}")
 
 
 def build_system(cfg: dict) -> LevelSystem:

@@ -8,6 +8,7 @@ A system holds three ordered manifolds of levels. The pump field couples
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -318,14 +319,26 @@ def _manifold_record(levels: tuple[Level, ...]) -> list[dict]:
             for lv in levels]
 
 
+def _typed(value, kind: type, key: str):
+    """value as kind, an int or a float; a ValueError naming key if it is
+    not integral (for int) or real (for float), or if it is a bool."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral if kind is int else numbers.Real):
+        raise ValueError(f"{key} must be {'an int' if kind is int else 'a number'}"
+                         f", got {value!r}")
+    return kind(value)
+
+
 def _manifold_from_record(rows: list[dict]) -> tuple[Level, ...]:
     out = []
     for row in rows:
         extra = set(row) - {"label", "energy", "decay_rate"}
         if extra:
             raise ValueError(f"unknown level keys: {sorted(extra)}")
-        out.append(Level(str(row["label"]), float(row["energy"]),
-                         float(row.get("decay_rate", 0.0))))
+        label = str(row["label"])
+        out.append(Level(label, _typed(row["energy"], float, f"{label}.energy"),
+                         _typed(row.get("decay_rate", 0.0), float,
+                                f"{label}.decay_rate")))
     return tuple(out)
 
 
@@ -359,8 +372,8 @@ def system_from_dict(data: dict) -> LevelSystem:
         pump_dipoles=np.asarray(data["pump_dipoles"], dtype=float),
         dump_dipoles=np.asarray(data["dump_dipoles"], dtype=float),
         dipole_phases=None if phases is None else np.asarray(phases, dtype=float),
-        initial_index=int(data.get("initial_index", 0)),
-        target_index=int(data.get("target_index", 0)),
+        initial_index=_typed(data.get("initial_index", 0), int, "initial_index"),
+        target_index=_typed(data.get("target_index", 0), int, "target_index"),
         carrier_anchor=data.get("carrier_anchor"),
     )
 

@@ -132,7 +132,7 @@ def _train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
            delta_T: float, delta_t_small: float | None, pump_area: float,
            dump_area: float, *, shape: str, fwhm: float,
            frame: PhaseFrame | None, f0_pump: float,
-           dump_phase_mask=None, alpha_pump: float = 0.0,
+           dump_phase_mask: tuple[float, ...] | None = None, alpha_pump: float = 0.0,
            alpha_dump: float = 0.0, sigma_pairs: float | None = None,
            extra_pump_dump_delay: float = 0.0):
     """Schedule, frame and details of a runner; only "crp" reads the chirp."""
@@ -184,7 +184,7 @@ def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,
                          delta_t_small: float | None = None,
                          shape: str = DEFAULT_SHAPE,
                          fwhm: float = DEFAULT_FWHM_FS,
-                         dump_phase_mask=None,
+                         dump_phase_mask: tuple[float, ...] | None = None,
                          frame: PhaseFrame | None = None,
                          f0_pump: float = 0.0,
                          record: str = "dense",
@@ -234,12 +234,12 @@ def run_piecewise_crp(levels: LevelSystem, n_pairs: int, delta_T: float,
 
 
 def run_pair_train(levels: LevelSystem, n_pairs: int, delta_T: float,
-                   delta_t_small: float, *,
+                   delta_t_small: float | None, *,
                    pump_area: float = DEFAULT_PAIR_AREA,
                    dump_area: float = DEFAULT_PAIR_AREA,
                    shape: str = DEFAULT_SHAPE,
                    fwhm: float = DEFAULT_FWHM_FS,
-                   dump_phase_mask=None,
+                   dump_phase_mask: tuple[float, ...] | None = None,
                    frame: PhaseFrame | None = None,
                    f0_pump: float = 0.0,
                    record: str = "compressed",

@@ -9,19 +9,33 @@ import pytest
 from papsim import (ConfigError, PhaseFrame, SyntheticMoleculeSpec,
                     build_system, build_three_level, load_config, scan_2d,
                     validate_config)
-from papsim.config import (_FRAME_KEYS, _SYNTHETIC_KEYS, _SYNTHETIC_REQUIRED,
-                           _THREE_LEVEL_KEYS, _TRAIN_KEYS, axis_values)
+from papsim.config import (_FRAME_KEYS, _JSON_TYPES, _SYNTHETIC_KEYS,
+                           _SYNTHETIC_REQUIRED, _THREE_LEVEL_KEYS, _TRAIN_KEYS,
+                           axis_values)
 from papsim.protocols import RUNNERS
 
 SHIPPED = sorted((Path(__file__).parent.parent / "configs").glob("*.cfg"))
 
 
 def test_config_keys_and_runners_agree():
-    assert list(_TRAIN_KEYS) == list(RUNNERS)
-    for protocol, keys in _TRAIN_KEYS.items():
-        # a train section may set exactly its runner's keywords but three
-        params = set(inspect.signature(RUNNERS[protocol]).parameters)
-        assert keys == params - {"levels", "frame", "record"}
+    assert list(_TRAIN_KEYS) == [*RUNNERS, "scan"]
+    for protocol, runner in RUNNERS.items():
+        # a train section may set exactly its runner's keywords but three,
+        # each to the JSON form of its annotation
+        params = inspect.signature(runner).parameters
+        assert set(_TRAIN_KEYS[protocol]) == set(params) - {"levels", "frame",
+                                                            "record"}
+        for key, types in _TRAIN_KEYS[protocol].items():
+            assert types == [_JSON_TYPES[part]
+                             for part in params[key].annotation.split(" | ")]
+    names = lambda key: [name for name, _ in _TRAIN_KEYS["pairs"][key]]
+    assert names("steps") == ["an int", "null"]
+    assert names("dump_phase_mask") == ["a list of numbers", "null"]
+    assert names("delta_t_small") == ["a number", "null"]
+    # a scan's train is a pairs train but for the two delays its axes set
+    assert _TRAIN_KEYS["scan"] == {
+        key: types for key, types in _TRAIN_KEYS["pairs"].items()
+        if key not in ("delta_T", "delta_t_small")}
 
 
 def test_system_and_frame_keys_are_their_builders_keywords():

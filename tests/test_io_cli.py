@@ -187,7 +187,7 @@ def test_config_validation_accepts_good_configs():
     validate_config(_pairs_cfg())
     validate_config({
         "protocol": "crp", "system": {"three_level": {"pump_detuning": 1.0}},
-        "decay": False, "rng_seed": 7,
+        "decay": False,
         "train": {"n_pairs": 4, "delta_T": 10.0, "pump_area": 1.0,
                   "dump_area": 1.0, "alpha_pump": 0.1, "alpha_dump": 0.1}})
 
@@ -213,8 +213,10 @@ def test_config_validation_rejects_problems():
         validate_config(cfg)
     with pytest.raises(ConfigError, match="decay"):
         validate_config({**_pairs_cfg(), "decay": "no"})
-    with pytest.raises(ConfigError, match="rng_seed"):
-        validate_config({**_pairs_cfg(), "rng_seed": "fortytwo"})
+    # nothing is random, so nothing reads a seed
+    with pytest.raises(ConfigError,
+                       match=r"unknown keys in a pairs config: \['rng_seed'\]"):
+        validate_config({**_pairs_cfg(), "rng_seed": 7})
     with pytest.raises(ConfigError, match="exactly one"):
         validate_config({"protocol": "pairs",
                          "system": {"three_level": {}, "file": "x.json"},
@@ -271,7 +273,29 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
                        "values": [2]}}
     for good in (revivals, scan, sweep):
         validate_config(good)
+    # a system file's indices are ints and its energies numbers
+    save_system(build_three_level(), str(tmp_path / "sys.json"))
+    text = (tmp_path / "sys.json").read_text()
+    system_files = {}
+    for key, old, new in (
+            ("target_index", '"target_index": 0', '"target_index": 0.7'),
+            ("energy", '"energy": 0.0', '"energy": "5"')):
+        assert old in text
+        system_files[key] = tmp_path / f"{key}.json"
+        system_files[key].write_text(text.replace(old, new, 1))
     for name, cfg, key in (
+            # steps is an int: a fraction is an error, never truncated
+            *(("pairs", _pairs_cfg(steps=steps), "train.steps")
+              for steps in (50.7, 3.5)),
+            ("pairs", _pairs_cfg(dump_phase_mask=[]), "train.dump_phase_mask"),
+            ("revivals", {**revivals, "revivals": {**revivals["revivals"],
+                                                   "weights": []}},
+             "revivals.weights"),
+            # a scan train sets n_pairs; the scanned delays come from the axes
+            ("scan", {**scan, "train": {"pump_area": 1.0, "dump_area": 1.0}},
+             "train.n_pairs"),
+            *(("pairs", {**_pairs_cfg(), "system": {"file": str(path)}}, key)
+              for key, path in system_files.items()),
             ("stirap", {**STIRAP_CFG, "train": {**STIRAP_CFG["train"],
                                                "delta_T": "10"}},
              "train.delta_T"),
@@ -320,6 +344,10 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
     # null keeps the runner's default where the runner has one
     validate_config(_pairs_cfg(delta_t_small=None, steps=None,
                                dump_phase_mask=None))
+    validate_config({"protocol": "crp", "system": {"three_level": {}},
+                     "train": {"n_pairs": 4, "delta_T": 10.0, "pump_area": 1.0,
+                               "dump_area": 1.0, "alpha_pump": 0.1,
+                               "alpha_dump": 0.1, "sigma_pairs": None}})
     validate_config(_pairs_cfg(dump_phase_mask=[0.5]))
     for synthetic in ({"decay_lifetime": None, "dipole_phases": None},
                       {"dipole_profile": "gaussian", "dipole_phases": [0.1, 0.2]},

@@ -1,6 +1,8 @@
 """Property tests: batching changes no operator, a global phase changes
-no population, and a map survives its CSV round trip bitwise."""
+no population, a map survives its CSV round trip bitwise, and a config's
+fingerprint survives JSON, key order and sequence types."""
 
+import json
 import math
 import os
 import tempfile
@@ -13,8 +15,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from papsim import (EfficiencyMap, PhaseFrame, QuantumState, TrainEvent,
-                    make_pulse, make_schedule, read_map_csv, run_schedule,
-                    write_map_csv)
+                    config_fingerprint, make_pulse, make_schedule, read_map_csv,
+                    run_schedule, write_map_csv)
 from papsim.levels import Level, LevelSystem
 from papsim.propagator import _integrate_pulses
 
@@ -126,3 +128,41 @@ def test_random_maps_round_trip_bitwise(rows, cols, data):
     for name in ("delta_T_axis", "delta_t_axis", "efficiency"):
         assert getattr(back, name).tobytes() == getattr(emap, name).tobytes()
     assert back.config_fingerprint == emap.config_fingerprint
+
+
+_leaves = _floats(-1e300, 1e300) | st.integers(-10**6, 10**6) | st.text(max_size=4)
+_configs = st.dictionaries(st.text(max_size=4), st.recursive(
+    _leaves, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=16),
+    max_size=5)
+
+
+def _reordered(obj):
+    """obj with every dict's keys in reverse order."""
+    if isinstance(obj, dict):
+        return {key: _reordered(obj[key]) for key in reversed(list(obj))}
+    if isinstance(obj, list):
+        return [_reordered(v) for v in obj]
+    return obj
+
+
+def _as_sequences(obj):
+    """obj with lists of only floats or only ints as arrays, other lists
+    as tuples."""
+    if isinstance(obj, dict):
+        return {key: _as_sequences(v) for key, v in obj.items()}
+    if isinstance(obj, list):
+        for kind in (float, int):
+            if obj and all(type(v) is kind for v in obj):
+                return np.array(obj)
+        return tuple(_as_sequences(v) for v in obj)
+    return obj
+
+
+@settings(max_examples=50, deadline=None)
+@given(_configs)
+def test_fingerprint_survives_json_key_order_and_sequence_types(cfg):
+    base = config_fingerprint(cfg)
+    assert config_fingerprint(json.loads(json.dumps(cfg))) == base
+    assert config_fingerprint(_reordered(cfg)) == base
+    assert config_fingerprint(_as_sequences(cfg)) == base

@@ -1,5 +1,6 @@
 """Level-system builders, validation, and file round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -181,3 +182,20 @@ def test_file_round_trip_and_unknown_keys(tmp_path):
     data["format_version"] = 99
     with pytest.raises(ValueError):
         system_from_dict(data)
+
+
+def test_system_file_values_take_their_types():
+    data = json.loads(json.dumps(system_to_dict(build_three_level())))
+    # JSON ints are fine energies and decay rates, and load as floats
+    data["excited"][0].update(energy=11000, decay_rate=0)
+    back = system_from_dict(data)
+    assert type(back.excited[0].energy) is float
+    assert back.excited[0].energy == 11000.0
+    for manifold, key, value in (
+            (None, "target_index", 0.7), (None, "initial_index", True),
+            ("excited", "energy", "5"), ("excited", "decay_rate", None),
+            ("ground_b", "energy", [1.0])):
+        bad = json.loads(json.dumps(data))
+        (bad if manifold is None else bad[manifold][0])[key] = value
+        with pytest.raises(ValueError, match=key):
+            system_from_dict(bad)
