@@ -123,6 +123,7 @@ _BOUNDS = {
                      "revivals.dt"), ("positive", lambda v: v > 0)),
     **dict.fromkeys(("train.n_pairs", "train.pump_area", "train.dump_area"),
                     (">= 0", lambda v: v >= 0)),
+    "train.steps": (">= 4", lambda v: v >= 4),
     **dict.fromkeys(("scan.workers", "scan.delta_T_points",
                      "scan.delta_t_points", "sweep.points"),
                     (">= 1", lambda v: v >= 1)),

@@ -329,6 +329,19 @@ def _typed(value, kind: type, key: str):
     return kind(value)
 
 
+def _numbers(value, key: str) -> np.ndarray:
+    """value, a number or nested lists of numbers, as a float array; a
+    ValueError naming key if any entry is not a number."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, list):
+            stack.extend(item)
+        else:
+            _typed(item, float, f"each entry of {key}")
+    return np.asarray(value, dtype=float)
+
+
 def _manifold_from_record(rows: list[dict]) -> tuple[Level, ...]:
     out = []
     for row in rows:
@@ -364,17 +377,17 @@ def system_from_dict(data: dict) -> LevelSystem:
     version = data.get("format_version")
     if version != SYSTEM_FORMAT_VERSION:
         raise ValueError(f"unsupported system format_version: {version!r}")
-    phases = data.get("dipole_phases")
+    phases, anchor = data.get("dipole_phases"), data.get("carrier_anchor")
     return LevelSystem(
         ground_a=_manifold_from_record(data["ground_a"]),
         excited=_manifold_from_record(data["excited"]),
         ground_b=_manifold_from_record(data["ground_b"]),
-        pump_dipoles=np.asarray(data["pump_dipoles"], dtype=float),
-        dump_dipoles=np.asarray(data["dump_dipoles"], dtype=float),
-        dipole_phases=None if phases is None else np.asarray(phases, dtype=float),
+        pump_dipoles=_numbers(data["pump_dipoles"], "pump_dipoles"),
+        dump_dipoles=_numbers(data["dump_dipoles"], "dump_dipoles"),
+        dipole_phases=None if phases is None else _numbers(phases, "dipole_phases"),
         initial_index=_typed(data.get("initial_index", 0), int, "initial_index"),
         target_index=_typed(data.get("target_index", 0), int, "target_index"),
-        carrier_anchor=data.get("carrier_anchor"),
+        carrier_anchor=None if anchor is None else _typed(anchor, float, "carrier_anchor"),
     )
 
 

@@ -22,15 +22,23 @@ Every pulse and window goes through one fixed-step RK4 kernel, _rk4.
 Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
 stack of P states or operators of shape (P, n, m), one step h per
 problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
-half-step grid, by one vectorized rabi_envelope call (windows sample
-their callables once on the same grid). The one event loop,
-_run_events, integrates the distinct pulses that _event_table gathers
-from a set of schedules in one batched pass, then steps a (C, n) stack
-of states through them by exact phase conjugation, each row with its
-own events. run_schedule is one row (record="dense" applies operator
-snapshots kept every _DENSE_STRIDE = 20 steps of that pass), a scan
-column one row per cell. propagate_pulse and propagate_window
-call the kernel directly; oracle_propagate is the independent check.
+half-step grid, by one vectorized rabi_envelope call. The one event
+loop, _run_events, integrates the distinct pulses that _event_table
+gathers from a set of schedules in one batched pass, then steps a
+(C, n) stack of states through them by exact phase conjugation, each
+row with its own events. run_schedule is one row (record="dense"
+applies operator snapshots kept every _DENSE_STRIDE = 20 steps of that
+pass), a scan column one row per cell. propagate_pulse calls the kernel
+directly.
+
+propagate_window samples its callables once on the half-step grid of
+the whole window. Its ODE is linear, so U(t2, t0) = U(t2, t1) U(t1, t0):
+the window is cut into segments of max(1, steps // 400) steps, whose
+operators are one batched kernel pass, each problem with its own slice
+of the samples (the steps left over are one more small pass). The
+state is chained through the operators in time order, and each state
+between two segments is a recorded sample. oracle_propagate is the
+independent check.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import PulseSpec, TrainSchedule, rabi_envelope
 from .levels import LevelSystem, raman_shift
@@ -177,9 +186,11 @@ def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
 
 # --- the RK4 kernel ---
 
-# steps whose drive coefficients are laid out at once; bounds the
-# kernel's scratch memory independently of the number of steps
+# steps, and (problem, step) pairs, whose drive coefficients are laid out
+# at once; bounds the kernel's scratch memory independently of the number
+# of steps and of problems
 _BLOCK_STEPS = 64
+_BLOCK_CELLS = 4096
 
 
 def _step_generators(basis: np.ndarray, channels, n: int, steps: int):
@@ -191,14 +202,14 @@ def _step_generators(basis: np.ndarray, channels, n: int, steps: int):
     time, so no per-sample Hamiltonian stack is ever built.
     """
     P = basis.shape[0]
-    coef = np.ones((2 * _BLOCK_STEPS + 1, P, 1, basis.shape[1]),
-                   dtype=complex)
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // P))
+    coef = np.ones((2 * block + 1, P, 1, basis.shape[1]), dtype=complex)
 
     def generator(j: int) -> np.ndarray:
         return (coef[j] @ basis).reshape(P, n, n)
 
-    for k0 in range(0, steps, _BLOCK_STEPS):
-        k1 = min(k0 + _BLOCK_STEPS, steps)
+    for k0 in range(0, steps, block):
+        k1 = min(k0 + block, steps)
         rows = slice(2 * k0, 2 * k1 + 1)
         for c, (_, drive) in enumerate(channels):
             samples = drive[:, rows].T
@@ -446,19 +457,26 @@ def run_schedule(state: QuantumState, system: LevelSystem,
 def propagate_window(state: QuantumState, system: LevelSystem,
                      pump_rabi, dump_rabi, frame: PhaseFrame,
                      duration: float, steps: int,
-                     pump_phase=None, dump_phase=None,
-                     record_stride: int | None = None) -> Trajectory:
+                     pump_phase=None, dump_phase=None) -> Trajectory:
     """RK4 over a window where both channels may drive simultaneously.
 
     pump_rabi / dump_rabi are callables Omega(t) (rad/ps) of absolute
     time; pump_phase / dump_phase optionally give the carrier phases
-    phi(t) (rad). Each callable is sampled once on the half-step grid.
-    Smooth adiabatic references with overlapping envelopes use this;
-    scheduled trains never need it.
+    phi(t) (rad). Each callable is sampled once on the half-step grid of
+    max(steps, 4) RK4 steps. Smooth adiabatic references with
+    overlapping envelopes use this; scheduled trains never need it.
+
+    The window is cut into segments of s = max(1, steps // 400) steps.
+    Their evolution operators, each with its own slice of the drive
+    samples, are integrated as one batched RK4 pass; the steps % s tail
+    steps are one more small pass. The state is chained through the
+    operators in time order, so the trajectory records it every s steps
+    and at the end.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
-    steps = max(int(steps), 4)
+    steps = _steps(steps)
+    stride = max(1, steps // 400)
     h = duration / steps
     t0 = state.time
     grid = t0 + np.linspace(0.0, duration, 2 * steps + 1)
@@ -467,27 +485,35 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         d = np.fromiter(map(rabi, grid), complex, grid.size)
         if phase is not None:
             d *= np.exp(-1j * np.fromiter(map(phase, grid), float, grid.size))
-        return d[None, :]
+        return d
 
-    channels = [
-        (_absorption_matrix(system, "pump"), drive(pump_rabi, pump_phase)),
-        (_absorption_matrix(system, "dump"), drive(dump_rabi, dump_phase))]
-    y, snapshots = _rk4(_diagonal(system, frame), channels,
-                        state.amplitudes.astype(complex)[None, :, None],
-                        np.array([h]), record_stride)
-    if not np.all(np.isfinite(y)):
+    A = (_absorption_matrix(system, "pump"), _absorption_matrix(system, "dump"))
+    drives = (drive(pump_rabi, pump_phase), drive(dump_rabi, dump_phase))
+    diag, eye = _diagonal(system, frame), np.eye(system.n_levels, dtype=complex)
+
+    def operators(segments) -> np.ndarray:
+        """One batched pass; segments holds each channel's (P, samples)."""
+        P = len(segments[0])
+        ops, _ = _rk4(diag, list(zip(A, segments)),
+                      np.broadcast_to(eye, (P,) + eye.shape), np.full(P, h))
+        return ops
+
+    # segment k spans half-step samples 2 k stride ... 2 (k + 1) stride,
+    # a view into the samples
+    K, width = steps // stride, 2 * stride
+    ops = operators([sliding_window_view(d, width + 1)[::width] for d in drives])
+    if steps % stride:
+        ops = np.concatenate([ops, operators([d[None, K * width:] for d in drives])])
+    amps = [state.amplitudes.astype(complex)]
+    for op in ops:
+        amps.append(op @ amps[-1])
+    if not np.all(np.isfinite(amps[-1])):
         raise NumericsError("non-finite amplitudes in windowed propagation")
-    final = QuantumState(y[0, :, 0], t0 + duration)
-    times = [t0]
-    pops = [state.populations()]
-    if record_stride:
-        times.extend(t0 + record_stride * np.arange(1, len(snapshots) + 1) * h)
-        pops.extend(np.abs(snapshots[:, 0, :, 0]) ** 2)
-    times.append(final.time)
-    pops.append(final.populations())
-    pops_arr = np.array(pops)
-    return Trajectory(np.array(times), pops_arr, pops_arr.sum(axis=1),
-                      system.labels, final)
+    final = QuantumState(amps[-1], t0 + duration)
+    times = np.concatenate([[t0], t0 + stride * np.arange(1, len(ops)) * h,
+                            [final.time]])
+    pops = np.abs(np.array(amps)) ** 2
+    return Trajectory(times, pops, pops.sum(axis=1), system.labels, final)
 
 
 # --- dense matrix-exponential oracle (tests only) ---

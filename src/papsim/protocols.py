@@ -324,8 +324,7 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
     state = ground_state(levels, 0.0)
     traj = propagate_window(state, levels, pump, dump, frame, duration,
                             steps, pump_phase=pump_phase,
-                            dump_phase=dump_phase,
-                            record_stride=max(1, steps // 400))
+                            dump_phase=dump_phase)
     details = {"protocol": f"reference_{kind}", "duration": duration,
                "peak_rabi": peak_rabi, "chirp_rate": chirp_rate}
     return result_from_trajectory(levels, traj, None, frame, details)

@@ -273,20 +273,23 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
                        "values": [2]}}
     for good in (revivals, scan, sweep):
         validate_config(good)
-    # a system file's indices are ints and its energies numbers
+    # a system file's indices are ints, and its energies, carrier anchor
+    # and dipoles numbers
     save_system(build_three_level(), str(tmp_path / "sys.json"))
-    text = (tmp_path / "sys.json").read_text()
+    data = json.loads((tmp_path / "sys.json").read_text())
     system_files = {}
-    for key, old, new in (
-            ("target_index", '"target_index": 0', '"target_index": 0.7'),
-            ("energy", '"energy": 0.0', '"energy": "5"')):
-        assert old in text
+    for key, value in (("target_index", 0.7), ("energy", "5"),
+                       ("carrier_anchor", "5"), ("pump_dipoles", [["a"]]),
+                       ("dump_dipoles", [[True]]), ("dipole_phases", ["x"])):
+        bad = json.loads(json.dumps(data))
+        (bad["ground_a"][0] if key == "energy" else bad)[key] = value
         system_files[key] = tmp_path / f"{key}.json"
-        system_files[key].write_text(text.replace(old, new, 1))
+        system_files[key].write_text(json.dumps(bad))
     for name, cfg, key in (
-            # steps is an int: a fraction is an error, never truncated
+            # steps is an int of at least 4: a fraction is an error, never
+            # truncated, and too few steps are never raised to 4
             *(("pairs", _pairs_cfg(steps=steps), "train.steps")
-              for steps in (50.7, 3.5)),
+              for steps in (50.7, 3.5, 3, 0, -5)),
             ("pairs", _pairs_cfg(dump_phase_mask=[]), "train.dump_phase_mask"),
             ("revivals", {**revivals, "revivals": {**revivals["revivals"],
                                                    "weights": []}},
@@ -348,7 +351,7 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
                      "train": {"n_pairs": 4, "delta_T": 10.0, "pump_area": 1.0,
                                "dump_area": 1.0, "alpha_pump": 0.1,
                                "alpha_dump": 0.1, "sigma_pairs": None}})
-    validate_config(_pairs_cfg(dump_phase_mask=[0.5]))
+    validate_config(_pairs_cfg(dump_phase_mask=[0.5], steps=4))
     for synthetic in ({"decay_lifetime": None, "dipole_phases": None},
                       {"dipole_profile": "gaussian", "dipole_phases": [0.1, 0.2]},
                       {"dipole_profile": [1.0, 0.5], "decay_lifetime": 15}):

@@ -1,6 +1,7 @@
 """Property tests: batching changes no operator, a global phase changes
-no population, a map survives its CSV round trip bitwise, and a config's
-fingerprint survives JSON, key order and sequence types."""
+no population, decay never raises the norm, a map survives its CSV round
+trip bitwise, and a config's fingerprint survives JSON, key order and
+sequence types."""
 
 import json
 import math
@@ -15,8 +16,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from papsim import (EfficiencyMap, PhaseFrame, QuantumState, TrainEvent,
-                    config_fingerprint, make_pulse, make_schedule, read_map_csv,
-                    run_schedule, write_map_csv)
+                    config_fingerprint, free_evolve, ground_state, make_pulse,
+                    make_schedule, read_map_csv, run_schedule, write_map_csv)
 from papsim.levels import Level, LevelSystem
 from papsim.propagator import _integrate_pulses
 
@@ -82,18 +83,22 @@ def test_batched_operators_match_pulses_integrated_alone(case):
         assert np.max(np.abs(batch[i] - alone[0])) < 1e-12
 
 
+def _sequence(pulses, phases, gap=1.0):
+    """The pulses one after another, gap ps apart, each at its phase."""
+    events, t = [], 0.0
+    for pulse, phi in zip(pulses, phases):
+        events.append(TrainEvent(t + pulse.support_ps / 2.0,
+                                 replace(pulse, carrier_phase=phi)))
+        t += pulse.support_ps + gap
+    return make_schedule(events, len(events), gap, 0.0, "sequence")
+
+
 @settings(max_examples=25, deadline=None)
 @given(systems_and_pulses(), _floats(-math.pi, math.pi),
        st.sampled_from(("compressed", "dense", "none")), st.data())
 def test_global_phase_leaves_populations_unchanged(case, theta, record, data):
     system, pulses, phases = case
-    # the pulses one after another, 1 ps apart, each at its drawn phase
-    events, t = [], 0.0
-    for pulse, phi in zip(pulses, phases):
-        events.append(TrainEvent(t + pulse.support_ps / 2.0,
-                                 replace(pulse, carrier_phase=phi)))
-        t += pulse.support_ps + 1.0
-    schedule = make_schedule(events, len(events), 1.0, 0.0, "sequence")
+    schedule = _sequence(pulses, phases)
     n = system.n_levels
     parts = np.array(data.draw(st.lists(_floats(-1.0, 1.0), min_size=2 * n,
                                         max_size=2 * n)))
@@ -106,6 +111,25 @@ def test_global_phase_leaves_populations_unchanged(case, theta, record, data):
                      for a in (amps, amps * np.exp(1j * theta)))
     assert np.array_equal(plain.times, turned.times)
     assert np.max(np.abs(plain.populations - turned.populations)) < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(systems_and_pulses(), _floats(0.01, 10.0), _floats(0.0, 50.0), st.data())
+def test_norm_never_rises_under_decay(case, gap, tail, data):
+    system, pulses, phases = case
+    rates = data.draw(st.lists(_floats(0.0, 2.0), min_size=system.n_excited,
+                               max_size=system.n_excited))
+    system = replace(system, excited=tuple(
+        replace(level, decay_rate=rate)
+        for level, rate in zip(system.excited, rates)))
+    frame = PhaseFrame.for_system(system)
+    # the default steps, inside the documented step contract of support/400
+    traj = run_schedule(ground_state(system, 0.0), system,
+                        _sequence(pulses, phases, gap), frame,
+                        record="compressed")
+    after = free_evolve(traj.final_state, system, tail, frame)
+    norms = np.append(traj.norms, after.populations().sum())
+    assert np.all(np.diff(norms) <= 1e-12)
 
 
 _cells = _floats(-1e300, 1e300) | st.just(math.nan)

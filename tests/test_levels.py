@@ -186,15 +186,19 @@ def test_file_round_trip_and_unknown_keys(tmp_path):
 
 def test_system_file_values_take_their_types():
     data = json.loads(json.dumps(system_to_dict(build_three_level())))
-    # JSON ints are fine energies and decay rates, and load as floats
+    # JSON ints are fine energies, decay rates and anchors, and load as floats
     data["excited"][0].update(energy=11000, decay_rate=0)
+    data["carrier_anchor"] = 5
     back = system_from_dict(data)
     assert type(back.excited[0].energy) is float
+    assert type(back.carrier_anchor) is float and back.carrier_anchor == 5.0
     assert back.excited[0].energy == 11000.0
     for manifold, key, value in (
             (None, "target_index", 0.7), (None, "initial_index", True),
             ("excited", "energy", "5"), ("excited", "decay_rate", None),
-            ("ground_b", "energy", [1.0])):
+            ("ground_b", "energy", [1.0]), (None, "carrier_anchor", "5"),
+            (None, "pump_dipoles", [["a"]]), (None, "dump_dipoles", [[None]]),
+            (None, "dipole_phases", [True])):
         bad = json.loads(json.dumps(data))
         (bad if manifold is None else bad[manifold][0])[key] = value
         with pytest.raises(ValueError, match=key):

@@ -316,6 +316,68 @@ def test_window_with_silent_drives_is_free_evolution():
         propagate_window(st, sys3, zero, zero, frame, -1.0, 100)
 
 
+@pytest.mark.parametrize("steps, duration", [(2000, 10.0), (2003, 10.0),
+                                             (7, 0.07)])
+def test_window_with_constant_drives_is_the_exponential(steps, duration):
+    # 2000 steps are 400 segments of 5, 2003 leave a 3-step tail, and 7
+    # steps are segments of one step each
+    from scipy.linalg import expm
+
+    sys3 = build_three_level(pump_detuning=3.0, dump_detuning=-1.0,
+                             decay_rate=0.05)
+    frame = PhaseFrame.for_system(sys3)
+    rabi_p, rabi_d = 0.8, 0.5
+    H = np.diag(frame.detunings(sys3) - 0.5j * sys3.decay_rates())
+    H[1, 0] = H[0, 1] = -0.5 * rabi_p
+    H[1, 2] = H[2, 1] = -0.5 * rabi_d
+    amps = np.array([0.6, 0.48j, 0.64], dtype=complex)
+    t0 = 1.5
+    traj = propagate_window(QuantumState(amps, t0), sys3, lambda t: rabi_p,
+                            lambda t: rabi_d, frame, duration, steps)
+    exact = expm(-1j * H * duration) @ amps
+    assert np.max(np.abs(traj.final_state.amplitudes - exact)) < 1e-9
+    assert traj.final_state.time == t0 + duration
+
+    # a row every max(1, steps // 400) steps, then the end
+    stride, h = max(1, steps // 400), duration / steps
+    assert len(traj.times) == (steps - 1) // stride + 2
+    inner = stride * np.arange(1, len(traj.times) - 1) * h
+    assert np.array_equal(traj.times, np.concatenate([[t0], t0 + inner,
+                                                      [t0 + duration]]))
+    # each row is the exact state at its time
+    for t, pops in zip(traj.times, traj.populations):
+        assert np.max(np.abs(pops - np.abs(expm(-1j * H * (t - t0)) @ amps) ** 2)) < 1e-9
+
+
+def test_window_follows_a_chirped_drive_and_never_gains_norm():
+    from scipy.integrate import solve_ivp
+
+    sys3 = build_three_level(pump_detuning=2.0, decay_rate=0.2)
+    frame = PhaseFrame.for_system(sys3)
+    pump = lambda t: 1.5 * math.exp(-0.5 * ((t - 6.0) / 2.0) ** 2)
+    dump = lambda t: 1.5 * math.exp(-0.5 * ((t - 4.0) / 2.0) ** 2)
+    pump_phase = lambda t: 0.3 * (t - 5.0) ** 2
+    traj = propagate_window(ground_state(sys3, 0.0), sys3, pump, dump, frame,
+                            10.0, 2003, pump_phase=pump_phase)
+    assert np.all(np.diff(traj.norms) <= 1e-14)
+    assert traj.norms[-1] < 0.99
+
+    # every row is the state at its time of the same time-dependent drive
+    diag = frame.detunings(sys3) - 0.5j * sys3.decay_rates()
+
+    def rhs(t, a):
+        w_p = -0.5 * pump(t) * np.exp(-1j * pump_phase(t))
+        w_d = -0.5 * dump(t)
+        return -1j * (diag * a + np.array([np.conj(w_p) * a[1],
+                                           w_p * a[0] + w_d * a[2],
+                                           np.conj(w_d) * a[1]]))
+
+    sol = solve_ivp(rhs, (0.0, 10.0), ground_state(sys3).amplitudes,
+                    method="DOP853", t_eval=traj.times, rtol=1e-12, atol=1e-12)
+    assert np.max(np.abs(traj.populations - np.abs(sol.y.T) ** 2)) < 1e-8
+    assert np.max(np.abs(traj.final_state.amplitudes - sol.y[:, -1])) < 1e-8
+
+
 def test_oracle_agrees_on_a_small_train():
     sys3 = build_three_level(pump_detuning=2.0)
     frame = PhaseFrame.comb_locked(sys3, 10.0)
