@@ -32,13 +32,15 @@ pass), a scan column one row per cell. propagate_pulse calls the kernel
 directly.
 
 propagate_window samples its callables once on the half-step grid of
-the whole window. Its ODE is linear, so U(t2, t0) = U(t2, t1) U(t1, t0):
-the window is cut into segments of max(1, steps // 400) steps, whose
-operators are one batched kernel pass, each problem with its own slice
-of the samples (the steps left over are one more small pass). The
-state is chained through the operators in time order, and each state
-between two segments is a recorded sample. oracle_propagate is the
-independent check.
+the whole window and records the state every max(1, steps // 400)
+steps. Its ODE is linear, so U(t2, t0) = U(t2, t1) U(t1, t0): up to
+_WINDOW_SEGMENT_MAX_LEVELS levels the window is cut into segments of
+that many steps, whose operators are one batched kernel pass, each
+problem with its own slice of the samples (the steps left over are one
+more small pass), and the state is chained through the operators in
+time order. An operator costs n times the flops of one state column, so
+larger systems step their one state through the window instead and
+record kernel snapshots. oracle_propagate is the independent check.
 """
 
 from __future__ import annotations
@@ -63,6 +65,13 @@ _ORACLE_CHUNK = 500
 
 # record="dense" samples inside each pulse every this many RK4 steps
 _DENSE_STRIDE = 20
+
+# propagate_window integrates segment operators up to this many levels.
+# The batch removes per-step call overhead but costs n times the flops
+# of one state column; on a 2-core x86 host the 20 000-step reference
+# broke even at n = 17-19 (n = 16: 0.34-0.39 s batched, 0.46-0.60 s
+# stepped; n = 25: 0.77-1.13 s batched, 0.48-0.72 s stepped).
+_WINDOW_SEGMENT_MAX_LEVELS = 16
 
 
 class NumericsError(RuntimeError):
@@ -466,12 +475,15 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     max(steps, 4) RK4 steps. Smooth adiabatic references with
     overlapping envelopes use this; scheduled trains never need it.
 
-    The window is cut into segments of s = max(1, steps // 400) steps.
-    Their evolution operators, each with its own slice of the drive
-    samples, are integrated as one batched RK4 pass; the steps % s tail
-    steps are one more small pass. The state is chained through the
-    operators in time order, so the trajectory records it every s steps
-    and at the end.
+    The trajectory records the state every s = max(1, steps // 400)
+    steps and at the end. Up to _WINDOW_SEGMENT_MAX_LEVELS levels the
+    window is cut into segments of s steps; their evolution operators,
+    each with its own slice of the drive samples, are integrated as one
+    batched RK4 pass, the steps % s tail steps as one more small pass,
+    and the state is chained through the operators in time order.
+    Larger systems, where the operators' flops outweigh the call
+    overhead they save, step the state itself and record a kernel
+    snapshot every s steps.
     """
     if duration <= 0:
         raise ValueError("duration must be positive")
@@ -489,28 +501,30 @@ def propagate_window(state: QuantumState, system: LevelSystem,
 
     A = (_absorption_matrix(system, "pump"), _absorption_matrix(system, "dump"))
     drives = (drive(pump_rabi, pump_phase), drive(dump_rabi, dump_phase))
-    diag, eye = _diagonal(system, frame), np.eye(system.n_levels, dtype=complex)
-
-    def operators(segments) -> np.ndarray:
-        """One batched pass; segments holds each channel's (P, samples)."""
-        P = len(segments[0])
-        ops, _ = _rk4(diag, list(zip(A, segments)),
-                      np.broadcast_to(eye, (P,) + eye.shape), np.full(P, h))
-        return ops
-
-    # segment k spans half-step samples 2 k stride ... 2 (k + 1) stride,
-    # a view into the samples
-    K, width = steps // stride, 2 * stride
-    ops = operators([sliding_window_view(d, width + 1)[::width] for d in drives])
-    if steps % stride:
-        ops = np.concatenate([ops, operators([d[None, K * width:] for d in drives])])
+    diag, n = _diagonal(system, frame), system.n_levels
     amps = [state.amplitudes.astype(complex)]
-    for op in ops:
-        amps.append(op @ amps[-1])
+    if n > _WINDOW_SEGMENT_MAX_LEVELS:
+        y, snapshots = _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
+                            amps[0][None, :, None], np.array([h]), stride)
+        amps += [*snapshots[:, 0, :, 0], y[0, :, 0]]
+    else:
+        # segment k spans half-step samples 2 k stride ... 2 (k + 1)
+        # stride, a view into the samples; the tail is one more pass
+        K, width = steps // stride, 2 * stride
+        passes = [[sliding_window_view(d, width + 1)[::width] for d in drives]]
+        if steps % stride:
+            passes.append([d[None, K * width:] for d in drives])
+        for segments in passes:
+            P = len(segments[0])
+            ops, _ = _rk4(diag, list(zip(A, segments)),
+                          np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)),
+                          np.full(P, h))
+            for op in ops:
+                amps.append(op @ amps[-1])
     if not np.all(np.isfinite(amps[-1])):
         raise NumericsError("non-finite amplitudes in windowed propagation")
     final = QuantumState(amps[-1], t0 + duration)
-    times = np.concatenate([[t0], t0 + stride * np.arange(1, len(ops)) * h,
+    times = np.concatenate([[t0], t0 + stride * np.arange(1, len(amps) - 1) * h,
                             [final.time]])
     pops = np.abs(np.array(amps)) ** 2
     return Trajectory(times, pops, pops.sum(axis=1), system.labels, final)

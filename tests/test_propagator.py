@@ -12,6 +12,7 @@ from papsim import (K_RAD_PS_PER_CM, NumericsError, PhaseFrame, QuantumState,
                     make_schedule, oracle_propagate,
                     propagate_pulse, propagate_window, run_schedule,
                     SyntheticMoleculeSpec)
+from papsim import propagator
 from papsim.levels import Level
 from papsim.propagator import _event_table, _run_events, pulse_center_phase
 
@@ -316,12 +317,19 @@ def test_window_with_silent_drives_is_free_evolution():
         propagate_window(st, sys3, zero, zero, frame, -1.0, 100)
 
 
+@pytest.mark.parametrize("stepped", [False, True])
 @pytest.mark.parametrize("steps, duration", [(2000, 10.0), (2003, 10.0),
                                              (7, 0.07)])
-def test_window_with_constant_drives_is_the_exponential(steps, duration):
+def test_window_with_constant_drives_is_the_exponential(steps, duration,
+                                                        stepped, monkeypatch):
     # 2000 steps are 400 segments of 5, 2003 leave a 3-step tail, and 7
-    # steps are segments of one step each
+    # steps are segments of one step each; stepped lowers the level
+    # limit of segment operators so the three-level window takes the
+    # path of large systems
     from scipy.linalg import expm
+
+    if stepped:
+        monkeypatch.setattr(propagator, "_WINDOW_SEGMENT_MAX_LEVELS", 2)
 
     sys3 = build_three_level(pump_detuning=3.0, dump_detuning=-1.0,
                              decay_rate=0.05)
