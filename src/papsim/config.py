@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 
 import numpy as np
 
@@ -54,7 +55,10 @@ def _check_keys(section: dict, allowed: set, where: str) -> None:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A JSON number; json.loads also reads NaN, Infinity and -Infinity,
+    which are none."""
+    return (type(value) is int
+            or isinstance(value, float) and math.isfinite(value))
 
 
 # the JSON form of each annotation a config's readers use

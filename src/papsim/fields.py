@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -125,48 +126,110 @@ class TrainEvent:
     pulse: PulseSpec
 
 
-@dataclass(frozen=True)
-class TrainSchedule:
-    """Ordered pulse events plus the recipe that generated them.
+def _pulse_key(pulse: PulseSpec) -> tuple:
+    """A pulse up to its carrier phase, which its operator absorbs."""
+    return (pulse.shape, pulse.fwhm, pulse.area, pulse.carrier_detuning,
+            pulse.channel, pulse.phase_mask)
 
-    delta_T is the inter-pair period (ps); delta_t_small the intra-pair
-    pump offset (ps, positive = pump after dump).
+
+@dataclass(frozen=True, eq=False)
+class TrainSchedule:
+    """Pulse events in time order, as arrays, plus the recipe that
+    generated them.
+
+    Event k is centered at time[k] (ps) and is the pulse pulses[pulse[k]]
+    at carrier phase carrier_phase[k]. pulses holds each distinct pulse
+    once, whatever its carrier phase; in a built train they differ only
+    in area. delta_T is the inter-pair period (ps); delta_t_small the
+    intra-pair pump offset (ps, positive = pump after dump).
+
+    Inside papsim a stack of C schedules of one recipe, whose rows order
+    the same events differently and differ only in delta_t_small, holds
+    (C, E) arrays and a (C,) delta_t_small; a scan column is one.
     """
 
-    events: tuple[TrainEvent, ...]
+    time: np.ndarray
+    pulse: np.ndarray
+    carrier_phase: np.ndarray
+    pulses: tuple[PulseSpec, ...]
     n_pairs: int
     delta_T: float
     delta_t_small: float
     envelope_profile: str
 
     @property
+    def support(self) -> np.ndarray:
+        """Support length (ps) of every event."""
+        return np.array([p.support_ps for p in self.pulses])[self.pulse]
+
+    @property
     def start_time(self) -> float:
-        if not self.events:
+        if not self.time.size:
             return 0.0
-        ev = self.events[0]
-        return ev.time - ev.pulse.support_ps / 2.0
+        return float(self.time[0] - self.support[0] / 2.0)
+
+    @cached_property
+    def events(self) -> tuple[TrainEvent, ...]:
+        """The events as objects, derived from the arrays on first use."""
+        return tuple(TrainEvent(t, replace(self.pulses[i], carrier_phase=phi))
+                     for t, i, phi in zip(self.time.tolist(), self.pulse.tolist(),
+                                          self.carrier_phase.tolist()))
 
 
-def _check_no_overlap(events: Sequence[TrainEvent]) -> None:
-    for prev, cur in zip(events, events[1:]):
-        gap = cur.time - prev.time
-        need = (prev.pulse.support_ps + cur.pulse.support_ps) / 2.0
-        if gap < need:
-            raise ValueError(
-                f"pulse supports overlap: events at {prev.time:.6f} ps and "
-                f"{cur.time:.6f} ps need a gap of {need:.6f} ps, have {gap:.6f} ps")
+def _schedules(time, pulse, carrier_phase, pulses, n_pairs, delta_T,
+               delta_t_small, envelope_profile):
+    """The stack of the schedules whose pulse supports do not overlap,
+    one per row of the (C, E) event times, and {row: reason} of the others.
+
+    pulse and carrier_phase are (E,) and shared by the rows, and
+    delta_t_small holds one value per row. Each row is sorted once by a
+    stable argsort, so events at equal times keep their order.
+    """
+    order = np.argsort(time, axis=1, kind="stable")
+    time = np.take_along_axis(time, order, axis=1)
+    pulse, carrier_phase = pulse[order], carrier_phase[order]
+    support = np.array([p.support_ps for p in pulses])[pulse]
+    gap = np.diff(time, axis=1)
+    need = (support[:, :-1] + support[:, 1:]) / 2.0
+    bad = ~(gap >= need)  # a NaN gap overlaps too
+    errors = {}
+    for c in np.flatnonzero(bad.any(axis=1)).tolist():
+        k = int(np.argmax(bad[c]))
+        errors[c] = (
+            f"pulse supports overlap: events at {time[c, k]:.6f} ps and "
+            f"{time[c, k + 1]:.6f} ps need a gap of {need[c, k]:.6f} ps, "
+            f"have {gap[c, k]:.6f} ps")
+    rows = ~bad.any(axis=1)
+    return TrainSchedule(time[rows], pulse[rows], carrier_phase[rows], pulses,
+                         n_pairs, delta_T, np.asarray(delta_t_small)[rows],
+                         envelope_profile), errors
+
+
+def _one(stack: TrainSchedule, errors: dict) -> TrainSchedule:
+    """The schedule of a one-row stack, or its overlap as a ValueError."""
+    if errors:
+        raise ValueError(errors[0])
+    return replace(stack, time=stack.time[0], pulse=stack.pulse[0],
+                   carrier_phase=stack.carrier_phase[0],
+                   delta_t_small=stack.delta_t_small[0])
 
 
 def make_schedule(events: Iterable[TrainEvent], n_pairs: int, delta_T: float,
                   delta_t_small: float, envelope_profile: str) -> TrainSchedule:
     """Validated schedule constructor: events sorted, supports disjoint.
 
-    An empty event list is a legal do-nothing schedule.
+    The events may mix any pulses. An empty event list is a legal
+    do-nothing schedule.
     """
-    ordered = tuple(sorted(events, key=lambda ev: ev.time))
-    _check_no_overlap(ordered)
-    return TrainSchedule(ordered, n_pairs, delta_T, delta_t_small,
-                         envelope_profile)
+    distinct: dict = {}
+    columns = np.array([
+        (ev.time, distinct.setdefault(_pulse_key(ev.pulse), (len(distinct), ev.pulse))[0],
+         ev.pulse.carrier_phase)
+        for ev in events], dtype=float).reshape(-1, 3)
+    return _one(*_schedules(
+        columns[None, :, 0], columns[:, 1].astype(int), columns[:, 2],
+        tuple(p for _, p in distinct.values()), n_pairs, delta_T,
+        [delta_t_small], envelope_profile))
 
 
 def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
@@ -182,7 +245,7 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
     w(n)/sum(w) of it. Shape, width, carrier detuning, carrier phase and
     phase mask of every pulse come from its channel's prototype; the
     prototype phase adds to the train's phase schedule. n_pairs = 0
-    yields an empty schedule.
+    yields an empty schedule. Both delays must be finite.
 
     Kinds
     -----
@@ -201,47 +264,61 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
     flat_pairs
         Identical pairs, constant carrier phase.
     """
+    return _one(*_pair_trains(kind, n_pairs, delta_T, [delta_t_small],
+                              pump_pulse, dump_pulse, alpha_pump=alpha_pump,
+                              alpha_dump=alpha_dump, sigma_pairs=sigma_pairs))
+
+
+def _pair_trains(kind: str, n_pairs: int, delta_T: float, delta_t_small,
+                 pump_pulse: PulseSpec, dump_pulse: PulseSpec, *,
+                 alpha_pump: float = 0.0, alpha_dump: float = 0.0,
+                 sigma_pairs: float | None = None):
+    """build_train for every value of the sequence delta_t_small at once,
+    as _schedules returns them: the trains differ only by a broadcast
+    shift of the pump times."""
     if kind not in TRAIN_KINDS:
         raise ValueError(f"kind must be one of {TRAIN_KINDS}, got {kind!r}")
     if n_pairs < 0:
         raise ValueError("n_pairs must be >= 0")
-    if delta_T <= 0:
-        raise ValueError("delta_T must be positive")
+    if not 0 < delta_T < math.inf:
+        raise ValueError(f"delta_T must be positive and finite, got {delta_T}")
+    shifts = np.asarray(delta_t_small, dtype=float)
+    if not np.isfinite(shifts).all():
+        raise ValueError(f"delta_t_small must be finite, got "
+                         f"{shifts[~np.isfinite(shifts)][0]}")
     if pump_pulse.channel != "pump" or dump_pulse.channel != "dump":
         raise ValueError("prototype pulses must carry their own channel")
-    if n_pairs == 0:
-        return make_schedule((), 0, delta_T, delta_t_small, kind)
-
-    center = (n_pairs - 1) / 2.0
 
     n = np.arange(n_pairs)
     w_pump = w_dump = np.ones(n_pairs)
     ph_pump = ph_dump = np.zeros(n_pairs)
     if kind == "stirap":
-        if n_pairs < 2:
+        if n_pairs == 1:  # n_pairs = 0 is the empty train
             raise ValueError("stirap ramps need n_pairs >= 2")
         w_pump = n / (n_pairs - 1)
         w_dump = 1.0 - w_pump
     elif kind == "crp":
+        center = (n_pairs - 1) / 2.0
         sigma = n_pairs / 4.0 if sigma_pairs is None else float(sigma_pairs)
         w_pump = w_dump = np.exp(-((n - center) ** 2) / (2.0 * sigma**2))
         ph_pump = alpha_pump * (n - center) ** 2 / 2.0
         ph_dump = -(alpha_dump * (n - center) ** 2 / 2.0)
 
-    area_pump = pump_pulse.area * w_pump / w_pump.sum()
-    area_dump = dump_pulse.area * w_dump / w_dump.sum()
-
-    events = []
-    for n in range(n_pairs):
-        t_pair = n * delta_T  # multiplication, not accumulation: no drift
-        events.append(TrainEvent(t_pair, replace(
-            dump_pulse, area=float(area_dump[n]),
-            carrier_phase=dump_pulse.carrier_phase + float(ph_dump[n]))))
-        events.append(TrainEvent(t_pair + delta_t_small, replace(
-            pump_pulse, area=float(area_pump[n]),
-            carrier_phase=pump_pulse.carrier_phase + float(ph_pump[n]))))
-
-    return make_schedule(events, n_pairs, delta_T, delta_t_small, kind)
+    # pair by pair, dump first
+    t_pair = n * delta_T  # multiplication, not accumulation: no drift
+    time = np.empty((len(shifts), n_pairs, 2))
+    time[:, :, 0] = t_pair
+    time[:, :, 1] = t_pair + shifts[:, None]
+    channels = (dump_pulse, w_dump, ph_dump), (pump_pulse, w_pump, ph_pump)
+    area = np.column_stack([p.area * w / w.sum() for p, w, _ in channels])
+    phase = np.column_stack([p.carrier_phase + ph for p, _, ph in channels])
+    distinct: dict = {}
+    pulse = [distinct.setdefault(key, len(distinct))
+             for key in zip([0, 1] * n_pairs, area.ravel().tolist())]
+    pulses = tuple(replace(channels[c][0], area=a) for c, a in distinct)
+    return _schedules(time.reshape(len(shifts), -1), np.array(pulse, dtype=int),
+                      phase.ravel(), pulses, n_pairs, delta_T, delta_t_small,
+                      kind)
 
 
 # --- dump shaping ---

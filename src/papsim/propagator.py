@@ -22,14 +22,17 @@ Every pulse and window goes through one fixed-step RK4 kernel, _rk4.
 Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
 stack of P states or operators of shape (P, n, m), one step h per
 problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
-half-step grid, by one vectorized rabi_envelope call. The one event
-loop, _run_events, integrates the distinct pulses that _event_table
-gathers from a set of schedules in one batched pass, then steps a
-(C, n) stack of states through them by exact phase conjugation, each
-row with its own events. run_schedule is one row (record="dense"
-applies operator snapshots kept every _DENSE_STRIDE = 20 steps of that
-pass), a scan column one row per cell. propagate_pulse calls the kernel
-directly.
+half-step grid, by one vectorized rabi_envelope call. _event_table
+turns a schedule's arrays, or a stack of them, into rows of pulse
+start, support, operator index, center carrier phase and channel; the
+schedule holds each distinct pulse once and an index per event, and
+the center phases are pulse_center_phase element by element. The one
+event loop, _run_events, integrates those distinct pulses in one
+batched pass, then steps a (C, n) stack of states through them by
+exact phase conjugation, each row with its own events. run_schedule is
+one row (record="dense" applies operator snapshots kept every
+_DENSE_STRIDE = 20 steps of that pass), a scan column one row per cell.
+propagate_pulse calls the kernel directly.
 
 propagate_window samples its callables once on the half-step grid of
 the whole window and records the state every max(1, steps // 400)
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import PulseSpec, TrainSchedule, rabi_envelope
+from .fields import PulseSpec, TrainSchedule, _pulse_key, rabi_envelope
 from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
@@ -135,8 +138,8 @@ class PhaseFrame:
         the snapped carrier then vary with delta_T exactly as the teeth
         slide across the spectrum.
         """
-        if delta_T <= 0:
-            raise ValueError("delta_T must be positive")
+        if not 0 < delta_T < math.inf:
+            raise ValueError(f"delta_T must be positive and finite, got {delta_T}")
         f_rep = 1.0 / delta_T
         e_init = system.initial_level.energy
         f_nominal = K_RAD_PS_PER_CM * (system.anchor_energy() - e_init) / (2.0 * math.pi)
@@ -351,20 +354,31 @@ class Trajectory:
     final_state: QuantumState
 
 
-def _operator_cache_key(pulse: PulseSpec):
-    return (pulse.shape, pulse.fwhm, pulse.area, pulse.carrier_detuning,
-            pulse.channel, pulse.phase_mask)
-
-
 def _event_table(schedule: TrainSchedule, pulses: dict) -> np.ndarray:
     """(E, 5) rows of pulse start, support, operator index, center phase
-    and channel (0 pump, 1 dump); pulses maps the _operator_cache_key of
-    each distinct pulse to its (index, pulse), new ones taking the next."""
-    return np.array([
-        (ev.time - ev.pulse.support_ps / 2.0, ev.pulse.support_ps,
-         pulses.setdefault(_operator_cache_key(ev.pulse), (len(pulses), ev.pulse))[0],
-         pulse_center_phase(ev.pulse, ev.time), ev.pulse.channel == "dump")
-        for ev in schedule.events], dtype=float).reshape(-1, 5)
+    and channel (0 pump, 1 dump), computed from the schedule's arrays;
+    a stack of C schedules gives (C, E, 5).
+
+    pulses maps the _pulse_key of each distinct pulse to its (index,
+    pulse); new ones take the next index in order of first use.
+    """
+    index = np.empty(len(schedule.pulses), dtype=int)
+    # every row of a stack uses all of the schedule's pulses
+    for i in dict.fromkeys(np.atleast_2d(schedule.pulse)[0].tolist()):
+        pulse = schedule.pulses[i]
+        index[i] = pulses.setdefault(_pulse_key(pulse), (len(pulses), pulse))[0]
+    # pulse_center_phase, element by element
+    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning
+                         for p in schedule.pulses])[schedule.pulse]
+    dump = np.array([p.channel == "dump" for p in schedule.pulses])
+    support = schedule.support
+    table = np.empty(schedule.time.shape + (5,))
+    table[..., 0] = schedule.time - support / 2.0
+    table[..., 1] = support
+    table[..., 2] = index[schedule.pulse]
+    table[..., 3] = schedule.carrier_phase + detuning * schedule.time
+    table[..., 4] = dump[schedule.pulse]
+    return table
 
 
 def _run_events(system: LevelSystem, frame: PhaseFrame, pulses: dict,
@@ -429,7 +443,7 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         frame = PhaseFrame.for_system(system)
     if len(state.amplitudes) != system.n_levels:
         raise ValueError("state length does not match system")
-    if schedule.events and state.time > schedule.start_time + 1e-12:
+    if schedule.time.size and state.time > schedule.start_time + 1e-12:
         raise ValueError(
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
@@ -443,10 +457,10 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     def visit(k, start, op, rotated, z, amps, end, snapshots):
         if dense:
             inner = z[0] * (snapshots[:, op[0]] @ rotated[0])
-            h = schedule.events[k].pulse.support_ps / n_steps
+            h = table[k, 1] / n_steps
             times.extend(start[0] + _DENSE_STRIDE * np.arange(1, len(inner) + 1) * h)
             pops.extend(np.abs(inner) ** 2)
-        if record != "none" or k == len(schedule.events) - 1:
+        if record != "none" or k == len(table) - 1:
             times.append(end[0])
             pops.append(np.abs(amps[0]) ** 2)
 
@@ -459,7 +473,7 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         norms=pops_arr.sum(axis=1),
         labels=system.labels,
         # an empty schedule hands back the state it was given
-        final_state=QuantumState(amps[0], float(end[0])) if schedule.events else state,
+        final_state=QuantumState(amps[0], float(end[0])) if len(table) else state,
     )
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from .fields import (
     TrainEvent,
     TrainSchedule,
+    _pair_trains,
     build_train,
     make_pulse,
     make_schedule,
@@ -135,7 +136,8 @@ def _train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
            dump_phase_mask: tuple[float, ...] | None = None, alpha_pump: float = 0.0,
            alpha_dump: float = 0.0, sigma_pairs: float | None = None,
            extra_pump_dump_delay: float = 0.0):
-    """Schedule, frame and details of a runner; only "crp" reads the chirp."""
+    """build_train's (args, kwargs), the frame and the details of a
+    runner; only "crp" reads the chirp."""
     if delta_t_small is None:
         delta_t_small = delta_T / 2.0
     chirp = {}
@@ -147,35 +149,44 @@ def _train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
     pump = make_pulse(shape, fwhm, pump_area, channel="pump")
     dump = make_pulse(shape, fwhm, dump_area, channel="dump",
                       phase_mask=dump_phase_mask)
-    schedule = build_train(kind, n_pairs, delta_T, delta_t_small, pump, dump,
-                           sigma_pairs=sigma_pairs, **chirp)
+    train = ((kind, n_pairs, delta_T, delta_t_small, pump, dump),
+             {"sigma_pairs": sigma_pairs, **chirp})
     details = {"protocol": protocol, "n_pairs": n_pairs, "delta_T": delta_T,
                "delta_t_small": delta_t_small, **chirp,
                "pump_area": pump_area, "dump_area": dump_area,
                "shape": shape, "fwhm": fwhm}
     if kind == "crp":
         details["extra_pump_dump_delay"] = extra_pump_dump_delay
-    return schedule, frame, details
+    return train, frame, details
 
 
 def _run_train(protocol: str, kind: str, levels: LevelSystem, *args,
                record: str, steps: int | None, **kwargs) -> RunResult:
     """The body of the three train runners."""
-    schedule, frame, details = _train(protocol, kind, levels, *args, **kwargs)
+    (train_args, train_kwargs), frame, details = _train(
+        protocol, kind, levels, *args, **kwargs)
+    schedule = build_train(*train_args, **train_kwargs)
     state = ground_state(levels, schedule.start_time)
     traj = run_schedule(state, levels, schedule, frame, record=record,
                         steps=steps)
     return result_from_trajectory(levels, traj, schedule, frame, details)
 
 
-def _pair_train(levels: LevelSystem, **kwargs):
-    """(schedule, frame, steps) of run_pair_train(levels, **kwargs), bound
-    to its signature, whose defaults are the only ones; scan cells use it."""
-    args = inspect.signature(run_pair_train).bind(levels, **kwargs)
+def _pair_column(levels: LevelSystem, delta_t_axis, **kwargs):
+    """The stacked schedules of run_pair_train(levels, delta_t_small=dt,
+    **kwargs) for every dt of delta_t_axis whose pulses do not overlap,
+    {row: reason} of those that do, the frame and the steps. The
+    signature, whose defaults are the only ones, is bound once per
+    column; scan columns use it."""
+    args = inspect.signature(run_pair_train).bind(levels, delta_t_small=None,
+                                                  **kwargs)
     args.apply_defaults()
     steps, _ = args.arguments.pop("steps"), args.arguments.pop("record")
-    schedule, frame, _ = _train("pairs", "flat_pairs", **args.arguments)
-    return schedule, frame, steps
+    ((kind, n_pairs, delta_T, _, pump, dump), chirp), frame, _ = _train(
+        "pairs", "flat_pairs", **args.arguments)
+    schedules, errors = _pair_trains(kind, n_pairs, delta_T, delta_t_axis,
+                                     pump, dump, **chirp)
+    return schedules, errors, frame, steps
 
 
 def run_piecewise_stirap(levels: LevelSystem, n_pairs: int, delta_T: float,

@@ -5,6 +5,14 @@ inter-pair delays delta_T (columns) and intra-pair delays delta_t
 (rows). Cells are independent runs, so the scan parallelizes over
 columns; a failed cell (overlapping pulses, numerical blowup) becomes
 NaN rather than aborting the scan, and the map's details keep its reason.
+
+A column binds run_pair_train's signature once. Its cells' schedules
+then differ only by delta_t, a broadcast shift of the pump times: they
+are built as one stack of (cells, events) arrays, each row sorted on
+its own (with delta_t > delta_T the pumps pass the next pairs' dumps),
+a row whose supports overlap is dropped with its reason, and the event
+tables of the rest are one array. The cells share the frame and both
+pulse operators, so one batched pass and one event loop serve them all.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from .config import SWEEP_PARAMETERS, config_fingerprint
 from .levels import LevelSystem, system_to_dict
 from .propagator import NumericsError, _event_table, _run_events, ground_state
 # run_pair_train stays a module attribute: the benchmark wraps it here
-from .protocols import RUNNERS, _pair_train, run_pair_train  # noqa: F401
+from .protocols import RUNNERS, _pair_column, run_pair_train  # noqa: F401
 from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
 
 @dataclass(frozen=True)
@@ -50,6 +58,8 @@ def _validate_axis(axis: np.ndarray, name: str) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     if axis.ndim != 1 or axis.size == 0:
         raise ValueError(f"{name} must be a non-empty 1D grid")
+    if not np.isfinite(axis).all():
+        raise ValueError(f"{name} must be finite")
     if axis.size > 1 and not np.all(np.diff(axis) > 0):
         raise ValueError(f"{name} must be strictly increasing")
     return axis
@@ -66,30 +76,28 @@ def _attempt(run, keys, failures: dict):
 
 def _scan_column(args) -> tuple[np.ndarray, dict]:
     """One delta_T column of the map and the reasons of its failed cells;
-    module-level so workers can pickle it. A cell whose schedule cannot
-    exist fails alone; the others share their frame (set by delta_T) and
-    pulses, so one operator pass, whose failure is each one's, serves
-    them all and they are stepped together."""
+    module-level so workers can pickle it. A cell whose pulses overlap
+    fails alone; one operator pass, whose failure is each one's, serves
+    the others."""
     system, base, delta_T, delta_t_axis = args
     keys = [(float(dt_small), float(delta_T)) for dt_small in delta_t_axis]
     failures, pulses = {}, {}
-
-    def build(key):
-        schedule, frame, steps = _pair_train(system, delta_T=key[1],
-                                             delta_t_small=key[0], **base)
-        return _event_table(schedule, pulses), schedule.start_time, frame, steps
-
-    cells = [_attempt(partial(build, key), [key], failures) for key in keys]
-    valid = [i for i, cell in enumerate(cells) if cell is not None]
     out = np.full(len(keys), math.nan)
-    if valid:
-        tables, starts, frames, steps = zip(*(cells[i] for i in valid))
-        states = [ground_state(system, start) for start in starts]
-        run = _attempt(partial(_run_events, system, frames[0], pulses, steps[0],
-                               tables, states), [keys[i] for i in valid], failures)
-        if run is not None:
-            for i, row in zip(valid, run[0]):
-                out[i] = (np.abs(row) ** 2)[system.target_global_index]
+    column = _attempt(partial(_pair_column, system, delta_t_axis,
+                              delta_T=float(delta_T), **base), keys, failures)
+    if column is not None:
+        stack, errors, frame, steps = column
+        failures.update({keys[c]: reason for c, reason in errors.items()})
+        valid = [c for c in range(len(keys)) if c not in errors]
+        if valid:
+            tables = _event_table(stack, pulses)
+            starts = tables[:, 0, 0] if tables.shape[1] else np.zeros(len(valid))
+            states = [ground_state(system, start) for start in starts.tolist()]
+            run = _attempt(partial(_run_events, system, frame, pulses, steps,
+                                   tables, states), [keys[c] for c in valid],
+                           failures)
+            if run is not None:
+                out[valid] = (np.abs(run[0]) ** 2)[:, system.target_global_index]
     return out, {key: failures[key] for key in keys if key in failures}
 
 

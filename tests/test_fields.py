@@ -188,6 +188,19 @@ def test_overlap_rejected():
         make_schedule([ev, TrainEvent(0.05, dump)], 1, 10.0, 0.05, "flat_pairs")
 
 
+def test_non_finite_times_are_rejected():
+    pump, dump = _prototypes()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta_t_small must be finite"):
+            build_train("flat_pairs", 5, 10.0, bad, pump, dump)
+        with pytest.raises(ValueError, match="delta_T must be positive and finite"):
+            build_train("crp", 5, bad, 4.0, pump, dump)
+    # a NaN gap fails the overlap check: no order puts it clear of the rest
+    with pytest.raises(ValueError, match="supports overlap"):
+        make_schedule([TrainEvent(0.0, dump), TrainEvent(math.nan, pump)],
+                      1, 10.0, math.nan, "flat_pairs")
+
+
 def test_dump_mask_design():
     # mask rotates every coupling onto the packet's phase
     c = np.array([1.0, np.exp(1j * 0.8), 0.5 * np.exp(-1j * 2.0)])

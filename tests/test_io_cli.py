@@ -321,6 +321,20 @@ def test_config_numbers_must_be_numbers(tmp_path, capsys):
              "scan.delta_t_points"),
             ("sweep", {**sweep, "sweep": {**sweep["sweep"], "values": ["a"]}},
              "sweep.values"),
+            # json.loads reads NaN, Infinity and -Infinity; none is a number
+            *(("pairs", _pairs_cfg(**{key: value}), f"train.{key}")
+              for key, value in (("delta_t_small", math.nan),
+                                 ("delta_T", math.inf),
+                                 ("pump_area", -math.inf),
+                                 ("dump_phase_mask", [0.1, math.nan]))),
+            ("scan", {**scan, "scan": {**scan["scan"], "delta_t_stop": math.inf}},
+             "scan.delta_t_stop"),
+            ("scan", {**scan, "scan": {"delta_T_values": [10.0, math.nan],
+                                       "delta_t_values": [3.0]}},
+             "scan.delta_T_values"),
+            ("revivals", {**revivals, "revivals": {**revivals["revivals"],
+                                                   "dt": math.nan}},
+             "revivals.dt"),
             # a dump phase mask is a list of numbers
             ("pairs", _pairs_cfg(dump_phase_mask="x"), "train.dump_phase_mask"),
             ("scan", {**scan, "train": {**scan["train"],

@@ -1,7 +1,7 @@
 """Property tests: batching changes no operator, a global phase changes
 no population, decay never raises the norm, a map survives its CSV round
-trip bitwise, and a config's fingerprint survives JSON, key order and
-sequence types."""
+trip bitwise, a config's fingerprint survives JSON, key order and
+sequence types, and a train's arrays give what its pulse objects give."""
 
 import json
 import math
@@ -16,10 +16,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from papsim import (EfficiencyMap, PhaseFrame, QuantumState, TrainEvent,
-                    config_fingerprint, free_evolve, ground_state, make_pulse,
-                    make_schedule, read_map_csv, run_schedule, write_map_csv)
+                    build_train, config_fingerprint, free_evolve, ground_state,
+                    make_pulse, make_schedule, read_map_csv, run_schedule,
+                    write_map_csv)
+from papsim.fields import _pair_trains
 from papsim.levels import Level, LevelSystem
-from papsim.propagator import _integrate_pulses
+from papsim.propagator import _event_table, _integrate_pulses, pulse_center_phase
 
 STEPS = 60
 
@@ -190,3 +192,119 @@ def test_fingerprint_survives_json_key_order_and_sequence_types(cfg):
     assert config_fingerprint(json.loads(json.dumps(cfg))) == base
     assert config_fingerprint(_reordered(cfg)) == base
     assert config_fingerprint(_as_sequences(cfg)) == base
+
+
+# --- train schedules as arrays ---
+
+def _reference_train(kind, n_pairs, delta_T, delta_t_small, pump, dump,
+                     alpha, sigma_pairs):
+    """The events of build_train one object at a time: pair by pair, dump
+    first, sorted by time, supports checked pair by pair."""
+    if kind == "stirap" and n_pairs == 1:
+        raise ValueError("stirap ramps need n_pairs >= 2")
+    n = np.arange(n_pairs)
+    w = np.ones(n_pairs), np.ones(n_pairs)
+    ph = np.zeros(n_pairs), np.zeros(n_pairs)
+    if kind == "stirap" and n_pairs:
+        w = n / (n_pairs - 1), 1.0 - n / (n_pairs - 1)
+    elif kind == "crp" and n_pairs:
+        center = (n_pairs - 1) / 2.0
+        sigma = n_pairs / 4.0 if sigma_pairs is None else sigma_pairs
+        gauss = np.exp(-((n - center) ** 2) / (2.0 * sigma**2))
+        w = gauss, gauss
+        ph = alpha * (n - center) ** 2 / 2.0, -(alpha * (n - center) ** 2 / 2.0)
+    areas = [p.area * wc / wc.sum() for p, wc in zip((pump, dump), w)]
+    events = []
+    for k in range(n_pairs):
+        for proto, t, c in ((dump, k * delta_T, 1),
+                            (pump, k * delta_T + delta_t_small, 0)):
+            events.append(TrainEvent(t, replace(
+                proto, area=float(areas[c][k]),
+                carrier_phase=proto.carrier_phase + float(ph[c][k]))))
+    events.sort(key=lambda ev: ev.time)
+    for prev, cur in zip(events, events[1:]):
+        gap = cur.time - prev.time
+        need = (prev.pulse.support_ps + cur.pulse.support_ps) / 2.0
+        if gap < need:
+            raise ValueError(
+                f"pulse supports overlap: events at {prev.time:.6f} ps and "
+                f"{cur.time:.6f} ps need a gap of {need:.6f} ps, have {gap:.6f} ps")
+    return events
+
+
+def _reference_table(events, pulses):
+    """The event table of TrainEvent objects, one event at a time."""
+    key = lambda p: (p.shape, p.fwhm, p.area, p.carrier_detuning, p.channel,
+                     p.phase_mask)
+    return np.array([
+        (ev.time - ev.pulse.support_ps / 2.0, ev.pulse.support_ps,
+         pulses.setdefault(key(ev.pulse), (len(pulses), ev.pulse))[0],
+         pulse_center_phase(ev.pulse, ev.time), ev.pulse.channel == "dump")
+        for ev in events], dtype=float).reshape(-1, 5)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as err:
+        return str(err)
+
+
+@st.composite
+def _prototype(draw, channel):
+    mask = (draw(st.none() | st.lists(_floats(-math.pi, math.pi), min_size=1,
+                                      max_size=3))
+            if channel == "dump" else None)
+    return make_pulse(draw(st.sampled_from(("sin2", "gaussian"))),
+                      draw(_floats(40.0, 400.0)), draw(_floats(0.0, 10.0)),
+                      carrier_detuning=draw(_floats(-20.0, 20.0)),
+                      carrier_phase=draw(_floats(-math.pi, math.pi)),
+                      channel=channel, phase_mask=mask)
+
+
+# delays, ps: any sign, past the period, at ties and just inside a support
+_delays = _floats(-30.0, 30.0) | st.sampled_from([0.0, 0.05, -0.3, 2.0, 7.5])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("stirap", "crp", "flat_pairs")), st.integers(0, 7),
+       _floats(0.5, 12.0) | st.just(2.0), st.lists(_delays, min_size=1, max_size=4),
+       _prototype("pump"), _prototype("dump"), _floats(-0.5, 0.5),
+       st.none() | _floats(0.5, 4.0))
+def test_array_schedules_match_their_events(kind, n_pairs, delta_T, dts, pump,
+                                            dump, alpha, sigma_pairs):
+    """build_train's arrays give the events, table, start time and
+    distinct pulses of the object path; a column stack gives each row's."""
+    chirp = {"alpha_pump": alpha, "alpha_dump": alpha, "sigma_pairs": sigma_pairs}
+    shared, stacked, valid = {}, {}, []
+    for dt in dts:
+        ref = _outcome(lambda: _reference_train(kind, n_pairs, delta_T, dt, pump,
+                                                dump, alpha, sigma_pairs))
+        sched = _outcome(lambda: build_train(kind, n_pairs, delta_T, dt, pump,
+                                             dump, **chirp))
+        if isinstance(ref, str):
+            assert sched == ref  # the overlap verdict and its message
+            continue
+        valid.append(dt)
+        assert sched.events == tuple(ref)
+        assert sched.start_time == (ref[0].time - ref[0].pulse.support_ps / 2.0
+                                    if ref else 0.0)
+        ref_pulses, pulses = {}, {}
+        table = _event_table(sched, pulses)
+        assert np.array_equal(table, _reference_table(sched.events, ref_pulses))
+        assert ([replace(p, carrier_phase=0.0) for _, p in pulses.values()]
+                == [replace(p, carrier_phase=0.0) for _, p in ref_pulses.values()])
+        # the object round trip gives back the same arrays
+        again = make_schedule(sched.events, n_pairs, delta_T, dt, kind)
+        for name in ("time", "carrier_phase", "support"):
+            assert np.array_equal(getattr(again, name), getattr(sched, name))
+        assert again.events == sched.events
+        assert np.array_equal(_event_table(again, {}), table)
+        stacked[dt] = _event_table(sched, shared)
+    if kind == "stirap" and n_pairs == 1:
+        return
+    stack, errors = _pair_trains(kind, n_pairs, delta_T, dts, pump, dump, **chirp)
+    assert [dts[c] for c in range(len(dts)) if c not in errors] == valid
+    if valid:
+        assert np.array_equal(_event_table(stack, {}),
+                              np.array([stacked[dt] for dt in valid]))

@@ -146,7 +146,8 @@ def test_global_phase_invariance():
                                   carrier_phase=ev.pulse.carrier_phase + 0.77))
         if ev.pulse.channel == "pump" else ev
         for ev in sched.events)
-    shifted = replace(sched, events=events)
+    shifted = make_schedule(events, sched.n_pairs, sched.delta_T,
+                            sched.delta_t_small, sched.envelope_profile)
     third = run_schedule(st, sys3, shifted, frame, record="compressed")
     assert np.max(np.abs(third.populations - base.populations)) < 1e-12
 

@@ -47,6 +47,20 @@ def test_zero_pairs_is_identity():
     assert len(res.trajectory.times) == 1
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_delays_fail_loudly(bad):
+    """A non-finite delay is a ValueError naming it, never a NaN run."""
+    sys3 = build_three_level()
+    with pytest.raises(ValueError, match="delta_t_small must be finite"):
+        run_pair_train(sys3, 5, 10.0, bad, record="none")
+    with pytest.raises(ValueError, match="delta_T must be positive and finite"):
+        run_pair_train(sys3, 5, bad, 4.0, record="none")
+    # with a given frame, the train itself rejects the period
+    with pytest.raises(ValueError, match="delta_T must be positive and finite"):
+        run_piecewise_stirap(sys3, 5, bad, frame=PhaseFrame.for_system(sys3),
+                             record="none")
+
+
 def test_comb_locked_default_frame():
     sys3 = build_three_level()
     res = run_pair_train(sys3, n_pairs=2, delta_T=10.0, delta_t_small=5.0)

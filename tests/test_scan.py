@@ -127,6 +127,17 @@ def test_scan_grid_validation():
         scan_2d(sys3, BASE, [10.0], [4.0], workers=0)
 
 
+def test_non_finite_grids_are_rejected_by_name(monkeypatch):
+    sys3 = build_three_level()
+    # the check comes before any cell is integrated
+    monkeypatch.setattr(propagator, "_integrate_pulses", None)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="delta_t_grid must be finite"):
+            scan_2d(sys3, BASE, [10.0], [4.0, bad])
+        with pytest.raises(ValueError, match="delta_T_grid must be finite"):
+            scan_2d(sys3, BASE, [bad], [4.0])
+
+
 def test_scan_pool_is_bounded_by_columns_and_cores(monkeypatch):
     sys3 = build_three_level()
     assert scan_2d(sys3, BASE, [10.0], [4.0], workers=4).details["workers"] == 1
