@@ -89,11 +89,18 @@ def make_pulse(shape: str, fwhm: float, area: float, *,
         raise ValueError(f"shape must be one of {PULSE_SHAPES}, got {shape!r}")
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
+    mask = None if phase_mask is None else tuple(float(p) for p in phase_mask)
+    for name, value in (("fwhm", fwhm), ("area", area),
+                        ("carrier_detuning", carrier_detuning),
+                        ("carrier_phase", carrier_phase)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    if mask is not None and not all(map(math.isfinite, mask)):
+        raise ValueError(f"phase_mask must be finite, got {mask}")
     if fwhm <= 0:
         raise ValueError("fwhm must be positive")
     if area < 0:
         raise ValueError("area must be non-negative")
-    mask = None if phase_mask is None else tuple(float(p) for p in phase_mask)
     return PulseSpec(shape, float(fwhm), float(area), float(carrier_detuning),
                      float(carrier_phase), channel, mask)
 

@@ -22,15 +22,15 @@ Every pulse and window goes through one fixed-step RK4 kernel, _rk4.
 Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
 stack of P states or operators of shape (P, n, m), one step h per
 problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
-half-step grid, by one vectorized rabi_envelope call. _event_table
-turns a schedule's arrays, or a stack of them, into rows of pulse
-start, support, operator index, center carrier phase and channel; the
-schedule holds each distinct pulse once and an index per event, and
-the center phases are pulse_center_phase element by element. The one
-event loop, _run_events, integrates those distinct pulses in one
-batched pass, then steps a (C, n) stack of states through them by
-exact phase conjugation, each row with its own events. run_schedule is
-one row (record="dense" applies operator snapshots kept every
+half-step grid, by one vectorized rabi_envelope call. A schedule holds
+each distinct pulse once and, per event, its time, an index into those
+pulses and a carrier phase; a scan column stacks C such rows. The one
+event loop, _run_events, integrates the distinct pulses in one batched
+pass, then steps a (C, n) stack of states through them by exact phase
+conjugation, each row with its own events. It reads the event starts,
+supports and center phases (pulse_center_phase element by element)
+straight from the schedule's arrays. run_schedule is one row
+(record="dense" applies operator snapshots kept every
 _DENSE_STRIDE = 20 steps of that pass), a scan column one row per cell.
 propagate_pulse calls the kernel directly.
 
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .fields import PulseSpec, TrainSchedule, _pulse_key, rabi_envelope
+from .fields import PulseSpec, TrainSchedule, rabi_envelope
 from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
@@ -354,61 +354,39 @@ class Trajectory:
     final_state: QuantumState
 
 
-def _event_table(schedule: TrainSchedule, pulses: dict) -> np.ndarray:
-    """(E, 5) rows of pulse start, support, operator index, center phase
-    and channel (0 pump, 1 dump), computed from the schedule's arrays;
-    a stack of C schedules gives (C, E, 5).
-
-    pulses maps the _pulse_key of each distinct pulse to its (index,
-    pulse); new ones take the next index in order of first use.
-    """
-    index = np.empty(len(schedule.pulses), dtype=int)
-    # every row of a stack uses all of the schedule's pulses
-    for i in dict.fromkeys(np.atleast_2d(schedule.pulse)[0].tolist()):
-        pulse = schedule.pulses[i]
-        index[i] = pulses.setdefault(_pulse_key(pulse), (len(pulses), pulse))[0]
-    # pulse_center_phase, element by element
-    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning
-                         for p in schedule.pulses])[schedule.pulse]
-    dump = np.array([p.channel == "dump" for p in schedule.pulses])
-    support = schedule.support
-    table = np.empty(schedule.time.shape + (5,))
-    table[..., 0] = schedule.time - support / 2.0
-    table[..., 1] = support
-    table[..., 2] = index[schedule.pulse]
-    table[..., 3] = schedule.carrier_phase + detuning * schedule.time
-    table[..., 4] = dump[schedule.pulse]
-    return table
-
-
-def _run_events(system: LevelSystem, frame: PhaseFrame, pulses: dict,
-                steps: int | None, tables, states, stride: int | None = None,
-                visit=None):
-    """Integrate the pulses _event_table collected, by index, in one
-    batched pass of _steps(steps) RK4 steps, then step a (C, n) stack of
-    states, row c through the events of tables[c], and return the final
-    (amps, times). The tables are equally long; a row's result does not
-    depend on the other rows. visit(k, start, op, rotated, z, amps, end,
+def _run_events(system: LevelSystem, frame: PhaseFrame,
+                schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
+                t0, stride: int | None = None, visit=None):
+    """Integrate schedule.pulses, in their stored order, in one batched
+    pass of _steps(steps) RK4 steps, then step the (C, n) stack amps, row
+    c from time t0[c] through row c of the schedule (one train for C = 1,
+    or a (C, E) column stack), and return the final (amps, times). Event
+    k applies operator schedule.pulse[k]; a row's result does not depend
+    on the other rows. visit(k, start, op, rotated, z, amps, end,
     snapshots) sees each event k; snapshots are the operators' states
     every stride steps of the pass."""
-    n, P = system.n_levels, len(pulses)
+    n, pulses = system.n_levels, schedule.pulses
     ops = snapshots = None
-    if P:
-        eye = np.broadcast_to(np.eye(n, dtype=complex), (P, n, n))
-        ops, snapshots = _integrate_pulses(system, frame, [p for _, p in pulses.values()],
-                                           [0.0] * P, eye, _steps(steps), stride)
-    starts, supports, op_rows, phases, channels = np.array(
-        tables, dtype=float).reshape(len(tables), -1, 5).transpose(2, 0, 1)
-    times = np.column_stack([[st.time for st in states], starts + supports])
-    gaps, phases = starts - times[:, :-1], np.exp(1j * phases)
-    # the levels whose phase a pump (0) or a dump (1) carries, per event
+    if pulses:
+        eye = np.broadcast_to(np.eye(n, dtype=complex), (len(pulses), n, n))
+        ops, snapshots = _integrate_pulses(system, frame, pulses, [0.0] * len(pulses),
+                                           eye, _steps(steps), stride)
+    op_rows, time, phase, support = np.atleast_2d(
+        schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
+    starts = time - support / 2.0
+    times = np.column_stack([t0, starts + support])
+    gaps = starts - times[:, :-1]
+    # pulse_center_phase, element by element
+    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning for p in pulses])
+    phases = np.exp(1j * (phase + detuning[op_rows] * time))
+    # the levels whose phase each pulse carries: ground_a for a pump,
+    # ground_b for a dump
     level, excited = np.arange(n), system.slice_excited()
-    carried = np.array([level < excited.start, level >= excited.stop])[channels.astype(int)]
-    op_rows, moving = op_rows.astype(int), gaps > 0
+    carried = np.array([level >= excited.stop if p.channel == "dump"
+                        else level < excited.start for p in pulses])[op_rows]
     free = -1j * _diagonal(system, frame)
-    amps = np.array([st.amplitudes for st in states])
-    for k in range(starts.shape[1]):
-        amps = np.where(moving[:, k, None],
+    for k in range(time.shape[1]):
+        amps = np.where(gaps[:, k, None] > 0,
                         amps * np.exp(free * gaps[:, k, None]), amps)
         z = np.where(carried[:, k], phases[:, k, None], 1.0)
         rotated = np.conj(z) * amps
@@ -449,22 +427,22 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"({schedule.start_time} ps)")
 
     n_steps = _steps(steps)
-    pulses: dict = {}
-    table = _event_table(schedule, pulses)
+    support = schedule.support
     times = [state.time]
     pops = [state.populations()]
 
     def visit(k, start, op, rotated, z, amps, end, snapshots):
         if dense:
             inner = z[0] * (snapshots[:, op[0]] @ rotated[0])
-            h = table[k, 1] / n_steps
+            h = support[k] / n_steps
             times.extend(start[0] + _DENSE_STRIDE * np.arange(1, len(inner) + 1) * h)
             pops.extend(np.abs(inner) ** 2)
-        if record != "none" or k == len(table) - 1:
+        if record != "none" or k == len(support) - 1:
             times.append(end[0])
             pops.append(np.abs(amps[0]) ** 2)
 
-    amps, end = _run_events(system, frame, pulses, n_steps, [table], [state],
+    amps, end = _run_events(system, frame, schedule, n_steps,
+                            state.amplitudes[None], [state.time],
                             _DENSE_STRIDE if dense else None, visit)
     pops_arr = np.array(pops)
     return Trajectory(
@@ -473,7 +451,7 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         norms=pops_arr.sum(axis=1),
         labels=system.labels,
         # an empty schedule hands back the state it was given
-        final_state=QuantumState(amps[0], float(end[0])) if len(table) else state,
+        final_state=QuantumState(amps[0], float(end[0])) if len(support) else state,
     )
 
 

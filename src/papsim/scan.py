@@ -10,9 +10,10 @@ A column binds run_pair_train's signature once. Its cells' schedules
 then differ only by delta_t, a broadcast shift of the pump times: they
 are built as one stack of (cells, events) arrays, each row sorted on
 its own (with delta_t > delta_T the pumps pass the next pairs' dumps),
-a row whose supports overlap is dropped with its reason, and the event
-tables of the rest are one array. The cells share the frame and both
-pulse operators, so one batched pass and one event loop serve them all.
+and a row whose supports overlap is dropped with its reason. The rest
+run as they are, one ground state per row from its first pulse start:
+the cells share the frame and both pulse operators, so one batched pass
+and one event loop serve them all.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .config import SWEEP_PARAMETERS, config_fingerprint
 from .levels import LevelSystem, system_to_dict
-from .propagator import NumericsError, _event_table, _run_events, ground_state
+from .propagator import NumericsError, _run_events
 # run_pair_train stays a module attribute: the benchmark wraps it here
 from .protocols import RUNNERS, _pair_column, run_pair_train  # noqa: F401
 from .units import C_CM_PER_PS, K_RAD_PS_PER_CM
@@ -77,11 +78,11 @@ def _attempt(run, keys, failures: dict):
 def _scan_column(args) -> tuple[np.ndarray, dict]:
     """One delta_T column of the map and the reasons of its failed cells;
     module-level so workers can pickle it. A cell whose pulses overlap
-    fails alone; one operator pass, whose failure is each one's, serves
-    the others."""
+    fails alone; the others' stack goes to _run_events as it is, whose
+    one operator pass, and its failure, is each one's."""
     system, base, delta_T, delta_t_axis = args
     keys = [(float(dt_small), float(delta_T)) for dt_small in delta_t_axis]
-    failures, pulses = {}, {}
+    failures = {}
     out = np.full(len(keys), math.nan)
     column = _attempt(partial(_pair_column, system, delta_t_axis,
                               delta_T=float(delta_T), **base), keys, failures)
@@ -90,11 +91,12 @@ def _scan_column(args) -> tuple[np.ndarray, dict]:
         failures.update({keys[c]: reason for c, reason in errors.items()})
         valid = [c for c in range(len(keys)) if c not in errors]
         if valid:
-            tables = _event_table(stack, pulses)
-            starts = tables[:, 0, 0] if tables.shape[1] else np.zeros(len(valid))
-            states = [ground_state(system, start) for start in starts.tolist()]
-            run = _attempt(partial(_run_events, system, frame, pulses, steps,
-                                   tables, states), [keys[c] for c in valid],
+            starts = (stack.time[:, 0] - stack.support[:, 0] / 2.0
+                      if stack.time.shape[1] else np.zeros(len(valid)))
+            amps = np.zeros((len(valid), system.n_levels), dtype=complex)
+            amps[:, system.initial_index] = 1.0
+            run = _attempt(partial(_run_events, system, frame, stack, steps,
+                                   amps, starts), [keys[c] for c in valid],
                            failures)
             if run is not None:
                 out[valid] = (np.abs(run[0]) ** 2)[:, system.target_global_index]

@@ -46,6 +46,18 @@ def test_make_pulse_validation():
         make_pulse("sin2", 100.0, -1.0)
     with pytest.raises(ValueError):
         make_pulse("sin2", 100.0, 1.0, channel="probe")
+    # non-finite inputs fail by name, not later in the overlap check or RK4
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="fwhm must be finite"):
+            make_pulse("sin2", bad, 1.0)
+        with pytest.raises(ValueError, match="area must be finite"):
+            make_pulse("sin2", 100.0, bad)
+        with pytest.raises(ValueError, match="carrier_detuning must be finite"):
+            make_pulse("sin2", 100.0, 1.0, carrier_detuning=bad)
+        with pytest.raises(ValueError, match="carrier_phase must be finite"):
+            make_pulse("sin2", 100.0, 1.0, carrier_phase=bad)
+        with pytest.raises(ValueError, match="phase_mask must be finite"):
+            make_pulse("sin2", 100.0, 1.0, channel="dump", phase_mask=(0.0, bad))
 
 
 def _prototypes(total=math.pi):

@@ -14,7 +14,8 @@ from papsim import (K_RAD_PS_PER_CM, NumericsError, PhaseFrame, QuantumState,
                     SyntheticMoleculeSpec)
 from papsim import propagator
 from papsim.levels import Level
-from papsim.propagator import _event_table, _run_events, pulse_center_phase
+from papsim.fields import _pair_trains
+from papsim.propagator import _run_events, pulse_center_phase
 
 
 def _resonant():
@@ -250,6 +251,30 @@ def test_late_state_rejected():
         run_schedule(late, sys3, sched, PhaseFrame.for_system(sys3))
 
 
+@pytest.mark.parametrize("record", ["dense", "compressed"])
+def test_early_state_evolves_freely_to_the_first_pulse(record):
+    """A state that starts before the first pulse reaches it by exact free
+    evolution, with decaying ground levels and detuned pulses."""
+    base = build_three_level(pump_detuning=3.0, decay_rate=0.05)
+    sys3 = replace(base, ground_a=(Level("g", 0.0, 0.004),),
+                   ground_b=(Level("t", base.ground_b[0].energy, 0.002),))
+    frame = PhaseFrame.for_system(sys3, pump_offset=1.5, two_photon_offset=-0.5)
+    events = [TrainEvent(2.0 * k + 0.8 * c, make_pulse(
+        "sin2", 100.0, 0.6, carrier_detuning=4.0 - 9.0 * c,
+        carrier_phase=0.3 * k, channel=channel))
+        for k in range(3) for c, channel in enumerate(("dump", "pump"))]
+    sched = make_schedule(events, 3, 2.0, 0.8, "custom")
+    early = ground_state(sys3, sched.start_time - 0.7)
+    moved = free_evolve(early, sys3, sched.start_time - early.time, frame)
+    a = run_schedule(early, sys3, sched, frame, record=record, steps=80)
+    b = run_schedule(moved, sys3, sched, frame, record=record, steps=80)
+    assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+    assert a.final_state.time == b.final_state.time
+    assert np.linalg.norm(a.final_state.amplitudes) < np.linalg.norm(
+        run_schedule(ground_state(sys3, sched.start_time), sys3, sched, frame,
+                     record=record, steps=80).final_state.amplitudes)
+
+
 def test_empty_schedule_is_identity():
     sys3 = _resonant()
     sched = _train(sys3, n_pairs=0)
@@ -418,16 +443,18 @@ def test_event_rows_do_not_depend_on_the_stack():
     # rows in and out of pair order, so operators and phases differ per row
     dts = np.concatenate([np.linspace(-9.0, -1.0, 64),
                           np.linspace(0.6, 9.0, 96), np.linspace(11.0, 19.0, 96)])
-    schedules = [build_train("flat_pairs", 3, 10.0, dt, pump, dump)
-                 for dt in dts]
-    pulses = {}
-    tables = [_event_table(s, pulses) for s in schedules]
-    assert len(pulses) == 2
-    states = [ground_state(mol, s.start_time) for s in schedules]
+    stack, errors = _pair_trains("flat_pairs", 3, 10.0, dts, pump, dump)
+    assert not errors and len(stack.pulses) == 2
+    starts = stack.time[:, 0] - stack.support[:, 0] / 2.0
+    ground = ground_state(mol).amplitudes
 
     def run(rows):
-        return _run_events(mol, frame, pulses, 60, [tables[i] for i in rows],
-                           [states[i] for i in rows])
+        rows = list(rows)
+        part = replace(stack, time=stack.time[rows], pulse=stack.pulse[rows],
+                       carrier_phase=stack.carrier_phase[rows],
+                       delta_t_small=stack.delta_t_small[rows])
+        return _run_events(mol, frame, part, 60, np.tile(ground, (len(rows), 1)),
+                           starts[rows])
 
     all_amps, all_times = run(range(len(dts)))
     for rows in ([0], [100], [255], list(range(0, 256, 37)), list(range(90, 97))):
@@ -436,7 +463,9 @@ def test_event_rows_do_not_depend_on_the_stack():
         assert np.array_equal(part_times, all_times[rows])
     # one row of the stack is what run_schedule computes
     for i in (0, 100, 255):
-        direct = run_schedule(states[i], mol, schedules[i], frame,
+        single = build_train("flat_pairs", 3, 10.0, dts[i], pump, dump)
+        assert single.start_time == starts[i]
+        direct = run_schedule(ground_state(mol, starts[i]), mol, single, frame,
                               record="none", steps=60).final_state
         assert np.array_equal(direct.amplitudes, all_amps[i])
         assert direct.time == all_times[i]

@@ -49,7 +49,8 @@ def test_zero_pairs_is_identity():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_delays_fail_loudly(bad):
-    """A non-finite delay is a ValueError naming it, never a NaN run."""
+    """A non-finite delay or pulse input is a ValueError naming it, never
+    a NaN run."""
     sys3 = build_three_level()
     with pytest.raises(ValueError, match="delta_t_small must be finite"):
         run_pair_train(sys3, 5, 10.0, bad, record="none")
@@ -59,6 +60,11 @@ def test_non_finite_delays_fail_loudly(bad):
     with pytest.raises(ValueError, match="delta_T must be positive and finite"):
         run_piecewise_stirap(sys3, 5, bad, frame=PhaseFrame.for_system(sys3),
                              record="none")
+    # pulse inputs fail by name too, before any overlap check or integration
+    with pytest.raises(ValueError, match="fwhm must be finite"):
+        run_pair_train(sys3, 2, 10.0, 4.0, fwhm=bad, record="none")
+    with pytest.raises(ValueError, match="area must be finite"):
+        run_pair_train(sys3, 2, 10.0, 4.0, pump_area=bad, record="none")
 
 
 def test_comb_locked_default_frame():
