@@ -203,6 +203,9 @@ def validate_config(cfg: dict) -> None:
         trains = cfg["sweep"]["protocol"] if protocol == "sweep" else protocol
         _check_types(cfg["train"], _TRAIN_KEYS[trains], "train",
                      _TRAIN_REQUIRED[trains])
+        _require(not cfg.get("frame") or "f0_pump" not in cfg["train"],
+                 "train.f0_pump sets the comb-locked frame, which the frame "
+                 "section replaces")
     if "output" in cfg:
         _check_keys(cfg["output"], outputs, f"output of a {protocol} config")
         for key, value in cfg["output"].items():

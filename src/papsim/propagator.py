@@ -19,10 +19,11 @@ Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2),
 from the same diagonal the kernel uses.
 
 Every pulse and window goes through one fixed-step RK4 kernel, _rk4.
-Its inputs are the diagonal, a list of channels (A_c, drive_c) and a
-stack of P states or operators of shape (P, n, m), one step h per
-problem. drive_c = w exp(-i phi) is sampled once per pulse on the RK4
-half-step grid, by one vectorized rabi_envelope call. A schedule holds
+Its inputs are the diagonal, a list of channels (A_c, drive_c), start
+states or operators y and a step h; the P problems of a pass share
+each of A_c, y and h or give one per problem. drive_c = w exp(-i phi)
+is sampled once per pulse on the RK4 half-step grid, by one vectorized
+rabi_envelope call. A schedule holds
 each distinct pulse once and, per event, its time, an index into those
 pulses and a carrier phase; a scan column stacks C such rows. The one
 event loop, _run_events, integrates the distinct pulses in one batched
@@ -205,68 +206,58 @@ _BLOCK_STEPS = 64
 _BLOCK_CELLS = 4096
 
 
-def _step_generators(basis: np.ndarray, channels, n: int, steps: int):
-    """Yield (G(t), G(t + h/2), G(t + h)) of every step, G = -i h H.
+def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None):
+    """Fixed-step RK4 of P independent problems in one vectorized pass.
 
-    Each G(tau_j) is one small product of the drive samples at tau_j,
-    (1, drive_c, conj(drive_c), ...), with the stacked basis (diag, A_c,
+    diag is the (n,) diagonal; channels is a list of (A_c, drive_c),
+    drive_c the (P, 2 steps + 1) complex drive w e^{-i phi} sampled on the
+    half-step grid tau_j = j h / 2. Shared by all problems or given per
+    problem, and stored once when shared: the step h, a scalar or (P,);
+    each absorption matrix A_c, (n, n) or (P, n, n); the start y, (n, m)
+    or (P, n, m), state columns (m = 1) or operators (m = n).
+
+    G(tau_j) = -i h H(tau_j) is one small product of the samples at
+    tau_j, (1, drive_c, conj(drive_c), ...), with the basis (diag, A_c,
     A_c^dagger, ...); the samples are laid out one block of steps at a
-    time, so no per-sample Hamiltonian stack is ever built.
+    time, so extra memory is O(P n^2) besides the drives.
+
+    Returns (y, snapshots): y is (P, n, m); snapshots stacks y after
+    every stride-th step strictly inside the run, (k, P, n, m), or None.
     """
-    P = basis.shape[0]
+    P, n = channels[0][1].shape[0], diag.size
+    mats = [np.diag(diag)]
+    for A, _ in channels:
+        mats += [A, A.conj().swapaxes(-1, -2)]
+    M = len(mats)
+    mats = np.stack(np.broadcast_arrays(*mats), axis=-3)
+    basis = (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
+    steps = (channels[0][1].shape[1] - 1) // 2
     block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // P))
-    coef = np.ones((2 * block + 1, P, 1, basis.shape[1]), dtype=complex)
+    coef = np.ones((2 * block + 1, P, 1, M), dtype=complex)
 
     def generator(j: int) -> np.ndarray:
         return (coef[j] @ basis).reshape(P, n, n)
 
-    for k0 in range(0, steps, block):
-        k1 = min(k0 + block, steps)
-        rows = slice(2 * k0, 2 * k1 + 1)
+    snapshots = (np.empty(((steps - 1) // stride, P) + y.shape[-2:], dtype=complex)
+                 if stride else None)
+    for start in range(0, steps, block):
+        stop = min(start + block, steps)
+        rows = slice(2 * start, 2 * stop + 1)
         for c, (_, drive) in enumerate(channels):
             samples = drive[:, rows].T
             coef[:samples.shape[0], :, 0, 1 + 2 * c] = samples
             coef[:samples.shape[0], :, 0, 2 + 2 * c] = samples.conj()
         g_end = generator(0)
-        for i in range(k1 - k0):
-            g_start, g_end = g_end, generator(2 * i + 2)
-            yield g_start, generator(2 * i + 1), g_end
-
-
-def _rk4(diag: np.ndarray, channels, y: np.ndarray, h: np.ndarray,
-         stride: int | None = None):
-    """Fixed-step RK4 of P independent problems in one vectorized pass.
-
-    diag is the (n,) diagonal; channels is a list of (A_c, drive_c) with
-    A_c an (n, n) or (P, n, n) absorption matrix and drive_c the (P,
-    2 steps + 1) complex drive w e^{-i phi} sampled on the half-step
-    grid tau_j = j h / 2. y is (P, n, m): state columns (m = 1) or
-    operators (m = n), and h the (P,) step of each problem. Extra memory
-    is O(P n^2) besides the drives.
-
-    Returns (y, snapshots): snapshots stacks y after every stride-th
-    step strictly inside the run, shape (k, P, n, m), or is None.
-    """
-    P, n = y.shape[0], diag.size
-    mats = [np.broadcast_to(np.diag(diag), (P, n, n))]
-    for A, _ in channels:
-        A = np.broadcast_to(A, (P, n, n))
-        mats += [A, A.conj().swapaxes(1, 2)]
-    basis = (-1j * h[:, None, None, None] * np.stack(mats, axis=1)).reshape(
-        P, len(mats), n * n)
-    steps = (channels[0][1].shape[1] - 1) // 2
-
-    snapshots = (np.empty(((steps - 1) // stride,) + y.shape, dtype=complex)
-                 if stride else None)
-    for k, (g_start, g_mid, g_end) in enumerate(
-            _step_generators(basis, channels, n, steps)):
-        k1 = g_start @ y
-        k2 = g_mid @ (y + 0.5 * k1)
-        k3 = g_mid @ (y + 0.5 * k2)
-        k4 = g_end @ (y + k3)
-        y = y + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-        if stride and (k + 1) % stride == 0 and k + 1 < steps:
-            snapshots[(k + 1) // stride - 1] = y
+        for k in range(start, stop):
+            j = 2 * (k - start)
+            g_start, g_mid, g_end = g_end, generator(j + 1), generator(j + 2)
+            k1 = g_start @ y
+            k2 = g_mid @ (y + 0.5 * k1)
+            k3 = g_mid @ (y + 0.5 * k2)
+            k4 = g_end @ (y + k3)
+            y = y + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
+            if stride and (k + 1) % stride == 0 and k + 1 < steps:
+                snapshots[(k + 1) // stride - 1] = y
     return y, snapshots
 
 
@@ -287,8 +278,9 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
                       stride: int | None = None):
     """RK4 over each pulse's support, all pulses in one batched pass.
 
-    y is (P, n, m), one state column or operator per pulse. Raises
-    NumericsError naming the channel of the first pulse that blew up.
+    y is (n, m), shared by all pulses, or (P, n, m), one state column or
+    operator per pulse. Raises NumericsError naming the channel of the
+    first pulse that blew up.
     """
     A = np.stack([_absorption_matrix(system, p.channel, p.phase_mask)
                   for p in pulses])
@@ -368,9 +360,9 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     n, pulses = system.n_levels, schedule.pulses
     ops = snapshots = None
     if pulses:
-        eye = np.broadcast_to(np.eye(n, dtype=complex), (len(pulses), n, n))
         ops, snapshots = _integrate_pulses(system, frame, pulses, [0.0] * len(pulses),
-                                           eye, _steps(steps), stride)
+                                           np.eye(n, dtype=complex), _steps(steps),
+                                           stride)
     op_rows, time, phase, support = np.atleast_2d(
         schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
     starts = time - support / 2.0
@@ -477,8 +469,8 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     overhead they save, step the state itself and record a kernel
     snapshot every s steps.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     steps = _steps(steps)
     stride = max(1, steps // 400)
     h = duration / steps
@@ -497,7 +489,7 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     amps = [state.amplitudes.astype(complex)]
     if n > _WINDOW_SEGMENT_MAX_LEVELS:
         y, snapshots = _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                            amps[0][None, :, None], np.array([h]), stride)
+                            amps[0][:, None], h, stride)
         amps += [*snapshots[:, 0, :, 0], y[0, :, 0]]
     else:
         # segment k spans half-step samples 2 k stride ... 2 (k + 1)
@@ -507,10 +499,7 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         if steps % stride:
             passes.append([d[None, K * width:] for d in drives])
         for segments in passes:
-            P = len(segments[0])
-            ops, _ = _rk4(diag, list(zip(A, segments)),
-                          np.broadcast_to(np.eye(n, dtype=complex), (P, n, n)),
-                          np.full(P, h))
+            ops, _ = _rk4(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h)
             for op in ops:
                 amps.append(op @ amps[-1])
     if not np.all(np.isfinite(amps[-1])):

@@ -146,6 +146,9 @@ def _train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
         chirp = {"alpha_pump": alpha_pump, "alpha_dump": alpha_dump}
     if frame is None:
         frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
+    elif f0_pump:
+        raise ValueError("f0_pump sets the comb-locked frame and cannot be "
+                         "combined with a frame")
     pump = make_pulse(shape, fwhm, pump_area, channel="pump")
     dump = make_pulse(shape, fwhm, dump_area, channel="dump",
                       phase_mask=dump_phase_mask)
@@ -294,8 +297,11 @@ def reference_envelopes(kind: str, duration: float, peak_rabi: float,
     """
     if kind not in ("stirap", "crp"):
         raise ValueError(f"kind must be 'stirap' or 'crp', got {kind!r}")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
+    for name, value in (("peak_rabi", peak_rabi), ("chirp_rate", chirp_rate)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     sig = duration / 8.0
     t_mid = duration / 2.0
 

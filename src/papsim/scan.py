@@ -269,10 +269,11 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
                      values, *, base_config: dict | None = None) -> SweepResult:
     """One protocol run per parameter value, everything else constant.
 
-    parameter "n_pairs" varies the pulse count at fixed total integral
-    action (areas are totals, so the per-pulse action rescales by
-    itself), "area_scale" multiplies both channel areas, "alpha" sets
-    both chirp staircases of the crp protocol. Failed rows become NaN.
+    parameter "n_pairs" varies the pulse count, whole numbers only, at
+    fixed total integral action (areas are totals, so the per-pulse
+    action rescales by itself), "area_scale" multiplies both channel
+    areas, "alpha" sets both chirp staircases of the crp protocol.
+    Failed rows become NaN.
     """
     if protocol not in RUNNERS:
         raise ValueError(f"protocol must be one of {tuple(RUNNERS)}")
@@ -283,6 +284,10 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
     vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ValueError("values must be non-empty")
+    if parameter == "n_pairs":
+        fractional = vals[~np.isfinite(vals) | (vals != np.round(vals))]
+        if fractional.size:
+            raise ValueError(f"n_pairs values must be integers, got {fractional[0]}")
     base = dict(base_config or {})
     base.setdefault("record", "none")
 
@@ -291,7 +296,7 @@ def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,
     for i, v in enumerate(vals):
         kwargs = dict(base)
         if parameter == "n_pairs":
-            kwargs["n_pairs"] = int(round(v))
+            kwargs["n_pairs"] = int(v)
         elif parameter == "area_scale":
             for key in ("pump_area", "dump_area"):
                 ref = base.get(key)

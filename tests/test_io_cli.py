@@ -403,6 +403,10 @@ _UNREAD = [
      "scan.delta_t_start"),
     ("sweep", {"sweep": {**_READS["sweep"]["sweep"], "points": 3}},
      "sweep.points"),
+    # f0_pump sets the comb-locked frame, which a frame section replaces
+    *((protocol, {"train": {**_READS[protocol]["train"], "f0_pump": 0.37},
+                  "frame": {"pump_offset": 0.5}}, "train.f0_pump")
+      for protocol in ("stirap", "sweep")),
 ]
 
 
@@ -422,6 +426,19 @@ def test_config_rejects_what_its_command_does_not_read(protocol, extra, key,
     assert main([protocol, "--config", path, "--quiet"]) == 2
     assert key in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+
+
+def test_sweep_of_fractional_pair_counts_exits_2(tmp_path, capsys):
+    """A start/stop/points range of n_pairs that falls between integers
+    fails before any run instead of running rounded counts."""
+    path = _write_cfg(tmp_path, "sweep.cfg", {
+        "protocol": "sweep", "system": {"three_level": {}}, "train": _TRAIN,
+        "sweep": {"protocol": "stirap", "parameter": "n_pairs",
+                  "start": 2, "stop": 4, "points": 4}})
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", path, "--out", str(out), "--quiet"]) == 2
+    assert "n_pairs values must be integers, got 2.66" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scan_and_sweep_check_the_output_path_first(tmp_path, monkeypatch,

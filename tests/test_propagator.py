@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from papsim import (K_RAD_PS_PER_CM, NumericsError, PhaseFrame, QuantumState,
-                    TrainEvent, build_three_level, build_synthetic_molecule,
-                    build_train, free_evolve, ground_state, make_pulse,
-                    make_schedule, oracle_propagate,
-                    propagate_pulse, propagate_window, run_schedule,
-                    SyntheticMoleculeSpec)
+from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, NumericsError, PhaseFrame,
+                    QuantumState, TrainEvent, build_three_level,
+                    build_synthetic_molecule, build_train, free_evolve,
+                    ground_state, make_pulse, make_schedule, oracle_propagate,
+                    propagate_pulse, propagate_window, run_reference_ap,
+                    run_schedule, SyntheticMoleculeSpec)
 from papsim import propagator
 from papsim.levels import Level
 from papsim.fields import _pair_trains
@@ -410,6 +410,55 @@ def test_window_follows_a_chirped_drive_and_never_gains_norm():
                     method="DOP853", t_eval=traj.times, rtol=1e-12, atol=1e-12)
     assert np.max(np.abs(traj.populations - np.abs(sol.y.T) ** 2)) < 1e-8
     assert np.max(np.abs(traj.final_state.amplitudes - sol.y[:, -1])) < 1e-8
+
+
+@pytest.mark.parametrize("P", [3, 100])
+@pytest.mark.parametrize("m", [1, 5])
+def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m):
+    """_rk4 given h, the couplings and the start once per pass returns the
+    operators and snapshots of the same inputs repeated per problem; 100
+    problems take blocks shorter than _BLOCK_STEPS."""
+    mol = build_synthetic_molecule(SyntheticMoleculeSpec(
+        3, 11200.0, (12.0,), decay_lifetime=0.5, ground_b_energies=(-2333.0,)))
+    n, steps, stride, h = mol.n_levels, 150, 7, 0.013
+    frame = PhaseFrame.for_system(mol)
+    diag = propagator._diagonal(mol, frame)
+    A = [propagator._absorption_matrix(mol, c) for c in ("pump", "dump")]
+    rng = np.random.default_rng(7)
+    drives = [rng.normal(size=(P, 2 * steps + 1))
+              + 1j * rng.normal(size=(P, 2 * steps + 1)) for _ in A]
+    y = (np.eye(n, dtype=complex) if m == n
+         else rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1)))
+
+    shared = propagator._rk4(diag, list(zip(A, drives)), y, h, stride)
+    per_problem = propagator._rk4(
+        diag, [(np.broadcast_to(a, (P, n, n)).copy(), d) for a, d in zip(A, drives)],
+        np.broadcast_to(y, (P, n, m)).copy(), np.full(P, h), stride)
+    assert shared[0].shape == (P, n, m)
+    assert shared[1].shape == ((steps - 1) // stride, P, n, m)
+    for ours, theirs in zip(shared, per_problem):
+        assert np.array_equal(ours, theirs)
+
+
+def test_reference_window_keeps_one_copy_of_what_segments_share():
+    """The traced peak of a default 100 ps reference on a 16-level band,
+    the largest window taking segment operators, stays under 24 MB; a
+    basis copied per segment lifted it to 30 MB."""
+    import tracemalloc
+
+    tooth = 1.0 / (C_CM_PER_PS * 10.0)
+    band = build_synthetic_molecule(SyntheticMoleculeSpec(
+        12, 11145.0, (tooth,), dipole_profile="gaussian",
+        ground_a_energies=(0.0, 37.0), ground_b_energies=(-2333.0, -2291.0)))
+    assert band.n_levels == propagator._WINDOW_SEGMENT_MAX_LEVELS
+    run_reference_ap(band, "stirap", 100.0, 1.47)
+    tracemalloc.start()
+    try:
+        run_reference_ap(band, "stirap", 100.0, 1.47)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
 
 
 def test_oracle_agrees_on_a_small_train():

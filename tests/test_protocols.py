@@ -11,9 +11,10 @@ import pytest
 from scipy.integrate import quad
 
 import papsim
-from papsim import (PhaseFrame, build_three_level, reference_envelopes,
-                    run_pair_train, run_piecewise_crp, run_piecewise_stirap,
-                    run_reference_ap, train_from_reference)
+from papsim import (PhaseFrame, build_three_level, ground_state,
+                    propagate_window, reference_envelopes, run_pair_train,
+                    run_piecewise_crp, run_piecewise_stirap, run_reference_ap,
+                    train_from_reference)
 
 
 def test_accounting_closes_without_decay():
@@ -65,6 +66,41 @@ def test_non_finite_delays_fail_loudly(bad):
         run_pair_train(sys3, 2, 10.0, 4.0, fwhm=bad, record="none")
     with pytest.raises(ValueError, match="area must be finite"):
         run_pair_train(sys3, 2, 10.0, 4.0, pump_area=bad, record="none")
+
+
+def test_f0_pump_cannot_be_combined_with_a_frame():
+    """f0_pump only sets the comb-locked frame, so next to a frame it
+    would go unread; it fails instead."""
+    sys3 = build_three_level()
+    frame = PhaseFrame.for_system(sys3, pump_offset=0.5)
+    for runner, args in ((run_piecewise_stirap, ()), (run_piecewise_crp, (0.1, 0.1)),
+                         (run_pair_train, (4.0,))):
+        with pytest.raises(ValueError, match="f0_pump .*frame"):
+            runner(sys3, 2, 10.0, *args, frame=frame, f0_pump=0.37, record="none")
+    with_frame = run_piecewise_stirap(sys3, 2, 10.0, frame=frame, f0_pump=0.0,
+                                      record="none")
+    assert with_frame.frame == frame
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_references_fail_by_name(bad):
+    """A non-finite reference input is a ValueError naming it, not a
+    numerical failure or an error about another argument."""
+    sys3 = build_three_level()
+    duration = "duration must be positive and finite"
+    with pytest.raises(ValueError, match=duration):
+        run_reference_ap(sys3, "stirap", bad, 1.0, steps=100)
+    with pytest.raises(ValueError, match=duration):
+        run_reference_ap(sys3, "stirap", bad, 1.0)
+    with pytest.raises(ValueError, match=duration):
+        train_from_reference("stirap", bad, 1.0, 4)
+    with pytest.raises(ValueError, match="peak_rabi must be finite"):
+        run_reference_ap(sys3, "stirap", 10.0, bad, steps=100)
+    with pytest.raises(ValueError, match="chirp_rate must be finite"):
+        run_reference_ap(sys3, "crp", 10.0, 1.0, bad, steps=100)
+    with pytest.raises(ValueError, match=duration):
+        propagate_window(ground_state(sys3), sys3, math.cos, math.cos,
+                         PhaseFrame.for_system(sys3), bad, 100)
 
 
 def test_comb_locked_default_frame():

@@ -275,6 +275,13 @@ def test_sweep_validation_and_failures():
     with pytest.raises(ValueError):
         robustness_sweep(sys3, "stirap", "area_scale", [1.0],
                          base_config={"n_pairs": 5, "delta_T": 10.0})
+    # pair counts that are not whole numbers fail before any run, by the
+    # first of them, instead of running rounded counts
+    for values, first in (([2, 2.5, 3.4, 3.6], "2.5"), ([3, math.nan], "nan"),
+                          ([math.inf], "inf")):
+        with pytest.raises(ValueError,
+                           match=f"n_pairs values must be integers, got {first}"):
+            robustness_sweep(sys3, "pairs", "n_pairs", values)
     # impossible schedules turn into NaN rows, not a crash
     bad = robustness_sweep(sys3, "pairs", "n_pairs", [2],
                            base_config={"delta_T": 10.0, "delta_t_small": 0.01,
