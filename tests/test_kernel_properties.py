@@ -125,7 +125,7 @@ def test_norm_never_rises_under_decay(case, gap, tail, data):
         replace(level, decay_rate=rate)
         for level, rate in zip(system.excited, rates)))
     frame = PhaseFrame.for_system(system)
-    # the default steps, inside the documented step contract of support/400
+    # the default steps: at 60 steps one lossless case gained 3.5e-10
     traj = run_schedule(ground_state(system, 0.0), system,
                         _sequence(pulses, phases, gap), frame,
                         record="compressed")

@@ -412,25 +412,44 @@ def test_window_follows_a_chirped_drive_and_never_gains_norm():
     assert np.max(np.abs(traj.final_state.amplitudes - sol.y[:, -1])) < 1e-8
 
 
-@pytest.mark.parametrize("P", [3, 100])
-@pytest.mark.parametrize("m", [1, 5])
-def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m):
-    """_rk4 given h, the couplings and the start once per pass returns the
-    operators and snapshots of the same inputs repeated per problem; 100
-    problems take blocks shorter than _BLOCK_STEPS."""
+def _kernel_inputs(P, m, steps=150):
+    """A decaying 1 + 3 + 1 system with random two-channel drives, h and
+    a start of m columns, for _rk4."""
     mol = build_synthetic_molecule(SyntheticMoleculeSpec(
         3, 11200.0, (12.0,), decay_lifetime=0.5, ground_b_energies=(-2333.0,)))
-    n, steps, stride, h = mol.n_levels, 150, 7, 0.013
-    frame = PhaseFrame.for_system(mol)
-    diag = propagator._diagonal(mol, frame)
+    n = mol.n_levels
+    diag = propagator._diagonal(mol, PhaseFrame.for_system(mol))
     A = [propagator._absorption_matrix(mol, c) for c in ("pump", "dump")]
     rng = np.random.default_rng(7)
     drives = [rng.normal(size=(P, 2 * steps + 1))
               + 1j * rng.normal(size=(P, 2 * steps + 1)) for _ in A]
     y = (np.eye(n, dtype=complex) if m == n
          else rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1)))
+    return diag, list(zip(A, drives)), y, 0.013
 
-    shared = propagator._rk4(diag, list(zip(A, drives)), y, h, stride)
+
+def _force_step_matrices(monkeypatch, product):
+    """Send every _rk4 pass to the step-matrix product, or none of them."""
+    limit = 10 ** 9 if product else 0
+    monkeypatch.setattr(propagator, "_PRODUCT_MAX_WORK", limit)
+    monkeypatch.setattr(propagator, "_PRODUCT_MAX_LEVELS", limit)
+
+
+@pytest.mark.parametrize("product", [False, True])
+@pytest.mark.parametrize("P", [3, 100])
+@pytest.mark.parametrize("m", [1, 5])
+def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m, product,
+                                                                monkeypatch):
+    """_rk4 given h, the couplings and the start once per pass returns the
+    operators and snapshots of the same inputs repeated per problem, on
+    either path; 100 problems take step-loop blocks shorter than
+    _BLOCK_STEPS."""
+    _force_step_matrices(monkeypatch, product)
+    diag, channels, y, h = _kernel_inputs(P, m)
+    n, steps, stride = diag.size, 150, 7
+    A, drives = zip(*channels)
+
+    shared = propagator._rk4(diag, channels, y, h, stride)
     per_problem = propagator._rk4(
         diag, [(np.broadcast_to(a, (P, n, n)).copy(), d) for a, d in zip(A, drives)],
         np.broadcast_to(y, (P, n, m)).copy(), np.full(P, h), stride)
@@ -438,6 +457,52 @@ def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m):
     assert shared[1].shape == ((steps - 1) // stride, P, n, m)
     for ours, theirs in zip(shared, per_problem):
         assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("stride", [None, 7])
+@pytest.mark.parametrize("P", [1, 4])
+@pytest.mark.parametrize("m", [1, 5])
+def test_step_matrix_product_matches_the_step_loop(m, P, stride, monkeypatch):
+    """Multiplying out each block's step matrices gives the step loop's
+    result and snapshots up to association order, also when 150 steps
+    are no multiple of the 64-step block or of the stride."""
+    diag, channels, y, h = _kernel_inputs(P, m)
+    runs = []
+    for product in (False, True):
+        _force_step_matrices(monkeypatch, product)
+        runs.append(propagator._rk4(diag, channels, y, h, stride))
+    (loop_y, loop_snaps), (prod_y, prod_snaps) = runs
+    assert prod_y.shape == loop_y.shape == (P, diag.size, m)
+    assert 0.1 < np.max(np.abs(loop_y)) < 10.0
+    assert np.max(np.abs(prod_y - loop_y)) < 1e-13
+    if stride is None:
+        assert loop_snaps is None and prod_snaps is None
+    else:
+        assert prod_snaps.shape == loop_snaps.shape == (21, P, diag.size, m)
+        assert np.max(np.abs(prod_snaps - loop_snaps)) < 1e-13
+
+
+@pytest.mark.parametrize("n, P, m, stride, product", [
+    (5, 2, 5, None, True),     # a scan column's two operators
+    (3, 1, 1, 20, True),       # one state column, dense snapshots
+    (5, 20, 5, None, True),    # P n^2 = 500
+    (5, 21, 5, None, False),   # P n^2 = 525
+    (17, 1, 1, None, False),   # more levels than _PRODUCT_MAX_LEVELS
+])
+def test_the_size_rule_picks_the_path(n, P, m, stride, product, monkeypatch):
+    """Without forcing, a pass gives the bits of the path its size picks."""
+    mol = build_synthetic_molecule(SyntheticMoleculeSpec(
+        n - 2, 11200.0, (12.0,), decay_lifetime=0.5, ground_b_energies=(-2333.0,)))
+    diag = propagator._diagonal(mol, PhaseFrame.for_system(mol))
+    rng = np.random.default_rng(3)
+    channels = [(propagator._absorption_matrix(mol, "pump"),
+                 rng.normal(size=(P, 2 * 130 + 1)).astype(complex))]
+    y = np.eye(n, dtype=complex)[:, :m]
+    chosen = propagator._rk4(diag, channels, y, 0.01, stride)[0]
+    _force_step_matrices(monkeypatch, product)
+    assert np.array_equal(chosen, propagator._rk4(diag, channels, y, 0.01, stride)[0])
+    _force_step_matrices(monkeypatch, not product)
+    assert not np.array_equal(chosen, propagator._rk4(diag, channels, y, 0.01, stride)[0])
 
 
 def test_reference_window_keeps_one_copy_of_what_segments_share():
