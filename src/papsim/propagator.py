@@ -270,10 +270,10 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
     mats = np.stack(np.broadcast_arrays(*mats), axis=-3)
     basis = (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
     steps = (channels[0][1].shape[1] - 1) // 2
-    block = stride or _BLOCK_STEPS
-    product = (P * n * n <= _PRODUCT_MAX_WORK and n <= _PRODUCT_MAX_LEVELS
-               and block <= _BLOCK_STEPS)
-    if not product:
+    product = P * n * n <= _PRODUCT_MAX_WORK and n <= _PRODUCT_MAX_LEVELS
+    if product:
+        block = stride or _BLOCK_STEPS
+    else:
         block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // P))
     coef = np.ones((2 * block + 1, P, 1, M), dtype=complex)
     eye = np.eye(n)

@@ -412,12 +412,12 @@ def test_window_follows_a_chirped_drive_and_never_gains_norm():
     assert np.max(np.abs(traj.final_state.amplitudes - sol.y[:, -1])) < 1e-8
 
 
-def _kernel_inputs(P, m, steps=150):
-    """A decaying 1 + 3 + 1 system with random two-channel drives, h and
-    a start of m columns, for _rk4."""
+def _kernel_inputs(P, m):
+    """A decaying 1 + 3 + 1 system with random two-channel drives over 150
+    steps, h and a start of m columns, for _rk4."""
     mol = build_synthetic_molecule(SyntheticMoleculeSpec(
         3, 11200.0, (12.0,), decay_lifetime=0.5, ground_b_energies=(-2333.0,)))
-    n = mol.n_levels
+    n, steps = mol.n_levels, 150
     diag = propagator._diagonal(mol, PhaseFrame.for_system(mol))
     A = [propagator._absorption_matrix(mol, c) for c in ("pump", "dump")]
     rng = np.random.default_rng(7)
