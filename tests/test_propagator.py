@@ -435,28 +435,29 @@ def _force_step_matrices(monkeypatch, product):
     monkeypatch.setattr(propagator, "_PRODUCT_MAX_LEVELS", limit)
 
 
-@pytest.mark.parametrize("product", [False, True])
 @pytest.mark.parametrize("P", [3, 100])
 @pytest.mark.parametrize("m", [1, 5])
-def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m, product,
+def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m,
                                                                 monkeypatch):
     """_rk4 given h, the couplings and the start once per pass returns the
     operators and snapshots of the same inputs repeated per problem, on
-    either path; 100 problems take step-loop blocks shorter than
-    _BLOCK_STEPS."""
-    _force_step_matrices(monkeypatch, product)
+    the step loop and on the step-matrix product; 100 problems take
+    step-loop blocks shorter than _BLOCK_STEPS."""
     diag, channels, y, h = _kernel_inputs(P, m)
     n, steps, stride = diag.size, 150, 7
     A, drives = zip(*channels)
 
-    shared = propagator._rk4(diag, channels, y, h, stride)
-    per_problem = propagator._rk4(
-        diag, [(np.broadcast_to(a, (P, n, n)).copy(), d) for a, d in zip(A, drives)],
-        np.broadcast_to(y, (P, n, m)).copy(), np.full(P, h), stride)
-    assert shared[0].shape == (P, n, m)
-    assert shared[1].shape == ((steps - 1) // stride, P, n, m)
-    for ours, theirs in zip(shared, per_problem):
-        assert np.array_equal(ours, theirs)
+    for product in (False, True):
+        _force_step_matrices(monkeypatch, product)
+        shared = propagator._rk4(diag, channels, y, h, stride)
+        per_problem = propagator._rk4(
+            diag, [(np.broadcast_to(a, (P, n, n)).copy(), d)
+                   for a, d in zip(A, drives)],
+            np.broadcast_to(y, (P, n, m)).copy(), np.full(P, h), stride)
+        assert shared[0].shape == (P, n, m)
+        assert shared[1].shape == ((steps - 1) // stride, P, n, m)
+        for ours, theirs in zip(shared, per_problem):
+            assert np.array_equal(ours, theirs)
 
 
 @pytest.mark.parametrize("stride", [None, 7])
