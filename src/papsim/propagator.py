@@ -59,7 +59,7 @@ snapshots. oracle_propagate is the independent check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -68,18 +68,27 @@ from .fields import PulseSpec, TrainSchedule, rabi_envelope
 from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
-# fixed-step RK4 steps per pulse support unless a count is given. A given
-# count (steps=, train.steps) may be any int >= 4, and nothing reports its
-# error: at 60 steps one pulse raised the norm of a lossless 2 + 3 + 2
-# system by 3.5e-10. ROADMAP item 3 plans the integrator error estimate.
+# the cap of the RK4 steps per pulse support that a default count may take
+# (see _TOLERANCE), and propagate_pulse's default. A given count (steps=,
+# train.steps) may be any int >= 4; it bypasses the error estimate.
 MIN_STEPS_PER_PULSE = 800
+
+# Default step counts come from a tolerance. A pass whose cap is `cap`
+# steps first takes the step-doubling (Richardson) estimate of the error
+# of N0 = cap // 32 steps, err(N0) = 16/15 max |y_N0 - y_2N0| (Hairer,
+# Norsett and Wanner, Solving ODEs I, II.4), then runs RK4's N^-4 law
+# backwards: N = ceil(N0 (2 E err(N0) / _TOLERANCE)^(1/4)) in [N0, cap],
+# so that the E events of a row add up to half the tolerance. A run held
+# at the cap with its estimate above the tolerance is logged as a warning.
+_TOLERANCE = 1e-9
 
 ORACLE_MAX_LEVELS = 32
 # steps per stacked expm call of the oracle: 500 x 32 x 32 complex is 8 MB
 _ORACLE_CHUNK = 500
 
-# record="dense" samples inside each pulse every this many RK4 steps
-_DENSE_STRIDE = 20
+# record="dense" samples inside each pulse every max(1, steps // this) RK4
+# steps: every 20 at 800 steps
+_DENSE_SAMPLES = 40
 
 # propagate_window integrates segment operators up to this many levels.
 # The batch removes per-step call overhead but costs n times the flops
@@ -361,6 +370,77 @@ def _steps(steps: int | None) -> int:
     return MIN_STEPS_PER_PULSE if steps is None else max(int(steps), 4)
 
 
+# --- step counts from a tolerance ---
+
+def _doubling_error(diag: np.ndarray, A, drives, y: np.ndarray, h) -> float:
+    """16/15 max |y_N - y_2N|, the step-doubling estimate of the error of
+    N RK4 steps of size h; each drive is sampled once, on the half-step
+    grid of 2N steps, whose every other sample is that of N steps. A
+    pass that blows up estimates an infinite error."""
+    with np.errstate(all="ignore"):
+        coarse, _ = _rk4(diag, [(a, d[:, ::2]) for a, d in zip(A, drives)], y, h)
+        fine, _ = _rk4(diag, list(zip(A, drives)), y, h / 2.0)
+    err = 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
+    return err if math.isfinite(err) else math.inf
+
+
+def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int) -> float:
+    """The step-doubling error of n0 steps per pulse, taken on the
+    largest-area pulse of each group of pulses that differ only in area
+    (for a runner's train, one pump and one dump)."""
+    largest = {}
+    for p in pulses:
+        key = replace(p, area=0.0)
+        if key not in largest or p.area > largest[key].area:
+            largest[key] = p
+    group = list(largest.values())
+    A = np.stack([_absorption_matrix(system, p.channel, p.phase_mask) for p in group])
+    drive = np.array([_pulse_drive(p, 0.0, 2 * n0) for p in group])
+    h = np.array([p.support_ps / n0 for p in group])
+    return _doubling_error(_diagonal(system, frame), [A], [drive],
+                           np.eye(system.n_levels, dtype=complex), h)
+
+
+def _window_cap(duration: float) -> int:
+    """The default steps of a window: 200 per ps, at least 4000."""
+    return max(4000, int(200.0 * duration))
+
+
+def _chosen_steps(steps: int | None, cap: int, events: int,
+                  error) -> tuple[int, dict]:
+    """The given steps (at least 4), or the tolerance rule's for a pass
+    whose count defaults to cap, and their diagnostics; error(n0)
+    estimates one event's error at n0 steps."""
+    if steps is not None:
+        n = _steps(steps)
+        return n, {"steps": n, "error_estimate": None, "events": events}
+    n0 = cap // 32
+    err = error(n0)
+    ratio = 2.0 * events * err / _TOLERANCE
+    n = cap if ratio >= (cap / n0) ** 4 else max(n0, math.ceil(n0 * ratio ** 0.25))
+    estimate = events * err * (n0 / n) ** 4
+    if n == cap and estimate > _TOLERANCE:
+        # loaded only here, so that importing papsim loads numpy only
+        import logging
+
+        logging.getLogger(__name__).warning(
+            "RK4 held at its cap of %d steps: estimated error %.2g exceeds "
+            "the tolerance %.2g", cap, estimate, _TOLERANCE)
+    return n, {"steps": n, "error_estimate": estimate, "events": events}
+
+
+def _train_steps(system: LevelSystem, frame: PhaseFrame,
+                 schedule: TrainSchedule, steps: int | None) -> tuple[int, dict]:
+    """The RK4 steps per pulse of a schedule and their diagnostics: the
+    given steps, or the tolerance rule over the events of one row, at
+    most MIN_STEPS_PER_PULSE."""
+    pulses = schedule.pulses
+    n, diagnostics = _chosen_steps(
+        steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1],
+        lambda n0: _pulse_error(system, frame, pulses, n0) if pulses else 0.0)
+    return n, {**diagnostics, "distinct_pulses": len(pulses)}
+
+
 def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
                     frame: PhaseFrame, steps: int | None = None) -> QuantumState:
     """Propagate through one pulse whose support starts at state.time.
@@ -396,7 +476,10 @@ class Trajectory:
     """Recorded populations along a run.
 
     times (ps), populations (len(times) x n_levels), norms (total
-    population, i.e. 1 minus what has decayed away), and the final state.
+    population, i.e. 1 minus what has decayed away), the final state and
+    the diagnostics of the RK4 steps: the steps taken, their error
+    estimate (None for a given count), the events and, for a schedule,
+    its distinct pulses.
     """
 
     times: np.ndarray
@@ -404,13 +487,14 @@ class Trajectory:
     norms: np.ndarray
     labels: tuple[str, ...]
     final_state: QuantumState
+    diagnostics: dict = field(default_factory=dict)
 
 
 def _run_events(system: LevelSystem, frame: PhaseFrame,
                 schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
                 t0, stride: int | None = None, visit=None):
     """Integrate schedule.pulses, in their stored order, in one batched
-    pass of _steps(steps) RK4 steps, then step the (C, n) stack amps, row
+    pass of _train_steps(steps) RK4 steps, then step the (C, n) stack amps, row
     c from time t0[c] through row c of the schedule (one train for C = 1,
     or a (C, E) column stack), and return the final (amps, times). Event
     k applies operator schedule.pulse[k]; a row's result does not depend
@@ -420,9 +504,9 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     n, pulses = system.n_levels, schedule.pulses
     ops = snapshots = None
     if pulses:
-        ops, snapshots = _integrate_pulses(system, frame, pulses, [0.0] * len(pulses),
-                                           np.eye(n, dtype=complex), _steps(steps),
-                                           stride)
+        ops, snapshots = _integrate_pulses(
+            system, frame, pulses, [0.0] * len(pulses), np.eye(n, dtype=complex),
+            _train_steps(system, frame, schedule, steps)[0], stride)
     op_rows, time, phase, support = np.atleast_2d(
         schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
     starts = time - support / 2.0
@@ -457,7 +541,12 @@ def run_schedule(state: QuantumState, system: LevelSystem,
 
     record policies: "compressed" stores populations at every event
     boundary, "dense" additionally samples inside each pulse every
-    _DENSE_STRIDE (20) RK4 steps, "none" records only the endpoints.
+    max(1, steps // 40) RK4 steps, "none" records only the endpoints.
+
+    Unless steps are given, each pulse takes the RK4 steps that the
+    tolerance rule (_TOLERANCE) picks from a step-doubling estimate on the
+    train's largest pulses, at most MIN_STEPS_PER_PULSE; the trajectory's
+    diagnostics report them.
 
     The distinct pulses of the schedule (equal up to carrier phase) are
     integrated together in one batched pass, each into its evolution
@@ -478,7 +567,8 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
 
-    n_steps = _steps(steps)
+    n_steps, diagnostics = _train_steps(system, frame, schedule, steps)
+    stride = max(1, n_steps // _DENSE_SAMPLES) if dense else None
     support = schedule.support
     times = [state.time]
     pops = [state.populations()]
@@ -487,15 +577,14 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         if dense:
             inner = z[0] * (snapshots[:, op[0]] @ rotated[0])
             h = support[k] / n_steps
-            times.extend(start[0] + _DENSE_STRIDE * np.arange(1, len(inner) + 1) * h)
+            times.extend(start[0] + stride * np.arange(1, len(inner) + 1) * h)
             pops.extend(np.abs(inner) ** 2)
         if record != "none" or k == len(support) - 1:
             times.append(end[0])
             pops.append(np.abs(amps[0]) ** 2)
 
     amps, end = _run_events(system, frame, schedule, n_steps,
-                            state.amplitudes[None], [state.time],
-                            _DENSE_STRIDE if dense else None, visit)
+                            state.amplitudes[None], [state.time], stride, visit)
     pops_arr = np.array(pops)
     return Trajectory(
         times=np.array(times),
@@ -504,12 +593,13 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         labels=system.labels,
         # an empty schedule hands back the state it was given
         final_state=QuantumState(amps[0], float(end[0])) if len(support) else state,
+        diagnostics=diagnostics,
     )
 
 
 def propagate_window(state: QuantumState, system: LevelSystem,
                      pump_rabi, dump_rabi, frame: PhaseFrame,
-                     duration: float, steps: int,
+                     duration: float, steps: int | None = None,
                      pump_phase=None, dump_phase=None) -> Trajectory:
     """RK4 over a window where both channels may drive simultaneously.
 
@@ -518,6 +608,11 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     phi(t) (rad). Each callable is sampled once on the half-step grid of
     max(steps, 4) RK4 steps. Smooth adiabatic references with
     overlapping envelopes use this; scheduled trains never need it.
+
+    Unless steps are given, the tolerance rule (_TOLERANCE) picks them
+    from a step-doubling estimate on the state over the whole window, at
+    most 200 per ps and at least 4000 (_window_cap); the trajectory's
+    diagnostics report them.
 
     The trajectory records the state every s = max(1, steps // 400)
     steps and at the end. Up to _WINDOW_SEGMENT_MAX_LEVELS levels the
@@ -531,22 +626,28 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     """
     if not 0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration}")
-    steps = _steps(steps)
-    stride = max(1, steps // 400)
-    h = duration / steps
     t0 = state.time
-    grid = t0 + np.linspace(0.0, duration, 2 * steps + 1)
-
-    def drive(rabi, phase) -> np.ndarray:
-        d = np.fromiter(map(rabi, grid), complex, grid.size)
-        if phase is not None:
-            d *= np.exp(-1j * np.fromiter(map(phase, grid), float, grid.size))
-        return d
-
     A = (_absorption_matrix(system, "pump"), _absorption_matrix(system, "dump"))
-    drives = (drive(pump_rabi, pump_phase), drive(dump_rabi, dump_phase))
     diag, n = _diagonal(system, frame), system.n_levels
     amps = [state.amplitudes.astype(complex)]
+
+    def sampled(steps: int):
+        grid = t0 + np.linspace(0.0, duration, 2 * steps + 1)
+        drives = []
+        for rabi, phase in ((pump_rabi, pump_phase), (dump_rabi, dump_phase)):
+            d = np.fromiter(map(rabi, grid), complex, grid.size)
+            if phase is not None:
+                d *= np.exp(-1j * np.fromiter(map(phase, grid), float, grid.size))
+            drives.append(d)
+        return drives
+
+    steps, diagnostics = _chosen_steps(
+        steps, _window_cap(duration), 1, lambda n0: _doubling_error(
+            diag, A, [d[None] for d in sampled(2 * n0)], amps[0][:, None],
+            duration / n0))
+    stride = max(1, steps // 400)
+    h = duration / steps
+    drives = sampled(steps)
     if n > _WINDOW_SEGMENT_MAX_LEVELS:
         y, snapshots = _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
                             amps[0][:, None], h, stride)
@@ -568,7 +669,8 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     times = np.concatenate([[t0], t0 + stride * np.arange(1, len(amps) - 1) * h,
                             [final.time]])
     pops = np.abs(np.array(amps)) ** 2
-    return Trajectory(times, pops, pops.sum(axis=1), system.labels, final)
+    return Trajectory(times, pops, pops.sum(axis=1), system.labels, final,
+                      diagnostics)
 
 
 # --- dense matrix-exponential oracle (tests only) ---

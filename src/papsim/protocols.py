@@ -172,6 +172,7 @@ def _run_train(protocol: str, kind: str, levels: LevelSystem, *args,
     state = ground_state(levels, schedule.start_time)
     traj = run_schedule(state, levels, schedule, frame, record=record,
                         steps=steps)
+    details["diagnostics"] = traj.diagnostics
     return result_from_trajectory(levels, traj, schedule, frame, details)
 
 
@@ -336,14 +337,13 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
         kind, duration, peak_rabi, chirp_rate)
     if frame is None:
         frame = PhaseFrame.for_system(levels)
-    if steps is None:
-        steps = max(4000, int(duration * 200))
     state = ground_state(levels, 0.0)
     traj = propagate_window(state, levels, pump, dump, frame, duration,
                             steps, pump_phase=pump_phase,
                             dump_phase=dump_phase)
     details = {"protocol": f"reference_{kind}", "duration": duration,
-               "peak_rabi": peak_rabi, "chirp_rate": chirp_rate}
+               "peak_rabi": peak_rabi, "chirp_rate": chirp_rate,
+               "diagnostics": traj.diagnostics}
     return result_from_trajectory(levels, traj, None, frame, details)
 
 

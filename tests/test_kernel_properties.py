@@ -21,7 +21,7 @@ from papsim import (EfficiencyMap, PhaseFrame, QuantumState, TrainEvent,
                     write_map_csv)
 from papsim.fields import _pair_trains
 from papsim.levels import Level, LevelSystem
-from papsim.propagator import _integrate_pulses
+from papsim.propagator import MIN_STEPS_PER_PULSE, _integrate_pulses
 
 STEPS = 60
 
@@ -125,13 +125,16 @@ def test_norm_never_rises_under_decay(case, gap, tail, data):
         replace(level, decay_rate=rate)
         for level, rate in zip(system.excited, rates)))
     frame = PhaseFrame.for_system(system)
-    # the default steps: at 60 steps one lossless case gained 3.5e-10
-    traj = run_schedule(ground_state(system, 0.0), system,
-                        _sequence(pulses, phases, gap), frame,
-                        record="compressed")
-    after = free_evolve(traj.final_state, system, tail, frame)
-    norms = np.append(traj.norms, after.populations().sum())
-    assert np.all(np.diff(norms) <= 1e-12)
+    schedule = _sequence(pulses, phases, gap)
+    # at the cap of 800 steps per pulse decay never raises the norm; at
+    # 60 steps one lossless case gained 3.5e-10, and the default count,
+    # which holds the amplitudes to 1e-9, may gain up to that tolerance
+    for steps, rise in ((MIN_STEPS_PER_PULSE, 1e-12), (None, 1e-9)):
+        traj = run_schedule(ground_state(system, 0.0), system, schedule,
+                            frame, record="compressed", steps=steps)
+        after = free_evolve(traj.final_state, system, tail, frame)
+        norms = np.append(traj.norms, after.populations().sum())
+        assert np.all(np.diff(norms) <= rise)
 
 
 _cells = _floats(-1e300, 1e300) | st.just(math.nan)

@@ -10,10 +10,11 @@ from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, NumericsError, PhaseFrame,
                     QuantumState, TrainEvent, build_three_level,
                     build_synthetic_molecule, build_train, free_evolve,
                     ground_state, make_pulse, make_schedule, oracle_propagate,
-                    propagate_pulse, propagate_window, run_reference_ap,
-                    run_schedule, SyntheticMoleculeSpec)
+                    propagate_pulse, propagate_window, run_piecewise_crp,
+                    run_piecewise_stirap, run_reference_ap, run_schedule,
+                    SyntheticMoleculeSpec)
 from papsim import propagator
-from papsim.levels import Level
+from papsim.levels import Level, LevelSystem
 from papsim.fields import _pair_trains
 from papsim.propagator import _run_events, pulse_center_phase
 
@@ -187,12 +188,14 @@ def test_frame_consistency_under_energy_shifts():
 
 def test_cached_operators_match_direct_integration():
     # compressed mode reuses one operator per distinct pulse via an exact
-    # diagonal phase conjugation; the dense path integrates every pulse
+    # diagonal phase conjugation; the dense path integrates every pulse.
+    # Both take the count that propagate_pulse takes by default.
     sys3 = build_three_level(pump_detuning=4.0)
     frame = PhaseFrame.comb_locked(sys3, 10.0)
     sched = _train(sys3, n_pairs=12, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
     st = ground_state(sys3, sched.start_time)
-    fast = run_schedule(st, sys3, sched, frame, record="compressed")
+    fast = run_schedule(st, sys3, sched, frame, record="compressed",
+                        steps=propagator.MIN_STEPS_PER_PULSE)
 
     current = st
     for ev in sched.events:
@@ -584,3 +587,178 @@ def test_event_rows_do_not_depend_on_the_stack():
                               record="none", steps=60).final_state
         assert np.array_equal(direct.amplitudes, all_amps[i])
         assert direct.time == all_times[i]
+
+
+# --- step counts from a tolerance ---
+
+# the tolerance of the default step counts
+TOL = 1e-9
+
+
+def _packet_molecule():
+    """1 + 5 + 1 levels one 1310.59 ps comb tooth apart, 15 ns lifetime."""
+    delta_T = 1310.59
+    tooth = 1.0 / (C_CM_PER_PS * delta_T)
+    e0 = round(11200.0 * C_CM_PER_PS * delta_T) * tooth
+    return build_synthetic_molecule(SyntheticMoleculeSpec(
+        5, e0, (tooth,), dipole_profile="gaussian", decay_lifetime=15.0,
+        ground_b_energies=(-2333.0,))), delta_T
+
+
+def _band_molecule():
+    """2 + 21 + 2 levels, intermediates one 10 ps comb tooth apart."""
+    tooth = 1.0 / (C_CM_PER_PS * 10.0)
+    return build_synthetic_molecule(SyntheticMoleculeSpec(
+        21, 11145.0, (tooth,), dipole_profile="gaussian",
+        ground_a_energies=(0.0, 37.0), ground_b_energies=(-2333.0, -2291.0)))
+
+
+def _ramped_run(case, **kw):
+    if case == "stirap_n3":
+        return run_piecewise_stirap(build_three_level(), 10, 10.0,
+                                    record="none", **kw)
+    if case == "crp_n3_decaying":
+        return run_piecewise_crp(build_three_level(pump_detuning=2.0,
+                                                   decay_rate=0.05),
+                                 10, 10.0, 0.2, 0.2, record="none", **kw)
+    if case == "stirap_n7":
+        mol, delta_T = _packet_molecule()
+        return run_piecewise_stirap(mol, 8, delta_T, delta_t_small=2.0,
+                                    record="none", **kw)
+    return run_piecewise_crp(_band_molecule(), 8, 10.0, 0.2, 0.2,
+                             record="none", **kw)
+
+
+@pytest.mark.parametrize("case", ["stirap_n3", "crp_n3_decaying", "stirap_n7"])
+def test_default_steps_meet_the_tolerance(case):
+    """The count the rule picks lands within the tolerance of 6400 steps
+    per pulse, well below the cap of 800."""
+    run = _ramped_run(case)
+    steps = run.details["diagnostics"]["steps"]
+    assert steps < propagator.MIN_STEPS_PER_PULSE
+    fine = _ramped_run(case, steps=6400)
+    dev = np.max(np.abs(run.trajectory.final_state.amplitudes
+                        - fine.trajectory.final_state.amplitudes))
+    assert dev < TOL
+
+
+def test_default_reference_meets_the_tolerance():
+    sys3 = build_three_level()
+    ref = run_reference_ap(sys3, "stirap", 100.0, 1.47)
+    steps = ref.details["diagnostics"]["steps"]
+    assert steps < propagator._window_cap(100.0)
+    fine = run_reference_ap(sys3, "stirap", 100.0, 1.47, steps=4 * steps)
+    dev = np.max(np.abs(ref.trajectory.final_state.amplitudes
+                        - fine.trajectory.final_state.amplitudes))
+    assert dev < TOL
+
+
+def test_given_steps_keep_their_bits(monkeypatch):
+    """A given count takes no estimate and keeps the bits it had with a
+    fixed default count. The sha256 prefixes were taken on x86-64 with
+    numpy 2.4 and one OpenBLAS thread."""
+    import hashlib
+
+    def no_estimate(*args):
+        raise AssertionError("a given count took the estimate")
+
+    monkeypatch.setattr(propagator, "_doubling_error", no_estimate)
+    sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
+    frame = PhaseFrame.comb_locked(sys3, 10.0)
+    sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
+    expected = {(60, "none"): "8599d44fbd5c0c56",
+                (60, "compressed"): "546f729cf1096637",
+                (800, "none"): "9d7dc905d728eb97",
+                (800, "compressed"): "bca904f055792778"}
+    for (steps, record), digest in expected.items():
+        traj = run_schedule(ground_state(sys3, sched.start_time), sys3, sched,
+                            frame, record=record, steps=steps)
+        data = traj.final_state.amplitudes.tobytes() + traj.populations.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
+        assert traj.diagnostics == {"steps": steps, "error_estimate": None,
+                                    "events": 6,
+                                    "distinct_pulses": len(sched.pulses)}
+    ref = run_reference_ap(sys3, "stirap", 20.0, 1.47, steps=5003).trajectory
+    data = ref.final_state.amplitudes.tobytes() + ref.populations.tobytes()
+    assert hashlib.sha256(data).hexdigest()[:16] == "8aa69fa838dc04de"
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("weak", "n0"), ("stirap_n3", "between"), ("crp_n25", "cap")])
+def test_default_steps_stay_between_n0_and_the_cap(case, expected):
+    cap = propagator.MIN_STEPS_PER_PULSE
+    if case == "weak":
+        sys3 = build_three_level()
+        sched = _train(sys3, total=0.01)
+        traj = run_schedule(ground_state(sys3, sched.start_time), sys3, sched,
+                            PhaseFrame.comb_locked(sys3, 10.0))
+        diagnostics = traj.diagnostics
+    else:
+        diagnostics = _ramped_run(case).details["diagnostics"]
+    steps = diagnostics["steps"]
+    assert cap // 32 <= steps <= cap
+    assert {"n0": steps == cap // 32, "cap": steps == cap,
+            "between": cap // 32 < steps < cap}[expected]
+
+
+def test_window_steps_stay_between_n0_and_the_cap():
+    cap = propagator._window_cap(10.0)
+    sys3 = build_three_level()
+    for peak in (0.0, 1.47, 40.0):
+        steps = run_reference_ap(sys3, "stirap", 10.0, peak).details[
+            "diagnostics"]["steps"]
+        assert cap // 32 <= steps <= cap
+
+
+def test_a_run_held_at_the_cap_is_flagged(caplog):
+    """The n = 25 band crp run needs more than 800 steps per pulse for the
+    tolerance: it keeps the cap and says so."""
+    with caplog.at_level("WARNING", logger="papsim.propagator"):
+        run = _ramped_run("crp_n25")
+    diagnostics = run.details["diagnostics"]
+    assert diagnostics["steps"] == propagator.MIN_STEPS_PER_PULSE
+    assert diagnostics["error_estimate"] > TOL
+    assert diagnostics["events"] == 16
+    assert any("held at its cap" in r.getMessage() for r in caplog.records)
+
+
+def test_the_estimate_sees_the_norm_growth_of_too_few_steps():
+    """At 60 steps one 40 fs, area-1 pump pulse raises the norm of a
+    lossless 2 + 3 + 2 system by about 3.4e-10; the step-doubling
+    estimate of those steps is larger, and the default count keeps the
+    norm within the tolerance."""
+    system = LevelSystem(
+        ground_a=(Level("g0", 0.0), Level("g1", 37.0)),
+        excited=(Level("e0", 11140.0), Level("e1", 11150.0),
+                 Level("e2", 11160.0)),
+        ground_b=(Level("t0", -520.0), Level("t1", -480.0)),
+        pump_dipoles=np.array([[0.5, 1.0, 0.5], [0.5, 0.5, 0.5]]),
+        dump_dipoles=np.full((2, 3), 0.5), carrier_anchor=11150.0)
+    frame = PhaseFrame.for_system(system)
+    pulse = make_pulse("sin2", 40.0, 1.0, channel="pump")
+    growth = propagate_pulse(ground_state(system), system, pulse, frame,
+                             steps=60).populations().sum() - 1.0
+    assert growth > 3e-10
+    assert propagator._pulse_error(system, frame, [pulse], 60) >= growth
+    sched = make_schedule([TrainEvent(pulse.support_ps / 2.0, pulse)],
+                          1, 1.0, 0.0, "single")
+    traj = run_schedule(ground_state(system), system, sched, frame,
+                        record="none")
+    assert traj.diagnostics["steps"] < propagator.MIN_STEPS_PER_PULSE
+    assert abs(traj.norms[-1] - 1.0) < TOL
+
+
+def test_dense_runs_keep_forty_samples_per_pulse():
+    """Dense recording samples every max(1, steps // 40) steps, so a run
+    at the default count keeps at least the 39 in-pulse samples of 800
+    steps at stride 20."""
+    sys3 = build_three_level()
+    res = run_piecewise_stirap(sys3, 50, 10.0)
+    steps = res.details["diagnostics"]["steps"]
+    assert steps < propagator.MIN_STEPS_PER_PULSE
+    times = res.trajectory.times
+    sched = res.schedule
+    starts = sched.time - sched.support / 2.0
+    for lo, hi in zip(starts, starts + sched.support):
+        inside = np.count_nonzero((times > lo + 1e-12) & (times < hi - 1e-12))
+        assert inside == (steps - 1) // max(1, steps // 40) >= 39

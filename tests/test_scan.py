@@ -86,19 +86,26 @@ def test_column_cells_match_direct_runs(system, base, delta_T, dts, failing):
 
 
 def test_column_integrates_its_operators_once(monkeypatch):
-    calls = []
-    integrate = propagator._integrate_pulses
+    calls, estimates = [], []
+    integrate, estimate = propagator._integrate_pulses, propagator._pulse_error
 
     def counted(*args, **kwargs):
         calls.append(len(args[2]))
         return integrate(*args, **kwargs)
 
+    def counted_estimate(*args):
+        estimates.append(len(args[2]))
+        return estimate(*args)
+
     monkeypatch.setattr(propagator, "_integrate_pulses", counted)
+    monkeypatch.setattr(propagator, "_pulse_error", counted_estimate)
     emap = scan_2d(build_three_level(), BASE, [8.0, 10.0],
                    [0.05, 2.0, 3.0, 4.0])
     assert np.isfinite(emap.efficiency[1:]).all()
-    # one pass per column, over the pump and the dump pulse
+    # one pass per column, over the pump and the dump pulse, after one
+    # step-doubling estimate per column on the same two pulses
     assert calls == [2, 2]
+    assert estimates == [2, 2]
 
 
 def test_column_failure_gives_every_cell_a_reason():
