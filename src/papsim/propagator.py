@@ -520,15 +520,18 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     level, excited = np.arange(n), system.slice_excited()
     carried = np.array([level >= excited.stop if p.channel == "dump"
                         else level < excited.start for p in pulses])[op_rows]
-    free = -1j * _diagonal(system, frame)
+    # every event's free evolution over the gap before it and its phase
+    # conjugation z, laid out before the loop
+    moved = gaps > 0
+    drift = np.exp(-1j * _diagonal(system, frame) * gaps[..., None])
+    z = np.where(carried, phases[..., None], 1.0)
+    z_conj = np.conj(z)
     for k in range(time.shape[1]):
-        amps = np.where(gaps[:, k, None] > 0,
-                        amps * np.exp(free * gaps[:, k, None]), amps)
-        z = np.where(carried[:, k], phases[:, k, None], 1.0)
-        rotated = np.conj(z) * amps
-        amps = z * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
+        amps = np.where(moved[:, k, None], amps * drift[:, k], amps)
+        rotated = z_conj[:, k] * amps
+        amps = z[:, k] * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
         if visit is not None:
-            visit(k, starts[:, k], op_rows[:, k], rotated, z, amps,
+            visit(k, starts[:, k], op_rows[:, k], rotated, z[:, k], amps,
                   times[:, k + 1], snapshots)
     return amps, times[:, -1]
 
