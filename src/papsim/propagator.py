@@ -40,8 +40,19 @@ through them by exact phase conjugation, each row with its own events.
 It reads the event starts, supports and center phases
 (pulse_center_phase element by element) straight from the schedule's
 arrays. run_schedule is one row (record="dense" applies operator
-snapshots kept every _DENSE_STRIDE = 20 steps of that pass), a scan
-column one row per cell. propagate_pulse calls the kernel directly.
+snapshots kept 40 times per pulse, every max(1, N // 40) of the pass's
+N steps), a scan column one row per cell. propagate_pulse calls the
+kernel directly.
+
+Step counts come from a tolerance unless they are given. Before the
+pass, _train_steps integrates the largest-area pulse of each group of
+pulses that differ only in area at N0 = 25 and 50 steps; the
+step-doubling estimate of their error sets the fewest steps at which the
+row's E events add up to half of _TOLERANCE = 1e-9, between N0 and the
+cap MIN_STEPS_PER_PULSE = 800. A window estimates on its state over the
+whole window, with the cap max(4000, 200 per ps) (_window_cap). Both
+report the steps, the estimate at those steps and the events in the
+trajectory's diagnostics.
 
 propagate_window samples its callables once on the half-step grid of
 the whole window and records the state every max(1, steps // 400)
@@ -612,10 +623,12 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     max(steps, 4) RK4 steps. Smooth adiabatic references with
     overlapping envelopes use this; scheduled trains never need it.
 
-    Unless steps are given, the tolerance rule (_TOLERANCE) picks them
-    from a step-doubling estimate on the state over the whole window, at
-    most 200 per ps and at least 4000 (_window_cap); the trajectory's
-    diagnostics report them.
+    steps=None takes the count from the tolerance (_TOLERANCE): the
+    state is integrated over the whole window at N0 = cap // 32 and
+    2 N0 steps, from one sampling on the finer grid, and the
+    step-doubling estimate sets the count, between N0 and the cap
+    max(4000, 200 per ps) (_window_cap). The trajectory's diagnostics
+    report the steps and the estimate at them.
 
     The trajectory records the state every s = max(1, steps // 400)
     steps and at the end. Up to _WINDOW_SEGMENT_MAX_LEVELS levels the

@@ -330,8 +330,10 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
     coincident chirped pair, both shaped as in reference_envelopes.
     Everything else (frame, couplings, decay) is identical to the train
     runners, which is the point: differences against a chopped train
-    isolate the piecewise discretization. The trajectory records every
-    max(1, steps // 400) steps.
+    isolate the piecewise discretization. steps=None takes the RK4 count
+    from the tolerance rule of propagate_window, at most max(4000, 200
+    per ps); details["diagnostics"] reports it. The trajectory records
+    every max(1, steps // 400) steps.
     """
     pump, dump, pump_phase, dump_phase = reference_envelopes(
         kind, duration, peak_rabi, chirp_rate)
