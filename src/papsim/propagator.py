@@ -18,19 +18,34 @@ it is evaluated analytically from the schedule, never integrated.
 Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2),
 from the same diagonal the kernel uses.
 
-Every pulse and window goes through one fixed-step RK4 kernel, _rk4,
-which advances a pass in one of two ways. Its inputs are the diagonal,
-a list of channels (A_c, drive_c), start states or operators y and a
-step h; the P problems of a pass share each of A_c, y and h or give one
-per problem. drive_c = w exp(-i phi) is sampled once per pulse on the
-RK4 half-step grid, by one vectorized rabi_envelope call. Large passes
-step y through the RK4 stages. The ODE is linear, so a step is also a
-step matrix I + X built from the step's three generators: small passes
-(P n^2 <= 512 and n <= 16), whose loop pays numpy call overhead rather
-than flops, build the matrices of 64 steps in three batched products,
-multiply them out pairwise and apply the product to y. A scan column's
-two n = 4 operators take 4.1x less time that way; at P n^2 = 784 and
-900 the gain was gone, and one n = 25 state column took 1.6x longer.
+Pulses and windows go through two fixed-step kernels that share their
+inputs: the diagonal, a list of channels (A_c, drive_c), start states
+or operators y and a step h; the P problems of a pass share each of
+A_c, y and h or give one per problem, and one basis (diag, A_c,
+A_c^dagger) turns drive samples into generators -i h H (_basis).
+
+Pulse passes take sixth-order Magnus steps, _magnus6. A pulse has one
+carrier and is short and resonant, so its H(t) nearly commutes with
+itself over its support, and a Magnus step integrates a commuting H(t)
+exactly. drive_c is sampled once per pulse at the three Gauss-Legendre
+nodes of every step, by one vectorized rabi_envelope call; a block of
+steps forms its Omega stack in a few batched products, exp(Omega) - I
+comes from a batched Taylor series with scaling and squaring (_expm1),
+and the block's step matrices are multiplied out pairwise (_chain).
+For a lossless H each exp(Omega) is unitary, whatever the steps. The
+Magnus series converges for h max ||H|| < pi; a pass whose steps leave
+that bound raises NumericsError rather than return a finite, wrong
+operator. Measured on a 2-core x86 host against RK4 at its tolerance
+counts: 8 steps per pulse where RK4 took 395 on a resonant n = 3 train,
+12 where it took 715 at n = 7, and 88 on an n = 25 band crp train that
+RK4 could not resolve in 800.
+
+Windows keep RK4, _rk4, which advances a pass in one of two ways. Large
+passes step y through the RK4 stages. The ODE is linear, so a step is
+also a step matrix I + X built from the step's three generators: small
+passes (P n^2 <= 512 and n <= 16), whose loop pays numpy call overhead
+rather than flops, build the matrices of 64 steps in three batched
+products, multiply them out with _chain and apply the product to y.
 
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
@@ -42,17 +57,20 @@ It reads the event starts, supports and center phases
 arrays. run_schedule is one row (record="dense" applies operator
 snapshots kept 40 times per pulse, every max(1, N // 40) of the pass's
 N steps), a scan column one row per cell. propagate_pulse calls the
-kernel directly.
+pulse pass directly.
 
 Step counts come from a tolerance unless they are given. Before the
 pass, _train_steps integrates the largest-area pulse of each group of
-pulses that differ only in area at N0 = 25 and 50 steps; the
-step-doubling estimate of their error sets the fewest steps at which the
-row's E events add up to half of _TOLERANCE = 1e-9, between N0 and the
-cap MIN_STEPS_PER_PULSE = 800. A window estimates on its state over the
-whole window, with the cap max(4000, 200 per ps) (_window_cap). Both
-report the steps, the estimate at those steps and the events in the
-trajectory's diagnostics.
+pulses that differ only in area at N0 and 2 N0 Magnus steps, N0 = 8 or
+the fewest steps inside half the convergence bound; the step-doubling
+estimate of their error sets the fewest steps at which the row's E
+events add up to half of _TOLERANCE = 1e-9, between N0 and the cap
+MIN_STEPS_PER_PULSE = 256, and a dense run rounds them up to a multiple
+of 40, so that its samples sit at k / 40 of each support whatever the
+count. A window estimates with RK4 on its state over the whole window,
+with the cap max(4000, 200 per ps) (_window_cap). Both report the
+steps, the estimate at those steps and the events in the trajectory's
+diagnostics.
 
 propagate_window samples its callables once on the half-step grid of
 the whole window and records the state every max(1, steps // 400)
@@ -79,26 +97,31 @@ from .fields import PulseSpec, TrainSchedule, rabi_envelope
 from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
-# the cap of the RK4 steps per pulse support that a default count may take
-# (see _TOLERANCE), and propagate_pulse's default. A given count (steps=,
-# train.steps) may be any int >= 4; it bypasses the error estimate.
-MIN_STEPS_PER_PULSE = 800
+# the cap of the Magnus steps per pulse support that a default count may
+# take (see _TOLERANCE), and propagate_pulse's default. Its N0 = 256 // 32
+# = 8 steps already meet the tolerance on resonant n = 3 trains; an n = 25
+# band crp train takes 88. A given count (steps=, train.steps) may be any
+# int >= 4 inside the convergence bound; it bypasses the error estimate.
+MIN_STEPS_PER_PULSE = 256
 
-# Default step counts come from a tolerance. A pass whose cap is `cap`
-# steps first takes the step-doubling (Richardson) estimate of the error
-# of N0 = cap // 32 steps, err(N0) = 16/15 max |y_N0 - y_2N0| (Hairer,
-# Norsett and Wanner, Solving ODEs I, II.4), then runs RK4's N^-4 law
-# backwards: N = ceil(N0 (2 E err(N0) / _TOLERANCE)^(1/4)) in [N0, cap],
-# so that the E events of a row add up to half the tolerance. A run held
-# at the cap with its estimate above the tolerance is logged as a warning.
+# Default step counts come from a tolerance. A pass of a kernel of order
+# p whose cap is `cap` steps first takes the step-doubling (Richardson)
+# estimate of the error of N0 >= cap // 32 steps, err(N0) = 2^p / (2^p -
+# 1) max |y_N0 - y_2N0| (Hairer, Norsett and Wanner, Solving ODEs I,
+# II.4), then runs the N^-p law backwards: N = ceil(N0 (2 E err(N0) /
+# _TOLERANCE)^(1/p)) in [N0, cap], so that the E events of a row add up
+# to half the tolerance. p is 6 for pulses (Magnus) and 4 for windows
+# (RK4). A run held at the cap with its estimate above the tolerance is
+# logged as a warning.
 _TOLERANCE = 1e-9
 
 ORACLE_MAX_LEVELS = 32
 # steps per stacked expm call of the oracle: 500 x 32 x 32 complex is 8 MB
 _ORACLE_CHUNK = 500
 
-# record="dense" samples inside each pulse every max(1, steps // this) RK4
-# steps: every 20 at 800 steps
+# record="dense" samples inside each pulse every max(1, steps // this)
+# steps; a default count is a multiple of it, so a dense run samples at
+# k / 40 of each support
 _DENSE_SAMPLES = 40
 
 # propagate_window integrates segment operators up to this many levels.
@@ -228,11 +251,11 @@ def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
     return frame.detunings(system) - 0.5j * system.decay_rates()
 
 
-# --- the RK4 kernel ---
+# --- the kernels ---
 
-# steps, and (problem, step) pairs, whose drive coefficients are laid out
-# at once; bounds the kernel's scratch memory independently of the number
-# of steps and of problems
+# steps, and (problem, step) pairs, whose RK4 drive coefficients are laid
+# out at once; bounds the kernel's scratch memory independently of the
+# number of steps and of problems
 _BLOCK_STEPS = 64
 _BLOCK_CELLS = 4096
 
@@ -246,6 +269,58 @@ _BLOCK_CELLS = 4096
 _PRODUCT_MAX_WORK = 512
 _PRODUCT_MAX_LEVELS = 16
 
+# the order of each kernel's global error, for the step-doubling rule
+_RK4_ORDER = 4
+_MAGNUS_ORDER = 6
+
+# (problem, step) pairs times n^2: the complex entries of each stack of
+# step operators that _magnus6 lays out at once. 2^15 raised the peak
+# RSS of the ramped-trains benchmark by 16 %.
+_BLOCK_ENTRIES = 2 ** 13
+
+# the three Gauss-Legendre nodes of a step, as fractions of it, and the
+# weights that turn a step's drive at those nodes into the drive
+# coefficients of alpha_1, alpha_2 and alpha_3 (see _magnus6)
+_GAUSS_NODES = 0.5 + math.sqrt(15.0) / 10.0 * np.array([-1.0, 0.0, 1.0])
+_ALPHA_WEIGHTS = np.array([
+    [0.0, 1.0, 0.0],
+    [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
+    [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
+
+# exp(Omega) - I is the Taylor polynomial of this degree at Omega / 2^s,
+# with s the fewest halvings that bring the 1-norm to at most
+# _TAYLOR_NORM: the remainder is then below 0.25^13 / 13! = 2.4e-18.
+# Degree 10 at norm 0.5 left 1.2e-11 per step, which raised the estimate
+# of a resonant n = 3 train from 2.3e-15 to 1.8e-11.
+_TAYLOR_DEGREE = 12
+_TAYLOR_NORM = 0.25
+
+
+def _basis(diag: np.ndarray, channels, h) -> np.ndarray:
+    """-i h (diag, A_1, A_1^dagger, A_2, ...) as one (1 or P, M, n^2)
+    stack: the generator -i h H(tau) of a problem is the row (1,
+    drive_1(tau), conj(drive_1(tau)), ...) times it. It is stored once
+    unless h or an A_c is given per problem."""
+    n = diag.size
+    mats = [np.diag(diag)]
+    for A, _ in channels:
+        mats += [A, A.conj().swapaxes(-1, -2)]
+    M = len(mats)
+    mats = np.stack(np.broadcast_arrays(*mats), axis=-3)
+    return (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
+
+
+def _chain(x: np.ndarray) -> np.ndarray:
+    """(I + x[-1]) ... (I + x[1]) (I + x[0]) - I of a stack of step
+    matrices I + X, later steps on the left, multiplied out pairwise (an
+    associative scan: Blelloch, CMU-CS-90-190, 1990) and kept as
+    (I + X_b)(I + X_a) - I = X_b + X_a + X_b X_a, so that nothing small
+    is rounded against the identity."""
+    while len(x) > 1:
+        a, b = x[:len(x) - 1:2], x[1::2]
+        x = np.concatenate([b + a + b @ a, x[len(x) - len(x) % 2:]])
+    return x[0]
+
 
 def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None):
     """Fixed-step RK4 of P independent problems in one vectorized pass.
@@ -258,8 +333,7 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
     or (P, n, m), state columns (m = 1) or operators (m = n).
 
     G(tau_j) = -i h H(tau_j) is one small product of the samples at
-    tau_j, (1, drive_c, conj(drive_c), ...), with the basis (diag, A_c,
-    A_c^dagger, ...); the samples are laid out one block of steps at a
+    tau_j with _basis; the samples are laid out one block of steps at a
     time. Large passes step y through the RK4 stages, a block of at
     most _BLOCK_CELLS (problem, step) pairs at a time, with extra memory
     O(P n^2) besides the drives. Small ones (see _PRODUCT_MAX_WORK),
@@ -271,24 +345,18 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
 
     from G at the step's start, middle and end. A block of _BLOCK_STEPS
     steps, or of stride steps so that every snapshot ends a block, forms
-    all its X in three batched products and multiplies them out pairwise
-    (an associative scan: Blelloch, CMU-CS-90-190, 1990), keeping
-    (I + X_b)(I + X_a) as X_b + X_a + X_b X_a so that nothing small is
-    rounded against the identity; y <- y + X y then applies the block,
-    with extra memory O(block P n^2). The results differ from the loop's
-    by association order only, about 1e-15 per pass, and sit closer to
-    exact RK4 arithmetic than the loop's.
+    all its X in three batched products, multiplies them out with
+    _chain and applies the product as y <- y + X y, with extra memory
+    O(block P n^2). The results differ from the loop's by association
+    order only, about 1e-15 per pass, and sit closer to exact RK4
+    arithmetic than the loop's.
 
     Returns (y, snapshots): y is (P, n, m); snapshots stacks y after
     every stride-th step strictly inside the run, (k, P, n, m), or None.
     """
     P, n = channels[0][1].shape[0], diag.size
-    mats = [np.diag(diag)]
-    for A, _ in channels:
-        mats += [A, A.conj().swapaxes(-1, -2)]
-    M = len(mats)
-    mats = np.stack(np.broadcast_arrays(*mats), axis=-3)
-    basis = (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
+    basis = _basis(diag, channels, h)
+    M = basis.shape[1]
     steps = (channels[0][1].shape[1] - 1) // 2
     product = P * n * n <= _PRODUCT_MAX_WORK and n <= _PRODUCT_MAX_LEVELS
     if product:
@@ -319,11 +387,7 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
             x += 2.0 * stage
             x += g_end @ (eye + stage)
             x /= 6.0
-            # M_{b-1} ... M_1 M_0 kept as M - I, later steps on the left
-            while len(x) > 1:
-                a, b = x[:len(x) - 1:2], x[1::2]
-                x = np.concatenate([b + a + b @ a, x[len(x) - len(x) % 2:]])
-            y = y + x[0] @ y
+            y = y + _chain(x) @ y
             if stride and stop % stride == 0 and stop < steps:
                 snapshots[stop // stride - 1] = y
             continue
@@ -341,39 +405,159 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
     return y, snapshots
 
 
+def _expm1(omega: np.ndarray) -> np.ndarray:
+    """exp(omega) - I of a (K, n, n) stack, each matrix on its own.
+
+    Scaling and squaring: w = omega / 2^s, with s the fewest halvings
+    that bring its 1-norm to at most _TAYLOR_NORM, goes through the
+    Taylor polynomial sum_{j=1}^{12} w^j / j!, evaluated by Horner's rule
+    in w^3 (Paterson and Stockmeyer, SIAM J. Comput. 2, 60 (1973)) in
+    five products; then s squarings X <- 2 X + X X bring it back. It is
+    kept as exp - I throughout, so that nothing small is rounded against
+    the identity.
+    """
+    eye = np.eye(omega.shape[-1])
+    norm = np.abs(omega).sum(axis=-2).max(axis=-1)
+    halvings = np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
+    w = omega * (0.5 ** halvings)[:, None, None]
+    w2 = w @ w
+    w3 = w2 @ w
+
+    def chunk(j: int) -> np.ndarray:
+        # w^j / j! + w^(j+1) / (j+1)! + w^(j+2) / (j+2)!, less a factor w^j
+        c = 1.0 / math.factorial(j)
+        return c * eye + (c / (j + 1)) * w + (c / ((j + 1) * (j + 2))) * w2
+
+    x = chunk(9) + w3 / math.factorial(12)
+    for j in (6, 3):
+        x = chunk(j) + w3 @ x
+    x = w + 0.5 * w2 + w3 @ x
+    for r in range(int(halvings.max(initial=0))):
+        sel = halvings > r
+        xs = x[sel]
+        x[sel] = 2.0 * xs + xs @ xs
+    return x
+
+
+def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
+             stride: int | None = None):
+    """Sixth-order Magnus steps of P independent problems in one pass.
+
+    The inputs are _rk4's, except that drive_c is (P, 3 steps): the drive
+    at the three Gauss-Legendre nodes of every step. With G_i = -i h H
+    at node i, a step is y <- exp(Omega) y with
+
+        alpha_1 = G_2,    alpha_2 = (sqrt(15) / 3) (G_3 - G_1),
+        alpha_3 = (10 / 3) (G_3 - 2 G_2 + G_1),
+        C_1 = [alpha_1, alpha_2],    C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60,
+        Omega = alpha_1 + alpha_3 / 12
+                + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2] / 240
+
+    (Blanes, Casas and Ros, BIT 40, 434 (2000); Blanes, Casas, Oteo and
+    Ros, Phys. Rep. 470, 151 (2009)). Omega is exact for an H(t) that
+    commutes with itself, and exp(Omega) is unitary for a lossless H at
+    any step count. The series converges for h max ||H(tau)|| < pi, which
+    the caller checks.
+
+    The alphas of a block of steps are one batched product of their
+    drive coefficients with _basis, their exponentials come from _expm1
+    as exp(Omega) - I, and _chain multiplies the block out for y <- y +
+    X y. A block holds at most _BLOCK_ENTRIES / n^2 (problem, step)
+    pairs and ends at every stride-th step.
+
+    Returns (y, snapshots) as _rk4 does.
+    """
+    P, n = channels[0][1].shape[0], diag.size
+    basis = _basis(diag, channels, h)
+    steps = channels[0][1].shape[1] // 3
+    block = max(1, _BLOCK_ENTRIES // (P * n * n))
+    coef = np.zeros((3, block, P, 1, basis.shape[1]), dtype=complex)
+    coef[0, ..., 0] = 1.0  # the diagonal enters alpha_1 only
+    snapshots = (np.empty(((steps - 1) // stride, P) + y.shape[-2:], dtype=complex)
+                 if stride else None)
+    start = 0
+    while start < steps:
+        stop = min(start + block, steps)
+        if stride:
+            stop = min(stop, start - start % stride + stride)
+        k = stop - start
+        for c, (_, drive) in enumerate(channels):
+            nodes = drive[:, 3 * start:3 * stop].reshape(P, k, 3)
+            weights = (nodes @ _ALPHA_WEIGHTS.T).transpose(2, 1, 0)
+            coef[:, :k, :, 0, 1 + 2 * c] = weights
+            coef[:, :k, :, 0, 2 + 2 * c] = weights.conj()
+        a1, a2, a3 = (coef[:, :k] @ basis).reshape(3, k, P, n, n)
+        c1 = a1 @ a2 - a2 @ a1
+        b = 2.0 * a3 + c1
+        c2 = (b @ a1 - a1 @ b) / 60.0
+        left, right = c1 - 20.0 * a1 - a3, a2 + c2
+        omega = a1 + a3 / 12.0 + (left @ right - right @ left) / 240.0
+        x = _chain(_expm1(omega.reshape(-1, n, n)).reshape(k, P, n, n))
+        y = y + x @ y
+        if stride and stop % stride == 0 and stop < steps:
+            snapshots[stop // stride - 1] = y
+        start = stop
+    return y, snapshots
+
+
+def _couplings(system: LevelSystem, pulses) -> np.ndarray:
+    """The (P, n, n) absorption matrices of the pulses."""
+    return np.stack([_absorption_matrix(system, p.channel, p.phase_mask)
+                     for p in pulses])
+
+
+def _norm_bound(diag: np.ndarray, A: np.ndarray, peak) -> np.ndarray:
+    """An upper bound of ||H(tau)||_2 over pulses of peak |drive| `peak`
+    through the absorption matrices A: each A couples ground columns to
+    excited rows only, so ||d A + conj(d) A^dagger||_2 = |d| ||A||_2 <=
+    |d| ||A||_F."""
+    return np.abs(diag).max() + peak * np.linalg.norm(A, axis=(-2, -1))
+
+
 def _pulse_drive(pulse: PulseSpec, center_phase: float, steps: int) -> np.ndarray:
-    """w e^{-i phi} on the half-step grid of the pulse support.
+    """w e^{-i phi} at the three Gauss-Legendre nodes of each of `steps`
+    steps over the pulse support, (3 steps,).
 
     The carrier phase is center_phase at the support midpoint and slides
     at K * carrier_detuning away from it.
     """
     T = pulse.support_ps
-    tau = np.linspace(0.0, T, 2 * steps + 1)
+    tau = ((np.arange(steps)[:, None] + _GAUSS_NODES) * (T / steps)).ravel()
     phi = center_phase + K_RAD_PS_PER_CM * pulse.carrier_detuning * (tau - T / 2.0)
     return rabi_envelope(pulse, tau) * np.exp(-1j * phi)
 
 
-def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
-                      center_phases, y: np.ndarray, steps: int,
-                      stride: int | None = None):
-    """RK4 over each pulse's support, all pulses in one batched pass.
-
-    y is (n, m), shared by all pulses, or (P, n, m), one state column or
-    operator per pulse. Raises NumericsError naming the channel of the
-    first pulse that blew up.
-    """
-    A = np.stack([_absorption_matrix(system, p.channel, p.phase_mask)
-                  for p in pulses])
-    drive = np.empty((len(pulses), 2 * steps + 1), dtype=complex)
+def _pulse_pass(diag: np.ndarray, A: np.ndarray, pulses, center_phases,
+                y: np.ndarray, steps: int, stride: int | None = None):
+    """_magnus6 over each pulse's support, the drives sampled for it;
+    returns (y, snapshots, h max ||H||) with the bound per pulse."""
+    drive = np.empty((len(pulses), 3 * steps), dtype=complex)
     for row, pulse, phi in zip(drive, pulses, center_phases):
         row[:] = _pulse_drive(pulse, phi, steps)
     h = np.array([p.support_ps / steps for p in pulses])
-    y, snapshots = _rk4(_diagonal(system, frame), [(A, drive)], y, h, stride)
-    bad = ~np.isfinite(y).all(axis=(1, 2))
-    if bad.any():
+    y, snapshots = _magnus6(diag, [(A, drive)], y, h, stride)
+    return y, snapshots, h * _norm_bound(diag, A, np.abs(drive).max(axis=1))
+def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
+                      center_phases, y: np.ndarray, steps: int,
+                      stride: int | None = None):
+    """Magnus steps over each pulse's support, all pulses in one batched
+    pass.
+
+    y is (n, m), shared by all pulses, or (P, n, m), one state column or
+    operator per pulse. Raises NumericsError naming the channel of the
+    first pulse whose steps leave the convergence bound h max ||H|| < pi:
+    past it the Magnus series diverges, and a step would return a finite,
+    wrong operator.
+    """
+    y, snapshots, bound = _pulse_pass(_diagonal(system, frame),
+                                      _couplings(system, pulses), pulses,
+                                      center_phases, y, steps, stride)
+    outside = ~(bound < math.pi)
+    if outside.any():
         raise NumericsError(
-            f"non-finite amplitudes while integrating a "
-            f"{pulses[int(np.argmax(bad))].channel} pulse")
+            f"{steps} steps per pulse leave the Magnus convergence bound "
+            f"h max|H| < pi of a {pulses[int(np.argmax(outside))].channel} "
+            f"pulse (h max|H| = {bound.max():.3g})")
     return y, snapshots
 
 
@@ -383,33 +567,27 @@ def _steps(steps: int | None) -> int:
 
 # --- step counts from a tolerance ---
 
-def _doubling_error(diag: np.ndarray, A, drives, y: np.ndarray, h) -> float:
-    """16/15 max |y_N - y_2N|, the step-doubling estimate of the error of
-    N RK4 steps of size h; each drive is sampled once, on the half-step
-    grid of 2N steps, whose every other sample is that of N steps. A
-    pass that blows up estimates an infinite error."""
+def _doubling_error(order: int, coarse, fine) -> float:
+    """2^p / (2^p - 1) max |y_N - y_2N|, the step-doubling estimate of
+    the error of N steps of a kernel of order p; coarse() and fine() run
+    the passes of N and 2N steps. A pass that blows up estimates an
+    infinite error."""
     with np.errstate(all="ignore"):
-        coarse, _ = _rk4(diag, [(a, d[:, ::2]) for a, d in zip(A, drives)], y, h)
-        fine, _ = _rk4(diag, list(zip(A, drives)), y, h / 2.0)
-    err = 16.0 / 15.0 * float(np.max(np.abs(coarse - fine)))
+        err = float(np.max(np.abs(coarse() - fine())))
+    err *= 2.0 ** order / (2.0 ** order - 1.0)
     return err if math.isfinite(err) else math.inf
 
 
 def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int) -> float:
-    """The step-doubling error of n0 steps per pulse, taken on the
-    largest-area pulse of each group of pulses that differ only in area
-    (for a runner's train, one pump and one dump)."""
-    largest = {}
-    for p in pulses:
-        key = replace(p, area=0.0)
-        if key not in largest or p.area > largest[key].area:
-            largest[key] = p
-    group = list(largest.values())
-    A = np.stack([_absorption_matrix(system, p.channel, p.phase_mask) for p in group])
-    drive = np.array([_pulse_drive(p, 0.0, 2 * n0) for p in group])
-    h = np.array([p.support_ps / n0 for p in group])
-    return _doubling_error(_diagonal(system, frame), [A], [drive],
-                           np.eye(system.n_levels, dtype=complex), h)
+    """The step-doubling error of n0 Magnus steps per pulse. Its passes
+    are not held to the convergence bound."""
+    diag, A = _diagonal(system, frame), _couplings(system, pulses)
+    eye = np.eye(system.n_levels, dtype=complex)
+
+    def run(steps: int):
+        return lambda: _pulse_pass(diag, A, pulses, [0.0] * len(pulses), eye,
+                                   steps)[0]
+    return _doubling_error(_MAGNUS_ORDER, run(n0), run(2 * n0))
 
 
 def _window_cap(duration: float) -> int:
@@ -417,47 +595,78 @@ def _window_cap(duration: float) -> int:
     return max(4000, int(200.0 * duration))
 
 
-def _chosen_steps(steps: int | None, cap: int, events: int,
-                  error) -> tuple[int, dict]:
-    """The given steps (at least 4), or the tolerance rule's for a pass
-    whose count defaults to cap, and their diagnostics; error(n0)
-    estimates one event's error at n0 steps."""
+def _chosen_steps(steps: int | None, cap: int, events: int, order: int,
+                  n0: int, error, multiple: int = 1) -> tuple[int, dict]:
+    """The given steps (at least 4), or the tolerance rule's for a kernel
+    of the given order whose count defaults to cap, rounded up to a
+    multiple of `multiple`, and their diagnostics; error(n0) estimates
+    one event's error at n0 <= cap steps."""
     if steps is not None:
         n = _steps(steps)
         return n, {"steps": n, "error_estimate": None, "events": events}
-    n0 = cap // 32
+    n0 = min(n0, cap)
     err = error(n0)
     ratio = 2.0 * events * err / _TOLERANCE
-    n = cap if ratio >= (cap / n0) ** 4 else max(n0, math.ceil(n0 * ratio ** 0.25))
-    estimate = events * err * (n0 / n) ** 4
-    if n == cap and estimate > _TOLERANCE:
+    if ratio >= (cap / n0) ** order:
+        n = cap
+    else:
+        n = max(n0, math.ceil(n0 * ratio ** (1.0 / order)))
+    n = -(-n // multiple) * multiple
+    estimate = events * err * (n0 / n) ** order
+    if n >= cap and estimate > _TOLERANCE:
         # loaded only here, so that importing papsim loads numpy only
         import logging
 
         logging.getLogger(__name__).warning(
-            "RK4 held at its cap of %d steps: estimated error %.2g exceeds "
+            "steps held at their cap of %d: estimated error %.2g exceeds "
             "the tolerance %.2g", cap, estimate, _TOLERANCE)
     return n, {"steps": n, "error_estimate": estimate, "events": events}
 
 
 def _train_steps(system: LevelSystem, frame: PhaseFrame,
-                 schedule: TrainSchedule, steps: int | None) -> tuple[int, dict]:
-    """The RK4 steps per pulse of a schedule and their diagnostics: the
-    given steps, or the tolerance rule over the events of one row, at
-    most MIN_STEPS_PER_PULSE."""
-    pulses = schedule.pulses
+                 schedule: TrainSchedule, steps: int | None,
+                 dense: bool = False) -> tuple[int, dict]:
+    """The Magnus steps per pulse of a schedule and their diagnostics:
+    the given steps, or the tolerance rule over the events of one row,
+    at most MIN_STEPS_PER_PULSE and, for a dense run, a multiple of
+    _DENSE_SAMPLES.
+
+    The rule estimates on the largest-area pulse of each group of pulses
+    that differ only in area (for a runner's train, one pump and one
+    dump), at N0 = MIN_STEPS_PER_PULSE // 32 steps or the fewest whose
+    steps lie inside half the convergence bound, h max ||H|| < pi / 2.
+    Nearer the bound the error falls faster than N^-6: on the n = 25
+    band crp train it fell 920x from 8 steps (h max ||H|| = 3.0) to 16,
+    and an estimate from 8 steps chose 137 steps where 88 met the
+    tolerance.
+    """
+    largest = {}
+    for p in schedule.pulses:
+        key = replace(p, area=0.0)
+        if key not in largest or abs(p.area) > abs(largest[key].area):
+            largest[key] = p
+    group = list(largest.values())
+    n0 = MIN_STEPS_PER_PULSE // 32
+    if group:
+        peak = np.abs([rabi_envelope(p, p.support_ps / 2.0) for p in group])
+        bound = _norm_bound(_diagonal(system, frame), _couplings(system, group),
+                            peak)
+        support = np.array([p.support_ps for p in group])
+        n0 = max(n0, int(np.max(support * bound // (math.pi / 2.0))) + 1)
     n, diagnostics = _chosen_steps(
-        steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1],
-        lambda n0: _pulse_error(system, frame, pulses, n0) if pulses else 0.0)
-    return n, {**diagnostics, "distinct_pulses": len(pulses)}
+        steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1], _MAGNUS_ORDER, n0,
+        lambda n0: _pulse_error(system, frame, group, n0) if group else 0.0,
+        _DENSE_SAMPLES if dense else 1)
+    return n, {**diagnostics, "distinct_pulses": len(schedule.pulses)}
 
 
 def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
                     frame: PhaseFrame, steps: int | None = None) -> QuantumState:
     """Propagate through one pulse whose support starts at state.time.
 
-    Fixed-step RK4, by default MIN_STEPS_PER_PULSE steps over the
-    support (override via ``steps``). The carrier phase at the pulse
+    Fixed-step sixth-order Magnus, by default MIN_STEPS_PER_PULSE steps
+    over the support (override via ``steps``); raises NumericsError if
+    the steps leave the convergence bound. The carrier phase at the pulse
     center is pulse.carrier_phase plus the analytic comb slip
     K * carrier_detuning * t_center.
     """
@@ -488,9 +697,9 @@ class Trajectory:
 
     times (ps), populations (len(times) x n_levels), norms (total
     population, i.e. 1 minus what has decayed away), the final state and
-    the diagnostics of the RK4 steps: the steps taken, their error
-    estimate (None for a given count), the events and, for a schedule,
-    its distinct pulses.
+    the diagnostics of the fixed steps (Magnus per pulse, RK4 per
+    window): the steps taken, their error estimate (None for a given
+    count), the events and, for a schedule, its distinct pulses.
     """
 
     times: np.ndarray
@@ -505,7 +714,7 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
                 schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
                 t0, stride: int | None = None, visit=None):
     """Integrate schedule.pulses, in their stored order, in one batched
-    pass of _train_steps(steps) RK4 steps, then step the (C, n) stack amps, row
+    pass of _train_steps(steps) Magnus steps, then step the (C, n) stack amps, row
     c from time t0[c] through row c of the schedule (one train for C = 1,
     or a (C, E) column stack), and return the final (amps, times). Event
     k applies operator schedule.pulse[k]; a row's result does not depend
@@ -555,12 +764,13 @@ def run_schedule(state: QuantumState, system: LevelSystem,
 
     record policies: "compressed" stores populations at every event
     boundary, "dense" additionally samples inside each pulse every
-    max(1, steps // 40) RK4 steps, "none" records only the endpoints.
+    max(1, steps // 40) steps, "none" records only the endpoints.
 
-    Unless steps are given, each pulse takes the RK4 steps that the
-    tolerance rule (_TOLERANCE) picks from a step-doubling estimate on the
-    train's largest pulses, at most MIN_STEPS_PER_PULSE; the trajectory's
-    diagnostics report them.
+    Each pulse takes fixed sixth-order Magnus steps. Unless steps are
+    given, their count is the one the tolerance rule (_TOLERANCE) picks
+    from a step-doubling estimate on the train's largest pulses, at most
+    MIN_STEPS_PER_PULSE, and for a dense run a multiple of 40; the
+    trajectory's diagnostics report it.
 
     The distinct pulses of the schedule (equal up to carrier phase) are
     integrated together in one batched pass, each into its evolution
@@ -581,7 +791,7 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
 
-    n_steps, diagnostics = _train_steps(system, frame, schedule, steps)
+    n_steps, diagnostics = _train_steps(system, frame, schedule, steps, dense)
     stride = max(1, n_steps // _DENSE_SAMPLES) if dense else None
     support = schedule.support
     times = [state.time]
@@ -657,10 +867,19 @@ def propagate_window(state: QuantumState, system: LevelSystem,
             drives.append(d)
         return drives
 
-    steps, diagnostics = _chosen_steps(
-        steps, _window_cap(duration), 1, lambda n0: _doubling_error(
-            diag, A, [d[None] for d in sampled(2 * n0)], amps[0][:, None],
-            duration / n0))
+    def error(n0: int) -> float:
+        # the half-step grid of 2 n0 steps holds that of n0 steps
+        drives, h = sampled(2 * n0), duration / n0
+        return _doubling_error(
+            _RK4_ORDER,
+            lambda: _rk4(diag, [(a, d[None, ::2]) for a, d in zip(A, drives)],
+                         amps[0][:, None], h)[0],
+            lambda: _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
+                         amps[0][:, None], h / 2.0)[0])
+
+    cap = _window_cap(duration)
+    steps, diagnostics = _chosen_steps(steps, cap, 1, _RK4_ORDER, cap // 32,
+                                       error)
     stride = max(1, steps // 400)
     h = duration / steps
     drives = sampled(steps)
@@ -696,7 +915,7 @@ def oracle_propagate(state: QuantumState, system: LevelSystem,
                      steps_per_pulse: int = 2000) -> QuantumState:
     """Reference propagation: piecewise-constant H, one expm per step.
 
-    Deliberately independent of the RK4 path: the Hamiltonian is
+    Deliberately independent of the kernels: the Hamiltonian is
     reassembled entrywise here and each step applies
     expm(-i H(midpoint) h), stacked per pulse in chunks of _ORACLE_CHUNK
     steps. At least 2000 steps per pulse; systems are capped at 32

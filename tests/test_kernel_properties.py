@@ -126,9 +126,9 @@ def test_norm_never_rises_under_decay(case, gap, tail, data):
         for level, rate in zip(system.excited, rates)))
     frame = PhaseFrame.for_system(system)
     schedule = _sequence(pulses, phases, gap)
-    # at the cap of 800 steps per pulse decay never raises the norm; at
-    # 60 steps one lossless case gained 3.5e-10, and the default count,
-    # which holds the amplitudes to 1e-9, may gain up to that tolerance
+    # at the cap of steps per pulse decay never raises the norm; the
+    # default count, which holds the amplitudes to 1e-9, may gain up to
+    # that tolerance
     for steps, rise in ((MIN_STEPS_PER_PULSE, 1e-12), (None, 1e-9)):
         traj = run_schedule(ground_state(system, 0.0), system, schedule,
                             frame, record="compressed", steps=steps)

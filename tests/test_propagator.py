@@ -614,6 +614,12 @@ def _band_molecule():
 
 
 def _ramped_run(case, **kw):
+    if case == "crp_n3_strong":
+        # 1000 fs pulses of 100 pi per channel, 200 cm^-1 off resonance
+        return run_piecewise_crp(build_three_level(pump_detuning=200.0), 10,
+                                 10.0, 0.2, 0.2, fwhm=1000.0,
+                                 pump_area=100.0 * math.pi,
+                                 dump_area=100.0 * math.pi, record="none", **kw)
     if case == "stirap_n3":
         return run_piecewise_stirap(build_three_level(), 10, 10.0,
                                     record="none", **kw)
@@ -632,7 +638,7 @@ def _ramped_run(case, **kw):
 @pytest.mark.parametrize("case", ["stirap_n3", "crp_n3_decaying", "stirap_n7"])
 def test_default_steps_meet_the_tolerance(case):
     """The count the rule picks lands within the tolerance of 6400 steps
-    per pulse, well below the cap of 800."""
+    per pulse, well below the cap."""
     run = _ramped_run(case)
     steps = run.details["diagnostics"]["steps"]
     assert steps < propagator.MIN_STEPS_PER_PULSE
@@ -654,9 +660,10 @@ def test_default_reference_meets_the_tolerance():
 
 
 def test_given_steps_keep_their_bits(monkeypatch):
-    """A given count takes no estimate and keeps the bits it had with a
-    fixed default count. The sha256 prefixes were taken on x86-64 with
-    numpy 2.4 and one OpenBLAS thread."""
+    """A given count takes no estimate and keeps its bits: pulses on the
+    Magnus kernel, above the cap too, and a window on RK4. The sha256
+    prefixes were taken on x86-64 with numpy 2.4 and one OpenBLAS
+    thread."""
     import hashlib
 
     def no_estimate(*args):
@@ -666,10 +673,10 @@ def test_given_steps_keep_their_bits(monkeypatch):
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     frame = PhaseFrame.comb_locked(sys3, 10.0)
     sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
-    expected = {(60, "none"): "8599d44fbd5c0c56",
-                (60, "compressed"): "546f729cf1096637",
-                (800, "none"): "9d7dc905d728eb97",
-                (800, "compressed"): "bca904f055792778"}
+    expected = {(60, "none"): "c25578f4aafb6db9",
+                (60, "compressed"): "2d8e8381e149e474",
+                (800, "none"): "f7a013c672aaa9f4",
+                (800, "compressed"): "6d57cc16a4a03a16"}
     for (steps, record), digest in expected.items():
         traj = run_schedule(ground_state(sys3, sched.start_time), sys3, sched,
                             frame, record=record, steps=steps)
@@ -684,7 +691,8 @@ def test_given_steps_keep_their_bits(monkeypatch):
 
 
 @pytest.mark.parametrize("case, expected", [
-    ("weak", "n0"), ("stirap_n3", "between"), ("crp_n25", "cap")])
+    ("weak", "n0"), ("stirap_n3", "n0"), ("crp_n25", "between"),
+    ("crp_n3_strong", "cap")])
 def test_default_steps_stay_between_n0_and_the_cap(case, expected):
     cap = propagator.MIN_STEPS_PER_PULSE
     if case == "weak":
@@ -711,22 +719,35 @@ def test_window_steps_stay_between_n0_and_the_cap():
 
 
 def test_a_run_held_at_the_cap_is_flagged(caplog):
-    """The n = 25 band crp run needs more than 800 steps per pulse for the
-    tolerance: it keeps the cap and says so."""
+    """A crp train of strong, long, far-detuned pulses needs more than
+    the cap of Magnus steps per pulse for the tolerance: it keeps the cap
+    and says so."""
     with caplog.at_level("WARNING", logger="papsim.propagator"):
-        run = _ramped_run("crp_n25")
+        run = _ramped_run("crp_n3_strong")
     diagnostics = run.details["diagnostics"]
     assert diagnostics["steps"] == propagator.MIN_STEPS_PER_PULSE
     assert diagnostics["error_estimate"] > TOL
-    assert diagnostics["events"] == 16
-    assert any("held at its cap" in r.getMessage() for r in caplog.records)
+    assert diagnostics["events"] == 20
+    assert any("held at their cap" in r.getMessage() for r in caplog.records)
 
 
-def test_the_estimate_sees_the_norm_growth_of_too_few_steps():
-    """At 60 steps one 40 fs, area-1 pump pulse raises the norm of a
-    lossless 2 + 3 + 2 system by about 3.4e-10; the step-doubling
-    estimate of those steps is larger, and the default count keeps the
-    norm within the tolerance."""
+def test_the_band_crp_run_meets_the_tolerance_below_the_cap(caplog):
+    """The n = 25 band crp train, which RK4 could not resolve in 800
+    steps per pulse, meets the tolerance in fewer Magnus steps than the
+    cap and logs no warning."""
+    with caplog.at_level("WARNING", logger="papsim.propagator"):
+        run = _ramped_run("crp_n25")
+    diagnostics = run.details["diagnostics"]
+    assert diagnostics["steps"] < propagator.MIN_STEPS_PER_PULSE
+    assert diagnostics["error_estimate"] <= TOL
+    assert not caplog.records
+
+
+def test_the_estimate_bounds_the_error_of_too_few_steps():
+    """At 4, 8 and 16 steps the step-doubling estimate of one 40 fs,
+    area-1 pump pulse on a lossless 2 + 3 + 2 system is at least the
+    operator's error against 1024 steps, and the default count keeps
+    the amplitudes and the norm within the tolerance."""
     system = LevelSystem(
         ground_a=(Level("g0", 0.0), Level("g1", 37.0)),
         excited=(Level("e0", 11140.0), Level("e1", 11150.0),
@@ -736,16 +757,99 @@ def test_the_estimate_sees_the_norm_growth_of_too_few_steps():
         dump_dipoles=np.full((2, 3), 0.5), carrier_anchor=11150.0)
     frame = PhaseFrame.for_system(system)
     pulse = make_pulse("sin2", 40.0, 1.0, channel="pump")
-    growth = propagate_pulse(ground_state(system), system, pulse, frame,
-                             steps=60).populations().sum() - 1.0
-    assert growth > 3e-10
-    assert propagator._pulse_error(system, frame, [pulse], 60) >= growth
+    eye = np.eye(system.n_levels, dtype=complex)
+
+    def operator(steps):
+        return propagator._integrate_pulses(system, frame, [pulse], [0.0],
+                                            eye, steps)[0]
+
+    fine = operator(1024)
+    for steps in (4, 8, 16):
+        error = np.max(np.abs(operator(steps) - fine))
+        assert error > 1e-11
+        assert propagator._pulse_error(system, frame, [pulse], steps) >= error
     sched = make_schedule([TrainEvent(pulse.support_ps / 2.0, pulse)],
                           1, 1.0, 0.0, "single")
     traj = run_schedule(ground_state(system), system, sched, frame,
                         record="none")
     assert traj.diagnostics["steps"] < propagator.MIN_STEPS_PER_PULSE
+    assert np.max(np.abs(traj.final_state.amplitudes - fine[0, :, 0])) < TOL
     assert abs(traj.norms[-1] - 1.0) < TOL
+
+
+def _band_crp_pulse():
+    """The band, the frame of its crp train and that train's strongest
+    pump pulse."""
+    run = _ramped_run("crp_n25")
+    pump = max((p for p in run.schedule.pulses if p.channel == "pump"),
+               key=lambda p: p.area)
+    return _band_molecule(), run.frame, pump
+
+
+def test_the_magnus_error_falls_as_the_sixth_power_of_the_step():
+    """On the strongest pump pulse of the band crp train the operator's
+    error against 1024 steps falls at least 50x per doubling of the
+    steps from 16 steps on: 2^6 = 64 for a sixth-order method."""
+    band, frame, pulse = _band_crp_pulse()
+    eye = np.eye(band.n_levels, dtype=complex)
+
+    def operator(steps):
+        return propagator._integrate_pulses(band, frame, [pulse], [0.0],
+                                            eye, steps)[0]
+
+    fine = operator(1024)
+    errors = [np.max(np.abs(operator(steps) - fine)) for steps in (16, 32, 64)]
+    assert errors[-1] > 1e-12
+    for coarse, finer in zip(errors, errors[1:]):
+        assert coarse / finer >= 50.0
+
+
+def test_lossless_operators_are_unitary_at_any_step_count():
+    """Without decay each exp(Omega) is unitary, so their product is too:
+    from the fewest steps inside the convergence bound up to the cap,
+    odd counts included."""
+    band, frame, pulse = _band_crp_pulse()
+    eye = np.eye(band.n_levels, dtype=complex)
+    counts = []
+    for steps in [*range(4, 24), 101, propagator.MIN_STEPS_PER_PULSE]:
+        try:
+            u = propagator._integrate_pulses(band, frame, [pulse], [0.0],
+                                             eye, steps)[0][0]
+        except NumericsError:
+            assert not counts  # only counts below the fewest fail
+            continue
+        counts.append(steps)
+        assert np.max(np.abs(u.conj().T @ u - eye)) <= 1e-13
+    assert 4 < counts[0] < 23
+
+
+def test_the_taylor_exponential_matches_expm(monkeypatch):
+    """exp(Omega) - I from the Taylor series matches scipy's expm - I to
+    1e-14 on the Omega stacks of the n = 3 and n = 25 runs, at their
+    default counts and at 8 steps, where many steps are scaled."""
+    from scipy.linalg import expm
+
+    stacks = []
+    taylor = propagator._expm1
+
+    def spy(omega):
+        stacks.append(omega.copy())
+        return taylor(omega)
+
+    monkeypatch.setattr(propagator, "_expm1", spy)
+    for case in ("stirap_n3", "crp_n3_decaying", "crp_n25"):
+        for steps in (None, 8):
+            _ramped_run(case, steps=steps)
+    monkeypatch.undo()
+    scaled = 0
+    for n in (3, 25):
+        omega = np.concatenate([s for s in stacks if s.shape[-1] == n])
+        norms = np.abs(omega).sum(axis=-2).max(axis=-1)
+        scaled += np.count_nonzero(norms > propagator._TAYLOR_NORM)
+        eye = np.eye(n)
+        reference = np.array([expm(w) - eye for w in omega])
+        assert np.max(np.abs(propagator._expm1(omega) - reference)) < 1e-14
+    assert scaled > 100
 
 
 def test_dense_runs_keep_forty_samples_per_pulse():
