@@ -537,6 +537,8 @@ def _pulse_pass(diag: np.ndarray, A: np.ndarray, pulses, center_phases,
     h = np.array([p.support_ps / steps for p in pulses])
     y, snapshots = _magnus6(diag, [(A, drive)], y, h, stride)
     return y, snapshots, h * _norm_bound(diag, A, np.abs(drive).max(axis=1))
+
+
 def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
                       center_phases, y: np.ndarray, steps: int,
                       stride: int | None = None):
@@ -554,10 +556,11 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
                                       center_phases, y, steps, stride)
     outside = ~(bound < math.pi)
     if outside.any():
+        first = int(np.argmax(outside))
         raise NumericsError(
             f"{steps} steps per pulse leave the Magnus convergence bound "
-            f"h max|H| < pi of a {pulses[int(np.argmax(outside))].channel} "
-            f"pulse (h max|H| = {bound.max():.3g})")
+            f"h max|H| < pi of a {pulses[first].channel} pulse (h max|H| = "
+            f"{bound[first]:.3g})")
     return y, snapshots
 
 
@@ -584,10 +587,9 @@ def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int) -> flo
     diag, A = _diagonal(system, frame), _couplings(system, pulses)
     eye = np.eye(system.n_levels, dtype=complex)
 
-    def run(steps: int):
-        return lambda: _pulse_pass(diag, A, pulses, [0.0] * len(pulses), eye,
-                                   steps)[0]
-    return _doubling_error(_MAGNUS_ORDER, run(n0), run(2 * n0))
+    def run(steps: int) -> np.ndarray:
+        return _pulse_pass(diag, A, pulses, [0.0] * len(pulses), eye, steps)[0]
+    return _doubling_error(_MAGNUS_ORDER, lambda: run(n0), lambda: run(2 * n0))
 
 
 def _window_cap(duration: float) -> int:
@@ -628,8 +630,8 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
                  dense: bool = False) -> tuple[int, dict]:
     """The Magnus steps per pulse of a schedule and their diagnostics:
     the given steps, or the tolerance rule over the events of one row,
-    at most MIN_STEPS_PER_PULSE and, for a dense run, a multiple of
-    _DENSE_SAMPLES.
+    at most MIN_STEPS_PER_PULSE, which a dense run rounds up to a
+    multiple of _DENSE_SAMPLES.
 
     The rule estimates on the largest-area pulse of each group of pulses
     that differ only in area (for a runner's train, one pump and one
@@ -641,10 +643,11 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
     tolerance.
     """
     largest = {}
-    for p in schedule.pulses:
-        key = replace(p, area=0.0)
-        if key not in largest or abs(p.area) > abs(largest[key].area):
-            largest[key] = p
+    if steps is None:
+        for p in schedule.pulses:
+            key = replace(p, area=0.0)
+            if key not in largest or abs(p.area) > abs(largest[key].area):
+                largest[key] = p
     group = list(largest.values())
     n0 = MIN_STEPS_PER_PULSE // 32
     if group:
