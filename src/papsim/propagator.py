@@ -470,7 +470,7 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
     P, n = channels[0][1].shape[0], diag.size
     basis = _basis(diag, channels, h)
     steps = channels[0][1].shape[1] // 3
-    block = max(1, _BLOCK_ENTRIES // (P * n * n))
+    block = max(1, min(steps, _BLOCK_ENTRIES // (P * n * n)))
     coef = np.zeros((3, block, P, 1, basis.shape[1]), dtype=complex)
     coef[0, ..., 0] = 1.0  # the diagonal enters alpha_1 only
     snapshots = (np.empty(((steps - 1) // stride, P) + y.shape[-2:], dtype=complex)
