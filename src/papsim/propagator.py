@@ -287,12 +287,11 @@ _ALPHA_WEIGHTS = np.array([
     [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
     [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 
-# exp(Omega) - I is the Taylor polynomial of this degree at Omega / 2^s,
-# with s the fewest halvings that bring the 1-norm to at most
-# _TAYLOR_NORM: the remainder is then below 0.25^13 / 13! = 2.4e-18.
-# Degree 10 at norm 0.5 left 1.2e-11 per step, which raised the estimate
-# of a resonant n = 3 train from 2.3e-15 to 1.8e-11.
-_TAYLOR_DEGREE = 12
+# exp(Omega) - I is the degree-12 Taylor polynomial at Omega / 2^s, with
+# s the fewest halvings that bring the 1-norm to at most this: the
+# remainder is then below 0.25^13 / 13! = 2.4e-18. Degree 10 at norm 0.5
+# left 1.2e-11 per step, which raised the estimate of a resonant n = 3
+# train from 2.3e-15 to 1.8e-11.
 _TAYLOR_NORM = 0.25
 
 
