@@ -24,28 +24,33 @@ or operators y and a step h; the P problems of a pass share each of
 A_c, y and h or give one per problem, and one basis (diag, A_c,
 A_c^dagger) turns drive samples into generators -i h H (_basis).
 
-Pulse passes take sixth-order Magnus steps, _magnus6. A pulse has one
-carrier and is short and resonant, so its H(t) nearly commutes with
-itself over its support, and a Magnus step integrates a commuting H(t)
-exactly. drive_c is sampled once per pulse at the three Gauss-Legendre
-nodes of every step, by one vectorized rabi_envelope call; a block of
-steps forms its Omega stack in a few batched products, exp(Omega) - I
-comes from a batched Taylor series with scaling and squaring (_expm1),
-and the block's step matrices are multiplied out pairwise (_chain).
-For a lossless H each exp(Omega) is unitary, whatever the steps. The
-Magnus series converges for h max ||H|| < pi; a pass whose steps leave
-that bound raises NumericsError rather than return a finite, wrong
-operator. Measured on a 2-core x86 host against RK4 at its tolerance
-counts: 8 steps per pulse where RK4 took 395 on a resonant n = 3 train,
-12 where it took 715 at n = 7, and 88 on an n = 25 band crp train that
-RK4 could not resolve in 800.
+Pulse passes, and windows of up to _WINDOW_MAGNUS_MAX_LEVELS levels,
+take sixth-order Magnus steps, _magnus6. A pulse has one carrier and is
+short and resonant, so its H(t) nearly commutes with itself over its
+support, and a Magnus step integrates a commuting H(t) exactly; a
+smooth reference passage changes slowly, which Magnus steps also
+resolve in few steps. A pulse's drive_c is sampled once per pass at the
+three Gauss-Legendre nodes of every step, by one vectorized
+rabi_envelope call; a block of steps forms its Omega stack in a few
+batched products, exp(Omega) - I comes from a batched Taylor series
+with scaling and squaring (_expm1), and the block's step matrices are
+multiplied out pairwise (_chain). For a lossless H each exp(Omega) is
+unitary, whatever the steps. The Magnus series converges for h max
+||H|| < pi; a pass whose steps leave that bound raises NumericsError
+rather than return a finite, wrong operator. Measured on a 2-core x86
+host against RK4 at its tolerance counts: 8 steps per pulse where RK4
+took 395 on a resonant n = 3 train, 12 where it took 715 at n = 7, and
+88 on an n = 25 band crp train that RK4 could not resolve in 800; about
+200 steps where RK4 took 5600 on a 100 ps three-level reference.
 
-Windows keep RK4, _rk4, which advances a pass in one of two ways. Large
-passes step y through the RK4 stages. The ODE is linear, so a step is
-also a step matrix I + X built from the step's three generators: small
-passes (P n^2 <= 512 and n <= 16), whose loop pays numpy call overhead
-rather than flops, build the matrices of 64 steps in three batched
-products, multiply them out with _chain and apply the product to y.
+Larger windows take RK4, _rk4: there an operator's n-fold flops
+outweigh what the fewer steps save. _rk4 advances a pass in one of two
+ways. Large passes step y through the RK4 stages. The ODE is linear, so
+a step is also a step matrix I + X built from the step's three
+generators: small passes (P n^2 <= 512 and n <= 16), whose loop pays
+numpy call overhead rather than flops, build the matrices of 64 steps
+in three batched products, multiply them out with _chain and apply the
+product to y.
 
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
@@ -67,26 +72,32 @@ estimate of their error sets the fewest steps at which the row's E
 events add up to half of _TOLERANCE = 1e-9, between N0 and the cap
 MIN_STEPS_PER_PULSE = 256, and a dense run rounds them up to a multiple
 of 40, so that its samples sit at k / 40 of each support whatever the
-count. A window estimates with RK4 on its state over the whole window,
-with the cap max(4000, 200 per ps) (_window_cap). Both report the
-steps, the estimate at those steps and the events in the trajectory's
-diagnostics.
+count. A window estimates with its own kernel on its state over the
+whole window, with the cap max(4000, 200 per ps) (_window_cap): a
+Magnus window from the N0 of the pulses' rule, taking at least the
+2 N0 steps of its estimate's finer pass, which is then its result; an
+RK4 window from N0 = cap // 32. Both report the steps, the estimate at
+those steps and the events in the trajectory's diagnostics. A window's
+production steps, like a pulse's, must keep h max ||H|| inside the
+kernel's bound (pi for Magnus, the RK4 stability limit 2 sqrt(2)), or
+NumericsError is raised.
 
-propagate_window samples its callables once on the half-step grid of
-the whole window and records the state every max(1, steps // 400)
-steps. Its ODE is linear, so U(t2, t0) = U(t2, t1) U(t1, t0): up to
-_WINDOW_SEGMENT_MAX_LEVELS levels the window is cut into segments of
-that many steps, whose operators are one batched kernel pass, each
-problem with its own slice of the samples (the steps left over are one
-more small pass, which the size rule sends to the step matrices), and
-the state is chained through the operators in time order. An operator
-costs n times the flops of one state column, so larger systems step
-their one state through the window instead and record kernel
-snapshots. oracle_propagate is the independent check.
+propagate_window samples its callables once per pass, at the Magnus
+nodes or on the RK4 half-step grid of the whole window, and records the
+state every max(1, steps // 400) steps. Its ODE is linear, so U(t2, t0)
+= U(t2, t1) U(t1, t0): up to _WINDOW_SEGMENT_MAX_LEVELS levels the
+window is cut into segments of that many steps, whose operators are one
+batched kernel pass, each problem with its own slice of the samples
+(the steps left over are one more small pass), and the state is chained
+through the operators in time order. An operator costs n times the
+flops of one state column, so larger systems step their one state
+through the window instead and record kernel snapshots.
+oracle_propagate is the independent check.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -110,9 +121,10 @@ MIN_STEPS_PER_PULSE = 256
 # 1) max |y_N0 - y_2N0| (Hairer, Norsett and Wanner, Solving ODEs I,
 # II.4), then runs the N^-p law backwards: N = ceil(N0 (2 E err(N0) /
 # _TOLERANCE)^(1/p)) in [N0, cap], so that the E events of a row add up
-# to half the tolerance. p is 6 for pulses (Magnus) and 4 for windows
-# (RK4). A run held at the cap with its estimate above the tolerance is
-# logged as a warning.
+# to half the tolerance. p is 6 on Magnus steps (pulses, and windows up
+# to _WINDOW_MAGNUS_MAX_LEVELS levels) and 4 on RK4 steps (larger
+# windows). A run held at the cap with its estimate above the tolerance
+# is logged as a warning.
 _TOLERANCE = 1e-9
 
 ORACLE_MAX_LEVELS = 32
@@ -126,10 +138,24 @@ _DENSE_SAMPLES = 40
 
 # propagate_window integrates segment operators up to this many levels.
 # The batch removes per-step call overhead but costs n times the flops
-# of one state column; on a 2-core x86 host the 20 000-step reference
-# broke even at n = 17-19 (n = 16: 0.34-0.39 s batched, 0.46-0.60 s
-# stepped; n = 25: 0.77-1.13 s batched, 0.48-0.72 s stepped).
+# of one state column; on a 2-core x86 host the 20 000-step RK4
+# reference broke even at n = 17-19 (n = 16: 0.34-0.39 s batched,
+# 0.46-0.60 s stepped; n = 25: 0.77-1.13 s batched, 0.48-0.72 s
+# stepped). Windows up to _WINDOW_MAGNUS_MAX_LEVELS levels always take
+# segments.
 _WINDOW_SEGMENT_MAX_LEVELS = 16
+
+# propagate_window takes Magnus steps up to this many levels and RK4
+# above. Default 100 ps stirap references on a 2-core x86 host, one BLAS
+# thread, best of 5, Magnus against RK4: n = 3, 195 steps against 5653,
+# 5.1 against 38 ms; an n = 7 packet 280 against 8305, 8.0 against
+# 74 ms; bands of 5, 7 and 8 levels 1.9x, 1.5x and 1.4x as fast, n = 9
+# 1.2x, and bands of 13, 16 and 25 levels 0.70x, 0.70x and 0.41x.
+_WINDOW_MAGNUS_MAX_LEVELS = 8
+
+# h max ||H|| inside which an RK4 step does not amplify: the stability
+# interval of RK4 on the imaginary axis is |h lambda| <= 2 sqrt(2)
+_RK4_STABLE = 2.0 * math.sqrt(2.0)
 
 
 class NumericsError(RuntimeError):
@@ -513,6 +539,18 @@ def _norm_bound(diag: np.ndarray, A: np.ndarray, peak) -> np.ndarray:
     return np.abs(diag).max() + peak * np.linalg.norm(A, axis=(-2, -1))
 
 
+def _magnus_n0(length, bound) -> int:
+    """The N0 of a Magnus estimate over `length` ps (per problem, with
+    the norm bound per problem): MIN_STEPS_PER_PULSE // 32, or the
+    fewest steps that keep h bound < pi / 2, half the convergence bound.
+    Nearer the bound the error falls faster than N^-6: on the n = 25
+    band crp train it fell 920x from 8 steps (h max ||H|| = 3.0) to 16,
+    and an estimate from 8 steps chose 137 steps where 88 met the
+    tolerance."""
+    return max(MIN_STEPS_PER_PULSE // 32,
+               int(np.max(length * bound // (math.pi / 2.0))) + 1)
+
+
 def _pulse_drive(pulse: PulseSpec, center_phase: float, steps: int) -> np.ndarray:
     """w e^{-i phi} at the three Gauss-Legendre nodes of each of `steps`
     steps over the pulse support, (3 steps,).
@@ -597,11 +635,14 @@ def _window_cap(duration: float) -> int:
 
 
 def _chosen_steps(steps: int | None, cap: int, events: int, order: int,
-                  n0: int, error, multiple: int = 1) -> tuple[int, dict]:
+                  n0: int, error, multiple: int = 1,
+                  doubled: bool = False) -> tuple[int, dict]:
     """The given steps (at least 4), or the tolerance rule's for a kernel
     of the given order whose count defaults to cap, rounded up to a
     multiple of `multiple`, and their diagnostics; error(n0) estimates
-    one event's error at n0 <= cap steps."""
+    one event's error at n0 <= cap steps. A caller that keeps the
+    estimate's pass of 2 n0 steps sets doubled: the rule then takes at
+    least those steps, since they cost nothing more."""
     if steps is not None:
         n = _steps(steps)
         return n, {"steps": n, "error_estimate": None, "events": events}
@@ -611,7 +652,8 @@ def _chosen_steps(steps: int | None, cap: int, events: int, order: int,
     if ratio >= (cap / n0) ** order:
         n = cap
     else:
-        n = max(n0, math.ceil(n0 * ratio ** (1.0 / order)))
+        least = min(2 * n0, cap) if doubled else n0
+        n = max(least, math.ceil(n0 * ratio ** (1.0 / order)))
     n = -(-n // multiple) * multiple
     estimate = events * err * (n0 / n) ** order
     if n >= cap and estimate > _TOLERANCE:
@@ -634,12 +676,7 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
 
     The rule estimates on the largest-area pulse of each group of pulses
     that differ only in area (for a runner's train, one pump and one
-    dump), at N0 = MIN_STEPS_PER_PULSE // 32 steps or the fewest whose
-    steps lie inside half the convergence bound, h max ||H|| < pi / 2.
-    Nearer the bound the error falls faster than N^-6: on the n = 25
-    band crp train it fell 920x from 8 steps (h max ||H|| = 3.0) to 16,
-    and an estimate from 8 steps chose 137 steps where 88 met the
-    tolerance.
+    dump), at the N0 of _magnus_n0.
     """
     largest = {}
     if steps is None:
@@ -653,8 +690,7 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
         peak = np.abs([rabi_envelope(p, p.support_ps / 2.0) for p in group])
         bound = _norm_bound(_diagonal(system, frame), _couplings(system, group),
                             peak)
-        support = np.array([p.support_ps for p in group])
-        n0 = max(n0, int(np.max(support * bound // (math.pi / 2.0))) + 1)
+        n0 = _magnus_n0(np.array([p.support_ps for p in group]), bound)
     n, diagnostics = _chosen_steps(
         steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1], _MAGNUS_ORDER, n0,
         lambda n0: _pulse_error(system, frame, group, n0) if group else 0.0,
@@ -699,8 +735,8 @@ class Trajectory:
 
     times (ps), populations (len(times) x n_levels), norms (total
     population, i.e. 1 minus what has decayed away), the final state and
-    the diagnostics of the fixed steps (Magnus per pulse, RK4 per
-    window): the steps taken, their error estimate (None for a given
+    the diagnostics of the fixed steps (per pulse, or over the window):
+    the steps taken, their error estimate (None for a given
     count), the events and, for a schedule, its distinct pulses.
     """
 
@@ -827,79 +863,142 @@ def propagate_window(state: QuantumState, system: LevelSystem,
                      pump_rabi, dump_rabi, frame: PhaseFrame,
                      duration: float, steps: int | None = None,
                      pump_phase=None, dump_phase=None) -> Trajectory:
-    """RK4 over a window where both channels may drive simultaneously.
+    """Fixed steps over a window where both channels may drive at once.
 
     pump_rabi / dump_rabi are callables Omega(t) (rad/ps) of absolute
     time; pump_phase / dump_phase optionally give the carrier phases
-    phi(t) (rad). Each callable is sampled once on the half-step grid of
-    max(steps, 4) RK4 steps. Smooth adiabatic references with
-    overlapping envelopes use this; scheduled trains never need it.
+    phi(t) (rad). Smooth adiabatic references with overlapping envelopes
+    use this; scheduled trains never need it. Up to
+    _WINDOW_MAGNUS_MAX_LEVELS levels the window takes sixth-order Magnus
+    steps, each callable sampled once at the three Gauss-Legendre nodes
+    of every step; larger windows take RK4 steps, each callable sampled
+    once on the half-step grid. A callable that returns a non-finite
+    value raises NumericsError.
 
     steps=None takes the count from the tolerance (_TOLERANCE): the
-    state is integrated over the whole window at N0 = cap // 32 and
-    2 N0 steps, from one sampling on the finer grid, and the
-    step-doubling estimate sets the count, between N0 and the cap
-    max(4000, 200 per ps) (_window_cap). The trajectory's diagnostics
-    report the steps and the estimate at them.
+    state is integrated over the whole window at N0 and 2 N0 steps, and
+    the step-doubling estimate sets the count, between N0 and the cap
+    max(4000, 200 per ps) (_window_cap). RK4 takes N0 = cap // 32 from
+    one sampling on the finer grid. Magnus takes the N0 of _magnus_n0,
+    its bound read off the samples at N0, and at least 2 N0 steps, so
+    that its estimate's finer pass is the result when that is enough.
+    Otherwise a given count is taken as it is, at least 4 steps. The
+    trajectory's diagnostics report the steps and the estimate at them.
+    A count whose steps leave h max ||H|| < pi (Magnus convergence) or
+    2 sqrt(2) (RK4 stability) raises NumericsError; the estimate's
+    passes are exempt.
 
     The trajectory records the state every s = max(1, steps // 400)
     steps and at the end. Up to _WINDOW_SEGMENT_MAX_LEVELS levels the
     window is cut into segments of s steps; their evolution operators,
     each with its own slice of the drive samples, are integrated as one
-    batched RK4 pass, the steps % s tail steps as one more small pass,
-    and the state is chained through the operators in time order.
-    Larger systems, where the operators' flops outweigh the call
-    overhead they save, step the state itself and record a kernel
-    snapshot every s steps.
+    batched pass, the steps % s tail steps as one more small pass, and
+    the state is chained through the operators in time order. Larger
+    systems, where the operators' flops outweigh the call overhead they
+    save, step the state itself and record a kernel snapshot every s
+    steps.
     """
     if not 0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration}")
     t0 = state.time
     A = (_absorption_matrix(system, "pump"), _absorption_matrix(system, "dump"))
     diag, n = _diagonal(system, frame), system.n_levels
-    amps = [state.amplitudes.astype(complex)]
+    start = state.amplitudes.astype(complex)
+    magnus = n <= _WINDOW_MAGNUS_MAX_LEVELS
+    # each kernel's samples per step, whether segments share their end
+    # samples, and the bound of h max ||H - centre|| its steps must keep
+    if magnus:
+        kernel, per_step, shared = _magnus6, 3, 0
+        limit, kind = math.pi, "Magnus convergence"
+        # a constant shift of the diagonal commutes with H and leaves
+        # every commutator of Omega as it is: only the spread about the
+        # real midpoint counts towards the convergence bound
+        centre = 0.5 * (diag.real.max() + diag.real.min())
+    else:
+        kernel, per_step, shared = _rk4, 2, 1
+        limit, kind = _RK4_STABLE, "RK4 stability"
+        centre = 0.0
+    offset = np.abs(diag - centre).max()
 
+    @functools.cache
     def sampled(steps: int):
-        grid = t0 + np.linspace(0.0, duration, 2 * steps + 1)
+        if magnus:
+            tau = ((np.arange(steps)[:, None] + _GAUSS_NODES)
+                   * (duration / steps)).ravel()
+        else:
+            tau = np.linspace(0.0, duration, 2 * steps + 1)
+        grid = t0 + tau
         drives = []
         for rabi, phase in ((pump_rabi, pump_phase), (dump_rabi, dump_phase)):
             d = np.fromiter(map(rabi, grid), complex, grid.size)
             if phase is not None:
                 d *= np.exp(-1j * np.fromiter(map(phase, grid), float, grid.size))
             drives.append(d)
+        if not all(np.isfinite(d).all() for d in drives):
+            raise NumericsError("a drive of the window is not finite")
         return drives
 
-    def error(n0: int) -> float:
-        # the half-step grid of 2 n0 steps holds that of n0 steps
-        drives, h = sampled(2 * n0), duration / n0
-        return _doubling_error(
-            _RK4_ORDER,
-            lambda: _rk4(diag, [(a, d[None, ::2]) for a, d in zip(A, drives)],
-                         amps[0][:, None], h)[0],
-            lambda: _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                         amps[0][:, None], h / 2.0)[0])
+    def bound(steps: int) -> float:
+        # max ||H - centre|| over the samples, at most
+        return offset + sum(np.abs(d).max() * np.linalg.norm(a)
+                            for a, d in zip(A, sampled(steps)))
 
-    cap = _window_cap(duration)
-    steps, diagnostics = _chosen_steps(steps, cap, 1, _RK4_ORDER, cap // 32,
-                                       error)
-    stride = max(1, steps // 400)
-    h = duration / steps
-    drives = sampled(steps)
-    if n > _WINDOW_SEGMENT_MAX_LEVELS:
-        y, snapshots = _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                            amps[0][:, None], h, stride)
-        amps += [*snapshots[:, 0, :, 0], y[0, :, 0]]
-    else:
-        # segment k spans half-step samples 2 k stride ... 2 (k + 1)
-        # stride, a view into the samples; the tail is one more pass
-        K, width = steps // stride, 2 * stride
-        passes = [[sliding_window_view(d, width + 1)[::width] for d in drives]]
+    @functools.cache
+    def records(steps: int) -> list:
+        h, stride = duration / steps, max(1, steps // 400)
+        drives = sampled(steps)
+        if n > _WINDOW_SEGMENT_MAX_LEVELS:
+            y, snapshots = kernel(diag, [(a, d[None]) for a, d in zip(A, drives)],
+                                  start[:, None], h, stride)
+            return [start, *snapshots[:, 0, :, 0], y[0, :, 0]]
+        # segment k spans samples k w ... (k + 1) w of w = per_step
+        # stride, plus the sample it shares with the next segment on the
+        # RK4 grid, a view into the samples; the tail is one more pass
+        K, width = steps // stride, per_step * stride
+        passes = [[sliding_window_view(d, width + shared)[::width] for d in drives]]
         if steps % stride:
             passes.append([d[None, K * width:] for d in drives])
+        amps = [start]
         for segments in passes:
-            ops, _ = _rk4(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h)
+            ops, _ = kernel(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h)
             for op in ops:
                 amps.append(op @ amps[-1])
+        return amps
+
+    cap = _window_cap(duration)
+    if magnus:
+        order, n0 = _MAGNUS_ORDER, _magnus_n0(duration, 0.0)
+        # the peak drive is read off the samples, so N0 rises until its
+        # own samples keep it (or it reaches the cap)
+        while (steps is None and n0 < cap
+               and (need := _magnus_n0(duration, bound(n0))) > n0):
+            n0 = need
+
+        def error(n0: int) -> float:
+            return _doubling_error(order, lambda: records(n0)[-1],
+                                   lambda: records(2 * n0)[-1])
+    else:
+        order, n0 = _RK4_ORDER, cap // 32
+
+        def error(n0: int) -> float:
+            # the half-step grid of 2 n0 steps holds that of n0 steps
+            drives, h = sampled(2 * n0), duration / n0
+            return _doubling_error(
+                order,
+                lambda: _rk4(diag, [(a, d[None, ::2]) for a, d in zip(A, drives)],
+                             start[:, None], h)[0],
+                lambda: _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
+                             start[:, None], h / 2.0)[0])
+
+    steps, diagnostics = _chosen_steps(steps, cap, 1, order, n0, error,
+                                       doubled=magnus)
+    h, stride = duration / steps, max(1, steps // 400)
+    reach = h * bound(steps)
+    if not reach < limit:
+        raise NumericsError(
+            f"{steps} window steps leave the {kind} bound h max|H| < "
+            f"{limit:.3g} (h max|H| = {reach:.3g})")
+    amps = records(steps)
     if not np.all(np.isfinite(amps[-1])):
         raise NumericsError("non-finite amplitudes in windowed propagation")
     final = QuantumState(amps[-1], t0 + duration)

@@ -346,18 +346,20 @@ def test_window_with_silent_drives_is_free_evolution():
         propagate_window(st, sys3, zero, zero, frame, -1.0, 100)
 
 
-@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("path", ["magnus", "segments", "stepped"])
 @pytest.mark.parametrize("steps, duration", [(2000, 10.0), (2003, 10.0),
                                              (7, 0.07)])
 def test_window_with_constant_drives_is_the_exponential(steps, duration,
-                                                        stepped, monkeypatch):
+                                                        path, monkeypatch):
     # 2000 steps are 400 segments of 5, 2003 leave a 3-step tail, and 7
-    # steps are segments of one step each; stepped lowers the level
-    # limit of segment operators so the three-level window takes the
-    # path of large systems
+    # steps are segments of one step each. The three-level window takes
+    # Magnus segments; lowering the level limits sends it to RK4
+    # segments, or to the RK4 path of large systems, which steps the state
     from scipy.linalg import expm
 
-    if stepped:
+    if path != "magnus":
+        monkeypatch.setattr(propagator, "_WINDOW_MAGNUS_MAX_LEVELS", 2)
+    if path == "stepped":
         monkeypatch.setattr(propagator, "_WINDOW_SEGMENT_MAX_LEVELS", 2)
 
     sys3 = build_three_level(pump_detuning=3.0, dump_detuning=-1.0,
@@ -661,9 +663,10 @@ def test_default_reference_meets_the_tolerance():
 
 def test_given_steps_keep_their_bits(monkeypatch):
     """A given count takes no estimate and keeps its bits: pulses on the
-    Magnus kernel, above the cap too, and a window on RK4. The sha256
-    prefixes were taken on x86-64 with numpy 2.4 and one OpenBLAS
-    thread."""
+    Magnus kernel, above the cap too, a three-level window on Magnus
+    steps, and band windows on RK4 segments (12 levels) and RK4 steps
+    of the state (25 levels). The sha256 prefixes were taken on x86-64
+    with numpy 2.4 and one OpenBLAS thread."""
     import hashlib
 
     def no_estimate(*args):
@@ -685,9 +688,19 @@ def test_given_steps_keep_their_bits(monkeypatch):
         assert traj.diagnostics == {"steps": steps, "error_estimate": None,
                                     "events": 6,
                                     "distinct_pulses": len(sched.pulses)}
-    ref = run_reference_ap(sys3, "stirap", 20.0, 1.47, steps=5003).trajectory
-    data = ref.final_state.amplitudes.tobytes() + ref.populations.tobytes()
-    assert hashlib.sha256(data).hexdigest()[:16] == "8aa69fa838dc04de"
+    tooth = 1.0 / (C_CM_PER_PS * 10.0)
+    windows = {3: (sys3, 5003, "6a2c6b104af68b11")}
+    for k, steps, digest in ((8, 1001, "cc9bf79e0cbffb18"),
+                             (21, 401, "55c217d26013f15b")):
+        windows[k + 4] = (build_synthetic_molecule(SyntheticMoleculeSpec(
+            k, 11145.0, (tooth,), dipole_profile="gaussian",
+            ground_a_energies=(0.0, 37.0),
+            ground_b_energies=(-2333.0, -2291.0))), steps, digest)
+    for n, (system, steps, digest) in windows.items():
+        assert system.n_levels == n
+        ref = run_reference_ap(system, "stirap", 20.0, 1.47, steps=steps).trajectory
+        data = ref.final_state.amplitudes.tobytes() + ref.populations.tobytes()
+        assert hashlib.sha256(data).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -710,12 +723,61 @@ def test_default_steps_stay_between_n0_and_the_cap(case, expected):
 
 
 def test_window_steps_stay_between_n0_and_the_cap():
+    """A three-level window on Magnus steps takes at least twice its N0,
+    the fewest steps that keep h max ||H|| < pi / 2 (8 at least), and at
+    most the cap. On the resonant, lossless system max ||H|| is at most
+    the peak Rabi rate, since each channel's ||A||_F is 1/2."""
     cap = propagator._window_cap(10.0)
     sys3 = build_three_level()
     for peak in (0.0, 1.47, 40.0):
         steps = run_reference_ap(sys3, "stirap", 10.0, peak).details[
             "diagnostics"]["steps"]
-        assert cap // 32 <= steps <= cap
+        n0 = max(8, int(10.0 * peak // (math.pi / 2.0)) + 1)
+        assert 2 * n0 <= steps <= cap
+        # an undriven window is exact at any count: the rule's floor
+        assert steps == 2 * n0 or peak > 0.0
+
+
+def test_the_packet_reference_meets_the_tolerance_below_the_cap(caplog):
+    """The 20 ps reference on the n = 7 packet at peak 7 rad/ps, which
+    RK4 held at its cap of 4000 steps with the estimate over the
+    tolerance, meets the tolerance on Magnus steps below the cap, logs
+    no warning and lands within the tolerance of 4x its steps."""
+    mol, _ = _packet_molecule()
+    with caplog.at_level("WARNING", logger="papsim.propagator"):
+        ref = run_reference_ap(mol, "stirap", 20.0, 7.0)
+    diagnostics = ref.details["diagnostics"]
+    assert diagnostics["steps"] < propagator._window_cap(20.0)
+    assert diagnostics["error_estimate"] <= TOL
+    assert not caplog.records
+    fine = run_reference_ap(mol, "stirap", 20.0, 7.0,
+                            steps=4 * diagnostics["steps"])
+    dev = np.max(np.abs(ref.trajectory.final_state.amplitudes
+                        - fine.trajectory.final_state.amplitudes))
+    assert dev < TOL
+
+
+@pytest.mark.parametrize("kernel", ["magnus", "rk4"])
+def test_window_failures_are_numerics_errors(kernel, monkeypatch):
+    """Four steps over a strong 10 ps window leave the kernel's bound
+    (Magnus convergence, RK4 stability) and raise instead of returning
+    finite, wrong amplitudes; so does a drive that is not a number, with
+    a default count as with a given one."""
+    if kernel == "rk4":
+        monkeypatch.setattr(propagator, "_WINDOW_MAGNUS_MAX_LEVELS", 2)
+    sys3 = build_three_level()
+    with pytest.raises(NumericsError, match="bound"):
+        run_reference_ap(sys3, "stirap", 10.0, 40.0, steps=4)
+    frame = PhaseFrame.for_system(sys3)
+    nan = lambda t: math.nan if t > 5.0 else 1.0
+    for steps in (None, 100):
+        with pytest.raises(NumericsError, match="not finite"):
+            propagate_window(ground_state(sys3), sys3, nan, lambda t: 1.0,
+                             frame, 10.0, steps)
+        with pytest.raises(NumericsError, match="not finite"):
+            propagate_window(ground_state(sys3), sys3, lambda t: 1.0,
+                             lambda t: 1.0, frame, 10.0, steps,
+                             pump_phase=nan)
 
 
 def test_a_run_held_at_the_cap_is_flagged(caplog):
