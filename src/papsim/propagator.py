@@ -147,10 +147,10 @@ _WINDOW_SEGMENT_MAX_LEVELS = 16
 
 # propagate_window takes Magnus steps up to this many levels and RK4
 # above. Default 100 ps stirap references on a 2-core x86 host, one BLAS
-# thread, best of 5, Magnus against RK4: n = 3, 195 steps against 5653,
-# 5.1 against 38 ms; an n = 7 packet 280 against 8305, 8.0 against
-# 74 ms; bands of 5, 7 and 8 levels 1.9x, 1.5x and 1.4x as fast, n = 9
-# 1.2x, and bands of 13, 16 and 25 levels 0.70x, 0.70x and 0.41x.
+# thread, Magnus against RK4: n = 3, 195 steps against 5653, 4.5 against
+# 24 ms; an n = 7 packet 280 against 8305, 7.4 against 47 ms; bands of
+# 5, 7 and 8 levels 2.0x, 1.5x and 1.5x as fast, n = 9 even (38 against
+# 39 ms), and bands of 13, 16 and 25 levels 0.58x, 0.63x and 0.38x.
 _WINDOW_MAGNUS_MAX_LEVELS = 8
 
 # h max ||H|| inside which an RK4 step does not amplify: the stability
@@ -159,7 +159,8 @@ _RK4_STABLE = 2.0 * math.sqrt(2.0)
 
 
 class NumericsError(RuntimeError):
-    """Propagation produced non-finite amplitudes."""
+    """Propagation met non-finite drives or amplitudes, or steps outside
+    its kernel's bound."""
 
 
 @dataclass(frozen=True, eq=False)
