@@ -46,12 +46,15 @@ def _write_text(path: str, text: str) -> None:
 def _write_csv(path: str, kind: str, fingerprint: str | None,
                header: list[str], rows) -> None:
     """The one CSV layout: tag, version and fingerprint comment lines, the
-    given header lines, then one line of repr floats per row."""
+    given header lines, then one line of repr floats per row of the 2-D
+    array rows."""
     lines = [f"# {kind}", f"# version={__version__}"]
     if fingerprint:
         lines.append(f"# fingerprint={fingerprint}")
     lines += header
-    lines += (",".join(map(_r, row)) for row in rows)
+    # plain floats: numpy 2 reprs a numpy scalar as np.float64(...)
+    lines += (",".join(map(repr, row))
+              for row in np.asarray(rows, float).tolist())
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -108,20 +111,20 @@ def write_spectrum_csv(path: str, spectrum: BeatSpectrum,
                        fingerprint: str | None = None) -> None:
     _write_csv(path, "papsim-spectrum v1", fingerprint,
                ["frequency_cm1,magnitude"],
-               zip(spectrum.frequency_axis, spectrum.magnitude))
+               np.column_stack([spectrum.frequency_axis, spectrum.magnitude]))
 
 
 def write_sweep_csv(path: str, sweep: SweepResult,
                     fingerprint: str | None = None) -> None:
     _write_csv(path, "papsim-sweep v1", fingerprint,
                [f"{sweep.parameter},efficiency"],
-               zip(sweep.values, sweep.efficiency))
+               np.column_stack([sweep.values, sweep.efficiency]))
 
 
 def write_revivals_csv(path: str, report: RevivalReport,
                        fingerprint: str | None = None) -> None:
     _write_csv(path, "papsim-revivals v1", fingerprint, ["time_ps,fidelity"],
-               zip(report.times, report.fidelity))
+               np.column_stack([report.times, report.fidelity]))
 
 
 def write_trajectory_csv(path: str, result: RunResult,

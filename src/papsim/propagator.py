@@ -21,8 +21,9 @@ from the same diagonal the kernel uses.
 Pulses and windows go through two fixed-step kernels that share their
 inputs: the diagonal, a list of channels (A_c, drive_c), start states
 or operators y and a step h; the P problems of a pass share each of
-A_c, y and h or give one per problem, and one basis (diag, A_c,
-A_c^dagger) turns drive samples into generators -i h H (_basis).
+the diagonal, A_c, y and h or give one per problem, and one basis
+(diag, A_c, A_c^dagger) turns drive samples into generators -i h H
+(_basis).
 
 Pulse passes, and windows of up to _WINDOW_MAGNUS_MAX_LEVELS levels,
 take sixth-order Magnus steps, _magnus6. A pulse has one carrier and is
@@ -34,7 +35,10 @@ three Gauss-Legendre nodes of every step, by one vectorized
 rabi_envelope call; a block of steps forms its Omega stack in a few
 batched products, exp(Omega) - I comes from a batched Taylor series
 with scaling and squaring (_expm1), and the block's step matrices are
-multiplied out pairwise (_chain). For a lossless H each exp(Omega) is
+multiplied out pairwise (_chain). Every product of these three goes
+through _mm, which multiplies stacks of at most 3 levels as broadcast
+multiply-adds: there numpy's stacked matmul costs more per tiny matrix
+than the arithmetic. For a lossless H each exp(Omega) is
 unitary, whatever the steps. The Magnus series converges for h max
 ||H|| < pi; a pass whose steps leave that bound raises NumericsError
 rather than return a finite, wrong operator. Measured on a 2-core x86
@@ -42,6 +46,19 @@ host against RK4 at its tolerance counts: 8 steps per pulse where RK4
 took 395 on a resonant n = 3 train, 12 where it took 715 at n = 7, and
 88 on an n = 25 band crp train that RK4 could not resolve in 800; about
 200 steps where RK4 took 5600 on a 100 ps three-level reference.
+
+A pulse couples only its own channel: a pump pulse ground_a and the
+excited levels, a dump pulse the excited levels and ground_b. So the
+pulse pass (_pulse_pass) integrates each pulse from the identity on a
+contiguous block of b = n - min(n_ga, n_gb) levels (_blocks), the first
+b for a pump pulse and the last b for a dump pulse: 2 of 3 levels on
+the Lambda system, 23 of 25 on the band. The levels outside the block
+take their exact free phase exp(-i d_k t), decay included, and
+_integrate_pulses embeds both into the (P, n, n) operators and (S, P,
+n, n) snapshots its callers read. The step-doubling estimate compares
+the block operators directly, since both of its passes carry the same
+phase outside the blocks; the convergence bound and N0 keep the full
+diagonal.
 
 Larger windows take RK4, _rk4: there an operator's n-fold flops
 outweigh what the fewer steps save. _rk4 advances a pass in one of two
@@ -314,6 +331,13 @@ _ALPHA_WEIGHTS = np.array([
     [-math.sqrt(15.0) / 3.0, 0.0, math.sqrt(15.0) / 3.0],
     [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 
+# _mm multiplies stacks of matrices of up to this many levels as
+# broadcast multiply-adds. Speed against numpy's stacked matmul per
+# product, on stacks of 2^13 / n^2 complex matrices, 2-core x86 host:
+# 3.9-5.4x at n = 2, 1.7-2.3x at n = 3, 1.1x at n = 4, 0.3-0.9x at n =
+# 5-8.
+_BROADCAST_MAX_LEVELS = 3
+
 # exp(Omega) - I is the degree-12 Taylor polynomial at Omega / 2^s, with
 # s the fewest halvings that bring the 1-norm to at most this: the
 # remainder is then below 0.25^13 / 13! = 2.4e-18. Degree 10 at norm 0.5
@@ -326,14 +350,28 @@ def _basis(diag: np.ndarray, channels, h) -> np.ndarray:
     """-i h (diag, A_1, A_1^dagger, A_2, ...) as one (1 or P, M, n^2)
     stack: the generator -i h H(tau) of a problem is the row (1,
     drive_1(tau), conj(drive_1(tau)), ...) times it. It is stored once
-    unless h or an A_c is given per problem."""
-    n = diag.size
-    mats = [np.diag(diag)]
+    unless h, the diagonal or an A_c is given per problem."""
+    n = diag.shape[-1]
+    mats = [diag[..., None] * np.eye(n)]
     for A, _ in channels:
         mats += [A, A.conj().swapaxes(-1, -2)]
     M = len(mats)
     mats = np.stack(np.broadcast_arrays(*mats), axis=-3)
     return (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
+
+
+def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of stacks of matrices. Up to _BROADCAST_MAX_LEVELS levels it
+    is a sum of n broadcast products of a column of a with a row of b:
+    numpy's stacked matmul costs more per tiny matrix than those few
+    elementwise passes."""
+    n = a.shape[-1]
+    if n > _BROADCAST_MAX_LEVELS:
+        return a @ b
+    out = a[..., :1] * b[..., :1, :]
+    for k in range(1, n):
+        out += a[..., k:k + 1] * b[..., k:k + 1, :]
+    return out
 
 
 def _chain(x: np.ndarray) -> np.ndarray:
@@ -344,7 +382,7 @@ def _chain(x: np.ndarray) -> np.ndarray:
     is rounded against the identity."""
     while len(x) > 1:
         a, b = x[:len(x) - 1:2], x[1::2]
-        x = np.concatenate([b + a + b @ a, x[len(x) - len(x) % 2:]])
+        x = np.concatenate([b + a + _mm(b, a), x[len(x) - len(x) % 2:]])
     return x[0]
 
 
@@ -446,8 +484,8 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
     norm = np.abs(omega).sum(axis=-2).max(axis=-1)
     halvings = np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
     w = omega * (0.5 ** halvings)[:, None, None]
-    w2 = w @ w
-    w3 = w2 @ w
+    w2 = _mm(w, w)
+    w3 = _mm(w2, w)
 
     def chunk(j: int) -> np.ndarray:
         # w^j / j! + w^(j+1) / (j+1)! + w^(j+2) / (j+2)!, less a factor w^j
@@ -456,12 +494,12 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
 
     x = chunk(9) + w3 / math.factorial(12)
     for j in (6, 3):
-        x = chunk(j) + w3 @ x
-    x = w + 0.5 * w2 + w3 @ x
+        x = chunk(j) + _mm(w3, x)
+    x = w + 0.5 * w2 + _mm(w3, x)
     for r in range(int(halvings.max(initial=0))):
         sel = halvings > r
         xs = x[sel]
-        x[sel] = 2.0 * xs + xs @ xs
+        x[sel] = 2.0 * xs + _mm(xs, xs)
     return x
 
 
@@ -469,8 +507,9 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
              stride: int | None = None):
     """Sixth-order Magnus steps of P independent problems in one pass.
 
-    The inputs are _rk4's, except that drive_c is (P, 3 steps): the drive
-    at the three Gauss-Legendre nodes of every step. With G_i = -i h H
+    The inputs are _rk4's, except that the diagonal may also be given
+    per problem, (P, n), and drive_c is (P, 3 steps): the drive at the
+    three Gauss-Legendre nodes of every step. With G_i = -i h H
     at node i, a step is y <- exp(Omega) y with
 
         alpha_1 = G_2,    alpha_2 = (sqrt(15) / 3) (G_3 - G_1),
@@ -493,7 +532,7 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
 
     Returns (y, snapshots) as _rk4 does.
     """
-    P, n = channels[0][1].shape[0], diag.size
+    P, n = channels[0][1].shape[0], diag.shape[-1]
     basis = _basis(diag, channels, h)
     steps = channels[0][1].shape[1] // 3
     block = max(1, min(steps, _BLOCK_ENTRIES // (P * n * n)))
@@ -513,13 +552,13 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
             coef[:, :k, :, 0, 1 + 2 * c] = weights
             coef[:, :k, :, 0, 2 + 2 * c] = weights.conj()
         a1, a2, a3 = (coef[:, :k] @ basis).reshape(3, k, P, n, n)
-        c1 = a1 @ a2 - a2 @ a1
+        c1 = _mm(a1, a2) - _mm(a2, a1)
         b = 2.0 * a3 + c1
-        c2 = (b @ a1 - a1 @ b) / 60.0
+        c2 = (_mm(b, a1) - _mm(a1, b)) / 60.0
         left, right = c1 - 20.0 * a1 - a3, a2 + c2
-        omega = a1 + a3 / 12.0 + (left @ right - right @ left) / 240.0
+        omega = a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
         x = _chain(_expm1(omega.reshape(-1, n, n)).reshape(k, P, n, n))
-        y = y + x @ y
+        y = y + _mm(x, y)
         if stride and stop % stride == 0 and stop < steps:
             snapshots[stop // stride - 1] = y
         start = stop
@@ -565,33 +604,61 @@ def _pulse_drive(pulse: PulseSpec, center_phase: float, steps: int) -> np.ndarra
     return rabi_envelope(pulse, tau) * np.exp(-1j * phi)
 
 
-def _pulse_pass(diag: np.ndarray, A: np.ndarray, pulses, center_phases,
-                y: np.ndarray, steps: int, stride: int | None = None):
-    """_magnus6 over each pulse's support, the drives sampled for it;
-    returns (y, snapshots, h max ||H||) with the bound per pulse."""
+def _blocks(system: LevelSystem, pulses) -> np.ndarray:
+    """The (P, b) levels each pulse's pass integrates: b = n - min(n_ga,
+    n_gb) contiguous levels, the first b for a pump pulse and the last b
+    for a dump pulse. A block holds every level its pulse couples, and
+    levels it does not when n_ga != n_gb; H does not couple the block to
+    the levels outside it, which only keep their free phase."""
+    n = system.n_levels
+    size = n - min(system.n_ground_a, system.n_ground_b)
+    lo = np.array([0 if p.channel == "pump" else n - size for p in pulses])
+    return lo[:, None] + np.arange(size)
+
+
+def _pulse_pass(diag: np.ndarray, A: np.ndarray, rows: np.ndarray, pulses,
+                center_phases, steps: int, stride: int | None = None):
+    """_magnus6 from the identity over each pulse's support, the drives
+    sampled for it, on each pulse's block of levels `rows` (_blocks):
+    returns the (P, b, b) block operators, their snapshots and h max ||H||
+    per pulse, the bound taken over all n levels."""
     drive = np.empty((len(pulses), 3 * steps), dtype=complex)
     for row, pulse, phi in zip(drive, pulses, center_phases):
         row[:] = _pulse_drive(pulse, phi, steps)
     h = np.array([p.support_ps / steps for p in pulses])
-    y, snapshots = _magnus6(diag, [(A, drive)], y, h, stride)
+    block = A[np.arange(len(pulses))[:, None, None], rows[:, :, None],
+              rows[:, None, :]]
+    y, snapshots = _magnus6(diag[rows], [(block, drive)],
+                            np.eye(rows.shape[1], dtype=complex), h, stride)
     return y, snapshots, h * _norm_bound(diag, A, np.abs(drive).max(axis=1))
 
 
-def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
-                      center_phases, y: np.ndarray, steps: int,
-                      stride: int | None = None):
-    """Magnus steps over each pulse's support, all pulses in one batched
-    pass.
+def _embed(block: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """(..., P, n, n) operators that are block (..., P, b, b) on each
+    problem's rows and the diagonal phase (..., P, n) elsewhere."""
+    out = phase[..., None] * np.eye(phase.shape[-1])
+    out[..., np.arange(len(rows))[:, None, None], rows[:, :, None],
+        rows[:, None, :]] = block
+    return out
 
-    y is (n, m), shared by all pulses, or (P, n, m), one state column or
-    operator per pulse. Raises NumericsError naming the channel of the
-    first pulse whose steps leave the convergence bound h max ||H|| < pi:
-    past it the Magnus series diverges, and a step would return a finite,
-    wrong operator.
+
+def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
+                      center_phases, steps: int, stride: int | None = None):
+    """The (P, n, n) evolution operators of Magnus steps over each
+    pulse's support, all pulses in one batched pass, and their (S, P, n,
+    n) snapshots every stride steps (or None).
+
+    The pass runs on each pulse's block of levels (_blocks); the levels
+    outside it take their exact free phase exp(-i d_k t), decay included,
+    over the support or up to the snapshot. Raises NumericsError naming
+    the channel of the first pulse whose steps leave the convergence
+    bound h max ||H|| < pi: past it the Magnus series diverges, and a
+    step would return a finite, wrong operator.
     """
-    y, snapshots, bound = _pulse_pass(_diagonal(system, frame),
-                                      _couplings(system, pulses), pulses,
-                                      center_phases, y, steps, stride)
+    diag, rows = _diagonal(system, frame), _blocks(system, pulses)
+    block, snapshots, bound = _pulse_pass(diag, _couplings(system, pulses),
+                                          rows, pulses, center_phases, steps,
+                                          stride)
     outside = ~(bound < math.pi)
     if outside.any():
         first = int(np.argmax(outside))
@@ -599,7 +666,13 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
             f"{steps} steps per pulse leave the Magnus convergence bound "
             f"h max|H| < pi of a {pulses[first].channel} pulse (h max|H| = "
             f"{bound[first]:.3g})")
-    return y, snapshots
+    support = np.array([p.support_ps for p in pulses])[:, None]
+    ops = _embed(block, rows, np.exp(-1j * diag * support))
+    if snapshots is not None:
+        t = (stride * np.arange(1, len(snapshots) + 1)[:, None, None]
+             * (support / steps))
+        snapshots = _embed(snapshots, rows, np.exp(-1j * diag * t))
+    return ops, snapshots
 
 
 def _steps(steps: int | None) -> int:
@@ -623,10 +696,11 @@ def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int) -> flo
     """The step-doubling error of n0 Magnus steps per pulse. Its passes
     are not held to the convergence bound."""
     diag, A = _diagonal(system, frame), _couplings(system, pulses)
-    eye = np.eye(system.n_levels, dtype=complex)
+    rows = _blocks(system, pulses)
 
     def run(steps: int) -> np.ndarray:
-        return _pulse_pass(diag, A, pulses, [0.0] * len(pulses), eye, steps)[0]
+        # outside the blocks both passes carry the same exact phase
+        return _pulse_pass(diag, A, rows, pulses, [0.0] * len(pulses), steps)[0]
     return _doubling_error(_MAGNUS_ORDER, lambda: run(n0), lambda: run(2 * n0))
 
 
@@ -710,11 +784,11 @@ def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
     K * carrier_detuning * t_center.
     """
     t_center = state.time + pulse.support_ps / 2.0
-    y = state.amplitudes.astype(complex)[None, :, None]
-    y, _ = _integrate_pulses(system, frame, [pulse],
-                             [pulse_center_phase(pulse, t_center)], y,
-                             _steps(steps))
-    return QuantumState(y[0, :, 0], state.time + pulse.support_ps)
+    ops, _ = _integrate_pulses(system, frame, [pulse],
+                               [pulse_center_phase(pulse, t_center)],
+                               _steps(steps))
+    return QuantumState(ops[0] @ state.amplitudes.astype(complex),
+                        state.time + pulse.support_ps)
 
 
 def free_evolve(state: QuantumState, system: LevelSystem, dt: float,
@@ -764,7 +838,7 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     ops = snapshots = None
     if pulses:
         ops, snapshots = _integrate_pulses(
-            system, frame, pulses, [0.0] * len(pulses), np.eye(n, dtype=complex),
+            system, frame, pulses, [0.0] * len(pulses),
             _train_steps(system, frame, schedule, steps)[0], stride)
     op_rows, time, phase, support = np.atleast_2d(
         schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
@@ -777,17 +851,16 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     # the levels whose phase each pulse carries: ground_a for a pump,
     # ground_b for a dump
     level, excited = np.arange(n), system.slice_excited()
-    carried = np.array([level >= excited.stop if p.channel == "dump"
-                        else level < excited.start for p in pulses])[op_rows]
-    # every event's free evolution over the gap before it and its phase
-    # conjugation z, laid out before the loop
-    moved = gaps > 0
-    drift = np.exp(-1j * _diagonal(system, frame) * gaps[..., None])
+    dump = np.array([p.channel == "dump" for p in pulses], dtype=bool)[op_rows]
+    carried = np.where(dump[..., None], level >= excited.stop,
+                       level < excited.start)
+    # every event's phase conjugation z and, on entry, its conjugate times
+    # the free evolution over the gap before it, laid out before the loop
     z = np.where(carried, phases[..., None], 1.0)
-    z_conj = np.conj(z)
+    drift = np.exp(-1j * _diagonal(system, frame) * gaps[..., None])
+    entry = np.conj(z) * np.where(gaps[..., None] > 0, drift, 1.0)
     for k in range(time.shape[1]):
-        amps = np.where(moved[:, k, None], amps * drift[:, k], amps)
-        rotated = z_conj[:, k] * amps
+        rotated = entry[:, k] * amps
         amps = z[:, k] * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
         if visit is not None:
             visit(k, starts[:, k], op_rows[:, k], rotated, z[:, k], amps,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -129,6 +128,9 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     if n_workers == 1:
         results = [_scan_column(job) for job in jobs]
     else:
+        # loaded only here, so that importing papsim loads no process pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_scan_column, jobs))
 

@@ -83,6 +83,21 @@ def test_trajectory_csv_shape(tmp_path):
     assert abs(float(row[0]) - res.trajectory.times[-1]) == 0.0
 
 
+def test_csv_rows_are_the_repr_of_each_float(tmp_path):
+    """Rows are formatted from plain floats: the text is what repr of
+    each value as a float gives, for special and extreme values too."""
+    from papsim.io import _write_csv
+
+    values = [math.nan, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 1.0, -3.0,
+              2.0 ** 53, 0.1, math.pi]
+    rows = np.reshape(values, (-1, 3))
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), "kind", None, ["a,b,c"], rows)
+    expected = [",".join(repr(float(v)) for v in row) for row in rows]
+    assert path.read_text().split("\n")[3:-1] == expected
+    assert expected[0] == "nan,0.0,-0.0"
+
+
 def test_result_json(tmp_path):
     sys3 = build_three_level()
     res = run_piecewise_stirap(sys3, n_pairs=4, delta_T=10.0, record="none")

@@ -35,6 +35,20 @@ def test_worker_count_does_not_change_values():
     assert serial.config_fingerprint == parallel.config_fingerprint
 
 
+def test_importing_papsim_loads_no_process_pool():
+    """scan_2d loads concurrent.futures only when it starts workers."""
+    import subprocess
+    import sys
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(propagator.__file__)))
+    code = ("import sys, papsim; "
+            "print('concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
 def test_invalid_cells_become_nan():
     sys3 = build_three_level()
     # 0.05 ps is inside one pulse support: that schedule cannot exist
