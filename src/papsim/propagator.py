@@ -851,14 +851,16 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     # the levels whose phase each pulse carries: ground_a for a pump,
     # ground_b for a dump
     level, excited = np.arange(n), system.slice_excited()
-    dump = np.array([p.channel == "dump" for p in pulses], dtype=bool)[op_rows]
-    carried = np.where(dump[..., None], level >= excited.stop,
-                       level < excited.start)
+    dump = np.array([p.channel == "dump" for p in pulses], dtype=bool)
+    carried = np.where(dump[:, None], level >= excited.stop,
+                       level < excited.start)[op_rows]
     # every event's phase conjugation z and, on entry, its conjugate times
-    # the free evolution over the gap before it, laid out before the loop
+    # the free evolution over the gap before it (none for a gap <= 0: the
+    # factor is then exactly 1), laid out before the loop
     z = np.where(carried, phases[..., None], 1.0)
-    drift = np.exp(-1j * _diagonal(system, frame) * gaps[..., None])
-    entry = np.conj(z) * np.where(gaps[..., None] > 0, drift, 1.0)
+    drift = np.exp(-1j * _diagonal(system, frame)
+                   * np.maximum(gaps, 0.0)[..., None])
+    entry = np.conj(z) * drift
     for k in range(time.shape[1]):
         rotated = entry[:, k] * amps
         amps = z[:, k] * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
