@@ -52,9 +52,10 @@ def _write_csv(path: str, kind: str, fingerprint: str | None,
     if fingerprint:
         lines.append(f"# fingerprint={fingerprint}")
     lines += header
-    # plain floats: numpy 2 reprs a numpy scalar as np.float64(...)
-    lines += (",".join(map(repr, row))
-              for row in np.asarray(rows, float).tolist())
+    # plain floats, since numpy 2 reprs a numpy scalar as np.float64(...);
+    # one row at a time, so that no list of every row's floats is held
+    lines += (",".join(map(repr, row.tolist()))
+              for row in np.asarray(rows, float))
     _write_text(path, "\n".join(lines) + "\n")
 
 
