@@ -787,8 +787,7 @@ def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
     ops, _ = _integrate_pulses(system, frame, [pulse],
                                [pulse_center_phase(pulse, t_center)],
                                _steps(steps))
-    return QuantumState(ops[0] @ state.amplitudes.astype(complex),
-                        state.time + pulse.support_ps)
+    return QuantumState(ops[0] @ state.amplitudes, state.time + pulse.support_ps)
 
 
 def free_evolve(state: QuantumState, system: LevelSystem, dt: float,
