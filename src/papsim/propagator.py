@@ -18,47 +18,64 @@ it is evaluated analytically from the schedule, never integrated.
 Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2),
 from the same diagonal the kernel uses.
 
-Pulses and windows go through two fixed-step kernels that share their
-inputs: the diagonal, a list of channels (A_c, drive_c), start states
-or operators y and a step h; the P problems of a pass share each of
-the diagonal, A_c, y and h or give one per problem, and one basis
-(diag, A_c, A_c^dagger) turns drive samples into generators -i h H
-(_basis).
+Windows go through two fixed-step kernels that share their inputs: the
+diagonal, a list of channels (A_c, drive_c), start states or operators
+y and a step h; the P problems of a pass share each of the diagonal,
+A_c, y and h or give one per problem, and one basis (diag, A_c,
+A_c^dagger) turns drive samples into generators -i h H (_basis).
 
 Pulse passes, and windows of up to _WINDOW_MAGNUS_MAX_LEVELS levels,
-take sixth-order Magnus steps, _magnus6. A pulse has one carrier and is
-short and resonant, so its H(t) nearly commutes with itself over its
-support, and a Magnus step integrates a commuting H(t) exactly; a
-smooth reference passage changes slowly, which Magnus steps also
-resolve in few steps. A pulse's drive_c is sampled once per pass at the
-three Gauss-Legendre nodes of every step, by one vectorized
-rabi_envelope call; a block of steps forms its Omega stack in a few
-batched products, exp(Omega) - I comes from a batched Taylor series
-with scaling and squaring (_expm1), and the block's step matrices are
-multiplied out pairwise (_chain). Every product of these three goes
-through _mm, which multiplies stacks of at most 3 levels as broadcast
+take sixth-order Magnus steps. A pulse has one carrier and is short and
+resonant, so its H(t) nearly commutes with itself over its support, and
+a Magnus step integrates a commuting H(t) exactly; a smooth reference
+passage changes slowly, which Magnus steps also resolve in few steps.
+Both share one step loop, _magnus_steps: a block of steps forms its
+Omega stack, exp(Omega) - I comes from a batched Taylor series with
+scaling and squaring (_expm1), and the block's step matrices are
+multiplied out pairwise (_chain). Every product of these goes through
+_mm, which multiplies stacks of at most 3 levels as broadcast
 multiply-adds: there numpy's stacked matmul costs more per tiny matrix
-than the arithmetic. For a lossless H each exp(Omega) is
-unitary, whatever the steps. The Magnus series converges for h max
-||H|| < pi; a pass whose steps leave that bound raises NumericsError
-rather than return a finite, wrong operator. Measured on a 2-core x86
-host against RK4 at its tolerance counts: 8 steps per pulse where RK4
-took 395 on a resonant n = 3 train, 12 where it took 715 at n = 7, and
-88 on an n = 25 band crp train that RK4 could not resolve in 800; about
-200 steps where RK4 took 5600 on a 100 ps three-level reference.
+than the arithmetic. For a lossless H each exp(Omega) is unitary,
+whatever the steps. The Magnus series converges for h max ||H|| < pi; a
+pass whose steps leave that bound raises NumericsError rather than
+return a finite, wrong operator. Measured on a 2-core x86 host against
+RK4 at its tolerance counts: 8 steps per pulse where RK4 took 395 on a
+resonant n = 3 train, 12 where it took 715 at n = 7, and 88 on an n =
+25 band crp train that RK4 could not resolve in 800; about 200 steps
+where RK4 took 5600 on a 100 ps three-level reference.
+
+The two assemble Omega differently. A window drives both channels
+through phase callables, so _magnus6 forms three commutators of its
+alphas per step, which have no small basis. A pulse drives one channel,
+and in its carrier's frame, R(t) = exp(-i omega (t - T/2)) on the
+excited levels with omega = K carrier_detuning, its Hamiltonian is H' =
+D' + f(t) V_0: D' = D - omega on the excited levels, f the real
+rabi_envelope and V_0 = A + A^dagger. Every commutator of Omega is then
+a fixed combination of eight matrices built once per channel, phase
+mask and detuning from D' and V_0 (_pulse_bases; Munthe-Kaas and Owren,
+Phil. Trans. R. Soc. A 357, 957 (1999)), without h, and shared by the
+step-doubling estimate and the production pass. A block's Omega stack
+is one product of per-step coefficients in f at the three
+Gauss-Legendre nodes with that basis, plus -i h D' on the diagonal
+(_pulse_pass): no commutator is formed per step. The envelope is
+sampled once per pass, one vectorized rabi_envelope call per pulse. The
+operator is U = R(T) U' R(0)^dagger, and the centre phase phi_c enters
+as V = e^{-i phi_c} A + h.c. by the same diagonal conjugation
+(_integrate_pulses); at omega = 0 the carrier frame is the rotating
+frame above.
 
 A pulse couples only its own channel: a pump pulse ground_a and the
 excited levels, a dump pulse the excited levels and ground_b. So the
-pulse pass (_pulse_pass) integrates each pulse from the identity on a
-contiguous block of b = n - min(n_ga, n_gb) levels (_blocks), the first
-b for a pump pulse and the last b for a dump pulse: 2 of 3 levels on
-the Lambda system, 23 of 25 on the band. The levels outside the block
-take their exact free phase exp(-i d_k t), decay included, and
-_integrate_pulses embeds both into the (P, n, n) operators and (S, P,
-n, n) snapshots its callers read. The step-doubling estimate compares
-the block operators directly, since both of its passes carry the same
-phase outside the blocks; the convergence bound and N0 keep the full
-diagonal.
+pulse pass integrates each pulse from the identity on a contiguous
+block of b = n - min(n_ga, n_gb) levels (_blocks), the first b for a
+pump pulse and the last b for a dump pulse: 2 of 3 levels on the Lambda
+system, 23 of 25 on the band. The levels outside the block take their
+exact free phase exp(-i d_k t), decay included, and _integrate_pulses
+embeds both into the (P, n, n) operators and (S, P, n, n) snapshots its
+callers read. The step-doubling estimate compares the carrier-frame
+block operators directly, since both of its passes carry the same
+phases of modulus 1 outside the blocks and in the frame; the
+convergence bound and N0 take max |D'| over all n levels.
 
 Larger windows take RK4, _rk4: there an operator's n-fold flops
 outweigh what the fewer steps save. _rk4 advances a pass in one of two
@@ -90,10 +107,11 @@ events add up to half of _TOLERANCE = 1e-9, between N0 and the cap
 MIN_STEPS_PER_PULSE = 256, and a dense run rounds them up to a multiple
 of 40, so that its samples sit at k / 40 of each support whatever the
 count. A window estimates with its own kernel on its state over the
-whole window, with the cap max(4000, 200 per ps) (_window_cap): a
-Magnus window from the N0 of the pulses' rule, taking at least the
-2 N0 steps of its estimate's finer pass, which is then its result; an
-RK4 window from N0 = cap // 32. Both report the steps, the estimate at
+whole window, with the cap max(4000, 200 per ps) (_window_cap), from
+N0 = the least (8 on Magnus steps, cap // 32 on RK4) or the fewest
+steps inside half the kernel's bound: a Magnus window takes at least
+the 2 N0 steps of its estimate's finer pass, which is then its result.
+Both report the steps, the estimate at
 those steps and the events in the trajectory's diagnostics. A window's
 production steps, like a pulse's, must keep h max ||H|| inside the
 kernel's bound (pi for Magnus, the RK4 stability limit 2 sqrt(2)), or
@@ -503,14 +521,40 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
     return x
 
 
+def _magnus_steps(omega, y: np.ndarray, steps: int, block: int,
+                  stride: int | None = None):
+    """The Magnus step loop that pulses and windows share: y <- exp(Omega)
+    y over `steps` steps, omega(start, stop) giving the (stop - start, P,
+    n, n) Omega stack of those steps. A block holds at most `block` steps
+    and ends at every stride-th step; _expm1 gives its exp(Omega) - I and
+    _chain multiplies them out for y <- y + X y.
+
+    Returns (y, snapshots) as _rk4 does.
+    """
+    snapshots = None
+    start = 0
+    while start < steps:
+        stop = min(start + block, steps)
+        if stride:
+            stop = min(stop, start - start % stride + stride)
+        om = omega(start, stop)
+        x = _chain(_expm1(om.reshape((-1,) + om.shape[-2:])).reshape(om.shape))
+        y = y + _mm(x, y)
+        if stride and snapshots is None:
+            snapshots = np.empty(((steps - 1) // stride,) + y.shape, dtype=complex)
+        if stride and stop % stride == 0 and stop < steps:
+            snapshots[stop // stride - 1] = y
+        start = stop
+    return y, snapshots
+
+
 def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
              stride: int | None = None):
-    """Sixth-order Magnus steps of P independent problems in one pass.
+    """Sixth-order Magnus steps of P independent windows in one pass.
 
-    The inputs are _rk4's, except that the diagonal may also be given
-    per problem, (P, n), and drive_c is (P, 3 steps): the drive at the
-    three Gauss-Legendre nodes of every step. With G_i = -i h H
-    at node i, a step is y <- exp(Omega) y with
+    The inputs are _rk4's, except that drive_c is (P, 3 steps): the
+    drive at the three Gauss-Legendre nodes of every step. With G_i = -i
+    h H at node i, a step is y <- exp(Omega) y with
 
         alpha_1 = G_2,    alpha_2 = (sqrt(15) / 3) (G_3 - G_1),
         alpha_3 = (10 / 3) (G_3 - 2 G_2 + G_1),
@@ -525,12 +569,11 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
     the caller checks.
 
     The alphas of a block of steps are one batched product of their
-    drive coefficients with _basis, their exponentials come from _expm1
-    as exp(Omega) - I, and _chain multiplies the block out for y <- y +
-    X y. A block holds at most _BLOCK_ENTRIES / n^2 (problem, step)
-    pairs and ends at every stride-th step.
-
-    Returns (y, snapshots) as _rk4 does.
+    drive coefficients with _basis, and Omega takes three commutators of
+    them per step. A window drives two channels with phase callables, so
+    its commutators have no small basis; a pulse's do (_pulse_pass).
+    The steps are _magnus_steps, in blocks of at most _BLOCK_ENTRIES /
+    n^2 (problem, step) pairs.
     """
     P, n = channels[0][1].shape[0], diag.shape[-1]
     basis = _basis(diag, channels, h)
@@ -538,13 +581,8 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
     block = max(1, min(steps, _BLOCK_ENTRIES // (P * n * n)))
     coef = np.zeros((3, block, P, 1, basis.shape[1]), dtype=complex)
     coef[0, ..., 0] = 1.0  # the diagonal enters alpha_1 only
-    snapshots = (np.empty(((steps - 1) // stride, P) + y.shape[-2:], dtype=complex)
-                 if stride else None)
-    start = 0
-    while start < steps:
-        stop = min(start + block, steps)
-        if stride:
-            stop = min(stop, start - start % stride + stride)
+
+    def omega(start: int, stop: int) -> np.ndarray:
         k = stop - start
         for c, (_, drive) in enumerate(channels):
             nodes = drive[:, 3 * start:3 * stop].reshape(P, k, 3)
@@ -556,52 +594,24 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
         b = 2.0 * a3 + c1
         c2 = (_mm(b, a1) - _mm(a1, b)) / 60.0
         left, right = c1 - 20.0 * a1 - a3, a2 + c2
-        omega = a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
-        x = _chain(_expm1(omega.reshape(-1, n, n)).reshape(k, P, n, n))
-        y = y + _mm(x, y)
-        if stride and stop % stride == 0 and stop < steps:
-            snapshots[stop // stride - 1] = y
-        start = stop
-    return y, snapshots
+        return a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
+    return _magnus_steps(omega, y, steps, block, stride)
 
 
-def _couplings(system: LevelSystem, pulses) -> np.ndarray:
-    """The (P, n, n) absorption matrices of the pulses."""
-    return np.stack([_absorption_matrix(system, p.channel, p.phase_mask)
-                     for p in pulses])
-
-
-def _norm_bound(diag: np.ndarray, A: np.ndarray, peak) -> np.ndarray:
-    """An upper bound of ||H(tau)||_2 over pulses of peak |drive| `peak`
-    through the absorption matrices A: each A couples ground columns to
-    excited rows only, so ||d A + conj(d) A^dagger||_2 = |d| ||A||_2 <=
-    |d| ||A||_F."""
-    return np.abs(diag).max() + peak * np.linalg.norm(A, axis=(-2, -1))
-
-
-def _magnus_n0(length, bound) -> int:
-    """The N0 of a Magnus estimate over `length` ps (per problem, with
-    the norm bound per problem): MIN_STEPS_PER_PULSE // 32, or the
-    fewest steps that keep h bound < pi / 2, half the convergence bound.
-    Nearer the bound the error falls faster than N^-6: on the n = 25
-    band crp train it fell 920x from 8 steps (h max ||H|| = 3.0) to 16,
+def _estimate_n0(length, bound, limit: float = math.pi,
+                 least: int = MIN_STEPS_PER_PULSE // 32) -> int:
+    """The N0 of a step-doubling estimate over `length` ps (per problem,
+    with the norm bound per problem) by a kernel whose steps must keep h
+    max ||H|| < limit: `least`, or the fewest steps that keep h bound <
+    limit / 2. Nearer the bound the error does not follow the kernel's
+    order. On Magnus steps (limit pi) it fell faster than N^-6: on the
+    n = 25 band crp train 920x from 8 steps (h max ||H|| = 3.0) to 16,
     and an estimate from 8 steps chose 137 steps where 88 met the
-    tolerance."""
-    return max(MIN_STEPS_PER_PULSE // 32,
-               int(np.max(length * bound // (math.pi / 2.0))) + 1)
-
-
-def _pulse_drive(pulse: PulseSpec, center_phase: float, steps: int) -> np.ndarray:
-    """w e^{-i phi} at the three Gauss-Legendre nodes of each of `steps`
-    steps over the pulse support, (3 steps,).
-
-    The carrier phase is center_phase at the support midpoint and slides
-    at K * carrier_detuning away from it.
-    """
-    T = pulse.support_ps
-    tau = ((np.arange(steps)[:, None] + _GAUSS_NODES) * (T / steps)).ravel()
-    phi = center_phase + K_RAD_PS_PER_CM * pulse.carrier_detuning * (tau - T / 2.0)
-    return rabi_envelope(pulse, tau) * np.exp(-1j * phi)
+    tolerance. On RK4 steps (the stability limit 2 sqrt(2)) it fell
+    slower than N^-4: on the 25-level band reference 8.2x from 625
+    steps (h bound = 2.3) to 1250, and an estimate from 625 steps chose
+    4657 steps that missed the tolerance 2x."""
+    return max(least, int(np.max(length * bound // (limit / 2.0))) + 1)
 
 
 def _blocks(system: LevelSystem, pulses) -> np.ndarray:
@@ -616,21 +626,126 @@ def _blocks(system: LevelSystem, pulses) -> np.ndarray:
     return lo[:, None] + np.arange(size)
 
 
-def _pulse_pass(diag: np.ndarray, A: np.ndarray, rows: np.ndarray, pulses,
-                center_phases, steps: int, stride: int | None = None):
-    """_magnus6 from the identity over each pulse's support, the drives
-    sampled for it, on each pulse's block of levels `rows` (_blocks):
-    returns the (P, b, b) block operators, their snapshots and h max ||H||
-    per pulse, the bound taken over all n levels."""
-    drive = np.empty((len(pulses), 3 * steps), dtype=complex)
-    for row, pulse, phi in zip(drive, pulses, center_phases):
-        row[:] = _pulse_drive(pulse, phi, steps)
+# the nesting depth of each element of a pulse basis (Y, B3, ..., B10):
+# with the step's factor -i h in X and Y, an element of depth d carries
+# (-i h)^d, which the step coefficients take (_pulse_pass)
+_BASIS_DEPTH = np.array([1, 2, 3, 3, 4, 4, 4, 5, 5])
+# and the factor of each element's term in Omega (_pulse_pass)
+_BASIS_WEIGHTS = np.array([1.0] + [1.0 / 240.0] * 8)
+
+
+@dataclass(frozen=True, eq=False)
+class _PulseBasis:
+    """What a pulse's pass needs besides its envelope, shared by the
+    pulses that differ from it only in area, shape or width: the
+    carrier-frame diagonal D' = D - omega (excited levels) on its block,
+    the (9, b^2) basis Y, B3, ..., B10 without h, and the two parts of
+    the norm bound max ||H'||_2 <= max |D'| + max f ||A||_F over all n
+    levels (A couples ground columns to excited rows only, so ||f V_0||_2
+    = f ||A||_2)."""
+
+    diag: np.ndarray
+    basis: np.ndarray
+    offset: float
+    coupling: float
+
+
+def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
+                 cache: dict) -> list:
+    """Each pulse's _PulseBasis, built once per channel, phase mask and
+    carrier detuning and kept in `cache` for the passes of one system and
+    frame.
+
+    In its carrier's frame, R(t) = exp(-i omega (t - T/2)) on the
+    excited levels, a pulse's Hamiltonian is H' = D' + f(t) V_0, f the
+    real envelope and V_0 = A + A^dagger (the centre phase enters by
+    conjugation, _integrate_pulses). With x = diag(D'), Delta_ij = x_i -
+    x_j and Y = V_0, every commutator of Omega is one of
+
+        B3 = Delta . Y,  B4 = Delta . B3,  B6 = Delta . B4,
+        B5 = [Y, B3],  B7 = Delta . B5,  B8 = [Y, B5],
+        B9 = [B3, B4],  B10 = [B3, B5]
+
+    (. elementwise: [X, M] = Delta . M for a diagonal X), as in the
+    free-Lie-algebra computations of Munthe-Kaas and Owren, Phil. Trans.
+    R. Soc. A 357, 957 (1999); [Y, B4] = B7 by the Jacobi identity.
+    """
+    out = []
+    for pulse in pulses:
+        key = (pulse.channel, pulse.phase_mask, pulse.carrier_detuning)
+        if key not in cache:
+            rows = _blocks(system, [pulse])[0]
+            full = _diagonal(system, frame)
+            full[system.slice_excited()] -= (K_RAD_PS_PER_CM
+                                             * pulse.carrier_detuning)
+            A = _absorption_matrix(system, pulse.channel, pulse.phase_mask)
+            y = A[np.ix_(rows, rows)]
+            y = y + y.conj().T
+            x = full[rows]
+            delta = x[:, None] - x[None, :]
+            b3 = delta * y
+            b4 = delta * b3
+            b5 = y @ b3 - b3 @ y
+            basis = np.stack([y, b3, b4, b5, delta * b4, delta * b5,
+                              y @ b5 - b5 @ y, b3 @ b4 - b4 @ b3,
+                              b3 @ b5 - b5 @ b3])
+            cache[key] = _PulseBasis(x, basis.reshape(9, -1),
+                                     float(np.abs(full).max()),
+                                     float(np.linalg.norm(A)))
+        out.append(cache[key])
+    return out
+
+
+def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
+    """Magnus steps from the identity over each pulse's support in its
+    carrier's frame, on its block of levels (_pulse_bases): returns the
+    (P, b, b) frame operators U', their snapshots and h max ||H'|| per
+    pulse, the bound taken over all n levels.
+
+    f_1, f_2, f_3 are _ALPHA_WEIGHTS applied to the envelope at the
+    step's three Gauss-Legendre nodes; with X = -i h D' and Y = -i h V_0
+    the alphas of _magnus6 are X + f_1 Y, f_2 Y and f_3 Y, and its Omega
+    is
+
+        X + (f_1 + f_3 / 12) Y + (l_2 r_1 B3 + l_2 r_2 B4
+            + (l_3 r_2 - l_1 r_1) B5 + l_2 r_3 B6 + (l_2 r_4 + l_3 r_3) B7
+            + l_3 r_4 B8 + l_1 r_3 B9 + l_1 r_4 B10) / 240,
+        l = (f_2, -20, -(20 f_1 + f_3)),
+        r = (f_2, -f_3 / 30, -f_2 / 60, -f_1 f_2 / 60),
+
+    where the Bs carry their (-i h)^depth (_BASIS_DEPTH). So a block's
+    Omega stack is one batched product of these coefficients with the
+    basis, plus X on the diagonal: no commutator is formed per step.
+    """
+    P, b = len(pulses), bases[0].diag.size
     h = np.array([p.support_ps / steps for p in pulses])
-    block = A[np.arange(len(pulses))[:, None, None], rows[:, :, None],
-              rows[:, None, :]]
-    y, snapshots = _magnus6(diag[rows], [(block, drive)],
-                            np.eye(rows.shape[1], dtype=complex), h, stride)
-    return y, snapshots, h * _norm_bound(diag, A, np.abs(drive).max(axis=1))
+    f = np.empty((P, steps, 3))
+    nodes = np.arange(steps)[:, None] + _GAUSS_NODES
+    for row, p in zip(f, pulses):
+        row[:] = rabi_envelope(p, nodes * (p.support_ps / steps))
+    f1, f2, f3 = (f @ _ALPHA_WEIGHTS.T).transpose(2, 0, 1)
+    l1, l3 = f2, -(20.0 * f1 + f3)
+    r2, r3, r4 = -f3 / 30.0, -f2 / 60.0, -f1 * f2 / 60.0
+    terms = np.array([f1 + f3 / 12.0, -20.0 * f2, -20.0 * r2,
+                      l3 * r2 - l1 * f2, -20.0 * r3, -20.0 * r4 + l3 * r3,
+                      l3 * r4, l1 * r3, l1 * r4])
+    # (steps, P, 1, 9) coefficients of the (P, 9, b^2) basis
+    scale = (-1j * h[:, None]) ** _BASIS_DEPTH * _BASIS_WEIGHTS
+    coef = np.multiply(terms.T, scale, order="C")[:, :, None]
+    basis = np.array([g.basis for g in bases])
+    x = -1j * h[:, None] * np.array([g.diag for g in bases])
+
+    def omega(start: int, stop: int) -> np.ndarray:
+        om = (coef[start:stop] @ basis).reshape(stop - start, P, b, b)
+        om.reshape(stop - start, P, b * b)[..., ::b + 1] += x
+        return om
+
+    block = max(1, min(steps, _BLOCK_ENTRIES // (P * b * b)))
+    y, snapshots = _magnus_steps(omega, np.eye(b, dtype=complex), steps,
+                                 block, stride)
+    bound = (np.array([g.offset for g in bases])
+             + np.abs(f).max(axis=(1, 2)) * np.array([g.coupling for g in bases]))
+    return y, snapshots, h * bound
 
 
 def _embed(block: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray:
@@ -643,22 +758,27 @@ def _embed(block: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray
 
 
 def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
-                      center_phases, steps: int, stride: int | None = None):
+                      center_phases, steps: int, stride: int | None = None,
+                      cache: dict | None = None):
     """The (P, n, n) evolution operators of Magnus steps over each
     pulse's support, all pulses in one batched pass, and their (S, P, n,
-    n) snapshots every stride steps (or None).
+    n) snapshots every stride steps (or None); `cache` holds the bases
+    of earlier passes on this system and frame.
 
-    The pass runs on each pulse's block of levels (_blocks); the levels
-    outside it take their exact free phase exp(-i d_k t), decay included,
+    The pass runs on each pulse's block of levels in its carrier's frame
+    (_pulse_pass). With phi_c the centre phase and g(t) = exp(-i (omega
+    (t - T/2) + phi_c)) on the block's excited levels (1 elsewhere), the
+    operator up to time t is g(t) U'(t) conj(g(0)), elementwise in rows
+    and columns: the frame's rotation, and V = e^{-i phi_c} A + h.c.
+    from V_0 by the same diagonal conjugation. The levels outside the
+    block take their exact free phase exp(-i d_k t), decay included,
     over the support or up to the snapshot. Raises NumericsError naming
     the channel of the first pulse whose steps leave the convergence
-    bound h max ||H|| < pi: past it the Magnus series diverges, and a
+    bound h max ||H'|| < pi: past it the Magnus series diverges, and a
     step would return a finite, wrong operator.
     """
-    diag, rows = _diagonal(system, frame), _blocks(system, pulses)
-    block, snapshots, bound = _pulse_pass(diag, _couplings(system, pulses),
-                                          rows, pulses, center_phases, steps,
-                                          stride)
+    bases = _pulse_bases(system, frame, pulses, {} if cache is None else cache)
+    block, snapshots, bound = _pulse_pass(bases, pulses, steps, stride)
     outside = ~(bound < math.pi)
     if outside.any():
         first = int(np.argmax(outside))
@@ -666,11 +786,24 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
             f"{steps} steps per pulse leave the Magnus convergence bound "
             f"h max|H| < pi of a {pulses[first].channel} pulse (h max|H| = "
             f"{bound[first]:.3g})")
+    diag, rows = _diagonal(system, frame), _blocks(system, pulses)
+    levels = system.slice_excited()
+    excited = (rows >= levels.start) & (rows < levels.stop)
+    omega = K_RAD_PS_PER_CM * np.array([[p.carrier_detuning] for p in pulses])
+    phi = np.asarray(center_phases, dtype=float)[:, None]
     support = np.array([p.support_ps for p in pulses])[:, None]
+
+    def frame_phase(t):
+        return np.where(excited, np.exp(-1j * (omega * (t - support / 2.0) + phi)),
+                        1.0)
+
+    right = np.conj(frame_phase(0.0))[:, None, :]
+    block = frame_phase(support)[:, :, None] * block * right
     ops = _embed(block, rows, np.exp(-1j * diag * support))
     if snapshots is not None:
         t = (stride * np.arange(1, len(snapshots) + 1)[:, None, None]
              * (support / steps))
+        snapshots = frame_phase(t)[..., None] * snapshots * right
         snapshots = _embed(snapshots, rows, np.exp(-1j * diag * t))
     return ops, snapshots
 
@@ -692,16 +825,16 @@ def _doubling_error(order: int, coarse, fine) -> float:
     return err if math.isfinite(err) else math.inf
 
 
-def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int) -> float:
+def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int,
+                 cache: dict | None = None) -> float:
     """The step-doubling error of n0 Magnus steps per pulse. Its passes
-    are not held to the convergence bound."""
-    diag, A = _diagonal(system, frame), _couplings(system, pulses)
-    rows = _blocks(system, pulses)
-
-    def run(steps: int) -> np.ndarray:
-        # outside the blocks both passes carry the same exact phase
-        return _pulse_pass(diag, A, rows, pulses, [0.0] * len(pulses), steps)[0]
-    return _doubling_error(_MAGNUS_ORDER, lambda: run(n0), lambda: run(2 * n0))
+    are not held to the convergence bound, and compare the carrier-frame
+    block operators: the frame's phases and those outside the blocks
+    are the same in both passes and of modulus 1."""
+    bases = _pulse_bases(system, frame, pulses, {} if cache is None else cache)
+    return _doubling_error(_MAGNUS_ORDER,
+                           lambda: _pulse_pass(bases, pulses, n0)[0],
+                           lambda: _pulse_pass(bases, pulses, 2 * n0)[0])
 
 
 def _window_cap(duration: float) -> int:
@@ -743,7 +876,7 @@ def _chosen_steps(steps: int | None, cap: int, events: int, order: int,
 
 def _train_steps(system: LevelSystem, frame: PhaseFrame,
                  schedule: TrainSchedule, steps: int | None,
-                 dense: bool = False) -> tuple[int, dict]:
+                 dense: bool, cache: dict) -> tuple[int, dict]:
     """The Magnus steps per pulse of a schedule and their diagnostics:
     the given steps, or the tolerance rule over the events of one row,
     at most MIN_STEPS_PER_PULSE, which a dense run rounds up to a
@@ -751,7 +884,9 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
 
     The rule estimates on the largest-area pulse of each group of pulses
     that differ only in area (for a runner's train, one pump and one
-    dump), at the N0 of _magnus_n0.
+    dump), at the N0 of _estimate_n0, with the norm bound of H' in the
+    carrier frame. `cache` keeps the pulse bases (_pulse_bases) for the
+    production pass.
     """
     largest = {}
     if steps is None:
@@ -763,12 +898,12 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
     n0 = MIN_STEPS_PER_PULSE // 32
     if group:
         peak = np.abs([rabi_envelope(p, p.support_ps / 2.0) for p in group])
-        bound = _norm_bound(_diagonal(system, frame), _couplings(system, group),
-                            peak)
-        n0 = _magnus_n0(np.array([p.support_ps for p in group]), bound)
+        bound = np.array([g.offset + a * g.coupling for g, a in
+                          zip(_pulse_bases(system, frame, group, cache), peak)])
+        n0 = _estimate_n0(np.array([p.support_ps for p in group]), bound)
     n, diagnostics = _chosen_steps(
         steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1], _MAGNUS_ORDER, n0,
-        lambda n0: _pulse_error(system, frame, group, n0) if group else 0.0,
+        lambda n0: _pulse_error(system, frame, group, n0, cache) if group else 0.0,
         _DENSE_SAMPLES if dense else 1)
     return n, {**diagnostics, "distinct_pulses": len(schedule.pulses)}
 
@@ -824,7 +959,8 @@ class Trajectory:
 
 def _run_events(system: LevelSystem, frame: PhaseFrame,
                 schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
-                t0, stride: int | None = None, visit=None):
+                t0, stride: int | None = None, visit=None,
+                cache: dict | None = None):
     """Integrate schedule.pulses, in their stored order, in one batched
     pass of _train_steps(steps) Magnus steps, then step the (C, n) stack amps, row
     c from time t0[c] through row c of the schedule (one train for C = 1,
@@ -832,13 +968,16 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     k applies operator schedule.pulse[k]; a row's result does not depend
     on the other rows. visit(k, start, op, rotated, z, amps, end,
     snapshots) sees each event k; snapshots are the operators' states
-    every stride steps of the pass."""
+    every stride steps of the pass. `cache` holds the pulse bases of a
+    caller's estimate (_train_steps)."""
     n, pulses = system.n_levels, schedule.pulses
     ops = snapshots = None
+    cache = {} if cache is None else cache
     if pulses:
         ops, snapshots = _integrate_pulses(
             system, frame, pulses, [0.0] * len(pulses),
-            _train_steps(system, frame, schedule, steps)[0], stride)
+            _train_steps(system, frame, schedule, steps, False, cache)[0],
+            stride, cache)
     op_rows, time, phase, support = np.atleast_2d(
         schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
     starts = time - support / 2.0
@@ -904,7 +1043,9 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
 
-    n_steps, diagnostics = _train_steps(system, frame, schedule, steps, dense)
+    cache = {}
+    n_steps, diagnostics = _train_steps(system, frame, schedule, steps, dense,
+                                        cache)
     stride = max(1, n_steps // _DENSE_SAMPLES) if dense else None
     support = schedule.support
     times = [state.time]
@@ -921,7 +1062,8 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             pops.append(np.abs(amps[0]) ** 2)
 
     amps, end = _run_events(system, frame, schedule, n_steps,
-                            state.amplitudes[None], [state.time], stride, visit)
+                            state.amplitudes[None], [state.time], stride, visit,
+                            cache)
     pops_arr = np.array(pops)
     return Trajectory(
         times=np.array(times),
@@ -1041,19 +1183,21 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         return amps
 
     cap = _window_cap(duration)
+    least = MIN_STEPS_PER_PULSE // 32 if magnus else cap // 32
+    # the peak drive is read off the samples, so N0 rises until its own
+    # samples keep it (or it reaches the cap)
+    n0 = least
+    while (steps is None and n0 < cap
+           and (need := _estimate_n0(duration, bound(n0), limit, least)) > n0):
+        n0 = need
     if magnus:
-        order, n0 = _MAGNUS_ORDER, _magnus_n0(duration, 0.0)
-        # the peak drive is read off the samples, so N0 rises until its
-        # own samples keep it (or it reaches the cap)
-        while (steps is None and n0 < cap
-               and (need := _magnus_n0(duration, bound(n0))) > n0):
-            n0 = need
+        order = _MAGNUS_ORDER
 
         def error(n0: int) -> float:
             return _doubling_error(order, lambda: records(n0)[-1],
                                    lambda: records(2 * n0)[-1])
     else:
-        order, n0 = _RK4_ORDER, cap // 32
+        order = _RK4_ORDER
 
         def error(n0: int) -> float:
             # the half-step grid of 2 n0 steps holds that of n0 steps

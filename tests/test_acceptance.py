@@ -247,28 +247,32 @@ def _batch_dump_transfer(masks, c0, dips, dipole_phases, d_exc, d_b, pulse,
                          steps):
     """Target population after one dump pulse, one row per mask.
 
-    Same physics as the production integrator (RK4, same envelope and
-    coupling conventions) but restricted to the dump-coupled subspace
-    and vectorized over masks, so 10^4 masks cost one integration.
+    The same envelope and coupling conventions as the production
+    integrator, integrated by RK4 on the dump-coupled subspace and
+    vectorized over masks, so 10^4 masks cost one integration. The
+    amplitudes are laid out as (levels, masks), -i is folded into the
+    coefficients, and the envelope is sampled once at every step's
+    start, middle and end.
     """
-    coup = -0.5 * dips * np.exp(1j * (dipole_phases + masks))  # (M, n)
-    a_e = np.broadcast_to(c0, coup.shape).astype(complex).copy()
+    base = -0.5 * (dips * np.exp(1j * (dipole_phases + masks))).T  # (n, M)
+    coup, back = -1j * base, -1j * base.conj()
+    rot, rot_b = -1j * d_exc[:, None], -1j * d_b
+    a_e = np.repeat(c0.astype(complex)[:, None], len(masks), axis=1)
     a_b = np.zeros(len(masks), dtype=complex)
     T = pulse.support_ps
     h = T / steps
+    t = np.arange(steps) * h
+    w_start, w_mid, w_end = (rabi_envelope(pulse, tau)
+                             for tau in (t, t + h / 2.0, t + h))
 
-    def rhs(tau, ae, ab):
-        w = float(rabi_envelope(pulse, tau))
-        dae = -1j * (d_exc * ae + w * coup * ab[:, None])
-        dab = -1j * (d_b * ab + w * np.sum(np.conj(coup) * ae, axis=1))
-        return dae, dab
+    def rhs(w, ae, ab):
+        return rot * ae + coup * (w * ab), rot_b * ab + w * np.sum(back * ae, axis=0)
 
     for k in range(steps):
-        t = k * h
-        k1e, k1b = rhs(t, a_e, a_b)
-        k2e, k2b = rhs(t + h / 2.0, a_e + (h / 2.0) * k1e, a_b + (h / 2.0) * k1b)
-        k3e, k3b = rhs(t + h / 2.0, a_e + (h / 2.0) * k2e, a_b + (h / 2.0) * k2b)
-        k4e, k4b = rhs(t + h, a_e + h * k3e, a_b + h * k3b)
+        k1e, k1b = rhs(w_start[k], a_e, a_b)
+        k2e, k2b = rhs(w_mid[k], a_e + (h / 2.0) * k1e, a_b + (h / 2.0) * k1b)
+        k3e, k3b = rhs(w_mid[k], a_e + (h / 2.0) * k2e, a_b + (h / 2.0) * k2b)
+        k4e, k4b = rhs(w_end[k], a_e + h * k3e, a_b + h * k3b)
         a_e = a_e + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
         a_b = a_b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
     return np.abs(a_b) ** 2

@@ -15,7 +15,7 @@ from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, NumericsError, PhaseFrame,
                     SyntheticMoleculeSpec)
 from papsim import propagator
 from papsim.levels import Level, LevelSystem
-from papsim.fields import _pair_trains
+from papsim.fields import _pair_trains, rabi_envelope
 from papsim.propagator import _run_events, pulse_center_phase
 
 
@@ -220,14 +220,15 @@ def _two_three_one(decay=0.0):
         dipole_phases=np.array([0.3, -1.2, 2.0]), carrier_anchor=11150.0)
 
 
-def _full_pass(system, frame, pulses, phases, y, steps, stride=None):
-    """_magnus6 on all n levels and the full diagonal, from y."""
-    drive = np.array([propagator._pulse_drive(p, phi, steps)
-                      for p, phi in zip(pulses, phases)])
-    h = np.array([p.support_ps / steps for p in pulses])
-    A = propagator._couplings(system, pulses)
-    return propagator._magnus6(propagator._diagonal(system, frame),
-                               [(A, drive)], y, h, stride)
+def _full_pass(system, frame, pulses, phases, steps, stride=None):
+    """The pulse pass on all n levels: every pulse's block holds the
+    whole system."""
+    n = system.n_levels
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(propagator, "_blocks",
+                      lambda system, pulses: np.tile(np.arange(n), (len(pulses), 1)))
+        return propagator._integrate_pulses(system, frame, pulses, phases,
+                                            steps, stride)
 
 
 @pytest.mark.parametrize("case", ["asymmetric", "masked_dump", "decaying",
@@ -235,8 +236,10 @@ def _full_pass(system, frame, pulses, phases, y, steps, stride=None):
 def test_block_passes_match_the_full_pass_and_the_oracle(case):
     """Pulses integrated on their blocks of levels, the levels outside
     taking their exact free phase, give the operators and snapshots of
-    the full pass to 1e-13, and their trains agree with the oracle. The
-    dense case also runs propagate_pulse on a state."""
+    the same pass on all n levels to 1e-13, and their trains agree with
+    the oracle. The pump is detuned by 5 cm^-1, so both passes run in its
+    carrier's frame. The dense case also runs propagate_pulse on a
+    state."""
     system = _two_three_one(0.05 if case == "decaying" else 0.0)
     frame = PhaseFrame.for_system(system, pump_offset=3.0)
     mask = (0.4, -2.0, 1.1) if case == "masked_dump" else None
@@ -246,9 +249,8 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case):
     phases, steps, stride = [0.3, -1.1], 40, 3
     ops, snapshots = propagator._integrate_pulses(system, frame, pulses,
                                                   phases, steps, stride)
-    eye = np.eye(system.n_levels, dtype=complex)
-    full, full_snapshots = _full_pass(system, frame, pulses, phases, eye,
-                                      steps, stride)
+    full, full_snapshots = _full_pass(system, frame, pulses, phases, steps,
+                                      stride)
     assert ops.shape == full.shape and snapshots.shape == full_snapshots.shape
     assert np.max(np.abs(ops - full)) < 1e-13
     assert np.max(np.abs(snapshots - full_snapshots)) < 1e-13
@@ -266,9 +268,120 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case):
         for pulse in pulses:
             phi = pulse_center_phase(pulse, pulse.support_ps / 2.0)
             out = propagate_pulse(state, system, pulse, frame, steps)
-            y, _ = _full_pass(system, frame, [pulse], [phi],
-                              state.amplitudes[:, None], steps)
-            assert np.max(np.abs(out.amplitudes - y[0, :, 0])) < 1e-13
+            op, _ = _full_pass(system, frame, [pulse], [phi], steps)
+            assert np.max(np.abs(out.amplitudes - op[0] @ state.amplitudes)) < 1e-13
+
+
+def _lab_drive(pulse, center_phase, steps):
+    """w e^{-i phi} at the three Gauss-Legendre nodes of each step, the
+    carrier phase sliding at K carrier_detuning from center_phase at the
+    support midpoint: the drive of the lab frame."""
+    T = pulse.support_ps
+    tau = ((np.arange(steps)[:, None] + propagator._GAUSS_NODES)
+           * (T / steps)).ravel()
+    phi = center_phase + K_RAD_PS_PER_CM * pulse.carrier_detuning * (tau - T / 2.0)
+    return rabi_envelope(pulse, tau) * np.exp(-1j * phi)
+
+
+def _omegas(monkeypatch, run):
+    """The Omega stacks that run() hands to _expm1, in step order."""
+    stacks, taylor = [], propagator._expm1
+
+    def spy(omega):
+        stacks.append(omega.copy())
+        return taylor(omega)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "_expm1", spy)
+        run()
+    return np.concatenate(stacks)
+
+
+@pytest.mark.parametrize("b", [2, 3, 6, 23])
+@pytest.mark.parametrize("P", [1, 3])
+def test_the_basis_omega_is_the_commutator_omega(P, b, monkeypatch):
+    """Each step's Omega of a pulse pass, built from the pulse's basis,
+    equals the alpha-commutator Omega of the window assembly (_magnus6)
+    on the same block, drive and h to 1e-14 max(1, ||Omega||_1): pulses
+    at zero detuning on blocks of b levels with decay, a phase-masked
+    dump, a nonzero centre phase (Z Omega Z^dagger of the basis pass,
+    which runs at phase 0) and h per problem."""
+    system = build_synthetic_molecule(SyntheticMoleculeSpec(
+        b - 1, 11150.0, (7.0,), dipole_profile="gaussian", decay_lifetime=0.3,
+        ground_b_energies=(-2333.0,)))
+    frame = PhaseFrame.for_system(system, pump_offset=2.0)
+    mask = tuple(np.linspace(-2.0, 2.5, b - 1))
+    pulses = [make_pulse("gaussian", 80.0, 1.5, channel="dump", phase_mask=mask),
+              make_pulse("sin2", 100.0, 2.0),
+              make_pulse("gaussian", 120.0, 0.7)][:P]
+    phases = np.array([0.9, -1.3, 2.1])[:P]
+    steps = 12
+    bases = propagator._pulse_bases(system, frame, pulses, {})
+    basis_omega = _omegas(monkeypatch, lambda: propagator._pulse_pass(
+        bases, pulses, steps))
+
+    rows = propagator._blocks(system, pulses)
+    problems = np.arange(P)[:, None, None]
+    A = np.stack([propagator._absorption_matrix(system, p.channel, p.phase_mask)
+                  for p in pulses])[problems, rows[:, :, None], rows[:, None, :]]
+    drive = np.stack([_lab_drive(p, phi, steps) for p, phi in zip(pulses, phases)])
+    h = np.array([p.support_ps / steps for p in pulses])
+    alpha_omega = _omegas(monkeypatch, lambda: propagator._magnus6(
+        propagator._diagonal(system, frame)[rows], [(A, drive)],
+        np.eye(b, dtype=complex), h))
+
+    excited = system.slice_excited()
+    z = np.where((rows >= excited.start) & (rows < excited.stop),
+                 np.exp(-1j * phases)[:, None], 1.0)
+    z = np.tile(z, (steps, 1))
+    basis_omega = z[:, :, None] * basis_omega * z.conj()[:, None, :]
+    assert basis_omega.shape == alpha_omega.shape == (steps * P, b, b)
+    norm = np.abs(alpha_omega).sum(axis=-2).max(axis=-1)
+    assert norm.max() > 0.1
+    dev = np.abs(basis_omega - alpha_omega).max(axis=(-2, -1))
+    assert np.all(dev <= 1e-14 * np.maximum(1.0, norm))
+
+
+@pytest.mark.parametrize("detuning", [5.0, -12.0, 30.0])
+def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
+        detuning):
+    """A pulse detuned from the frame, integrated in its carrier's frame,
+    and the same pulse on Magnus steps in the lab frame (its phase
+    sliding in the drive) converge to each other at sixth order: their
+    difference falls at least 40x per doubling of the steps, for the
+    operators and the dense snapshots. A train of such pulses agrees
+    with the oracle."""
+    system = _two_three_one(0.05)
+    frame = PhaseFrame.for_system(system)
+    n = system.n_levels
+    for channel in ("pump", "dump"):
+        pulse = make_pulse("sin2", 100.0, 2.0, carrier_detuning=detuning,
+                           channel=channel)
+        diffs = []
+        for steps in (8, 16, 32):
+            ops, snapshots = propagator._integrate_pulses(
+                system, frame, [pulse], [0.4], steps, steps // 8)
+            lab, lab_snapshots = propagator._magnus6(
+                propagator._diagonal(system, frame),
+                [(propagator._absorption_matrix(system, channel),
+                  _lab_drive(pulse, 0.4, steps)[None])],
+                np.eye(n, dtype=complex), pulse.support_ps / steps, steps // 8)
+            assert snapshots.shape == lab_snapshots.shape == (7, 1, n, n)
+            diffs.append((np.max(np.abs(ops - lab)),
+                          np.max(np.abs(snapshots - lab_snapshots))))
+        for coarse, fine in zip(diffs, diffs[1:]):
+            assert fine[0] > 1e-13 and fine[1] > 1e-13
+            assert coarse[0] / fine[0] >= 40.0 and coarse[1] / fine[1] >= 40.0
+
+    pump = make_pulse("sin2", 100.0, 2.0, carrier_detuning=detuning)
+    dump = make_pulse("gaussian", 80.0, 1.5, carrier_detuning=-detuning,
+                      channel="dump")
+    events = [TrainEvent(0.5, pump), TrainEvent(1.5, dump), TrainEvent(2.5, pump)]
+    sched = make_schedule(events, 2, 1.0, 0.0, "mixed")
+    st = ground_state(system, sched.start_time)
+    traj = run_schedule(st, system, sched, frame, record="none")
+    ora = oracle_propagate(st, system, sched, frame, steps_per_pulse=4000)
+    assert np.max(np.abs(traj.final_state.amplitudes - ora.amplitudes)) < 1e-7
 
 
 def test_record_policies():
@@ -379,22 +492,27 @@ def test_nonfinite_amplitudes_raise():
 
 
 def test_blowup_in_a_batch_names_its_channel():
-    # one huge pulse among ordinary ones: the batch raises, naming the
-    # channel of the pulse that blew up, instead of returning NaN operators
+    # one pulse among ordinary ones whose steps leave the convergence
+    # bound of the H' it is integrated with, by a huge area or by a
+    # carrier frame far from the levels: the batch raises, naming the
+    # channel of that pulse, instead of returning finite, wrong operators
     sys3 = _resonant()
     frame = PhaseFrame.for_system(sys3)
-    for bad in ("pump", "dump"):
-        good = "dump" if bad == "pump" else "pump"
-        pulses = [make_pulse("sin2", 100.0, 1.0, channel=good),
-                  make_pulse("sin2", 100.0, 1e12, channel=bad),
-                  make_pulse("gaussian", 80.0, 2.0, channel=good)]
-        events, t = [], 0.0
-        for p in pulses:
-            events.append(TrainEvent(t + p.support_ps / 2.0, p))
-            t += p.support_ps + 1.0
-        sched = make_schedule(events, 1, 1.0, 0.0, "mixed")
-        with np.errstate(all="ignore"), pytest.raises(NumericsError, match=bad):
-            run_schedule(ground_state(sys3, 0.0), sys3, sched, frame, steps=50)
+    for strong in ({"area": 1e12}, {"area": 1.0, "carrier_detuning": 1e4}):
+        for bad in ("pump", "dump"):
+            good = "dump" if bad == "pump" else "pump"
+            pulses = [make_pulse("sin2", 100.0, 1.0, channel=good),
+                      make_pulse("sin2", 100.0, channel=bad, **strong),
+                      make_pulse("gaussian", 80.0, 2.0, channel=good)]
+            events, t = [], 0.0
+            for p in pulses:
+                events.append(TrainEvent(t + p.support_ps / 2.0, p))
+                t += p.support_ps + 1.0
+            sched = make_schedule(events, 1, 1.0, 0.0, "mixed")
+            with np.errstate(all="ignore"), pytest.raises(NumericsError,
+                                                          match=bad):
+                run_schedule(ground_state(sys3, 0.0), sys3, sched, frame,
+                             steps=50)
 
 
 def test_window_with_silent_drives_is_free_evolution():
@@ -715,14 +833,17 @@ def test_default_steps_meet_the_tolerance(case):
 
 
 def test_default_reference_meets_the_tolerance():
-    sys3 = build_three_level()
-    ref = run_reference_ap(sys3, "stirap", 100.0, 1.47)
-    steps = ref.details["diagnostics"]["steps"]
-    assert steps < propagator._window_cap(100.0)
-    fine = run_reference_ap(sys3, "stirap", 100.0, 1.47, steps=4 * steps)
-    dev = np.max(np.abs(ref.trajectory.final_state.amplitudes
-                        - fine.trajectory.final_state.amplitudes))
-    assert dev < TOL
+    """The default 100 ps reference lands within the tolerance of 4x its
+    steps: three levels on Magnus steps, and the 25-level band on RK4
+    steps, whose estimate needs an N0 inside half the stability bound."""
+    for system in (build_three_level(), _band_molecule()):
+        ref = run_reference_ap(system, "stirap", 100.0, 1.47)
+        steps = ref.details["diagnostics"]["steps"]
+        assert steps < propagator._window_cap(100.0)
+        fine = run_reference_ap(system, "stirap", 100.0, 1.47, steps=4 * steps)
+        dev = np.max(np.abs(ref.trajectory.final_state.amplitudes
+                            - fine.trajectory.final_state.amplitudes))
+        assert dev < TOL
 
 
 def test_given_steps_keep_their_bits(monkeypatch):
@@ -740,10 +861,10 @@ def test_given_steps_keep_their_bits(monkeypatch):
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     frame = PhaseFrame.comb_locked(sys3, 10.0)
     sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
-    expected = {(60, "none"): "06031deeb5a301d0",
-                (60, "compressed"): "d10735a9abff131a",
-                (800, "none"): "6a02d1a7eb2ea300",
-                (800, "compressed"): "d99301a6417f5f03"}
+    expected = {(60, "none"): "ea58b88b4686b60c",
+                (60, "compressed"): "25eb3bbedc8527ec",
+                (800, "none"): "1658dabd2fec0ee8",
+                (800, "compressed"): "9fe3811f28a521e6"}
     for (steps, record), digest in expected.items():
         traj = run_schedule(ground_state(sys3, sched.start_time), sys3, sched,
                             frame, record=record, steps=steps)
