@@ -21,11 +21,6 @@ from .scan import BeatSpectrum, EfficiencyMap, RevivalReport, SweepResult
 MAP_FORMAT = "papsim-map v1"
 
 
-def _r(value) -> str:
-    """repr of a scalar as a plain float: exact round-trip, no numpy tags."""
-    return repr(float(value))
-
-
 def _write_text(path: str, text: str) -> None:
     """Write text to path atomically: a temporary file beside it, then a rename.
 
@@ -68,7 +63,8 @@ def write_map_csv(path: str, emap: EfficiencyMap) -> None:
     """
     _write_csv(path, MAP_FORMAT, emap.config_fingerprint,
                ["# rows=delta_t_ps cols=delta_T_ps values=target_population",
-                "delta_t_ps," + ",".join(map(_r, emap.delta_T_axis))],
+                "delta_t_ps," + ",".join(map(repr, np.asarray(
+                    emap.delta_T_axis, float).tolist()))],
                np.column_stack([emap.delta_t_axis, emap.efficiency]))
 
 

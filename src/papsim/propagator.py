@@ -78,13 +78,8 @@ phases of modulus 1 outside the blocks and in the frame; the
 convergence bound and N0 take max |D'| over all n levels.
 
 Larger windows take RK4, _rk4: there an operator's n-fold flops
-outweigh what the fewer steps save. _rk4 advances a pass in one of two
-ways. Large passes step y through the RK4 stages. The ODE is linear, so
-a step is also a step matrix I + X built from the step's three
-generators: small passes (P n^2 <= 512 and n <= 16), whose loop pays
-numpy call overhead rather than flops, build the matrices of 64 steps
-in three batched products, multiply them out with _chain and apply the
-product to y.
+outweigh what the fewer steps save. _rk4 steps y through the four RK4
+stages, a block of steps at a time.
 
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
@@ -109,13 +104,12 @@ of 40, so that its samples sit at k / 40 of each support whatever the
 count. A window estimates with its own kernel on its state over the
 whole window, with the cap max(4000, 200 per ps) (_window_cap), from
 N0 = the least (8 on Magnus steps, cap // 32 on RK4) or the fewest
-steps inside half the kernel's bound: a Magnus window takes at least
-the 2 N0 steps of its estimate's finer pass, which is then its result.
-Both report the steps, the estimate at
-those steps and the events in the trajectory's diagnostics. A window's
-production steps, like a pulse's, must keep h max ||H|| inside the
-kernel's bound (pi for Magnus, the RK4 stability limit 2 sqrt(2)), or
-NumericsError is raised.
+steps inside half the kernel's bound, and takes at least the 2 N0 steps
+of its estimate's finer pass, which is then its result. Both report the
+steps, the estimate at those steps and the events in the trajectory's
+diagnostics. A window's production steps, like a pulse's, must keep h
+max ||H|| inside the kernel's bound (pi for Magnus, the RK4 stability
+limit 2 sqrt(2)), or NumericsError is raised.
 
 propagate_window samples its callables once per pass, at the Magnus
 nodes or on the RK4 half-step grid of the whole window, and records the
@@ -321,16 +315,6 @@ def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
 _BLOCK_STEPS = 64
 _BLOCK_CELLS = 4096
 
-# Passes of P problems on n levels multiply step matrices instead of
-# looping over steps when P n^2 <= _PRODUCT_MAX_WORK and n <=
-# _PRODUCT_MAX_LEVELS. Speedup over the loop, 800 steps, 2-core x86 host,
-# one BLAS thread: operators (m = n) 6.3x at P n^2 = 9, 4.1x at 32, 1.5x
-# at 180, 1.1x at 504, 1.0x at 784 and 900, 0.74x at n = 25, P = 2; one
-# state column (m = 1), where the loop does n times fewer flops, 5.8x at
-# n = 3, 1.5x at n = 16, 1.0x at 17, 0.81x at 20, 0.62x at 25.
-_PRODUCT_MAX_WORK = 512
-_PRODUCT_MAX_LEVELS = 16
-
 # the order of each kernel's global error, for the step-doubling rule
 _RK4_ORDER = 4
 _MAGNUS_ORDER = 6
@@ -415,23 +399,10 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
     or (P, n, m), state columns (m = 1) or operators (m = n).
 
     G(tau_j) = -i h H(tau_j) is one small product of the samples at
-    tau_j with _basis; the samples are laid out one block of steps at a
-    time. Large passes step y through the RK4 stages, a block of at
-    most _BLOCK_CELLS (problem, step) pairs at a time, with extra memory
-    O(P n^2) besides the drives. Small ones (see _PRODUCT_MAX_WORK),
-    whose steps cost numpy calls rather than flops, use that the ODE is
-    linear: a step is y <- (I + X) y with
-
-        X = (G_s + 2 K_2 + 2 K_3 + K_4) / 6,    K_2 = G_m (I + G_s / 2),
-        K_3 = G_m (I + K_2 / 2),    K_4 = G_e (I + K_3)
-
-    from G at the step's start, middle and end. A block of _BLOCK_STEPS
-    steps, or of stride steps so that every snapshot ends a block, forms
-    all its X in three batched products, multiplies them out with
-    _chain and applies the product as y <- y + X y, with extra memory
-    O(block P n^2). The results differ from the loop's by association
-    order only, about 1e-15 per pass, and sit closer to exact RK4
-    arithmetic than the loop's.
+    tau_j with _basis; the samples are laid out one block of at most
+    _BLOCK_STEPS steps and _BLOCK_CELLS (problem, step) pairs at a time,
+    and y steps through the RK4 stages, with extra memory O(P n^2)
+    besides the drives.
 
     Returns (y, snapshots): y is (P, n, m); snapshots stacks y after
     every stride-th step strictly inside the run, (k, P, n, m), or None.
@@ -440,13 +411,8 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
     basis = _basis(diag, channels, h)
     M = basis.shape[1]
     steps = (channels[0][1].shape[1] - 1) // 2
-    product = P * n * n <= _PRODUCT_MAX_WORK and n <= _PRODUCT_MAX_LEVELS
-    if product:
-        block = stride or _BLOCK_STEPS
-    else:
-        block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // P))
+    block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // P))
     coef = np.ones((2 * block + 1, P, 1, M), dtype=complex)
-    eye = np.eye(n)
 
     def generator(j: int) -> np.ndarray:
         return (coef[j] @ basis).reshape(P, n, n)
@@ -460,19 +426,6 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
             samples = drive[:, rows].T
             coef[:samples.shape[0], :, 0, 1 + 2 * c] = samples
             coef[:samples.shape[0], :, 0, 2 + 2 * c] = samples.conj()
-        if product:
-            g = (coef[:2 * (stop - start) + 1] @ basis).reshape(-1, P, n, n)
-            g_start, g_mid, g_end = g[:-1:2], g[1::2], g[2::2]
-            stage = g_mid @ (eye + 0.5 * g_start)
-            x = g_start + 2.0 * stage
-            stage = g_mid @ (eye + 0.5 * stage)
-            x += 2.0 * stage
-            x += g_end @ (eye + stage)
-            x /= 6.0
-            y = y + _chain(x) @ y
-            if stride and stop % stride == 0 and stop < steps:
-                snapshots[stop // stride - 1] = y
-            continue
         g_end = generator(0)
         for k in range(start, stop):
             j = 2 * (k - start)
@@ -1095,10 +1048,11 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     steps=None takes the count from the tolerance (_TOLERANCE): the
     state is integrated over the whole window at N0 and 2 N0 steps, and
     the step-doubling estimate sets the count, between N0 and the cap
-    max(4000, 200 per ps) (_window_cap). RK4 takes N0 = cap // 32 from
-    one sampling on the finer grid. Magnus takes the N0 of _magnus_n0,
-    its bound read off the samples at N0, and at least 2 N0 steps, so
-    that its estimate's finer pass is the result when that is enough.
+    max(4000, 200 per ps) (_window_cap). N0 is that of _estimate_n0 (at
+    least 8 on Magnus steps, cap // 32 on RK4), its bound read off the
+    samples at N0; both passes run on the records below, and the count
+    is at least 2 N0, so that the estimate's finer pass is the result
+    when that is enough.
     Otherwise a given count is taken as it is, at least 4 steps. The
     trajectory's diagnostics report the steps and the estimate at them.
     A count whose steps leave h max ||H|| < pi (Magnus convergence) or
@@ -1123,16 +1077,17 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     start = state.amplitudes.astype(complex)
     magnus = n <= _WINDOW_MAGNUS_MAX_LEVELS
     # each kernel's samples per step, whether segments share their end
-    # samples, and the bound of h max ||H - centre|| its steps must keep
+    # samples, its order, and the bound of h max ||H - centre|| its steps
+    # must keep
     if magnus:
-        kernel, per_step, shared = _magnus6, 3, 0
+        kernel, per_step, shared, order = _magnus6, 3, 0, _MAGNUS_ORDER
         limit, kind = math.pi, "Magnus convergence"
         # a constant shift of the diagonal commutes with H and leaves
         # every commutator of Omega as it is: only the spread about the
         # real midpoint counts towards the convergence bound
         centre = 0.5 * (diag.real.max() + diag.real.min())
     else:
-        kernel, per_step, shared = _rk4, 2, 1
+        kernel, per_step, shared, order = _rk4, 2, 1, _RK4_ORDER
         limit, kind = _RK4_STABLE, "RK4 stability"
         centre = 0.0
     offset = np.abs(diag - centre).max()
@@ -1190,27 +1145,13 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     while (steps is None and n0 < cap
            and (need := _estimate_n0(duration, bound(n0), limit, least)) > n0):
         n0 = need
-    if magnus:
-        order = _MAGNUS_ORDER
 
-        def error(n0: int) -> float:
-            return _doubling_error(order, lambda: records(n0)[-1],
-                                   lambda: records(2 * n0)[-1])
-    else:
-        order = _RK4_ORDER
-
-        def error(n0: int) -> float:
-            # the half-step grid of 2 n0 steps holds that of n0 steps
-            drives, h = sampled(2 * n0), duration / n0
-            return _doubling_error(
-                order,
-                lambda: _rk4(diag, [(a, d[None, ::2]) for a, d in zip(A, drives)],
-                             start[:, None], h)[0],
-                lambda: _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                             start[:, None], h / 2.0)[0])
+    def error(n0: int) -> float:
+        return _doubling_error(order, lambda: records(n0)[-1],
+                               lambda: records(2 * n0)[-1])
 
     steps, diagnostics = _chosen_steps(steps, cap, 1, order, n0, error,
-                                       doubled=magnus)
+                                       doubled=True)
     h, stride = duration / steps, max(1, steps // 400)
     reach = h * bound(steps)
     if not reach < limit:
