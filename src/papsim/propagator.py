@@ -30,19 +30,15 @@ resonant, so its H(t) nearly commutes with itself over its support, and
 a Magnus step integrates a commuting H(t) exactly; a smooth reference
 passage changes slowly, which Magnus steps also resolve in few steps.
 Both share one step loop, _magnus_steps: a block of steps forms its
-Omega stack, exp(Omega) - I comes from a batched Taylor series with
-scaling and squaring (_expm1), and the block's step matrices are
-multiplied out pairwise (_chain). Every product of these goes through
-_mm, which multiplies stacks of at most 3 levels as broadcast
-multiply-adds: there numpy's stacked matmul costs more per tiny matrix
-than the arithmetic. For a lossless H each exp(Omega) is unitary,
-whatever the steps. The Magnus series converges for h max ||H|| < pi; a
-pass whose steps leave that bound raises NumericsError rather than
-return a finite, wrong operator. Measured on a 2-core x86 host against
-RK4 at its tolerance counts: 8 steps per pulse where RK4 took 395 on a
-resonant n = 3 train, 12 where it took 715 at n = 7, and 88 on an n =
-25 band crp train that RK4 could not resolve in 800; about 200 steps
-where RK4 took 5600 on a 100 ps three-level reference.
+Omega stack, exp(Omega) - I comes from a batched degree-18 Taylor
+polynomial in five products with scaling and squaring (_expm1), and the
+block's step matrices are multiplied out pairwise (_chain). Every
+product of these goes through _mm, which multiplies stacks of at most 3
+levels as broadcast multiply-adds: there numpy's stacked matmul costs
+more per tiny matrix than the arithmetic. For a lossless H each
+exp(Omega) is unitary, whatever the steps. The Magnus series converges
+for h max ||H|| < pi; a pass whose steps leave that bound raises
+NumericsError rather than return a finite, wrong operator.
 
 The two assemble Omega differently. A window drives both channels
 through phase callables, so _magnus6 forms three commutators of its
@@ -102,25 +98,13 @@ events add up to half of _TOLERANCE = 1e-9, between N0 and the cap
 MIN_STEPS_PER_PULSE = 256, and a dense run rounds them up to a multiple
 of 40, so that its samples sit at k / 40 of each support whatever the
 count. A window estimates with its own kernel on its state over the
-whole window, with the cap max(4000, 200 per ps) (_window_cap), from
-N0 = the least (8 on Magnus steps, cap // 32 on RK4) or the fewest
-steps inside half the kernel's bound, and takes at least the 2 N0 steps
-of its estimate's finer pass, which is then its result. Both report the
-steps, the estimate at those steps and the events in the trajectory's
-diagnostics. A window's production steps, like a pulse's, must keep h
-max ||H|| inside the kernel's bound (pi for Magnus, the RK4 stability
-limit 2 sqrt(2)), or NumericsError is raised.
+whole window (propagate_window). Both report the steps, the estimate at
+those steps and the events in the trajectory's diagnostics, and their
+production steps must keep h max ||H|| inside the kernel's bound, or
+NumericsError is raised.
 
-propagate_window samples its callables once per pass, at the Magnus
-nodes or on the RK4 half-step grid of the whole window, and records the
-state every max(1, steps // 400) steps. Its ODE is linear, so U(t2, t0)
-= U(t2, t1) U(t1, t0): up to _WINDOW_SEGMENT_MAX_LEVELS levels the
-window is cut into segments of that many steps, whose operators are one
-batched kernel pass, each problem with its own slice of the samples
-(the steps left over are one more small pass), and the state is chained
-through the operators in time order. An operator costs n times the
-flops of one state column, so larger systems step their one state
-through the window instead and record kernel snapshots.
+propagate_window chains its state through batched segment operators up
+to _WINDOW_SEGMENT_MAX_LEVELS levels and steps the state itself above.
 oracle_propagate is the independent check.
 """
 
@@ -138,10 +122,9 @@ from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
 # the cap of the Magnus steps per pulse support that a default count may
-# take (see _TOLERANCE), and propagate_pulse's default. Its N0 = 256 // 32
-# = 8 steps already meet the tolerance on resonant n = 3 trains; an n = 25
-# band crp train takes 88. A given count (steps=, train.steps) may be any
-# int >= 4 inside the convergence bound; it bypasses the error estimate.
+# take (see _TOLERANCE), and propagate_pulse's default. A given count
+# (steps=, train.steps) may be any int >= 4 inside the convergence bound;
+# it bypasses the error estimate.
 MIN_STEPS_PER_PULSE = 256
 
 # Default step counts come from a tolerance. A pass of a kernel of order
@@ -165,21 +148,13 @@ _ORACLE_CHUNK = 500
 # k / 40 of each support
 _DENSE_SAMPLES = 40
 
-# propagate_window integrates segment operators up to this many levels.
-# The batch removes per-step call overhead but costs n times the flops
-# of one state column; on a 2-core x86 host the 20 000-step RK4
-# reference broke even at n = 17-19 (n = 16: 0.34-0.39 s batched,
-# 0.46-0.60 s stepped; n = 25: 0.77-1.13 s batched, 0.48-0.72 s
-# stepped). Windows up to _WINDOW_MAGNUS_MAX_LEVELS levels always take
-# segments.
+# propagate_window integrates segment operators up to this many levels:
+# the batch saves per-step call overhead but costs n times the flops of
+# one state column (on RK4 references the two broke even at n = 17-19)
 _WINDOW_SEGMENT_MAX_LEVELS = 16
 
 # propagate_window takes Magnus steps up to this many levels and RK4
-# above. Default 100 ps stirap references on a 2-core x86 host, one BLAS
-# thread, Magnus against RK4: n = 3, 195 steps against 5653, 4.5 against
-# 24 ms; an n = 7 packet 280 against 8305, 7.4 against 47 ms; bands of
-# 5, 7 and 8 levels 2.0x, 1.5x and 1.5x as fast, n = 9 even (38 against
-# 39 ms), and bands of 13, 16 and 25 levels 0.58x, 0.63x and 0.38x.
+# above, where Magnus steps ran no faster on default references.
 _WINDOW_MAGNUS_MAX_LEVELS = 8
 
 # h max ||H|| inside which an RK4 step does not amplify: the stability
@@ -319,9 +294,8 @@ _BLOCK_CELLS = 4096
 _RK4_ORDER = 4
 _MAGNUS_ORDER = 6
 
-# (problem, step) pairs times n^2: the complex entries of each stack of
-# step operators that _magnus6 lays out at once. 2^15 raised the peak
-# RSS of the ramped-trains benchmark by 16 %.
+# (problem, step) pairs times n^2: the complex entries of each Omega
+# stack that a Magnus pass lays out at once, which bounds its memory
 _BLOCK_ENTRIES = 2 ** 13
 
 # the three Gauss-Legendre nodes of a step, as fractions of it, and the
@@ -334,18 +308,35 @@ _ALPHA_WEIGHTS = np.array([
     [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 
 # _mm multiplies stacks of matrices of up to this many levels as
-# broadcast multiply-adds. Speed against numpy's stacked matmul per
-# product, on stacks of 2^13 / n^2 complex matrices, 2-core x86 host:
-# 3.9-5.4x at n = 2, 1.7-2.3x at n = 3, 1.1x at n = 4, 0.3-0.9x at n =
-# 5-8.
+# broadcast multiply-adds, which beat numpy's stacked matmul there on
+# stacks of 2^13 / n^2 matrices and lose to it above 4 levels.
 _BROADCAST_MAX_LEVELS = 3
 
-# exp(Omega) - I is the degree-12 Taylor polynomial at Omega / 2^s, with
-# s the fewest halvings that bring the 1-norm to at most this: the
-# remainder is then below 0.25^13 / 13! = 2.4e-18. Degree 10 at norm 0.5
-# left 1.2e-11 per step, which raised the estimate of a resonant n = 3
-# train from 2.3e-15 to 1.8e-11.
-_TAYLOR_NORM = 0.25
+# exp(Omega) - I is the degree-18 Taylor polynomial T18 at w = Omega / 2^s,
+# s the fewest halvings that bring the 1-norm to at most this (remainder
+# below 0.9^19 / 19! = 1.1e-18), in five products (Bader, Blanes and
+# Casas, Mathematics 7, 1174 (2019)): with rows B1, ..., B5 over (I, w,
+# w^2, w^3, w^6), A9 = B1 B5 + B4 and T18 = B2 + (B3 + A9) A9. Their
+# values, refined to T18_k = 1 / k! for k <= 18 and rounded to doubles,
+# as text: as literals they would take this module past 8192 tokens,
+# where compiling it takes 0.5 MB more
+_TAYLOR_NORM = 0.9
+_T18 = np.array("""
+    0 -0.10036558103014462 -0.00802924648241157 -0.00089213849804573 0
+    0 0.3978497494996451 1.3678377846041172 0.49828962252538267
+      -0.0006378981945947233
+    -10.967639605296206 1.680158138789062 0.05717798464788655
+      -0.0069821012248805206 3.3497501708607054e-05
+    -0.09043168323908106 -0.06764045190713819 0.06759613017704597
+      0.029555257042931552 -1.391802575160607e-05
+    0 0 -0.09233646193671186 -0.016936493900208172 -1.4008679818203616e-05
+    """.split(), float).reshape(5, 5)
+# T18 - I = B2 + b03 B3' + (b02 + 2 b03) E + (B3' + E) E with B3' = B3 -
+# b02 I and E = A9 - b03 I, since (b02 + b03) b03 = 1: the rows of B1,
+# B5, E - B1 B5, B3' and B2 + b03 B3' over (w, w^2, w^3, w^6)
+_T18_ROWS = np.array([_T18[0], _T18[4], _T18[3], _T18[2],
+                      _T18[1] + _T18[3, 0] * _T18[2]])[:, 1:]
+_T18_E = _T18[2, 0] + 2.0 * _T18[3, 0]
 
 
 def _basis(diag: np.ndarray, channels, h) -> np.ndarray:
@@ -362,15 +353,15 @@ def _basis(diag: np.ndarray, channels, h) -> np.ndarray:
     return (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
 
 
-def _mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of stacks of matrices. Up to _BROADCAST_MAX_LEVELS levels it
-    is a sum of n broadcast products of a column of a with a row of b:
-    numpy's stacked matmul costs more per tiny matrix than those few
-    elementwise passes."""
+def _mm(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """a @ b of stacks of matrices, into `out` if given (not a or b). Up
+    to _BROADCAST_MAX_LEVELS levels it is a sum of n broadcast products
+    of a column of a with a row of b: numpy's stacked matmul costs more
+    per tiny matrix than those few elementwise passes."""
     n = a.shape[-1]
     if n > _BROADCAST_MAX_LEVELS:
-        return a @ b
-    out = a[..., :1] * b[..., :1, :]
+        return np.matmul(a, b, out=out)
+    out = np.multiply(a[..., :1], b[..., :1, :], out=out)
     for k in range(1, n):
         out += a[..., k:k + 1] * b[..., k:k + 1, :]
     return out
@@ -443,34 +434,45 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
 def _expm1(omega: np.ndarray) -> np.ndarray:
     """exp(omega) - I of a (K, n, n) stack, each matrix on its own.
 
-    Scaling and squaring: w = omega / 2^s, with s the fewest halvings
-    that bring its 1-norm to at most _TAYLOR_NORM, goes through the
-    Taylor polynomial sum_{j=1}^{12} w^j / j!, evaluated by Horner's rule
-    in w^3 (Paterson and Stockmeyer, SIAM J. Comput. 2, 60 (1973)) in
-    five products; then s squarings X <- 2 X + X X bring it back. It is
-    kept as exp - I throughout, so that nothing small is rounded against
-    the identity.
+    Scaling and squaring: w = omega / 2^s, s the fewest halvings that
+    bring its 1-norm to at most _TAYLOR_NORM, goes through T18 - I in
+    five products (_T18_ROWS), each sum of powers one real product of a
+    row with their floats into a scratch stack; s squarings X <- 2 X +
+    X X bring it back, in place where all matrices take them. No
+    identity term is formed: nothing small is rounded against it.
     """
-    eye = np.eye(omega.shape[-1])
     norm = np.abs(omega).sum(axis=-2).max(axis=-1)
     halvings = np.maximum(np.frexp(norm / _TAYLOR_NORM)[1], 0)
-    w = omega * (0.5 ** halvings)[:, None, None]
-    w2 = _mm(w, w)
-    w3 = _mm(w2, w)
+    a, b = np.empty(omega.shape, complex), np.empty(omega.shape, complex)
+    powers = np.empty((4,) + omega.shape, complex)
+    w, w2, w3, w6 = powers
+    np.multiply(omega, (0.5 ** halvings)[:, None, None], out=w)
+    _mm(w, w, out=w2)
+    _mm(w2, w, out=w3)
+    _mm(w3, w3, out=w6)
+    floats = powers.view(float).reshape(4, -1)
 
-    def chunk(j: int) -> np.ndarray:
-        # w^j / j! + w^(j+1) / (j+1)! + w^(j+2) / (j+2)!, less a factor w^j
-        c = 1.0 / math.factorial(j)
-        return c * eye + (c / (j + 1)) * w + (c / ((j + 1) * (j + 2))) * w2
+    def row(j, out):
+        np.matmul(_T18_ROWS[j], floats, out=out.view(float).reshape(-1))
+        return out
 
-    x = chunk(9) + w3 / math.factorial(12)
-    for j in (6, 3):
-        x = chunk(j) + _mm(w3, x)
-    x = w + 0.5 * w2 + _mm(w3, x)
+    e = _mm(row(0, a), row(1, b))  # E = B1 B5 + (E - B1 B5)
+    e += row(2, b)
+    f = row(3, b)  # B3' + E
+    f += e
+    x = _mm(f, e, out=a)  # + (b02 + 2 b03) E + B2 + b03 B3'
+    e *= _T18_E
+    x += e
+    del e
+    x += row(4, b)
     for r in range(int(halvings.max(initial=0))):
         sel = halvings > r
-        xs = x[sel]
-        x[sel] = 2.0 * xs + _mm(xs, xs)
+        xs = x if sel.all() else x[sel]
+        sq = _mm(xs, xs, out=b[:len(xs)])
+        xs *= 2.0
+        xs += sq
+        if xs is not x:
+            x[sel] = xs
     return x
 
 
@@ -557,13 +559,8 @@ def _estimate_n0(length, bound, limit: float = math.pi,
     with the norm bound per problem) by a kernel whose steps must keep h
     max ||H|| < limit: `least`, or the fewest steps that keep h bound <
     limit / 2. Nearer the bound the error does not follow the kernel's
-    order. On Magnus steps (limit pi) it fell faster than N^-6: on the
-    n = 25 band crp train 920x from 8 steps (h max ||H|| = 3.0) to 16,
-    and an estimate from 8 steps chose 137 steps where 88 met the
-    tolerance. On RK4 steps (the stability limit 2 sqrt(2)) it fell
-    slower than N^-4: on the 25-level band reference 8.2x from 625
-    steps (h bound = 2.3) to 1250, and an estimate from 625 steps chose
-    4657 steps that missed the tolerance 2x."""
+    order: faster than N^-6 on Magnus steps (limit pi), slower than N^-4
+    on RK4 steps (the stability limit 2 sqrt(2))."""
     return max(least, int(np.max(length * bound // (limit / 2.0))) + 1)
 
 
@@ -1050,14 +1047,13 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     the step-doubling estimate sets the count, between N0 and the cap
     max(4000, 200 per ps) (_window_cap). N0 is that of _estimate_n0 (at
     least 8 on Magnus steps, cap // 32 on RK4), its bound read off the
-    samples at N0; both passes run on the records below, and the count
-    is at least 2 N0, so that the estimate's finer pass is the result
-    when that is enough.
-    Otherwise a given count is taken as it is, at least 4 steps. The
-    trajectory's diagnostics report the steps and the estimate at them.
-    A count whose steps leave h max ||H|| < pi (Magnus convergence) or
-    2 sqrt(2) (RK4 stability) raises NumericsError; the estimate's
-    passes are exempt.
+    samples at N0; both passes run as below, the coarser keeping only its
+    last state, and the count is at least 2 N0, so that the estimate's
+    finer pass is the result when that is enough. Otherwise a given
+    count is taken as it is, at least 4 steps. The trajectory's
+    diagnostics report the steps and the estimate at them. A count whose
+    steps leave h max ||H|| < pi (Magnus convergence) or 2 sqrt(2) (RK4
+    stability) raises NumericsError; the estimate's passes are exempt.
 
     The trajectory records the state every s = max(1, steps // 400)
     steps and at the end. Up to _WINDOW_SEGMENT_MAX_LEVELS levels the
@@ -1115,13 +1111,15 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         return offset + sum(np.abs(d).max() * np.linalg.norm(a)
                             for a, d in zip(A, sampled(steps)))
 
-    @functools.cache
-    def records(steps: int) -> list:
+    def records(steps: int, final: bool = False):
+        # the recorded states, or only the last one if final
         h, stride = duration / steps, max(1, steps // 400)
         drives = sampled(steps)
         if n > _WINDOW_SEGMENT_MAX_LEVELS:
             y, snapshots = kernel(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                                  start[:, None], h, stride)
+                                  start[:, None], h, None if final else stride)
+            if final:
+                return y[0, :, 0]
             return [start, *snapshots[:, 0, :, 0], y[0, :, 0]]
         # segment k spans samples k w ... (k + 1) w of w = per_step
         # stride, plus the sample it shares with the next segment on the
@@ -1135,8 +1133,10 @@ def propagate_window(state: QuantumState, system: LevelSystem,
             ops, _ = kernel(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h)
             for op in ops:
                 amps.append(op @ amps[-1])
-        return amps
+        return amps[-1] if final else amps
 
+    # the estimate's finer pass may be the result; its coarser one never is
+    kept = functools.cache(records)
     cap = _window_cap(duration)
     least = MIN_STEPS_PER_PULSE // 32 if magnus else cap // 32
     # the peak drive is read off the samples, so N0 rises until its own
@@ -1147,8 +1147,8 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         n0 = need
 
     def error(n0: int) -> float:
-        return _doubling_error(order, lambda: records(n0)[-1],
-                               lambda: records(2 * n0)[-1])
+        return _doubling_error(order, lambda: records(n0, final=True),
+                               lambda: kept(2 * n0)[-1])
 
     steps, diagnostics = _chosen_steps(steps, cap, 1, order, n0, error,
                                        doubled=True)
@@ -1158,7 +1158,7 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         raise NumericsError(
             f"{steps} window steps leave the {kind} bound h max|H| < "
             f"{limit:.3g} (h max|H| = {reach:.3g})")
-    amps = records(steps)
+    amps = kept(steps)
     if not np.all(np.isfinite(amps[-1])):
         raise NumericsError("non-finite amplitudes in windowed propagation")
     final = QuantumState(amps[-1], t0 + duration)

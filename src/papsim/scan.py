@@ -263,8 +263,10 @@ class SweepResult:
     details: dict = field(default_factory=dict)
 
     def spread(self) -> float:
-        """max - min efficiency over the swept values (NaN-aware)."""
-        return float(np.nanmax(self.efficiency) - np.nanmin(self.efficiency))
+        """max - min efficiency over the swept values (NaN-aware); NaN
+        when every row failed."""
+        done = self.efficiency[~np.isnan(self.efficiency)]
+        return float(done.max() - done.min()) if done.size else math.nan
 
 
 def robustness_sweep(levels: LevelSystem, protocol: str, parameter: str,

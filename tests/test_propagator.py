@@ -809,10 +809,10 @@ def test_given_steps_keep_their_bits(monkeypatch):
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     frame = PhaseFrame.comb_locked(sys3, 10.0)
     sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
-    expected = {(60, "none"): "ea58b88b4686b60c",
-                (60, "compressed"): "25eb3bbedc8527ec",
-                (800, "none"): "1658dabd2fec0ee8",
-                (800, "compressed"): "9fe3811f28a521e6"}
+    expected = {(60, "none"): "0d36d845c68b0f7e",
+                (60, "compressed"): "5e522326511459a0",
+                (800, "none"): "2c10797e9f9d1d7c",
+                (800, "compressed"): "1e7bc4a42e09de14"}
     for (steps, record), digest in expected.items():
         traj = run_schedule(ground_state(sys3, sched.start_time), sys3, sched,
                             frame, record=record, steps=steps)
@@ -821,7 +821,7 @@ def test_given_steps_keep_their_bits(monkeypatch):
         assert traj.diagnostics == {"steps": steps, "error_estimate": None,
                                     "events": 6,
                                     "distinct_pulses": len(sched.pulses)}
-    windows = [(sys3, 5003, "0c2bd41531250f19"),
+    windows = [(sys3, 5003, "36e388c35eaf4fa7"),
                (_band_molecule(8), 1001, "566e04766b2e8e8d"),
                (_band_molecule(), 401, "55c217d26013f15b")]
     for system, steps, digest in windows:
@@ -1011,10 +1011,13 @@ def test_lossless_operators_are_unitary_at_any_step_count():
 
 
 def test_the_taylor_exponential_matches_expm(monkeypatch):
-    """exp(Omega) - I from the Taylor series matches scipy's expm - I to
-    1e-14 on the Omega stacks of the n = 3 and n = 25 runs, at their
-    default counts and at 8 steps, where many steps are scaled. Their
-    pulses are integrated on blocks of 2 and 23 levels."""
+    """exp(Omega) - I from T18 matches scipy's expm - I to 1e-14 on the
+    Omega stacks of the n = 3, 7 and 25 runs, at their default counts
+    and at 8 steps, where many steps are scaled. Their pulses are
+    integrated on blocks of 2, 6 and 23 levels. The Omegas of a block
+    size go in as one stack, whose rows take different numbers of
+    squarings, and its scaled rows as another, where every row takes
+    the first squaring."""
     from scipy.linalg import expm
 
     stacks = []
@@ -1025,19 +1028,63 @@ def test_the_taylor_exponential_matches_expm(monkeypatch):
         return taylor(omega)
 
     monkeypatch.setattr(propagator, "_expm1", spy)
-    for case in ("stirap_n3", "crp_n3_decaying", "crp_n25"):
+    for case in ("stirap_n3", "crp_n3_decaying", "stirap_n7", "crp_n25"):
         for steps in (None, 8):
             _ramped_run(case, steps=steps)
     monkeypatch.undo()
-    scaled = 0
-    for n in (2, 23):
+    halvings = []
+    for n in (2, 6, 23):
         omega = np.concatenate([s for s in stacks if s.shape[-1] == n])
         norms = np.abs(omega).sum(axis=-2).max(axis=-1)
-        scaled += np.count_nonzero(norms > propagator._TAYLOR_NORM)
+        halvings.append(np.maximum(
+            np.frexp(norms / propagator._TAYLOR_NORM)[1], 0))
         eye = np.eye(n)
-        reference = np.array([expm(w) - eye for w in omega])
-        assert np.max(np.abs(propagator._expm1(omega) - reference)) < 1e-14
-    assert scaled > 100
+        for stack in (omega, omega[norms > propagator._TAYLOR_NORM]):
+            if len(stack):
+                reference = np.array([expm(w) - eye for w in stack])
+                assert np.max(np.abs(propagator._expm1(stack) - reference)) < 1e-14
+    halvings = np.concatenate(halvings)
+    assert np.count_nonzero(halvings) > 100 and halvings.max() >= 3
+
+
+def test_the_t18_coefficients_give_the_taylor_polynomial():
+    """Multiplied out in exact arithmetic of the float constants, T18 =
+    B2 + (B3 + A9) A9 with A9 = B1 B5 + B4 has degree 18 and the
+    coefficient 1 / k! of w^k to 1e-15 of itself, k <= 18; its constant
+    is 1 to rounding. The kernel's form of T18 - I, from its rows and
+    the factor of E, has the same coefficients and no constant."""
+    from fractions import Fraction
+    from itertools import zip_longest
+
+    def poly(row):
+        # a row over (w, w^2, w^3, w^6), or (I, w, w^2, w^3, w^6)
+        out = [Fraction(0)] * 7
+        for k, c in zip((0, 1, 2, 3, 6)[5 - len(row):], row):
+            out[k] = Fraction(c)
+        return out
+
+    def add(*polys):
+        return [sum(c) for c in zip_longest(*polys, fillvalue=Fraction(0))]
+
+    def mul(p, q):
+        out = [Fraction(0)] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    b1, b2, b3, b4, b5 = map(poly, propagator._T18)
+    a9 = add(mul(b1, b5), b4)
+    t18 = add(b2, mul(add(b3, a9), a9))
+    r1, r5, r4, r3, r2 = map(poly, propagator._T18_ROWS)
+    e = add(mul(r1, r5), r4)
+    expm1 = add(r2, [Fraction(propagator._T18_E) * c for c in e],
+                mul(add(r3, e), e))
+    for t in (t18, expm1):
+        assert max(k for k, c in enumerate(t) if c) == 18
+        assert all(abs(t[k] * math.factorial(k) - 1) <= 1e-15
+                   for k in range(1, 19))
+    assert abs(t18[0] - 1) <= 1e-15 and expm1[0] == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

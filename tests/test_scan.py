@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM, propagator,
-                    SyntheticMoleculeSpec, build_synthetic_molecule,
+                    SweepResult, SyntheticMoleculeSpec, build_synthetic_molecule,
                     build_three_level, fft_delta_t, revival_diagnostics,
                     robustness_sweep, run_pair_train, scan_2d)
 from papsim.protocols import RUNNERS
@@ -316,6 +316,16 @@ def test_sweep_validation_and_failures():
     assert math.isnan(ramps.efficiency[0]) and ramps.efficiency[1] > 0.0
     assert list(ramps.details["failures"]) == [1.0]
     assert "n_pairs >= 2" in ramps.details["failures"][1.0]
+
+
+def test_spread_skips_failed_rows_and_is_nan_when_all_failed():
+    """spread() ignores NaN rows and, with no row left, is NaN without
+    numpy's all-NaN warning (which the test filter turns into an error)."""
+    values = np.array([1.0, 2.0, 3.0])
+    mixed = SweepResult("area_scale", values, np.array([0.5, np.nan, 0.9]))
+    assert mixed.spread() == 0.9 - 0.5
+    failed = SweepResult("area_scale", values, np.full(3, np.nan))
+    assert math.isnan(failed.spread())
 
 
 def _beat_probe_system(dipole_phases=None):
