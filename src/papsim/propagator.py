@@ -32,7 +32,11 @@ passage changes slowly, which Magnus steps also resolve in few steps.
 Both share one step loop, _magnus_steps: a block of steps forms its
 Omega stack, exp(Omega) - I comes from a batched degree-18 Taylor
 polynomial in five products with scaling and squaring (_expm1), and the
-block's step matrices are multiplied out pairwise (_chain). Every
+block's step matrices are multiplied out pairwise (_chain). A pass that
+keeps snapshots every stride steps cuts its steps into groups of one
+stride; a block holds whole groups, at least one, takes one _expm1
+call, and multiplies all its groups out at once before the state takes
+them in order, a snapshot after each. Every
 product of these goes through _mm, which multiplies stacks of at most 3
 levels as broadcast multiply-adds: there numpy's stacked matmul costs
 more per tiny matrix than the arithmetic. For a lossless H each
@@ -81,13 +85,15 @@ A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
 such rows. The one event loop, _run_events, integrates the distinct
 pulses in one batched pass, then steps a (C, n) stack of states
-through them by exact phase conjugation, each row with its own events.
-It reads the event starts, supports and center phases
-(pulse_center_phase element by element) straight from the schedule's
-arrays. run_schedule is one row (record="dense" applies operator
+through them by exact phase conjugation, each row with its own events,
+and keeps row 0's states entering and leaving each event. It reads the
+event starts, supports and center phases (pulse_center_phase element
+by element) straight from the schedule's arrays. run_schedule is one
+row and records after the loop: record="dense" applies the operator
 snapshots kept 40 times per pulse, every max(1, N // 40) of the pass's
-N steps), a scan column one row per cell. propagate_pulse calls the
-pulse pass directly.
+N steps, to the entering states, all events at once per sample. A
+scan column is one row per cell. propagate_pulse calls the pulse pass
+directly.
 
 Step counts come from a tolerance unless they are given. Before the
 pass, _train_steps integrates the largest-area pulse of each group of
@@ -295,7 +301,9 @@ _RK4_ORDER = 4
 _MAGNUS_ORDER = 6
 
 # (problem, step) pairs times n^2: the complex entries of each Omega
-# stack that a Magnus pass lays out at once, which bounds its memory
+# stack that a Magnus pass lays out at once, which bounds its memory;
+# a pass with snapshots lays out at least one stride of steps at once
+# (_magnus_steps)
 _BLOCK_ENTRIES = 2 ** 13
 
 # the three Gauss-Legendre nodes of a step, as fractions of it, and the
@@ -408,8 +416,7 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
     def generator(j: int) -> np.ndarray:
         return (coef[j] @ basis).reshape(P, n, n)
 
-    snapshots = (np.empty(((steps - 1) // stride, P) + y.shape[-2:], dtype=complex)
-                 if stride else None)
+    ys = []
     for start in range(0, steps, block):
         stop = min(start + block, steps)
         rows = slice(2 * start, 2 * stop + 1)
@@ -426,9 +433,9 @@ def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None
             k3 = g_mid @ (y + 0.5 * k2)
             k4 = g_end @ (y + k3)
             y = y + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-            if stride and (k + 1) % stride == 0 and k + 1 < steps:
-                snapshots[(k + 1) // stride - 1] = y
-    return y, snapshots
+            if stride and (k + 1) % stride == 0:
+                ys.append(y)
+    return y, np.array(ys[:(steps - 1) // stride]) if stride else None
 
 
 def _expm1(omega: np.ndarray) -> np.ndarray:
@@ -476,35 +483,48 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
     return x
 
 
-def _magnus_steps(omega, y: np.ndarray, steps: int, block: int,
+def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
                   stride: int | None = None):
     """The Magnus step loop that pulses and windows share: y <- exp(Omega)
     y over `steps` steps, omega(start, stop) giving the (stop - start, P,
-    n, n) Omega stack of those steps. A block holds at most `block` steps
-    and ends at every stride-th step; _expm1 gives its exp(Omega) - I and
-    _chain multiplies them out for y <- y + X y.
+    n, n) Omega stack of those steps. `entries` = P n^2 is the size of
+    one step's Omega, so that a block holds at most B = max(1,
+    _BLOCK_ENTRIES // entries) steps.
 
-    Returns (y, snapshots) as _rk4 does.
+    The steps go in groups of `stride` steps, or of B without a stride,
+    and a block holds max(1, B // group) whole groups: at most B steps,
+    or one group that is longer. _expm1 gives exp(Omega) - I of the
+    whole block in one call; _chain multiplies each group out pairwise,
+    all groups of the block at once as a (group, groups, P, n, n) stack,
+    and y <- y + X y takes the groups in order. A short last group is
+    padded with exact identity steps, X = 0, which leave the pairing of
+    its steps as it is. So a group's product does not depend on how many
+    groups share its block.
+
+    Returns (y, snapshots) as _rk4 does: with a stride, snapshots stacks
+    y after each group that ends strictly inside the run, (steps - 1) //
+    stride of them; without, it is None.
     """
-    snapshots = None
-    start = 0
-    while start < steps:
-        stop = min(start + block, steps)
-        if stride:
-            stop = min(stop, start - start % stride + stride)
-        om = omega(start, stop)
-        x = _chain(_expm1(om.reshape((-1,) + om.shape[-2:])).reshape(om.shape))
-        y = y + _mm(x, y)
-        if stride and snapshots is None:
-            snapshots = np.empty(((steps - 1) // stride,) + y.shape, dtype=complex)
-        if stride and stop % stride == 0 and stop < steps:
-            snapshots[stop // stride - 1] = y
-        start = stop
-    return y, snapshots
+    block = max(1, _BLOCK_ENTRIES // entries)
+    group = stride or block
+    block = max(1, block // group) * group
+    ys = []
+    for start in range(0, steps, block):
+        # x holds each stack of the block in turn (Omega, exp(Omega) - I,
+        # a group's product), so that none outlives it into the next
+        x = omega(start, min(start + block, steps))
+        x = _expm1(x.reshape(-1, *x.shape[-2:])).reshape(x.shape)
+        k = min(group, len(x))
+        if len(x) % k:
+            x = np.concatenate([x, np.zeros_like(x[:-len(x) % k])])
+        for x in _chain(x.reshape((-1, k) + x.shape[1:]).swapaxes(0, 1)):
+            y = y + _mm(x, y)
+            if stride:
+                ys.append(y)
+    return y, np.array(ys[:-1]) if stride else None
 
 
-def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
-             stride: int | None = None):
+def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h) -> np.ndarray:
     """Sixth-order Magnus steps of P independent windows in one pass.
 
     The inputs are _rk4's, except that drive_c is (P, 3 steps): the
@@ -527,30 +547,29 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
     drive coefficients with _basis, and Omega takes three commutators of
     them per step. A window drives two channels with phase callables, so
     its commutators have no small basis; a pulse's do (_pulse_pass).
-    The steps are _magnus_steps, in blocks of at most _BLOCK_ENTRIES /
-    n^2 (problem, step) pairs.
+    The steps are _magnus_steps. Returns the (P, n, m) y after the last
+    step.
     """
     P, n = channels[0][1].shape[0], diag.shape[-1]
     basis = _basis(diag, channels, h)
     steps = channels[0][1].shape[1] // 3
-    block = max(1, min(steps, _BLOCK_ENTRIES // (P * n * n)))
-    coef = np.zeros((3, block, P, 1, basis.shape[1]), dtype=complex)
-    coef[0, ..., 0] = 1.0  # the diagonal enters alpha_1 only
 
     def omega(start: int, stop: int) -> np.ndarray:
         k = stop - start
+        coef = np.zeros((3, k, P, 1, basis.shape[1]), dtype=complex)
+        coef[0, ..., 0] = 1.0  # the diagonal enters alpha_1 only
         for c, (_, drive) in enumerate(channels):
             nodes = drive[:, 3 * start:3 * stop].reshape(P, k, 3)
             weights = (nodes @ _ALPHA_WEIGHTS.T).transpose(2, 1, 0)
-            coef[:, :k, :, 0, 1 + 2 * c] = weights
-            coef[:, :k, :, 0, 2 + 2 * c] = weights.conj()
-        a1, a2, a3 = (coef[:, :k] @ basis).reshape(3, k, P, n, n)
+            coef[..., 0, 1 + 2 * c] = weights
+            coef[..., 0, 2 + 2 * c] = weights.conj()
+        a1, a2, a3 = (coef @ basis).reshape(3, k, P, n, n)
         c1 = _mm(a1, a2) - _mm(a2, a1)
         b = 2.0 * a3 + c1
         c2 = (_mm(b, a1) - _mm(a1, b)) / 60.0
         left, right = c1 - 20.0 * a1 - a3, a2 + c2
         return a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
-    return _magnus_steps(omega, y, steps, block, stride)
+    return _magnus_steps(omega, y, steps, P * n * n)[0]
 
 
 def _estimate_n0(length, bound, limit: float = math.pi,
@@ -676,23 +695,24 @@ def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
     f1, f2, f3 = (f @ _ALPHA_WEIGHTS.T).transpose(2, 0, 1)
     l1, l3 = f2, -(20.0 * f1 + f3)
     r2, r3, r4 = -f3 / 30.0, -f2 / 60.0, -f1 * f2 / 60.0
-    terms = np.array([f1 + f3 / 12.0, -20.0 * f2, -20.0 * r2,
-                      l3 * r2 - l1 * f2, -20.0 * r3, -20.0 * r4 + l3 * r3,
-                      l3 * r4, l1 * r3, l1 * r4])
-    # (steps, P, 1, 9) coefficients of the (P, 9, b^2) basis
+    # the (steps, P, 9) real terms of the step coefficients; a block's
+    # coefficients of the (P, 9, b^2) basis are its terms times scale
     scale = (-1j * h[:, None]) ** _BASIS_DEPTH * _BASIS_WEIGHTS
-    coef = np.multiply(terms.T, scale, order="C")[:, :, None]
+    terms = np.array([
+        f1 + f3 / 12.0, -20.0 * f2, -20.0 * r2, l3 * r2 - l1 * f2, -20.0 * r3,
+        -20.0 * r4 + l3 * r3, l3 * r4, l1 * r3, l1 * r4]).T.copy()
+    del f1, f2, f3, l1, l3, r2, r3, r4  # not kept through the pass
     basis = np.array([g.basis for g in bases])
     x = -1j * h[:, None] * np.array([g.diag for g in bases])
 
     def omega(start: int, stop: int) -> np.ndarray:
-        om = (coef[start:stop] @ basis).reshape(stop - start, P, b, b)
+        coef = np.multiply(terms[start:stop], scale)[:, :, None]
+        om = (coef @ basis).reshape(stop - start, P, b, b)
         om.reshape(stop - start, P, b * b)[..., ::b + 1] += x
         return om
 
-    block = max(1, min(steps, _BLOCK_ENTRIES // (P * b * b)))
     y, snapshots = _magnus_steps(omega, np.eye(b, dtype=complex), steps,
-                                 block, stride)
+                                 P * b * b, stride)
     bound = (np.array([g.offset for g in bases])
              + np.abs(f).max(axis=(1, 2)) * np.array([g.coupling for g in bases]))
     return y, snapshots, h * bound
@@ -909,17 +929,20 @@ class Trajectory:
 
 def _run_events(system: LevelSystem, frame: PhaseFrame,
                 schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
-                t0, stride: int | None = None, visit=None,
-                cache: dict | None = None):
+                t0, stride: int | None = None, cache: dict | None = None):
     """Integrate schedule.pulses, in their stored order, in one batched
-    pass of _train_steps(steps) Magnus steps, then step the (C, n) stack amps, row
-    c from time t0[c] through row c of the schedule (one train for C = 1,
-    or a (C, E) column stack), and return the final (amps, times). Event
-    k applies operator schedule.pulse[k]; a row's result does not depend
-    on the other rows. visit(k, start, op, rotated, z, amps, end,
-    snapshots) sees each event k; snapshots are the operators' states
-    every stride steps of the pass. `cache` holds the pulse bases of a
-    caller's estimate (_train_steps)."""
+    pass of _train_steps(steps) Magnus steps, then step the (C, n) stack
+    amps, row c from time t0[c] through row c of the schedule (one train
+    for C = 1, or a (C, E) column stack). Event k applies operator
+    schedule.pulse[k]; a row's result does not depend on the other rows.
+    `cache` holds the pulse bases of a caller's estimate (_train_steps).
+
+    Returns the final (amps, times) and what the loop kept of row 0: its
+    (E,) event starts and ends, the (E, n) states entering each event
+    after its conjugation and leaving it, the (E, n) conjugations z (the
+    state leaving event k is z_k U_k entering_k) and the (S, P, n, n)
+    snapshots of the pass every stride steps (None without a stride or
+    pulses)."""
     n, pulses = system.n_levels, schedule.pulses
     ops = snapshots = None
     cache = {} if cache is None else cache
@@ -949,13 +972,13 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     drift = np.exp(-1j * _diagonal(system, frame)
                    * np.maximum(gaps, 0.0)[..., None])
     entry = np.conj(z) * drift
+    entering, leaving = np.empty_like(z[0]), np.empty_like(z[0])
     for k in range(time.shape[1]):
         rotated = entry[:, k] * amps
         amps = z[:, k] * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
-        if visit is not None:
-            visit(k, starts[:, k], op_rows[:, k], rotated, z[:, k], amps,
-                  times[:, k + 1], snapshots)
-    return amps, times[:, -1]
+        entering[k], leaving[k] = rotated[0], amps[0]
+    return amps, times[:, -1], (starts[0], times[0, 1:], entering, leaving,
+                                z[0], snapshots)
 
 
 def run_schedule(state: QuantumState, system: LevelSystem,
@@ -978,8 +1001,10 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     integrated together in one batched pass, each into its evolution
     operator; per-event carrier phases enter through an exact diagonal
     conjugation, so a train costs one pass plus matrix-vector products.
-    Dense recording keeps operator snapshots from the same pass and
-    applies them to the state entering each pulse.
+    The event loop keeps the states entering and leaving each event
+    (_run_events). Dense recording keeps operator snapshots from the same
+    pass and, after the loop, applies each event's to the state entering
+    it, all events at once per sample index.
     """
     if record not in ("compressed", "dense", "none"):
         raise ValueError(f"unknown record policy {record!r}")
@@ -997,31 +1022,30 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     n_steps, diagnostics = _train_steps(system, frame, schedule, steps, dense,
                                         cache)
     stride = max(1, n_steps // _DENSE_SAMPLES) if dense else None
-    support = schedule.support
-    times = [state.time]
-    pops = [state.populations()]
-
-    def visit(k, start, op, rotated, z, amps, end, snapshots):
-        if dense:
-            inner = z[0] * (snapshots[:, op[0]] @ rotated[0])
-            h = support[k] / n_steps
-            times.extend(start[0] + stride * np.arange(1, len(inner) + 1) * h)
-            pops.extend(np.abs(inner) ** 2)
-        if record != "none" or k == len(support) - 1:
-            times.append(end[0])
-            pops.append(np.abs(amps[0]) ** 2)
-
-    amps, end = _run_events(system, frame, schedule, n_steps,
-                            state.amplitudes[None], [state.time], stride, visit,
-                            cache)
-    pops_arr = np.array(pops)
+    amps, end, (starts, ends, entering, leaving, z, snapshots) = _run_events(
+        system, frame, schedule, n_steps, state.amplitudes[None], [state.time],
+        stride, cache)
+    pops = np.abs(leaving) ** 2
+    if snapshots is not None:
+        # (E, S + 1) rows: each event's S in-pulse samples, then its end;
+        # one sample index at a time, so that no (S, E, n, n) stack of
+        # gathered snapshots is laid out
+        inner = [np.abs(z * (s[schedule.pulse] @ entering[:, :, None])[..., 0]) ** 2
+                 for s in snapshots]
+        pops = np.stack(inner + [pops], axis=1)
+        ends = np.vstack([starts + stride * np.arange(1, len(snapshots) + 1)[:, None]
+                          * (schedule.support / n_steps), ends]).T
+    if record == "none":
+        ends, pops = ends[-1:], pops[-1:]
+    pops = np.concatenate([[state.populations()],
+                           pops.reshape(-1, system.n_levels)])
     return Trajectory(
-        times=np.array(times),
-        populations=pops_arr,
-        norms=pops_arr.sum(axis=1),
+        times=np.concatenate([[state.time], ends.ravel()]),
+        populations=pops,
+        norms=pops.sum(axis=1),
         labels=system.labels,
         # an empty schedule hands back the state it was given
-        final_state=QuantumState(amps[0], float(end[0])) if len(support) else state,
+        final_state=QuantumState(amps[0], float(end[0])) if len(ends) else state,
         diagnostics=diagnostics,
     )
 
@@ -1083,7 +1107,8 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         # real midpoint counts towards the convergence bound
         centre = 0.5 * (diag.real.max() + diag.real.min())
     else:
-        kernel, per_step, shared, order = _rk4, 2, 1, _RK4_ORDER
+        kernel, per_step, shared, order = (lambda *args: _rk4(*args)[0], 2, 1,
+                                           _RK4_ORDER)
         limit, kind = _RK4_STABLE, "RK4 stability"
         centre = 0.0
     offset = np.abs(diag - centre).max()
@@ -1116,11 +1141,10 @@ def propagate_window(state: QuantumState, system: LevelSystem,
         h, stride = duration / steps, max(1, steps // 400)
         drives = sampled(steps)
         if n > _WINDOW_SEGMENT_MAX_LEVELS:
-            y, snapshots = kernel(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                                  start[:, None], h, None if final else stride)
-            if final:
-                return y[0, :, 0]
-            return [start, *snapshots[:, 0, :, 0], y[0, :, 0]]
+            y, snapshots = _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
+                                start[:, None], h, None if final else stride)
+            return (y[0, :, 0] if final
+                    else [start, *snapshots[:, 0, :, 0], y[0, :, 0]])
         # segment k spans samples k w ... (k + 1) w of w = per_step
         # stride, plus the sample it shares with the next segment on the
         # RK4 grid, a view into the samples; the tail is one more pass
@@ -1130,8 +1154,7 @@ def propagate_window(state: QuantumState, system: LevelSystem,
             passes.append([d[None, K * width:] for d in drives])
         amps = [start]
         for segments in passes:
-            ops, _ = kernel(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h)
-            for op in ops:
+            for op in kernel(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h):
                 amps.append(op @ amps[-1])
         return amps[-1] if final else amps
 

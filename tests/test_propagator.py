@@ -232,14 +232,18 @@ def _full_pass(system, frame, pulses, phases, steps, stride=None):
 
 
 @pytest.mark.parametrize("case", ["asymmetric", "masked_dump", "decaying",
-                                  "dense"])
-def test_block_passes_match_the_full_pass_and_the_oracle(case):
+                                  "dense", "dense_short_blocks"])
+def test_block_passes_match_the_full_pass_and_the_oracle(case, monkeypatch):
     """Pulses integrated on their blocks of levels, the levels outside
     taking their exact free phase, give the operators and snapshots of
     the same pass on all n levels to 1e-13, and their trains agree with
     the oracle. The pump is detuned by 5 cm^-1, so both passes run in its
-    carrier's frame. The dense case also runs propagate_pulse on a
-    state."""
+    carrier's frame. The dense cases also run propagate_pulse on a
+    state; in the last, a block of the 5-level pass holds 2 steps and
+    one of the 6-level pass 1, fewer than a stride of 3, so each block
+    takes one stride group."""
+    if case == "dense_short_blocks":
+        monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 100)
     system = _two_three_one(0.05 if case == "decaying" else 0.0)
     frame = PhaseFrame.for_system(system, pump_offset=3.0)
     mask = (0.4, -2.0, 1.1) if case == "masked_dump" else None
@@ -258,12 +262,12 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case):
     events = [TrainEvent(0.5, pulses[0]), TrainEvent(1.5, pulses[1]),
               TrainEvent(2.5, pulses[0])]
     sched = make_schedule(events, 2, 1.0, 0.0, "mixed")
-    record = "dense" if case == "dense" else "none"
+    record = "dense" if case.startswith("dense") else "none"
     st = ground_state(system, sched.start_time)
     traj = run_schedule(st, system, sched, frame, record=record)
     ora = oracle_propagate(st, system, sched, frame, steps_per_pulse=4000)
     assert np.max(np.abs(traj.final_state.amplitudes - ora.amplitudes)) < 1e-7
-    if case == "dense":
+    if record == "dense":
         state = QuantumState(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8j]), 0.0)
         for pulse in pulses:
             phi = pulse_center_phase(pulse, pulse.support_ps / 2.0)
@@ -349,8 +353,8 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
     and the same pulse on Magnus steps in the lab frame (its phase
     sliding in the drive) converge to each other at sixth order: their
     difference falls at least 40x per doubling of the steps, for the
-    operators and the dense snapshots. A train of such pulses agrees
-    with the oracle."""
+    operators and the dense snapshots (in the lab frame, passes over the
+    first k steps). A train of such pulses agrees with the oracle."""
     system = _two_three_one(0.05)
     frame = PhaseFrame.for_system(system)
     n = system.n_levels
@@ -361,11 +365,19 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
         for steps in (8, 16, 32):
             ops, snapshots = propagator._integrate_pulses(
                 system, frame, [pulse], [0.4], steps, steps // 8)
-            lab, lab_snapshots = propagator._magnus6(
-                propagator._diagonal(system, frame),
-                [(propagator._absorption_matrix(system, channel),
-                  _lab_drive(pulse, 0.4, steps)[None])],
-                np.eye(n, dtype=complex), pulse.support_ps / steps, steps // 8)
+            drive = _lab_drive(pulse, 0.4, steps)[None]
+
+            def lab_after(stop):
+                # the lab-frame operator after the first `stop` steps
+                return propagator._magnus6(
+                    propagator._diagonal(system, frame),
+                    [(propagator._absorption_matrix(system, channel),
+                      drive[:, :3 * stop])],
+                    np.eye(n, dtype=complex), pulse.support_ps / steps)
+
+            lab = lab_after(steps)
+            lab_snapshots = np.array([lab_after(k * steps // 8)
+                                      for k in range(1, 8)])
             assert snapshots.shape == lab_snapshots.shape == (7, 1, n, n)
             diffs.append((np.max(np.abs(ops - lab)),
                           np.max(np.abs(snapshots - lab_snapshots))))
@@ -401,6 +413,18 @@ def test_record_policies():
     for traj in (none, compressed):
         assert np.max(np.abs(traj.final_state.amplitudes
                              - dense.final_state.amplitudes)) < 1e-9
+
+    # at one given count, a dense run's rows at the event ends are the
+    # compressed run's, at the same times: 80 steps sample every 2 steps,
+    # 39 samples inside each pulse and its end
+    given = {record: run_schedule(st, sys3, sched, frame, record=record,
+                                  steps=80)
+             for record in ("compressed", "dense")}
+    ends = given["dense"].times[::40]
+    assert len(given["dense"].times) == 1 + 8 * 40
+    assert np.array_equal(ends, given["compressed"].times)
+    assert np.max(np.abs(given["dense"].populations[::40]
+                         - given["compressed"].populations)) < 1e-13
 
     with pytest.raises(ValueError):
         run_schedule(st, sys3, sched, frame, record="sparse")
@@ -455,12 +479,17 @@ def test_early_state_evolves_freely_to_the_first_pulse(record):
                      record=record, steps=80).final_state.amplitudes)
 
 
-def test_empty_schedule_is_identity():
+@pytest.mark.parametrize("record", ["compressed", "dense", "none"])
+def test_empty_schedule_is_identity(record):
+    """An empty schedule, which has no pulses and so no snapshots, records
+    the state it was given and hands it back, whatever the policy."""
     sys3 = _resonant()
     sched = _train(sys3, n_pairs=0)
     st = ground_state(sys3)
-    traj = run_schedule(st, sys3, sched, PhaseFrame.for_system(sys3))
+    traj = run_schedule(st, sys3, sched, PhaseFrame.for_system(sys3),
+                        record=record)
     assert len(traj.times) == 1
+    assert np.array_equal(traj.populations, [st.populations()])
     assert traj.final_state is st
 
 
@@ -699,7 +728,7 @@ def test_event_rows_do_not_depend_on_the_stack():
                        carrier_phase=stack.carrier_phase[rows],
                        delta_t_small=stack.delta_t_small[rows])
         return _run_events(mol, frame, part, 60, np.tile(ground, (len(rows), 1)),
-                           starts[rows])
+                           starts[rows])[:2]
 
     all_amps, all_times = run(range(len(dts)))
     for rows in ([0], [100], [255], list(range(0, 256, 37)), list(range(90, 97))):
@@ -1119,3 +1148,37 @@ def test_dense_runs_keep_forty_samples_per_pulse():
     for lo, hi in zip(starts, starts + sched.support):
         inside = np.count_nonzero((times > lo + 1e-12) & (times < hi - 1e-12))
         assert inside == (steps - 1) // max(1, steps // 40) >= 39
+
+
+def test_dense_passes_exponentiate_per_block(monkeypatch):
+    """A dense pass takes one _expm1 call per block of steps, not one per
+    stride: the 100 distinct pulses of a 50-pair ramped stirap train, on
+    blocks of 2 levels, fill blocks of 8192 // (100 * 4) = 20 steps, so
+    40 steps at stride 1 take 2 calls. Its operators and snapshots have
+    the bits of the same pass at one step per block (_BLOCK_ENTRIES =
+    400), which takes one call per stride."""
+    sys3 = build_three_level()
+    frame = PhaseFrame.for_system(sys3)
+    sched = run_piecewise_stirap(sys3, 50, 10.0, record="none", steps=40).schedule
+    pulses = sched.pulses
+    assert len(pulses) == 100
+    calls, taylor = [], propagator._expm1
+
+    def spy(omega):
+        calls.append(omega.shape)
+        return taylor(omega)
+
+    def dense_pass():
+        calls.clear()
+        return propagator._integrate_pulses(sys3, frame, pulses,
+                                            [0.0] * len(pulses), 40, 1)
+
+    monkeypatch.setattr(propagator, "_expm1", spy)
+    ops, snapshots = dense_pass()
+    assert calls == [(20 * 100, 2, 2)] * 2
+    assert snapshots.shape == (39, 100, 3, 3)
+    monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 400)
+    per_step = dense_pass()
+    assert len(calls) == 40
+    assert np.array_equal(ops, per_step[0])
+    assert np.array_equal(snapshots, per_step[1])
