@@ -18,14 +18,8 @@ it is evaluated analytically from the schedule, never integrated.
 Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2),
 from the same diagonal the kernel uses.
 
-Windows go through two fixed-step kernels that share their inputs: the
-diagonal, a list of channels (A_c, drive_c), start states or operators
-y and a step h; the P problems of a pass share each of the diagonal,
-A_c, y and h or give one per problem, and one basis (diag, A_c,
-A_c^dagger) turns drive samples into generators -i h H (_basis).
-
-Pulse passes, and windows of up to _WINDOW_MAGNUS_MAX_LEVELS levels,
-take sixth-order Magnus steps. A pulse has one carrier and is short and
+Pulse passes and windows take sixth-order Magnus steps. A pulse has
+one carrier and is short and
 resonant, so its H(t) nearly commutes with itself over its support, and
 a Magnus step integrates a commuting H(t) exactly; a smooth reference
 passage changes slowly, which Magnus steps also resolve in few steps.
@@ -35,18 +29,21 @@ polynomial in five products with scaling and squaring (_expm1), and the
 block's step matrices are multiplied out pairwise (_chain). A pass that
 keeps snapshots every stride steps cuts its steps into groups of one
 stride; a block holds whole groups, at least one, takes one _expm1
-call, and multiplies all its groups out at once before the state takes
-them in order, a snapshot after each. Every
+call, and multiplies all its groups out at once before y takes them
+in order, a snapshot after each. Every
 product of these goes through _mm, which multiplies stacks of at most 3
 levels as broadcast multiply-adds: there numpy's stacked matmul costs
-more per tiny matrix than the arithmetic. For a lossless H each
+more per tiny matrix than the arithmetic; a state column takes each
+group by one matmul, which costs less. For a lossless H each
 exp(Omega) is unitary, whatever the steps. The Magnus series converges
 for h max ||H|| < pi; a pass whose steps leave that bound raises
 NumericsError rather than return a finite, wrong operator.
 
 The two assemble Omega differently. A window drives both channels
 through phase callables, so _magnus6 forms three commutators of its
-alphas per step, which have no small basis. A pulse drives one channel,
+alphas per step, which have no small basis; one basis (diag, A_c,
+A_c^dagger) turns its drive samples into generators -i h H (_basis).
+A pulse drives one channel,
 and in its carrier's frame, R(t) = exp(-i omega (t - T/2)) on the
 excited levels with omega = K carrier_detuning, its Hamiltonian is H' =
 D' + f(t) V_0: D' = D - omega on the excited levels, f the real
@@ -77,10 +74,6 @@ block operators directly, since both of its passes carry the same
 phases of modulus 1 outside the blocks and in the frame; the
 convergence bound and N0 take max |D'| over all n levels.
 
-Larger windows take RK4, _rk4: there an operator's n-fold flops
-outweigh what the fewer steps save. _rk4 steps y through the four RK4
-stages, a block of steps at a time.
-
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
 such rows. The one event loop, _run_events, integrates the distinct
@@ -103,15 +96,14 @@ estimate of their error sets the fewest steps at which the row's E
 events add up to half of _TOLERANCE = 1e-9, between N0 and the cap
 MIN_STEPS_PER_PULSE = 256, and a dense run rounds them up to a multiple
 of 40, so that its samples sit at k / 40 of each support whatever the
-count. A window estimates with its own kernel on its state over the
-whole window (propagate_window). Both report the steps, the estimate at
-those steps and the events in the trajectory's diagnostics, and their
-production steps must keep h max ||H|| inside the kernel's bound, or
+count. A window estimates on its state over the whole window
+(propagate_window). Both report the steps, the estimate at those steps
+and the events in the trajectory's diagnostics, and their production
+steps must keep h max ||H|| inside the convergence bound, or
 NumericsError is raised.
 
-propagate_window chains its state through batched segment operators up
-to _WINDOW_SEGMENT_MAX_LEVELS levels and steps the state itself above.
-oracle_propagate is the independent check.
+propagate_window steps its state through the groups of _magnus_steps
+and records it after each. oracle_propagate is the independent check.
 """
 
 from __future__ import annotations
@@ -121,7 +113,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import PulseSpec, TrainSchedule, rabi_envelope
 from .levels import LevelSystem, raman_shift
@@ -133,16 +124,14 @@ from .units import K_RAD_PS_PER_CM
 # it bypasses the error estimate.
 MIN_STEPS_PER_PULSE = 256
 
-# Default step counts come from a tolerance. A pass of a kernel of order
-# p whose cap is `cap` steps first takes the step-doubling (Richardson)
-# estimate of the error of N0 >= cap // 32 steps, err(N0) = 2^p / (2^p -
-# 1) max |y_N0 - y_2N0| (Hairer, Norsett and Wanner, Solving ODEs I,
-# II.4), then runs the N^-p law backwards: N = ceil(N0 (2 E err(N0) /
+# Default step counts come from a tolerance. A pass of Magnus steps, of
+# order p = 6, whose cap is `cap` steps first takes the step-doubling
+# (Richardson) estimate of the error of N0 >= 8 steps, err(N0) = 2^p /
+# (2^p - 1) max |y_N0 - y_2N0| (Hairer, Norsett and Wanner, Solving ODEs
+# I, II.4), then runs the N^-p law backwards: N = ceil(N0 (2 E err(N0) /
 # _TOLERANCE)^(1/p)) in [N0, cap], so that the E events of a row add up
-# to half the tolerance. p is 6 on Magnus steps (pulses, and windows up
-# to _WINDOW_MAGNUS_MAX_LEVELS levels) and 4 on RK4 steps (larger
-# windows). A run held at the cap with its estimate above the tolerance
-# is logged as a warning.
+# to half the tolerance. A run held at the cap with its estimate above
+# the tolerance is logged as a warning.
 _TOLERANCE = 1e-9
 
 ORACLE_MAX_LEVELS = 32
@@ -153,19 +142,6 @@ _ORACLE_CHUNK = 500
 # steps; a default count is a multiple of it, so a dense run samples at
 # k / 40 of each support
 _DENSE_SAMPLES = 40
-
-# propagate_window integrates segment operators up to this many levels:
-# the batch saves per-step call overhead but costs n times the flops of
-# one state column (on RK4 references the two broke even at n = 17-19)
-_WINDOW_SEGMENT_MAX_LEVELS = 16
-
-# propagate_window takes Magnus steps up to this many levels and RK4
-# above, where Magnus steps ran no faster on default references.
-_WINDOW_MAGNUS_MAX_LEVELS = 8
-
-# h max ||H|| inside which an RK4 step does not amplify: the stability
-# interval of RK4 on the imaginary axis is |h lambda| <= 2 sqrt(2)
-_RK4_STABLE = 2.0 * math.sqrt(2.0)
 
 
 class NumericsError(RuntimeError):
@@ -290,14 +266,7 @@ def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
 
 # --- the kernels ---
 
-# steps, and (problem, step) pairs, whose RK4 drive coefficients are laid
-# out at once; bounds the kernel's scratch memory independently of the
-# number of steps and of problems
-_BLOCK_STEPS = 64
-_BLOCK_CELLS = 4096
-
-# the order of each kernel's global error, for the step-doubling rule
-_RK4_ORDER = 4
+# the order of the Magnus steps' global error, for the step-doubling rule
 _MAGNUS_ORDER = 6
 
 # (problem, step) pairs times n^2: the complex entries of each Omega
@@ -348,10 +317,11 @@ _T18_E = _T18[2, 0] + 2.0 * _T18[3, 0]
 
 
 def _basis(diag: np.ndarray, channels, h) -> np.ndarray:
-    """-i h (diag, A_1, A_1^dagger, A_2, ...) as one (1 or P, M, n^2)
-    stack: the generator -i h H(tau) of a problem is the row (1,
-    drive_1(tau), conj(drive_1(tau)), ...) times it. It is stored once
-    unless h, the diagonal or an A_c is given per problem."""
+    """-i h (diag, A_1, A_1^dagger, A_2, ...) of _magnus6's inputs as one
+    (1 or P, M, n^2) stack: the generator -i h H(tau) of a problem is the
+    row (1, drive_1(tau), conj(drive_1(tau)), ...) times it, and so is
+    each alpha of a step with that step's drive coefficients. It is
+    stored once unless h, the diagonal or an A_c is given per problem."""
     n = diag.shape[-1]
     mats = [diag[..., None] * np.eye(n)]
     for A, _ in channels:
@@ -385,57 +355,6 @@ def _chain(x: np.ndarray) -> np.ndarray:
         a, b = x[:len(x) - 1:2], x[1::2]
         x = np.concatenate([b + a + _mm(b, a), x[len(x) - len(x) % 2:]])
     return x[0]
-
-
-def _rk4(diag: np.ndarray, channels, y: np.ndarray, h, stride: int | None = None):
-    """Fixed-step RK4 of P independent problems in one vectorized pass.
-
-    diag is the (n,) diagonal; channels is a list of (A_c, drive_c),
-    drive_c the (P, 2 steps + 1) complex drive w e^{-i phi} sampled on the
-    half-step grid tau_j = j h / 2. Shared by all problems or given per
-    problem, and stored once when shared: the step h, a scalar or (P,);
-    each absorption matrix A_c, (n, n) or (P, n, n); the start y, (n, m)
-    or (P, n, m), state columns (m = 1) or operators (m = n).
-
-    G(tau_j) = -i h H(tau_j) is one small product of the samples at
-    tau_j with _basis; the samples are laid out one block of at most
-    _BLOCK_STEPS steps and _BLOCK_CELLS (problem, step) pairs at a time,
-    and y steps through the RK4 stages, with extra memory O(P n^2)
-    besides the drives.
-
-    Returns (y, snapshots): y is (P, n, m); snapshots stacks y after
-    every stride-th step strictly inside the run, (k, P, n, m), or None.
-    """
-    P, n = channels[0][1].shape[0], diag.size
-    basis = _basis(diag, channels, h)
-    M = basis.shape[1]
-    steps = (channels[0][1].shape[1] - 1) // 2
-    block = max(1, min(_BLOCK_STEPS, _BLOCK_CELLS // P))
-    coef = np.ones((2 * block + 1, P, 1, M), dtype=complex)
-
-    def generator(j: int) -> np.ndarray:
-        return (coef[j] @ basis).reshape(P, n, n)
-
-    ys = []
-    for start in range(0, steps, block):
-        stop = min(start + block, steps)
-        rows = slice(2 * start, 2 * stop + 1)
-        for c, (_, drive) in enumerate(channels):
-            samples = drive[:, rows].T
-            coef[:samples.shape[0], :, 0, 1 + 2 * c] = samples
-            coef[:samples.shape[0], :, 0, 2 + 2 * c] = samples.conj()
-        g_end = generator(0)
-        for k in range(start, stop):
-            j = 2 * (k - start)
-            g_start, g_mid, g_end = g_end, generator(j + 1), generator(j + 2)
-            k1 = g_start @ y
-            k2 = g_mid @ (y + 0.5 * k1)
-            k3 = g_mid @ (y + 0.5 * k2)
-            k4 = g_end @ (y + k3)
-            y = y + (k1 + 2.0 * (k2 + k3) + k4) / 6.0
-            if stride and (k + 1) % stride == 0:
-                ys.append(y)
-    return y, np.array(ys[:(steps - 1) // stride]) if stride else None
 
 
 def _expm1(omega: np.ndarray) -> np.ndarray:
@@ -496,18 +415,20 @@ def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
     or one group that is longer. _expm1 gives exp(Omega) - I of the
     whole block in one call; _chain multiplies each group out pairwise,
     all groups of the block at once as a (group, groups, P, n, n) stack,
-    and y <- y + X y takes the groups in order. A short last group is
-    padded with exact identity steps, X = 0, which leave the pairing of
-    its steps as it is. So a group's product does not depend on how many
-    groups share its block.
+    and y <- y + X y takes the groups in order: by matmul when y is a
+    state column, by _mm otherwise. A short last group is padded with
+    exact identity steps, X = 0, which leave the pairing of its steps as
+    it is. So a group's product does not depend on how many groups share
+    its block.
 
-    Returns (y, snapshots) as _rk4 does: with a stride, snapshots stacks
-    y after each group that ends strictly inside the run, (steps - 1) //
-    stride of them; without, it is None.
+    Returns (y, snapshots): y after the last step and, with a stride, the
+    stack of y after each group that ends strictly inside the run,
+    (steps - 1) // stride of them; without a stride, None.
     """
     block = max(1, _BLOCK_ENTRIES // entries)
     group = stride or block
     block = max(1, block // group) * group
+    product = np.matmul if y.shape[-1] == 1 else _mm
     ys = []
     for start in range(0, steps, block):
         # x holds each stack of the block in turn (Omega, exp(Omega) - I,
@@ -518,18 +439,24 @@ def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
         if len(x) % k:
             x = np.concatenate([x, np.zeros_like(x[:-len(x) % k])])
         for x in _chain(x.reshape((-1, k) + x.shape[1:]).swapaxes(0, 1)):
-            y = y + _mm(x, y)
+            y = y + product(x, y)
             if stride:
                 ys.append(y)
     return y, np.array(ys[:-1]) if stride else None
 
 
-def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h) -> np.ndarray:
+def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
+             stride: int | None = None):
     """Sixth-order Magnus steps of P independent windows in one pass.
 
-    The inputs are _rk4's, except that drive_c is (P, 3 steps): the
-    drive at the three Gauss-Legendre nodes of every step. With G_i = -i
-    h H at node i, a step is y <- exp(Omega) y with
+    diag is the diagonal; channels is a list of (A_c, drive_c), drive_c
+    the (P, 3 steps) complex drive w e^{-i phi} at the three
+    Gauss-Legendre nodes of every step. Shared by all problems or given
+    per problem, and stored once when shared: the step h, a scalar or
+    (P,); the diagonal, (n,) or (P, n); each absorption matrix A_c, (n,
+    n) or (P, n, n); the start y, (n, m) or (P, n, m), state columns (m =
+    1) or operators (m = n). With G_i = -i h H at node i, a step is y <-
+    exp(Omega) y with
 
         alpha_1 = G_2,    alpha_2 = (sqrt(15) / 3) (G_3 - G_1),
         alpha_3 = (10 / 3) (G_3 - 2 G_2 + G_1),
@@ -547,8 +474,9 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h) -> np.ndarray:
     drive coefficients with _basis, and Omega takes three commutators of
     them per step. A window drives two channels with phase callables, so
     its commutators have no small basis; a pulse's do (_pulse_pass).
-    The steps are _magnus_steps. Returns the (P, n, m) y after the last
-    step.
+    The steps are _magnus_steps, whose (y, snapshots) it returns: the
+    (P, n, m) y after the last step and, with a stride, the (steps - 1) //
+    stride snapshots of y every stride steps, or None.
     """
     P, n = channels[0][1].shape[0], diag.shape[-1]
     basis = _basis(diag, channels, h)
@@ -569,18 +497,17 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h) -> np.ndarray:
         c2 = (_mm(b, a1) - _mm(a1, b)) / 60.0
         left, right = c1 - 20.0 * a1 - a3, a2 + c2
         return a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
-    return _magnus_steps(omega, y, steps, P * n * n)[0]
+    return _magnus_steps(omega, y, steps, P * n * n, stride)
 
 
-def _estimate_n0(length, bound, limit: float = math.pi,
-                 least: int = MIN_STEPS_PER_PULSE // 32) -> int:
-    """The N0 of a step-doubling estimate over `length` ps (per problem,
-    with the norm bound per problem) by a kernel whose steps must keep h
-    max ||H|| < limit: `least`, or the fewest steps that keep h bound <
-    limit / 2. Nearer the bound the error does not follow the kernel's
-    order: faster than N^-6 on Magnus steps (limit pi), slower than N^-4
-    on RK4 steps (the stability limit 2 sqrt(2))."""
-    return max(least, int(np.max(length * bound // (limit / 2.0))) + 1)
+def _estimate_n0(length, bound) -> int:
+    """The N0 of a step-doubling estimate of Magnus steps over `length`
+    ps (per problem, with the norm bound per problem):
+    MIN_STEPS_PER_PULSE // 32 = 8, or the fewest steps that keep h bound
+    < pi / 2. Nearer the convergence bound h max ||H|| < pi the error
+    falls faster than N^-6."""
+    return max(MIN_STEPS_PER_PULSE // 32,
+               int(np.max(length * bound // (math.pi / 2.0))) + 1)
 
 
 def _blocks(system: LevelSystem, pulses) -> np.ndarray:
@@ -784,14 +711,14 @@ def _steps(steps: int | None) -> int:
 
 # --- step counts from a tolerance ---
 
-def _doubling_error(order: int, coarse, fine) -> float:
-    """2^p / (2^p - 1) max |y_N - y_2N|, the step-doubling estimate of
-    the error of N steps of a kernel of order p; coarse() and fine() run
-    the passes of N and 2N steps. A pass that blows up estimates an
-    infinite error."""
+def _doubling_error(coarse, fine) -> float:
+    """2^p / (2^p - 1) max |y_N - y_2N|, p = _MAGNUS_ORDER, the
+    step-doubling estimate of the error of N Magnus steps; coarse() and
+    fine() run the passes of N and 2N steps. A pass that blows up
+    estimates an infinite error."""
     with np.errstate(all="ignore"):
         err = float(np.max(np.abs(coarse() - fine())))
-    err *= 2.0 ** order / (2.0 ** order - 1.0)
+    err *= 2.0 ** _MAGNUS_ORDER / (2.0 ** _MAGNUS_ORDER - 1.0)
     return err if math.isfinite(err) else math.inf
 
 
@@ -802,8 +729,7 @@ def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int,
     block operators: the frame's phases and those outside the blocks
     are the same in both passes and of modulus 1."""
     bases = _pulse_bases(system, frame, pulses, {} if cache is None else cache)
-    return _doubling_error(_MAGNUS_ORDER,
-                           lambda: _pulse_pass(bases, pulses, n0)[0],
+    return _doubling_error(lambda: _pulse_pass(bases, pulses, n0)[0],
                            lambda: _pulse_pass(bases, pulses, 2 * n0)[0])
 
 
@@ -812,12 +738,12 @@ def _window_cap(duration: float) -> int:
     return max(4000, int(200.0 * duration))
 
 
-def _chosen_steps(steps: int | None, cap: int, events: int, order: int,
-                  n0: int, error, multiple: int = 1,
+def _chosen_steps(steps: int | None, cap: int, events: int, n0: int,
+                  error, multiple: int = 1,
                   doubled: bool = False) -> tuple[int, dict]:
-    """The given steps (at least 4), or the tolerance rule's for a kernel
-    of the given order whose count defaults to cap, rounded up to a
-    multiple of `multiple`, and their diagnostics; error(n0) estimates
+    """The given steps (at least 4), or the tolerance rule's for Magnus
+    steps whose count defaults to cap, rounded up to a multiple of
+    `multiple`, and their diagnostics; error(n0) estimates
     one event's error at n0 <= cap steps. A caller that keeps the
     estimate's pass of 2 n0 steps sets doubled: the rule then takes at
     least those steps, since they cost nothing more."""
@@ -827,13 +753,13 @@ def _chosen_steps(steps: int | None, cap: int, events: int, order: int,
     n0 = min(n0, cap)
     err = error(n0)
     ratio = 2.0 * events * err / _TOLERANCE
-    if ratio >= (cap / n0) ** order:
+    if ratio >= (cap / n0) ** _MAGNUS_ORDER:
         n = cap
     else:
         least = min(2 * n0, cap) if doubled else n0
-        n = max(least, math.ceil(n0 * ratio ** (1.0 / order)))
+        n = max(least, math.ceil(n0 * ratio ** (1.0 / _MAGNUS_ORDER)))
     n = -(-n // multiple) * multiple
-    estimate = events * err * (n0 / n) ** order
+    estimate = events * err * (n0 / n) ** _MAGNUS_ORDER
     if n >= cap and estimate > _TOLERANCE:
         # loaded only here, so that importing papsim loads numpy only
         import logging
@@ -872,7 +798,7 @@ def _train_steps(system: LevelSystem, frame: PhaseFrame,
                           zip(_pulse_bases(system, frame, group, cache), peak)])
         n0 = _estimate_n0(np.array([p.support_ps for p in group]), bound)
     n, diagnostics = _chosen_steps(
-        steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1], _MAGNUS_ORDER, n0,
+        steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1], n0,
         lambda n0: _pulse_error(system, frame, group, n0, cache) if group else 0.0,
         _DENSE_SAMPLES if dense else 1)
     return n, {**diagnostics, "distinct_pulses": len(schedule.pulses)}
@@ -1059,68 +985,43 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     pump_rabi / dump_rabi are callables Omega(t) (rad/ps) of absolute
     time; pump_phase / dump_phase optionally give the carrier phases
     phi(t) (rad). Smooth adiabatic references with overlapping envelopes
-    use this; scheduled trains never need it. Up to
-    _WINDOW_MAGNUS_MAX_LEVELS levels the window takes sixth-order Magnus
-    steps, each callable sampled once at the three Gauss-Legendre nodes
-    of every step; larger windows take RK4 steps, each callable sampled
-    once on the half-step grid. A callable that returns a non-finite
-    value raises NumericsError.
+    use this; scheduled trains never need it. The window takes
+    sixth-order Magnus steps (_magnus6), each callable sampled once at
+    the three Gauss-Legendre nodes of every step. A callable that
+    returns a non-finite value raises NumericsError.
 
     steps=None takes the count from the tolerance (_TOLERANCE): the
     state is integrated over the whole window at N0 and 2 N0 steps, and
     the step-doubling estimate sets the count, between N0 and the cap
-    max(4000, 200 per ps) (_window_cap). N0 is that of _estimate_n0 (at
-    least 8 on Magnus steps, cap // 32 on RK4), its bound read off the
-    samples at N0; both passes run as below, the coarser keeping only its
-    last state, and the count is at least 2 N0, so that the estimate's
-    finer pass is the result when that is enough. Otherwise a given
-    count is taken as it is, at least 4 steps. The trajectory's
+    max(4000, 200 per ps) (_window_cap). N0 is that of _estimate_n0, at
+    least 8, its bound read off the samples at N0; the coarser pass keeps
+    only its last state, and the count is at least 2 N0, so that the
+    estimate's finer pass is the result when that is enough. Otherwise a
+    given count is taken as it is, at least 4 steps. The trajectory's
     diagnostics report the steps and the estimate at them. A count whose
-    steps leave h max ||H|| < pi (Magnus convergence) or 2 sqrt(2) (RK4
-    stability) raises NumericsError; the estimate's passes are exempt.
+    steps leave the convergence bound h max ||H|| < pi raises
+    NumericsError; the estimate's passes are exempt.
 
-    The trajectory records the state every s = max(1, steps // 400)
-    steps and at the end. Up to _WINDOW_SEGMENT_MAX_LEVELS levels the
-    window is cut into segments of s steps; their evolution operators,
-    each with its own slice of the drive samples, are integrated as one
-    batched pass, the steps % s tail steps as one more small pass, and
-    the state is chained through the operators in time order. Larger
-    systems, where the operators' flops outweigh the call overhead they
-    save, step the state itself and record a kernel snapshot every s
-    steps.
+    The state steps through groups of s = max(1, steps // 400) steps,
+    each multiplied out before the state takes it (_magnus_steps), and
+    the trajectory records it after each group: every s steps and at the
+    end.
     """
     if not 0 < duration < math.inf:
         raise ValueError(f"duration must be positive and finite, got {duration}")
     t0 = state.time
     A = (_absorption_matrix(system, "pump"), _absorption_matrix(system, "dump"))
-    diag, n = _diagonal(system, frame), system.n_levels
-    start = state.amplitudes.astype(complex)
-    magnus = n <= _WINDOW_MAGNUS_MAX_LEVELS
-    # each kernel's samples per step, whether segments share their end
-    # samples, its order, and the bound of h max ||H - centre|| its steps
-    # must keep
-    if magnus:
-        kernel, per_step, shared, order = _magnus6, 3, 0, _MAGNUS_ORDER
-        limit, kind = math.pi, "Magnus convergence"
-        # a constant shift of the diagonal commutes with H and leaves
-        # every commutator of Omega as it is: only the spread about the
-        # real midpoint counts towards the convergence bound
-        centre = 0.5 * (diag.real.max() + diag.real.min())
-    else:
-        kernel, per_step, shared, order = (lambda *args: _rk4(*args)[0], 2, 1,
-                                           _RK4_ORDER)
-        limit, kind = _RK4_STABLE, "RK4 stability"
-        centre = 0.0
-    offset = np.abs(diag - centre).max()
+    diag = _diagonal(system, frame)
+    start = state.amplitudes.astype(complex)[:, None]
+    # a constant shift of the diagonal commutes with H and leaves every
+    # commutator of Omega as it is: only the spread about the real
+    # midpoint counts towards the convergence bound
+    offset = np.abs(diag - 0.5 * (diag.real.max() + diag.real.min())).max()
 
     @functools.cache
     def sampled(steps: int):
-        if magnus:
-            tau = ((np.arange(steps)[:, None] + _GAUSS_NODES)
-                   * (duration / steps)).ravel()
-        else:
-            tau = np.linspace(0.0, duration, 2 * steps + 1)
-        grid = t0 + tau
+        grid = t0 + ((np.arange(steps)[:, None] + _GAUSS_NODES)
+                     * (duration / steps)).ravel()
         drives = []
         for rabi, phase in ((pump_rabi, pump_phase), (dump_rabi, dump_phase)):
             d = np.fromiter(map(rabi, grid), complex, grid.size)
@@ -1138,49 +1039,33 @@ def propagate_window(state: QuantumState, system: LevelSystem,
 
     def records(steps: int, final: bool = False):
         # the recorded states, or only the last one if final
-        h, stride = duration / steps, max(1, steps // 400)
-        drives = sampled(steps)
-        if n > _WINDOW_SEGMENT_MAX_LEVELS:
-            y, snapshots = _rk4(diag, [(a, d[None]) for a, d in zip(A, drives)],
-                                start[:, None], h, None if final else stride)
-            return (y[0, :, 0] if final
-                    else [start, *snapshots[:, 0, :, 0], y[0, :, 0]])
-        # segment k spans samples k w ... (k + 1) w of w = per_step
-        # stride, plus the sample it shares with the next segment on the
-        # RK4 grid, a view into the samples; the tail is one more pass
-        K, width = steps // stride, per_step * stride
-        passes = [[sliding_window_view(d, width + shared)[::width] for d in drives]]
-        if steps % stride:
-            passes.append([d[None, K * width:] for d in drives])
-        amps = [start]
-        for segments in passes:
-            for op in kernel(diag, list(zip(A, segments)), np.eye(n, dtype=complex), h):
-                amps.append(op @ amps[-1])
-        return amps[-1] if final else amps
+        y, snapshots = _magnus6(
+            diag, [(a, d[None]) for a, d in zip(A, sampled(steps))], start,
+            duration / steps, None if final else max(1, steps // 400))
+        return (y[0, :, 0] if final
+                else [start[:, 0], *snapshots[:, 0, :, 0], y[0, :, 0]])
 
     # the estimate's finer pass may be the result; its coarser one never is
     kept = functools.cache(records)
     cap = _window_cap(duration)
-    least = MIN_STEPS_PER_PULSE // 32 if magnus else cap // 32
     # the peak drive is read off the samples, so N0 rises until its own
     # samples keep it (or it reaches the cap)
-    n0 = least
+    n0 = MIN_STEPS_PER_PULSE // 32
     while (steps is None and n0 < cap
-           and (need := _estimate_n0(duration, bound(n0), limit, least)) > n0):
+           and (need := _estimate_n0(duration, bound(n0))) > n0):
         n0 = need
 
     def error(n0: int) -> float:
-        return _doubling_error(order, lambda: records(n0, final=True),
+        return _doubling_error(lambda: records(n0, final=True),
                                lambda: kept(2 * n0)[-1])
 
-    steps, diagnostics = _chosen_steps(steps, cap, 1, order, n0, error,
-                                       doubled=True)
+    steps, diagnostics = _chosen_steps(steps, cap, 1, n0, error, doubled=True)
     h, stride = duration / steps, max(1, steps // 400)
     reach = h * bound(steps)
-    if not reach < limit:
+    if not reach < math.pi:
         raise NumericsError(
-            f"{steps} window steps leave the {kind} bound h max|H| < "
-            f"{limit:.3g} (h max|H| = {reach:.3g})")
+            f"{steps} window steps leave the Magnus convergence bound h "
+            f"max|H| < pi (h max|H| = {reach:.3g})")
     amps = kept(steps)
     if not np.all(np.isfinite(amps[-1])):
         raise NumericsError("non-finite amplitudes in windowed propagation")

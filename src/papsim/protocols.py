@@ -331,8 +331,8 @@ def run_reference_ap(levels: LevelSystem, kind: str, duration: float,
     Everything else (frame, couplings, decay) is identical to the train
     runners, which is the point: differences against a chopped train
     isolate the piecewise discretization. steps=None takes the count
-    from the tolerance rule of propagate_window (Magnus steps up to 8
-    levels, RK4 above), at most max(4000, 200 per ps);
+    from the tolerance rule of propagate_window (sixth-order Magnus
+    steps), at most max(4000, 200 per ps);
     details["diagnostics"] reports it. The trajectory records every
     max(1, steps // 400) steps.
     """

@@ -373,7 +373,7 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
                     propagator._diagonal(system, frame),
                     [(propagator._absorption_matrix(system, channel),
                       drive[:, :3 * stop])],
-                    np.eye(n, dtype=complex), pulse.support_ps / steps)
+                    np.eye(n, dtype=complex), pulse.support_ps / steps)[0]
 
             lab = lab_after(steps)
             lab_snapshots = np.array([lab_after(k * steps // 8)
@@ -557,32 +557,33 @@ def test_window_with_silent_drives_is_free_evolution():
         propagate_window(st, sys3, zero, zero, frame, -1.0, 100)
 
 
-@pytest.mark.parametrize("path", ["magnus", "segments", "stepped"])
+@pytest.mark.parametrize("levels", ["three_level", "band"])
 @pytest.mark.parametrize("steps, duration", [(2000, 10.0), (2003, 10.0),
                                              (7, 0.07)])
 def test_window_with_constant_drives_is_the_exponential(steps, duration,
-                                                        path, monkeypatch):
-    # 2000 steps are 400 segments of 5, 2003 leave a 3-step tail, and 7
-    # steps are segments of one step each. The three-level window takes
-    # Magnus segments; lowering the level limits sends it to RK4
-    # segments, or to the RK4 path of large systems, which steps the state
+                                                        levels):
+    # 2000 steps are 400 groups of 5, 2003 leave a 3-step last group, and
+    # 7 steps are groups of one step each; on the decaying three-level
+    # system and on a 12-level band
     from scipy.linalg import expm
 
-    if path != "magnus":
-        monkeypatch.setattr(propagator, "_WINDOW_MAGNUS_MAX_LEVELS", 2)
-    if path == "stepped":
-        monkeypatch.setattr(propagator, "_WINDOW_SEGMENT_MAX_LEVELS", 2)
-
-    sys3 = build_three_level(pump_detuning=3.0, dump_detuning=-1.0,
-                             decay_rate=0.05)
-    frame = PhaseFrame.for_system(sys3)
+    if levels == "three_level":
+        system = build_three_level(pump_detuning=3.0, dump_detuning=-1.0,
+                                   decay_rate=0.05)
+        amps = np.array([0.6, 0.48j, 0.64], dtype=complex)
+    else:
+        system = _band_molecule(8)
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=12) + 1j * rng.normal(size=12)
+        amps /= np.linalg.norm(amps)
+    frame = PhaseFrame.for_system(system)
     rabi_p, rabi_d = 0.8, 0.5
-    H = np.diag(frame.detunings(sys3) - 0.5j * sys3.decay_rates())
-    H[1, 0] = H[0, 1] = -0.5 * rabi_p
-    H[1, 2] = H[2, 1] = -0.5 * rabi_d
-    amps = np.array([0.6, 0.48j, 0.64], dtype=complex)
+    H = np.diag(propagator._diagonal(system, frame))
+    for rabi, channel in ((rabi_p, "pump"), (rabi_d, "dump")):
+        A = propagator._absorption_matrix(system, channel)
+        H += rabi * (A + A.conj().T)
     t0 = 1.5
-    traj = propagate_window(QuantumState(amps, t0), sys3, lambda t: rabi_p,
+    traj = propagate_window(QuantumState(amps, t0), system, lambda t: rabi_p,
                             lambda t: rabi_d, frame, duration, steps)
     exact = expm(-1j * H * duration) @ amps
     assert np.max(np.abs(traj.final_state.amplitudes - exact)) < 1e-9
@@ -629,16 +630,16 @@ def test_window_follows_a_chirped_drive_and_never_gains_norm():
 
 
 def _kernel_inputs(P, m):
-    """A decaying 1 + 3 + 1 system with random two-channel drives over 150
-    steps, h and a start of m columns, for _rk4."""
+    """A decaying 1 + 3 + 1 system with random two-channel drives at the
+    three nodes of 150 steps, h and a start of m columns, for _magnus6."""
     mol = build_synthetic_molecule(SyntheticMoleculeSpec(
         3, 11200.0, (12.0,), decay_lifetime=0.5, ground_b_energies=(-2333.0,)))
     n, steps = mol.n_levels, 150
     diag = propagator._diagonal(mol, PhaseFrame.for_system(mol))
     A = [propagator._absorption_matrix(mol, c) for c in ("pump", "dump")]
     rng = np.random.default_rng(7)
-    drives = [rng.normal(size=(P, 2 * steps + 1))
-              + 1j * rng.normal(size=(P, 2 * steps + 1)) for _ in A]
+    drives = [rng.normal(size=(P, 3 * steps))
+              + 1j * rng.normal(size=(P, 3 * steps)) for _ in A]
     y = (np.eye(n, dtype=complex) if m == n
          else rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1)))
     return diag, list(zip(A, drives)), y, 0.013
@@ -647,15 +648,15 @@ def _kernel_inputs(P, m):
 @pytest.mark.parametrize("P", [3, 100])
 @pytest.mark.parametrize("m", [1, 5])
 def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m):
-    """_rk4 given h, the couplings and the start once per pass returns the
-    operators and snapshots of the same inputs repeated per problem; 100
-    problems take blocks shorter than _BLOCK_STEPS."""
+    """_magnus6 given h, the couplings and the start once per pass returns
+    the states or operators and snapshots of the same inputs repeated per
+    problem; 100 problems take blocks of one stride of steps."""
     diag, channels, y, h = _kernel_inputs(P, m)
     n, steps, stride = diag.size, 150, 7
     A, drives = zip(*channels)
 
-    shared = propagator._rk4(diag, channels, y, h, stride)
-    per_problem = propagator._rk4(
+    shared = propagator._magnus6(diag, channels, y, h, stride)
+    per_problem = propagator._magnus6(
         diag, [(np.broadcast_to(a, (P, n, n)).copy(), d)
                for a, d in zip(A, drives)],
         np.broadcast_to(y, (P, n, m)).copy(), np.full(P, h), stride)
@@ -665,25 +666,21 @@ def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m):
         assert np.array_equal(ours, theirs)
 
 
-def test_reference_window_keeps_one_copy_of_what_segments_share():
-    """The traced peak of a default 100 ps reference on a 16-level band,
-    the largest window taking segment operators, stays under 24 MB; a
-    basis copied per segment lifted it to 30 MB."""
+def test_band_reference_windows_trace_under_4_mb():
+    """The traced peak of a default 100 ps reference on a 9- and a
+    16-level band, the state stepped through its groups, stays under 4
+    MB; batched segment operators took it to 10 and 19 MB."""
     import tracemalloc
 
-    tooth = 1.0 / (C_CM_PER_PS * 10.0)
-    band = build_synthetic_molecule(SyntheticMoleculeSpec(
-        12, 11145.0, (tooth,), dipole_profile="gaussian",
-        ground_a_energies=(0.0, 37.0), ground_b_energies=(-2333.0, -2291.0)))
-    assert band.n_levels == propagator._WINDOW_SEGMENT_MAX_LEVELS
-    run_reference_ap(band, "stirap", 100.0, 1.47)
-    tracemalloc.start()
-    try:
+    for band in (_band_molecule(5), _band_molecule(12)):
         run_reference_ap(band, "stirap", 100.0, 1.47)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 24e6
+        tracemalloc.start()
+        try:
+            run_reference_ap(band, "stirap", 100.0, 1.47)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_oracle_agrees_on_a_small_train():
@@ -806,11 +803,8 @@ def test_default_steps_meet_the_tolerance(case):
 
 def test_default_reference_meets_the_tolerance():
     """The default 100 ps reference lands within the tolerance of 4x its
-    steps, and within 1.5x its reported estimate: three levels on Magnus
-    steps, and bands on RK4 steps on each side of
-    _WINDOW_SEGMENT_MAX_LEVELS (12 levels on segment operators, 25 on the
-    stepped state), whose estimate needs an N0 inside half the stability
-    bound."""
+    steps, and within 1.1x its reported estimate, on three levels and on
+    12- and 25-level bands."""
     for system in (build_three_level(), _band_molecule(8), _band_molecule()):
         ref = run_reference_ap(system, "stirap", 100.0, 1.47)
         diagnostics = ref.details["diagnostics"]
@@ -820,15 +814,14 @@ def test_default_reference_meets_the_tolerance():
         dev = np.max(np.abs(ref.trajectory.final_state.amplitudes
                             - fine.trajectory.final_state.amplitudes))
         assert dev < TOL
-        assert dev <= 1.5 * diagnostics["error_estimate"]
+        assert dev <= 1.1 * diagnostics["error_estimate"]
 
 
 def test_given_steps_keep_their_bits(monkeypatch):
     """A given count takes no estimate and keeps its bits: pulses on the
-    Magnus kernel, above the cap too, a three-level window on Magnus
-    steps, and band windows on RK4 segments (12 levels) and RK4 steps
-    of the state (25 levels). The sha256 prefixes were taken on x86-64
-    with numpy 2.4 and one OpenBLAS thread."""
+    Magnus kernel, above the cap too, and windows of 3, 12 and 25
+    levels. The sha256 prefixes were taken on x86-64 with numpy 2.4 and
+    one OpenBLAS thread."""
     import hashlib
 
     def no_estimate(*args):
@@ -850,9 +843,9 @@ def test_given_steps_keep_their_bits(monkeypatch):
         assert traj.diagnostics == {"steps": steps, "error_estimate": None,
                                     "events": 6,
                                     "distinct_pulses": len(sched.pulses)}
-    windows = [(sys3, 5003, "36e388c35eaf4fa7"),
-               (_band_molecule(8), 1001, "566e04766b2e8e8d"),
-               (_band_molecule(), 401, "55c217d26013f15b")]
+    windows = [(sys3, 5003, "25a4fd466e3dd97c"),
+               (_band_molecule(8), 1001, "fdf8bb9d809bf08f"),
+               (_band_molecule(), 401, "46ab714626683055")]
     for system, steps, digest in windows:
         ref = run_reference_ap(system, "stirap", 20.0, 1.47, steps=steps).trajectory
         data = ref.final_state.amplitudes.tobytes() + ref.populations.tobytes()
@@ -913,14 +906,11 @@ def test_the_packet_reference_meets_the_tolerance_below_the_cap(caplog):
     assert dev < TOL
 
 
-@pytest.mark.parametrize("kernel", ["magnus", "rk4"])
-def test_window_failures_are_numerics_errors(kernel, monkeypatch):
-    """Four steps over a strong 10 ps window leave the kernel's bound
-    (Magnus convergence, RK4 stability) and raise instead of returning
-    finite, wrong amplitudes; so does a drive that is not a number, with
-    a default count as with a given one."""
-    if kernel == "rk4":
-        monkeypatch.setattr(propagator, "_WINDOW_MAGNUS_MAX_LEVELS", 2)
+def test_window_failures_are_numerics_errors():
+    """Four steps over a strong 10 ps window leave the Magnus convergence
+    bound and raise instead of returning finite, wrong amplitudes; so
+    does a drive that is not a number, with a default count as with a
+    given one."""
     sys3 = build_three_level()
     with pytest.raises(NumericsError, match="bound"):
         run_reference_ap(sys3, "stirap", 10.0, 40.0, steps=4)
