@@ -15,6 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# every shape is even about its centre, rabi_envelope(p, T - tau) =
+# rabi_envelope(p, tau): a pulse pass integrates only the first half of a
+# pulse and takes the second as its transpose (propagator._pulse_pass)
 PULSE_SHAPES = ("sin2", "gaussian")
 CHANNELS = ("pump", "dump")
 TRAIN_KINDS = ("stirap", "crp", "flat_pairs")

@@ -43,23 +43,18 @@ The two assemble Omega differently. A window drives both channels
 through phase callables, so _magnus6 forms three commutators of its
 alphas per step, which have no small basis; one basis (diag, A_c,
 A_c^dagger) turns its drive samples into generators -i h H (_basis).
-A pulse drives one channel,
-and in its carrier's frame, R(t) = exp(-i omega (t - T/2)) on the
-excited levels with omega = K carrier_detuning, its Hamiltonian is H' =
-D' + f(t) V_0: D' = D - omega on the excited levels, f the real
-rabi_envelope and V_0 = A + A^dagger. Every commutator of Omega is then
-a fixed combination of eight matrices built once per channel, phase
-mask and detuning from D' and V_0 (_pulse_bases; Munthe-Kaas and Owren,
-Phil. Trans. R. Soc. A 357, 957 (1999)), without h, and shared by the
-step-doubling estimate and the production pass. A block's Omega stack
-is one product of per-step coefficients in f at the three
-Gauss-Legendre nodes with that basis, plus -i h D' on the diagonal
-(_pulse_pass): no commutator is formed per step. The envelope is
-sampled once per pass, one vectorized rabi_envelope call per pulse. The
-operator is U = R(T) U' R(0)^dagger, and the centre phase phi_c enters
-as V = e^{-i phi_c} A + h.c. by the same diagonal conjugation
-(_integrate_pulses); at omega = 0 the carrier frame is the rotating
-frame above.
+A pulse drives one channel with one carrier and a real envelope, and
+is integrated in its carrier's frame and a real gauge
+(_integrate_pulses). There every commutator of Omega is a fixed
+combination of eight matrices built once per channel and detuning
+(_pulse_bases; Munthe-Kaas and Owren, Phil. Trans. R. Soc. A 357, 957
+(1999)), without h, and shared by the step-doubling estimate and the
+production pass. A block's Omega stack is one product of per-step
+coefficients in the envelope with that basis (_pulse_pass): no
+commutator is formed per step. The envelope is sampled once per pass,
+one vectorized rabi_envelope call per pulse. A pass without snapshots
+takes only the first half of its steps: the second half is its
+transpose (_pulse_pass).
 
 A pulse couples only its own channel: a pump pulse ground_a and the
 excited levels, a dump pulse the excited levels and ground_b. So the
@@ -69,9 +64,9 @@ pump pulse and the last b for a dump pulse: 2 of 3 levels on the Lambda
 system, 23 of 25 on the band. The levels outside the block take their
 exact free phase exp(-i d_k t), decay included, and _integrate_pulses
 embeds both into the (P, n, n) operators and (S, P, n, n) snapshots its
-callers read. The step-doubling estimate compares the carrier-frame
-block operators directly, since both of its passes carry the same
-phases of modulus 1 outside the blocks and in the frame; the
+callers read. The step-doubling estimate compares the block operators
+of the pass directly, since both of its passes carry the same phases of
+modulus 1 outside the blocks, in the frame and in the gauge; the
 convergence bound and N0 take max |D'| over all n levels.
 
 A schedule holds each distinct pulse once and, per event, its time, an
@@ -233,13 +228,12 @@ def pulse_center_phase(pulse: PulseSpec, center_time: float) -> float:
 
 # --- Hamiltonian assembly ---
 
-def _absorption_matrix(system: LevelSystem, channel: str,
-                       phase_mask=None) -> np.ndarray:
+def _absorption_matrix(system: LevelSystem, channel: str) -> np.ndarray:
     """Absorption-leg coupling matrix A (excited rows) for a unit envelope.
 
     H(t) = diag + w(t) * (exp(-i phi(t)) A + exp(+i phi(t)) A^dagger).
-    Dump couplings carry the per-level dipole phases and any pulse phase
-    mask in this (absorption) quadrature.
+    Dump couplings carry the per-level dipole phases in this (absorption)
+    quadrature.
     """
     n = system.n_levels
     A = np.zeros((n, n), dtype=complex)
@@ -251,13 +245,23 @@ def _absorption_matrix(system: LevelSystem, channel: str,
         couplings = system.dump_dipoles.T.astype(complex)
         if system.dipole_phases is not None:
             couplings = couplings * np.exp(1j * system.dipole_phases)[:, None]
-        if phase_mask is not None:
-            if len(phase_mask) != system.n_excited:
-                raise ValueError("phase_mask must hold one phase per excited level")
-            couplings = couplings * np.exp(1j * np.asarray(phase_mask))[:, None]
         sl_b = system.slice_ground_b()
         A[sl_e, sl_b] = -0.5 * couplings
     return A
+
+
+def _row_angles(system: LevelSystem, pulse: PulseSpec) -> np.ndarray:
+    """The phase (rad) of a pulse's couplings to each excited level: a
+    dump pulse's dipole phases plus its phase mask, zero for a pump."""
+    theta = np.zeros(system.n_excited)
+    if pulse.channel == "dump":
+        if pulse.phase_mask is not None:
+            if len(pulse.phase_mask) != system.n_excited:
+                raise ValueError("phase_mask must hold one phase per excited level")
+            theta += pulse.phase_mask
+        if system.dipole_phases is not None:
+            theta += system.dipole_phases
+    return theta
 
 
 def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
@@ -533,12 +537,12 @@ _BASIS_WEIGHTS = np.array([1.0] + [1.0 / 240.0] * 8)
 @dataclass(frozen=True, eq=False)
 class _PulseBasis:
     """What a pulse's pass needs besides its envelope, shared by the
-    pulses that differ from it only in area, shape or width: the
-    carrier-frame diagonal D' = D - omega (excited levels) on its block,
-    the (9, b^2) basis Y, B3, ..., B10 without h, and the two parts of
-    the norm bound max ||H'||_2 <= max |D'| + max f ||A||_F over all n
-    levels (A couples ground columns to excited rows only, so ||f V_0||_2
-    = f ||A||_2)."""
+    pulses of its channel and carrier detuning whatever their area,
+    shape, width or phase mask: the carrier-frame diagonal D' on its
+    block, the (9, b^2) basis Y, B3, ..., B10 of the real V_0 without h,
+    and the two parts of the norm bound max ||H'||_2 <= max |D'| + max f
+    ||A||_F over all n levels (A couples ground columns to excited rows
+    only, so ||f V_0||_2 = f ||A||_2, whatever its row phases)."""
 
     diag: np.ndarray
     basis: np.ndarray
@@ -548,15 +552,12 @@ class _PulseBasis:
 
 def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
                  cache: dict) -> list:
-    """Each pulse's _PulseBasis, built once per channel, phase mask and
-    carrier detuning and kept in `cache` for the passes of one system and
-    frame.
+    """Each pulse's _PulseBasis, built once per channel and carrier
+    detuning and kept in `cache` for the passes of one system and frame.
 
-    In its carrier's frame, R(t) = exp(-i omega (t - T/2)) on the
-    excited levels, a pulse's Hamiltonian is H' = D' + f(t) V_0, f the
-    real envelope and V_0 = A + A^dagger (the centre phase enters by
-    conjugation, _integrate_pulses). With x = diag(D'), Delta_ij = x_i -
-    x_j and Y = V_0, every commutator of Omega is one of
+    With H' = D' + f(t) V_0 in the carrier frame and real gauge
+    (_integrate_pulses), x = diag(D'), Delta_ij = x_i - x_j and Y = V_0,
+    every commutator of Omega is one of
 
         B3 = Delta . Y,  B4 = Delta . B3,  B6 = Delta . B4,
         B5 = [Y, B3],  B7 = Delta . B5,  B8 = [Y, B5],
@@ -568,13 +569,14 @@ def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
     """
     out = []
     for pulse in pulses:
-        key = (pulse.channel, pulse.phase_mask, pulse.carrier_detuning)
+        key = (pulse.channel, pulse.carrier_detuning)
         if key not in cache:
             rows = _blocks(system, [pulse])[0]
             full = _diagonal(system, frame)
             full[system.slice_excited()] -= (K_RAD_PS_PER_CM
                                              * pulse.carrier_detuning)
-            A = _absorption_matrix(system, pulse.channel, pulse.phase_mask)
+            A = _absorption_matrix(replace(system, dipole_phases=None),
+                                   pulse.channel)
             y = A[np.ix_(rows, rows)]
             y = y + y.conj().T
             x = full[rows]
@@ -594,9 +596,10 @@ def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
 
 def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
     """Magnus steps from the identity over each pulse's support in its
-    carrier's frame, on its block of levels (_pulse_bases): returns the
-    (P, b, b) frame operators U', their snapshots and h max ||H'|| per
-    pulse, the bound taken over all n levels.
+    carrier's frame and real gauge (_integrate_pulses), on its block of
+    levels (_pulse_bases): returns the (P, b, b) operators U', their
+    snapshots and h max ||H'|| per pulse, the bound taken over all n
+    levels.
 
     f_1, f_2, f_3 are _ALPHA_WEIGHTS applied to the envelope at the
     step's three Gauss-Legendre nodes; with X = -i h D' and Y = -i h V_0
@@ -612,17 +615,30 @@ def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
     where the Bs carry their (-i h)^depth (_BASIS_DEPTH). So a block's
     Omega stack is one batched product of these coefficients with the
     basis, plus X on the diagonal: no commutator is formed per step.
+
+    Without a stride the pass takes only the first ceil(N / 2) of its N
+    steps, since step N - 1 - k mirrors step k. Three conditions make
+    its Omega the transpose of Omega_k: the Gauss-Legendre nodes are
+    symmetric, so its nodes are those of step k reflected about T / 2 in
+    reverse order; the envelope is even, f(T - t) = f(t) (PULSE_SHAPES);
+    and H' is complex-symmetric, V_0 being real. Then alpha_1 and
+    alpha_3 are symmetric, alpha_2 and C_1 change sign, and Omega_{N-1-k}
+    = Omega_k^T: the scheme is time-symmetric (Blanes, Casas, Oteo and
+    Ros, Phys. Rep. 470, 151 (2009)). With U_a after floor(N / 2) steps
+    and Y after ceil(N / 2), U' = U_a^T Y. A pass with a stride takes
+    every step, which its snapshots need.
     """
     P, b = len(pulses), bases[0].diag.size
     h = np.array([p.support_ps / steps for p in pulses])
-    f = np.empty((P, steps, 3))
-    nodes = np.arange(steps)[:, None] + _GAUSS_NODES
+    taken = steps if stride else (steps + 1) // 2
+    f = np.empty((P, taken, 3))
+    nodes = np.arange(taken)[:, None] + _GAUSS_NODES
     for row, p in zip(f, pulses):
         row[:] = rabi_envelope(p, nodes * (p.support_ps / steps))
     f1, f2, f3 = (f @ _ALPHA_WEIGHTS.T).transpose(2, 0, 1)
     l1, l3 = f2, -(20.0 * f1 + f3)
     r2, r3, r4 = -f3 / 30.0, -f2 / 60.0, -f1 * f2 / 60.0
-    # the (steps, P, 9) real terms of the step coefficients; a block's
+    # the (taken, P, 9) real terms of the step coefficients; a block's
     # coefficients of the (P, 9, b^2) basis are its terms times scale
     scale = (-1j * h[:, None]) ** _BASIS_DEPTH * _BASIS_WEIGHTS
     terms = np.array([
@@ -638,8 +654,18 @@ def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
         om.reshape(stop - start, P, b * b)[..., ::b + 1] += x
         return om
 
-    y, snapshots = _magnus_steps(omega, np.eye(b, dtype=complex), steps,
-                                 P * b * b, stride)
+    eye, entries = np.eye(b, dtype=complex), P * b * b
+    if stride:
+        y, snapshots = _magnus_steps(omega, eye, steps, entries, stride)
+    else:
+        half, snapshots = steps // 2, None
+        u = y = _magnus_steps(omega, eye, half, entries)[0]
+        if taken > half:  # the middle step of an odd count
+            y = _magnus_steps(lambda start, stop: omega(half + start, half + stop),
+                              u, 1, entries)[0]
+        # a contiguous U_a^T: a product with the transposed view raised
+        # the peak memory of the 25-level band's passes by 0.1-0.2 MB
+        y = _mm(u.swapaxes(-1, -2).copy(), y)
     bound = (np.array([g.offset for g in bases])
              + np.abs(f).max(axis=(1, 2)) * np.array([g.coupling for g in bases]))
     return y, snapshots, h * bound
@@ -662,12 +688,17 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     n) snapshots every stride steps (or None); `cache` holds the bases
     of earlier passes on this system and frame.
 
-    The pass runs on each pulse's block of levels in its carrier's frame
-    (_pulse_pass). With phi_c the centre phase and g(t) = exp(-i (omega
-    (t - T/2) + phi_c)) on the block's excited levels (1 elsewhere), the
-    operator up to time t is g(t) U'(t) conj(g(0)), elementwise in rows
-    and columns: the frame's rotation, and V = e^{-i phi_c} A + h.c.
-    from V_0 by the same diagonal conjugation. The levels outside the
+    The pass runs on each pulse's block of levels (_pulse_pass) in its
+    carrier's frame, R(t) = exp(-i omega (t - T/2)) on the excited levels
+    with omega = K carrier_detuning, and in the real gauge. The pulse
+    couples with V = e^{-i phi_c} A + h.c., phi_c its centre phase; A's
+    excited rows carry the phases theta of _row_angles over the real
+    couplings A_r. With g(t) = exp(-i (omega (t - T/2) + phi_c - theta))
+    on the block's excited levels (1 elsewhere), the operator up to time
+    t is g(t) U'(t) conj(g(0)), elementwise in rows and columns, U' that
+    of H' = D' + f(t) V_0: D' = D - omega on the excited levels, f the
+    real rabi_envelope and V_0 = A_r + A_r^T. At omega = 0 the carrier
+    frame is the rotating frame of this module. The levels outside the
     block take their exact free phase exp(-i d_k t), decay included,
     over the support or up to the snapshot. Raises NumericsError naming
     the channel of the first pulse whose steps leave the convergence
@@ -687,7 +718,9 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     levels = system.slice_excited()
     excited = (rows >= levels.start) & (rows < levels.stop)
     omega = K_RAD_PS_PER_CM * np.array([[p.carrier_detuning] for p in pulses])
-    phi = np.asarray(center_phases, dtype=float)[:, None]
+    phi = np.zeros(rows.shape)
+    phi[excited] = -np.concatenate([_row_angles(system, p) for p in pulses])
+    phi += np.asarray(center_phases, dtype=float)[:, None]
     support = np.array([p.support_ps for p in pulses])[:, None]
 
     def frame_phase(t):
@@ -725,9 +758,10 @@ def _doubling_error(coarse, fine) -> float:
 def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int,
                  cache: dict | None = None) -> float:
     """The step-doubling error of n0 Magnus steps per pulse. Its passes
-    are not held to the convergence bound, and compare the carrier-frame
-    block operators: the frame's phases and those outside the blocks
-    are the same in both passes and of modulus 1."""
+    are not held to the convergence bound, and compare the block
+    operators of _pulse_pass: the phases of the frame and the gauge, and
+    those outside the blocks, are the same in both passes and of modulus
+    1."""
     bases = _pulse_bases(system, frame, pulses, {} if cache is None else cache)
     return _doubling_error(lambda: _pulse_pass(bases, pulses, n0)[0],
                            lambda: _pulse_pass(bases, pulses, 2 * n0)[0])

@@ -8,7 +8,7 @@ from scipy.integrate import quad
 
 from papsim import (build_train, design_dump_phase_mask, make_pulse,
                     make_schedule, rabi_envelope)
-from papsim.fields import TrainEvent
+from papsim.fields import PULSE_SHAPES, TrainEvent
 
 
 def test_pulse_widths():
@@ -35,6 +35,20 @@ def test_envelope_integral_is_area(shape):
     # zero outside the support
     assert rabi_envelope(p, -1e-6) == 0.0
     assert rabi_envelope(p, p.support_ps + 1e-6) == 0.0
+
+
+@pytest.mark.parametrize("shape", PULSE_SHAPES)
+def test_every_envelope_is_even_about_its_centre(shape):
+    """rabi_envelope(p, T - tau) = rabi_envelope(p, tau) to rounding, for
+    every shape: the pulse pass integrates only the first half of a
+    pulse and takes the second as its transpose."""
+    p = make_pulse(shape, 120.0, 1.9)
+    T = p.support_ps
+    tau = np.concatenate([np.linspace(0.0, T, 257),
+                          np.random.default_rng(3).uniform(0.0, T, 500)])
+    peak = rabi_envelope(p, T / 2.0)
+    assert peak > 0.0
+    assert np.max(np.abs(rabi_envelope(p, T - tau) - rabi_envelope(p, tau))) <= 1e-14 * peak
 
 
 def test_make_pulse_validation():
