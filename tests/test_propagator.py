@@ -372,11 +372,11 @@ def test_the_basis_omega_is_the_commutator_omega(P, b, monkeypatch):
     assert np.all(dev <= 1e-14 * np.maximum(1.0, norm))
 
 
-def _symmetric_case(decay=0.05):
+def _symmetric_case():
     """The decaying 2 + 3 + 1 system with dipole phases in a frame 3 cm^-1
     off the pump anchor, and a pump and a phase-masked dump pulse of
-    each shape, every one 5 cm^-1 off its carrier frame's reference."""
-    system = _two_three_one(decay)
+    each shape, each at a carrier detuning of 5 cm^-1."""
+    system = _two_three_one(0.05)
     frame = PhaseFrame.for_system(system, pump_offset=3.0)
     pulses = [make_pulse(shape, fwhm, area, carrier_detuning=5.0,
                          channel=channel,
