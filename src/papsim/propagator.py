@@ -46,10 +46,10 @@ A_c^dagger) turns its drive samples into generators -i h H (_basis).
 A pulse drives one channel with one carrier and a real envelope, and
 is integrated in its carrier's frame and a real gauge
 (_integrate_pulses). There every commutator of Omega is a fixed
-combination of eight matrices built once per channel and detuning
-(_pulse_bases; Munthe-Kaas and Owren, Phil. Trans. R. Soc. A 357, 957
-(1999)), without h, and shared by the step-doubling estimate and the
-production pass. A block's Omega stack is one product of per-step
+combination of eight matrices built once per channel and detuning in
+each call (_pulse_bases; Munthe-Kaas and Owren, Phil. Trans. R. Soc. A
+357, 957 (1999)), without h, and shared by the step-doubling estimate
+and the production pass. A block's Omega stack is one product of per-step
 coefficients in the envelope with that basis (_pulse_pass): no
 commutator is formed per step. The envelope is sampled once per pass,
 one vectorized rabi_envelope call per pulse. A pass without snapshots
@@ -71,22 +71,24 @@ convergence bound and N0 take max |D'| over all n levels.
 
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
-such rows. The one event loop, _run_events, integrates the distinct
-pulses in one batched pass, then steps a (C, n) stack of states
-through them by exact phase conjugation, each row with its own events,
-and keeps row 0's states entering and leaving each event. It reads the
-event starts, supports and center phases (pulse_center_phase element
-by element) straight from the schedule's arrays. run_schedule is one
-row and records after the loop: record="dense" applies the operator
-snapshots kept 40 times per pulse, every max(1, N // 40) of the pass's
-N steps, to the entering states, all events at once per sample. A
-scan column is one row per cell. propagate_pulse calls the pulse pass
-directly.
+such rows. The one event loop, _run_events, has the distinct pulses
+integrated in one batched pass (_integrate_pulses), then steps a (C, n)
+stack of states through them by exact phase conjugation, each row with
+its own events, and keeps row 0's states entering and leaving each
+event. It reads the event starts, supports and center phases
+(pulse_center_phase element by element) straight from the schedule's
+arrays. run_schedule is one row and records after the loop:
+record="dense" applies the operator snapshots that the pass keeps 40
+times per pulse, every max(1, N // 40) of its N steps, to the entering
+states, all events at once per sample, at the sample times the pass
+returns. A scan column is one row per cell. propagate_pulse calls the
+pulse pass directly.
 
-Step counts come from a tolerance unless they are given. Before the
-pass, _train_steps integrates the largest-area pulse of each group of
-pulses that differ only in area at N0 and 2 N0 Magnus steps, N0 = 8 or
-the fewest steps inside half the convergence bound; the step-doubling
+Step counts come from a tolerance unless they are given, and the pass
+picks them itself (_integrate_pulses): it integrates the largest-area
+pulse of each group of pulses that differ only in area at N0 and 2 N0
+Magnus steps, N0 = 8 or the fewest steps inside half the convergence
+bound, on the bases of its production pass; the step-doubling
 estimate of their error sets the fewest steps at which the row's E
 events add up to half of _TOLERANCE = 1e-9, between N0 and the cap
 MIN_STEPS_PER_PULSE = 256, and a dense run rounds them up to a multiple
@@ -446,7 +448,7 @@ def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
             y = y + product(x, y)
             if stride:
                 ys.append(y)
-    return y, np.array(ys[:-1]) if stride else None
+    return y, np.array(ys[:-1]).reshape(-1, *y.shape) if stride else None
 
 
 def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
@@ -550,10 +552,9 @@ class _PulseBasis:
     coupling: float
 
 
-def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
-                 cache: dict) -> list:
+def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses) -> list:
     """Each pulse's _PulseBasis, built once per channel and carrier
-    detuning and kept in `cache` for the passes of one system and frame.
+    detuning of the pulses.
 
     With H' = D' + f(t) V_0 in the carrier frame and real gauge
     (_integrate_pulses), x = diag(D'), Delta_ij = x_i - x_j and Y = V_0,
@@ -567,10 +568,10 @@ def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
     free-Lie-algebra computations of Munthe-Kaas and Owren, Phil. Trans.
     R. Soc. A 357, 957 (1999); [Y, B4] = B7 by the Jacobi identity.
     """
-    out = []
+    built, out = {}, []
     for pulse in pulses:
         key = (pulse.channel, pulse.carrier_detuning)
-        if key not in cache:
+        if key not in built:
             rows = _blocks(system, [pulse])[0]
             full = _diagonal(system, frame)
             full[system.slice_excited()] -= (K_RAD_PS_PER_CM
@@ -587,10 +588,10 @@ def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses,
             basis = np.stack([y, b3, b4, b5, delta * b4, delta * b5,
                               y @ b5 - b5 @ y, b3 @ b4 - b4 @ b3,
                               b3 @ b5 - b5 @ b3])
-            cache[key] = _PulseBasis(x, basis.reshape(9, -1),
+            built[key] = _PulseBasis(x, basis.reshape(9, -1),
                                      float(np.abs(full).max()),
                                      float(np.linalg.norm(A)))
-        out.append(cache[key])
+        out.append(built[key])
     return out
 
 
@@ -681,12 +682,26 @@ def _embed(block: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray
 
 
 def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
-                      center_phases, steps: int, stride: int | None = None,
-                      cache: dict | None = None):
-    """The (P, n, n) evolution operators of Magnus steps over each
-    pulse's support, all pulses in one batched pass, and their (S, P, n,
-    n) snapshots every stride steps (or None); `cache` holds the bases
-    of earlier passes on this system and frame.
+                      center_phases, steps: int | None, events: int = 1,
+                      samples: int | None = None):
+    """The (P, n, n) evolution operators of N Magnus steps over each
+    pulse's support, all pulses in one batched pass; with `samples`,
+    their (S, P, n, n) snapshots every stride = max(1, N // samples)
+    steps and the (S, P, 1) times of those snapshots past each support
+    start (else None); and the diagnostics of the steps.
+
+    N is the given steps (at least 4), or with steps=None the tolerance
+    rule's count for `events` events in a row, at most
+    MIN_STEPS_PER_PULSE, rounded up to a multiple of `samples`. The rule
+    estimates on the largest-area pulse of each group of pulses that
+    differ only in area (for a runner's train, one pump and one dump),
+    at the N0 of _estimate_n0 with the norm bound of H' in the carrier
+    frame. Its passes are not held to the convergence bound, and compare
+    the block operators of _pulse_pass: the phases of the frame and the
+    gauge, and those outside the blocks, are the same in both passes and
+    of modulus 1. The diagnostics are those of _chosen_steps and the
+    distinct pulses P; without pulses nothing is integrated, and the
+    operators, snapshots and times are None.
 
     The pass runs on each pulse's block of levels (_pulse_pass) in its
     carrier's frame, R(t) = exp(-i omega (t - T/2)) on the excited levels
@@ -705,13 +720,36 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     bound h max ||H'|| < pi: past it the Magnus series diverges, and a
     step would return a finite, wrong operator.
     """
-    bases = _pulse_bases(system, frame, pulses, {} if cache is None else cache)
-    block, snapshots, bound = _pulse_pass(bases, pulses, steps, stride)
+    bases = _pulse_bases(system, frame, pulses)
+    largest = {}
+    for pulse, basis in zip(pulses, bases) if steps is None else ():
+        key = replace(pulse, area=0.0)
+        if key not in largest or abs(pulse.area) > abs(largest[key][0].area):
+            largest[key] = pulse, basis
+    group = [p for p, _ in largest.values()]
+    group_bases = [g for _, g in largest.values()]
+    n0 = MIN_STEPS_PER_PULSE // 32
+    if group:
+        peak = np.abs([rabi_envelope(p, p.support_ps / 2.0) for p in group])
+        bound = np.array([g.offset + a * g.coupling
+                          for g, a in zip(group_bases, peak)])
+        n0 = _estimate_n0(np.array([p.support_ps for p in group]), bound)
+    n, diagnostics = _chosen_steps(
+        steps, MIN_STEPS_PER_PULSE, events, n0,
+        lambda n0: _doubling_error(
+            lambda: _pulse_pass(group_bases, group, n0)[0],
+            lambda: _pulse_pass(group_bases, group, 2 * n0)[0]) if group else 0.0,
+        samples or 1)
+    diagnostics["distinct_pulses"] = len(pulses)
+    if not pulses:
+        return None, None, None, diagnostics
+    stride = max(1, n // samples) if samples else None
+    block, snapshots, bound = _pulse_pass(bases, pulses, n, stride)
     outside = ~(bound < math.pi)
     if outside.any():
         first = int(np.argmax(outside))
         raise NumericsError(
-            f"{steps} steps per pulse leave the Magnus convergence bound "
+            f"{n} steps per pulse leave the Magnus convergence bound "
             f"h max|H| < pi of a {pulses[first].channel} pulse (h max|H| = "
             f"{bound[first]:.3g})")
     diag, rows = _diagonal(system, frame), _blocks(system, pulses)
@@ -730,12 +768,13 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     right = np.conj(frame_phase(0.0))[:, None, :]
     block = frame_phase(support)[:, :, None] * block * right
     ops = _embed(block, rows, np.exp(-1j * diag * support))
+    t = None
     if snapshots is not None:
         t = (stride * np.arange(1, len(snapshots) + 1)[:, None, None]
-             * (support / steps))
+             * (support / n))
         snapshots = frame_phase(t)[..., None] * snapshots * right
         snapshots = _embed(snapshots, rows, np.exp(-1j * diag * t))
-    return ops, snapshots
+    return ops, snapshots, t, diagnostics
 
 
 def _steps(steps: int | None) -> int:
@@ -753,18 +792,6 @@ def _doubling_error(coarse, fine) -> float:
         err = float(np.max(np.abs(coarse() - fine())))
     err *= 2.0 ** _MAGNUS_ORDER / (2.0 ** _MAGNUS_ORDER - 1.0)
     return err if math.isfinite(err) else math.inf
-
-
-def _pulse_error(system: LevelSystem, frame: PhaseFrame, pulses, n0: int,
-                 cache: dict | None = None) -> float:
-    """The step-doubling error of n0 Magnus steps per pulse. Its passes
-    are not held to the convergence bound, and compare the block
-    operators of _pulse_pass: the phases of the frame and the gauge, and
-    those outside the blocks, are the same in both passes and of modulus
-    1."""
-    bases = _pulse_bases(system, frame, pulses, {} if cache is None else cache)
-    return _doubling_error(lambda: _pulse_pass(bases, pulses, n0)[0],
-                           lambda: _pulse_pass(bases, pulses, 2 * n0)[0])
 
 
 def _window_cap(duration: float) -> int:
@@ -804,40 +831,6 @@ def _chosen_steps(steps: int | None, cap: int, events: int, n0: int,
     return n, {"steps": n, "error_estimate": estimate, "events": events}
 
 
-def _train_steps(system: LevelSystem, frame: PhaseFrame,
-                 schedule: TrainSchedule, steps: int | None,
-                 dense: bool, cache: dict) -> tuple[int, dict]:
-    """The Magnus steps per pulse of a schedule and their diagnostics:
-    the given steps, or the tolerance rule over the events of one row,
-    at most MIN_STEPS_PER_PULSE, which a dense run rounds up to a
-    multiple of _DENSE_SAMPLES.
-
-    The rule estimates on the largest-area pulse of each group of pulses
-    that differ only in area (for a runner's train, one pump and one
-    dump), at the N0 of _estimate_n0, with the norm bound of H' in the
-    carrier frame. `cache` keeps the pulse bases (_pulse_bases) for the
-    production pass.
-    """
-    largest = {}
-    if steps is None:
-        for p in schedule.pulses:
-            key = replace(p, area=0.0)
-            if key not in largest or abs(p.area) > abs(largest[key].area):
-                largest[key] = p
-    group = list(largest.values())
-    n0 = MIN_STEPS_PER_PULSE // 32
-    if group:
-        peak = np.abs([rabi_envelope(p, p.support_ps / 2.0) for p in group])
-        bound = np.array([g.offset + a * g.coupling for g, a in
-                          zip(_pulse_bases(system, frame, group, cache), peak)])
-        n0 = _estimate_n0(np.array([p.support_ps for p in group]), bound)
-    n, diagnostics = _chosen_steps(
-        steps, MIN_STEPS_PER_PULSE, schedule.time.shape[-1], n0,
-        lambda n0: _pulse_error(system, frame, group, n0, cache) if group else 0.0,
-        _DENSE_SAMPLES if dense else 1)
-    return n, {**diagnostics, "distinct_pulses": len(schedule.pulses)}
-
-
 def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
                     frame: PhaseFrame, steps: int | None = None) -> QuantumState:
     """Propagate through one pulse whose support starts at state.time.
@@ -849,9 +842,9 @@ def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
     K * carrier_detuning * t_center.
     """
     t_center = state.time + pulse.support_ps / 2.0
-    ops, _ = _integrate_pulses(system, frame, [pulse],
-                               [pulse_center_phase(pulse, t_center)],
-                               _steps(steps))
+    ops = _integrate_pulses(system, frame, [pulse],
+                            [pulse_center_phase(pulse, t_center)],
+                            _steps(steps))[0]
     return QuantumState(ops[0] @ state.amplitudes, state.time + pulse.support_ps)
 
 
@@ -889,28 +882,25 @@ class Trajectory:
 
 def _run_events(system: LevelSystem, frame: PhaseFrame,
                 schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
-                t0, stride: int | None = None, cache: dict | None = None):
+                t0, samples: int | None = None):
     """Integrate schedule.pulses, in their stored order, in one batched
-    pass of _train_steps(steps) Magnus steps, then step the (C, n) stack
-    amps, row c from time t0[c] through row c of the schedule (one train
-    for C = 1, or a (C, E) column stack). Event k applies operator
-    schedule.pulse[k]; a row's result does not depend on the other rows.
-    `cache` holds the pulse bases of a caller's estimate (_train_steps).
+    pass (_integrate_pulses, over the E events of a row), then step the
+    (C, n) stack amps, row c from time t0[c] through row c of the
+    schedule (one train for C = 1, or a (C, E) column stack). Event k
+    applies operator schedule.pulse[k]; a row's result does not depend
+    on the other rows.
 
-    Returns the final (amps, times) and what the loop kept of row 0: its
-    (E,) event starts and ends, the (E, n) states entering each event
-    after its conjugation and leaving it, the (E, n) conjugations z (the
-    state leaving event k is z_k U_k entering_k) and the (S, P, n, n)
-    snapshots of the pass every stride steps (None without a stride or
-    pulses)."""
+    Returns the final (amps, times), what the loop kept of row 0 and the
+    diagnostics of the steps. Of row 0 it keeps its (E,) event starts
+    and ends, the (E, n) states entering each event after its
+    conjugation and leaving it, the (E, n) conjugations z (the state
+    leaving event k is z_k U_k entering_k), and with it the pass's (S,
+    P, n, n) snapshots `samples` times per pulse and their (S, P, 1)
+    times past each support start (None without samples or pulses)."""
     n, pulses = system.n_levels, schedule.pulses
-    ops = snapshots = None
-    cache = {} if cache is None else cache
-    if pulses:
-        ops, snapshots = _integrate_pulses(
-            system, frame, pulses, [0.0] * len(pulses),
-            _train_steps(system, frame, schedule, steps, False, cache)[0],
-            stride, cache)
+    ops, snapshots, sampled, diagnostics = _integrate_pulses(
+        system, frame, pulses, [0.0] * len(pulses), steps,
+        schedule.time.shape[-1], samples)
     op_rows, time, phase, support = np.atleast_2d(
         schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
     starts = time - support / 2.0
@@ -938,7 +928,7 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
         amps = z[:, k] * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
         entering[k], leaving[k] = rotated[0], amps[0]
     return amps, times[:, -1], (starts[0], times[0, 1:], entering, leaving,
-                                z[0], snapshots)
+                                z[0], snapshots, sampled), diagnostics
 
 
 def run_schedule(state: QuantumState, system: LevelSystem,
@@ -954,21 +944,21 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     Each pulse takes fixed sixth-order Magnus steps. Unless steps are
     given, their count is the one the tolerance rule (_TOLERANCE) picks
     from a step-doubling estimate on the train's largest pulses, at most
-    MIN_STEPS_PER_PULSE, and for a dense run a multiple of 40; the
-    trajectory's diagnostics report it.
+    MIN_STEPS_PER_PULSE, and for a dense run a multiple of 40; the pass
+    picks it (_integrate_pulses), and the trajectory's diagnostics
+    report it.
 
     The distinct pulses of the schedule (equal up to carrier phase) are
     integrated together in one batched pass, each into its evolution
     operator; per-event carrier phases enter through an exact diagonal
     conjugation, so a train costs one pass plus matrix-vector products.
     The event loop keeps the states entering and leaving each event
-    (_run_events). Dense recording keeps operator snapshots from the same
-    pass and, after the loop, applies each event's to the state entering
-    it, all events at once per sample index.
+    (_run_events). Dense recording keeps operator snapshots and their
+    times from the same pass and, after the loop, applies each event's
+    to the state entering it, all events at once per sample index.
     """
     if record not in ("compressed", "dense", "none"):
         raise ValueError(f"unknown record policy {record!r}")
-    dense = record == "dense"
     if frame is None:
         frame = PhaseFrame.for_system(system)
     if len(state.amplitudes) != system.n_levels:
@@ -978,13 +968,10 @@ def run_schedule(state: QuantumState, system: LevelSystem,
             f"state at t={state.time} ps starts after the first pulse support "
             f"({schedule.start_time} ps)")
 
-    cache = {}
-    n_steps, diagnostics = _train_steps(system, frame, schedule, steps, dense,
-                                        cache)
-    stride = max(1, n_steps // _DENSE_SAMPLES) if dense else None
-    amps, end, (starts, ends, entering, leaving, z, snapshots) = _run_events(
-        system, frame, schedule, n_steps, state.amplitudes[None], [state.time],
-        stride, cache)
+    amps, end, row, diagnostics = _run_events(
+        system, frame, schedule, steps, state.amplitudes[None], [state.time],
+        _DENSE_SAMPLES if record == "dense" else None)
+    starts, ends, entering, leaving, z, snapshots, sampled = row
     pops = np.abs(leaving) ** 2
     if snapshots is not None:
         # (E, S + 1) rows: each event's S in-pulse samples, then its end;
@@ -993,8 +980,7 @@ def run_schedule(state: QuantumState, system: LevelSystem,
         inner = [np.abs(z * (s[schedule.pulse] @ entering[:, :, None])[..., 0]) ** 2
                  for s in snapshots]
         pops = np.stack(inner + [pops], axis=1)
-        ends = np.vstack([starts + stride * np.arange(1, len(snapshots) + 1)[:, None]
-                          * (schedule.support / n_steps), ends]).T
+        ends = np.vstack([starts + sampled[:, schedule.pulse, 0], ends]).T
     if record == "none":
         ends, pops = ends[-1:], pops[-1:]
     pops = np.concatenate([[state.populations()],

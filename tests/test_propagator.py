@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, NumericsError, PhaseFrame,
                     ground_state, make_pulse, make_schedule, oracle_propagate,
                     propagate_pulse, propagate_window, run_piecewise_crp,
                     run_piecewise_stirap, run_reference_ap, run_schedule,
-                    SyntheticMoleculeSpec)
+                    scan_2d, SyntheticMoleculeSpec)
 from papsim import propagator
 from papsim.levels import Level, LevelSystem
 from papsim.fields import _pair_trains, rabi_envelope
@@ -220,15 +221,15 @@ def _two_three_one(decay=0.0):
         dipole_phases=np.array([0.3, -1.2, 2.0]), carrier_anchor=11150.0)
 
 
-def _full_pass(system, frame, pulses, phases, steps, stride=None):
-    """The pulse pass on all n levels: every pulse's block holds the
-    whole system."""
+def _full_pass(system, frame, pulses, phases, steps, samples=None):
+    """The operators and snapshots of the pulse pass on all n levels:
+    every pulse's block holds the whole system."""
     n = system.n_levels
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagator, "_blocks",
                       lambda system, pulses: np.tile(np.arange(n), (len(pulses), 1)))
         return propagator._integrate_pulses(system, frame, pulses, phases,
-                                            steps, stride)
+                                            steps, samples=samples)[:2]
 
 
 @pytest.mark.parametrize("case", ["asymmetric", "masked_dump", "decaying",
@@ -250,11 +251,12 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case, monkeypatch):
     pulses = [make_pulse("sin2", 100.0, 2.0, carrier_detuning=5.0),
               make_pulse("gaussian", 80.0, 1.5, channel="dump",
                          phase_mask=mask)]
-    phases, steps, stride = [0.3, -1.1], 40, 3
-    ops, snapshots = propagator._integrate_pulses(system, frame, pulses,
-                                                  phases, steps, stride)
+    # 13 samples of 40 steps: a stride of 3
+    phases, steps, samples = [0.3, -1.1], 40, 13
+    ops, snapshots = propagator._integrate_pulses(
+        system, frame, pulses, phases, steps, samples=samples)[:2]
     full, full_snapshots = _full_pass(system, frame, pulses, phases, steps,
-                                      stride)
+                                      samples)
     assert ops.shape == full.shape and snapshots.shape == full_snapshots.shape
     assert np.max(np.abs(ops - full)) < 1e-13
     assert np.max(np.abs(snapshots - full_snapshots)) < 1e-13
@@ -337,7 +339,7 @@ def test_the_basis_omega_is_the_commutator_omega(P, b, monkeypatch):
               make_pulse("gaussian", 120.0, 0.7)][:P]
     phases = np.array([0.9, -1.3, 2.1])[:P]
     steps, taken = 13, 7
-    bases = propagator._pulse_bases(system, frame, pulses, {})
+    bases = propagator._pulse_bases(system, frame, pulses)
     basis_omega = _omegas(monkeypatch, lambda: propagator._pulse_pass(
         bases, pulses, steps))
 
@@ -396,24 +398,26 @@ def test_half_passes_match_the_full_pass():
     mask, a carrier detuning and nonzero centre phases."""
     system, frame, pulses = _symmetric_case()
     phases = [0.3, -1.1, 2.4, 0.8]
-    sched = make_schedule([TrainEvent(0.5 + k, p) for k, p in enumerate(pulses)],
-                          2, 1.0, 0.0, "mixed")
-    default = propagator._train_steps(system, frame, sched, None, False, {})[0]
+    # the count of a row of 4 events, one per pulse
+    default = propagator._integrate_pulses(system, frame, pulses, phases,
+                                           None, 4)[3]["steps"]
     assert default > 13
     for steps in (4, 5, 8, 13, default):
-        half, _ = propagator._integrate_pulses(system, frame, pulses, phases,
-                                               steps)
-        full, snapshots = propagator._integrate_pulses(system, frame, pulses,
-                                                       phases, steps, 1)
+        half = propagator._integrate_pulses(system, frame, pulses, phases,
+                                            steps)[0]
+        full, snapshots = propagator._integrate_pulses(
+            system, frame, pulses, phases, steps, samples=steps)[:2]
         assert snapshots.shape == (steps - 1, 4, 6, 6)
         assert np.max(np.abs(half - full)) < 1e-14
 
 
 def _exponentiated(monkeypatch, run):
     """(pulses, steps, stride, matrices) of each _pulse_pass of run():
-    how many matrices _expm1 exponentiates in it."""
-    passes, counted = [], [0]
+    how many matrices _expm1 exponentiates in it; and how many pulse
+    bases run() builds."""
+    passes, counted, built = [], [0], [0]
     taylor, pulse_pass = propagator._expm1, propagator._pulse_pass
+    pulse_basis = propagator._PulseBasis
 
     def expm1(omega):
         counted[0] += len(omega)
@@ -425,11 +429,16 @@ def _exponentiated(monkeypatch, run):
         passes.append((len(pulses), steps, stride, counted[0] - before))
         return out
 
+    def build(*args):
+        built[0] += 1
+        return pulse_basis(*args)
+
     with monkeypatch.context() as patch:
         patch.setattr(propagator, "_expm1", expm1)
         patch.setattr(propagator, "_pulse_pass", spy)
+        patch.setattr(propagator, "_PulseBasis", build)
         run()
-    return passes
+    return passes, built[0]
 
 
 def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
@@ -437,16 +446,35 @@ def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
     pass with one P N. The default crp run on the 25-level band takes
     88 steps per pulse: its production pass over 8 distinct pulses
     exponentiates 352 matrices and its estimate, on 2 pulses at 16 and
-    32 steps, 48 (704 and 96 when every pass took all its steps)."""
+    32 steps, 48 (704 and 96 when every pass took all its steps). A
+    dense default-count train and a scan column also take one estimate,
+    two half passes on their largest pulses, and one production pass.
+    Each call builds one basis per channel and carrier detuning, which
+    the estimate and the production pass share."""
     system, frame, pulses = _symmetric_case()
     for steps in (4, 5, 8, 13):
-        for stride in (None, 2):
-            passes = _exponentiated(monkeypatch, lambda: propagator._integrate_pulses(
-                system, frame, pulses, [0.0] * 4, steps, stride))
+        # steps // 2 samples: a stride of 2
+        for samples, stride in ((None, None), (steps // 2, 2)):
+            passes, built = _exponentiated(
+                monkeypatch, lambda: propagator._integrate_pulses(
+                    system, frame, pulses, [0.0] * 4, steps, samples=samples))
             taken = steps if stride else (steps + 1) // 2
             assert passes == [(4, steps, stride, 4 * taken)]
-    passes = _exponentiated(monkeypatch, lambda: _ramped_run("crp_n25"))
+            assert built == 2
+    passes, built = _exponentiated(monkeypatch, lambda: _ramped_run("crp_n25"))
     assert passes == [(2, 16, None, 16), (2, 32, None, 32), (8, 88, None, 352)]
+    assert built == 2
+    # 40 steps, a multiple of the 40 samples, at a stride of 1
+    passes, built = _exponentiated(
+        monkeypatch, lambda: _ramped_run("stirap_n3", record="dense"))
+    assert passes == [(2, 8, None, 8), (2, 16, None, 16), (20, 40, 1, 800)]
+    assert built == 2
+    passes, built = _exponentiated(monkeypatch, lambda: scan_2d(
+        build_three_level(pump_detuning=4.0), {"n_pairs": 3, "pump_area": math.pi,
+                                               "dump_area": math.pi},
+        [10.0], [2.0, 3.0, 4.0, 6.0]))
+    assert passes == [(2, 8, None, 8), (2, 16, None, 16), (2, 10, None, 10)]
+    assert built == 2
 
 
 @pytest.mark.parametrize("detuning", [5.0, -12.0, 30.0])
@@ -467,7 +495,7 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
         diffs = []
         for steps in (8, 16, 32):
             ops, snapshots = propagator._integrate_pulses(
-                system, frame, [pulse], [0.4], steps, steps // 8)
+                system, frame, [pulse], [0.4], steps, samples=8)[:2]
             drive = _lab_drive(pulse, 0.4, steps)[None]
 
             def lab_after(stop):
@@ -938,6 +966,7 @@ def test_given_steps_keep_their_bits(monkeypatch):
     sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
     expected = {(60, "none"): "852a671e3691f563",
                 (60, "compressed"): "921d716467f0c28e",
+                (60, "dense"): "45e6c0208514f359",
                 (800, "none"): "a4c9ee9e4649e540",
                 (800, "compressed"): "d700db6af5ee2401"}
     for (steps, record), digest in expected.items():
@@ -955,6 +984,47 @@ def test_given_steps_keep_their_bits(monkeypatch):
         ref = run_reference_ap(system, "stirap", 20.0, 1.47, steps=steps).trajectory
         data = ref.final_state.amplitudes.tobytes() + ref.populations.tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest
+
+
+def test_default_counts_keep_their_bits():
+    """Default counts take the estimate and keep their bits: the shipped
+    stirap3_resonant.cfg recorded densely, a 4-cell scan column and
+    propagate_pulse. The sha256 prefixes were taken on x86-64 with numpy
+    2.4 and one OpenBLAS thread."""
+    import hashlib
+
+    from papsim import build_system, load_config
+    from papsim.protocols import RUNNERS
+
+    def digest(*arrays):
+        data = b"".join(a.tobytes() for a in arrays)
+        return hashlib.sha256(data).hexdigest()[:16]
+
+    cfg = load_config(str(Path(__file__).parent.parent / "configs"
+                          / "stirap3_resonant.cfg"))
+    traj = RUNNERS["stirap"](build_system(cfg), record="dense",
+                             **cfg["train"]).trajectory
+    assert traj.diagnostics["steps"] == 40
+    assert digest(traj.final_state.amplitudes, traj.populations,
+                  traj.times) == "10960148d8eeb06f"
+    sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
+    emap = scan_2d(sys3, {"n_pairs": 3, "pump_area": math.pi,
+                          "dump_area": math.pi}, [10.0], [2.0, 3.0, 4.0, 6.0])
+    assert digest(emap.efficiency) == "4389561ec5478358"
+    pulse = make_pulse("sin2", 100.0, 2.0, carrier_detuning=5.0)
+    state = propagate_pulse(ground_state(sys3), sys3, pulse,
+                            PhaseFrame.comb_locked(sys3, 10.0))
+    assert digest(state.amplitudes) == "bca81fa8a25fa239"
+
+
+def test_one_sample_keeps_no_snapshots():
+    """One sample per pulse is a stride of N steps, after which no
+    snapshot lies strictly inside the pass: an empty stack."""
+    system, frame, pulses = _symmetric_case()
+    _, snapshots, times, _ = propagator._integrate_pulses(
+        system, frame, pulses, [0.0] * 4, 8, samples=1)
+    assert snapshots.shape == (0, 4, 6, 6)
+    assert times.shape == (0, 4, 1)
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -1056,7 +1126,24 @@ def test_the_band_crp_run_meets_the_tolerance_below_the_cap(caplog):
     assert not caplog.records
 
 
-def test_the_estimate_bounds_the_error_of_too_few_steps():
+def _pulse_error(system, frame, pulse, n0, monkeypatch):
+    """The step-doubling estimate that a default count of one pulse
+    takes, at N0 = n0 steps."""
+    errors, doubling = [], propagator._doubling_error
+
+    def spy(coarse, fine):
+        errors.append(doubling(coarse, fine))
+        return errors[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "_estimate_n0", lambda length, bound: n0)
+        patch.setattr(propagator, "_doubling_error", spy)
+        propagator._integrate_pulses(system, frame, [pulse], [0.0], None)
+    [error] = errors
+    return error
+
+
+def test_the_estimate_bounds_the_error_of_too_few_steps(monkeypatch):
     """At 4, 8 and 16 steps the step-doubling estimate of one 40 fs,
     area-1 pump pulse on a lossless 2 + 3 + 2 system is at least the
     operator's error against 1024 steps, and the default count keeps
@@ -1079,7 +1166,7 @@ def test_the_estimate_bounds_the_error_of_too_few_steps():
     for steps in (4, 8, 16):
         error = np.max(np.abs(operator(steps) - fine))
         assert error > 1e-11
-        assert propagator._pulse_error(system, frame, [pulse], steps) >= error
+        assert _pulse_error(system, frame, pulse, steps, monkeypatch) >= error
     sched = make_schedule([TrainEvent(pulse.support_ps / 2.0, pulse)],
                           1, 1.0, 0.0, "single")
     traj = run_schedule(ground_state(system), system, sched, frame,
@@ -1267,7 +1354,8 @@ def test_dense_passes_exponentiate_per_block(monkeypatch):
     def dense_pass():
         calls.clear()
         return propagator._integrate_pulses(sys3, frame, pulses,
-                                            [0.0] * len(pulses), 40, 1)
+                                            [0.0] * len(pulses), 40,
+                                            samples=40)[:2]
 
     monkeypatch.setattr(propagator, "_expm1", spy)
     ops, snapshots = dense_pass()

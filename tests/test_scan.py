@@ -100,26 +100,30 @@ def test_column_cells_match_direct_runs(system, base, delta_T, dts, failing):
 
 
 def test_column_integrates_its_operators_once(monkeypatch):
-    calls, estimates = [], []
-    integrate, estimate = propagator._integrate_pulses, propagator._pulse_error
+    calls, passes = [], []
+    integrate, pulse_pass = propagator._integrate_pulses, propagator._pulse_pass
 
     def counted(*args, **kwargs):
         calls.append(len(args[2]))
         return integrate(*args, **kwargs)
 
-    def counted_estimate(*args):
-        estimates.append(len(args[2]))
-        return estimate(*args)
+    def counted_pass(bases, pulses, steps, stride=None):
+        passes.append((len(pulses), steps))
+        return pulse_pass(bases, pulses, steps, stride)
 
     monkeypatch.setattr(propagator, "_integrate_pulses", counted)
-    monkeypatch.setattr(propagator, "_pulse_error", counted_estimate)
+    monkeypatch.setattr(propagator, "_pulse_pass", counted_pass)
     emap = scan_2d(build_three_level(), BASE, [8.0, 10.0],
                    [0.05, 2.0, 3.0, 4.0])
     assert np.isfinite(emap.efficiency[1:]).all()
     # one pass per column, over the pump and the dump pulse, after one
-    # step-doubling estimate per column on the same two pulses
+    # step-doubling estimate per column on the same two pulses: its
+    # passes at N0 and 2 N0 steps
     assert calls == [2, 2]
-    assert estimates == [2, 2]
+    assert len(passes) == 6
+    for coarse, fine, production in (passes[:3], passes[3:]):
+        assert coarse[0] == fine[0] == production[0] == 2
+        assert fine[1] == 2 * coarse[1]
 
 
 def test_column_failure_gives_every_cell_a_reason():
