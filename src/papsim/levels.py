@@ -392,10 +392,11 @@ def system_from_dict(data: dict) -> LevelSystem:
 
 
 def save_system(system: LevelSystem, path: str) -> None:
-    """Write a system to a versioned, human-readable file."""
-    with open(path, "w") as fh:
-        json.dump(system_to_dict(system), fh, indent=2)
-        fh.write("\n")
+    """Write a system to a versioned, human-readable file. A system that
+    fails to serialise leaves any earlier file at path as it was."""
+    from .io import _write_text  # io imports protocols, which imports levels
+
+    _write_text(path, json.dumps(system_to_dict(system), indent=2) + "\n")
 
 
 def load_system(path: str) -> LevelSystem:

@@ -41,8 +41,9 @@ NumericsError rather than return a finite, wrong operator.
 
 The two assemble Omega differently. A window drives both channels
 through phase callables, so _magnus6 forms three commutators of its
-alphas per step, which have no small basis; one basis (diag, A_c,
-A_c^dagger) turns its drive samples into generators -i h H (_basis).
+alphas per step, which have no small basis; one basis -i h (diag, A_c,
+A_c^dagger) turns its drive samples into generators -i h H. A window
+is one problem: its own step, diagonal and couplings.
 A pulse drives one channel with one carrier and a real envelope, and
 is integrated in its carrier's frame and a real gauge
 (_integrate_pulses). There every commutator of Omega is a fixed
@@ -322,21 +323,6 @@ _T18_ROWS = np.array([_T18[0], _T18[4], _T18[3], _T18[2],
 _T18_E = _T18[2, 0] + 2.0 * _T18[3, 0]
 
 
-def _basis(diag: np.ndarray, channels, h) -> np.ndarray:
-    """-i h (diag, A_1, A_1^dagger, A_2, ...) of _magnus6's inputs as one
-    (1 or P, M, n^2) stack: the generator -i h H(tau) of a problem is the
-    row (1, drive_1(tau), conj(drive_1(tau)), ...) times it, and so is
-    each alpha of a step with that step's drive coefficients. It is
-    stored once unless h, the diagonal or an A_c is given per problem."""
-    n = diag.shape[-1]
-    mats = [diag[..., None] * np.eye(n)]
-    for A, _ in channels:
-        mats += [A, A.conj().swapaxes(-1, -2)]
-    M = len(mats)
-    mats = np.stack(np.broadcast_arrays(*mats), axis=-3)
-    return (-1j * np.reshape(h, (-1, 1, 1, 1)) * mats).reshape(-1, M, n * n)
-
-
 def _mm(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     """a @ b of stacks of matrices, into `out` if given (not a or b). Up
     to _BROADCAST_MAX_LEVELS levels it is a sum of n broadcast products
@@ -411,16 +397,17 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
 def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
                   stride: int | None = None):
     """The Magnus step loop that pulses and windows share: y <- exp(Omega)
-    y over `steps` steps, omega(start, stop) giving the (stop - start, P,
-    n, n) Omega stack of those steps. `entries` = P n^2 is the size of
-    one step's Omega, so that a block holds at most B = max(1,
-    _BLOCK_ENTRIES // entries) steps.
+    y over `steps` steps, omega(start, stop) giving the Omega stack of
+    those steps: (stop - start, P, n, n) for the P pulses of a pass,
+    (stop - start, n, n) for a window, with y shaped alike. `entries` =
+    P n^2, or n^2, is the size of one step's Omega, so that a block
+    holds at most B = max(1, _BLOCK_ENTRIES // entries) steps.
 
     The steps go in groups of `stride` steps, or of B without a stride,
     and a block holds max(1, B // group) whole groups: at most B steps,
     or one group that is longer. _expm1 gives exp(Omega) - I of the
     whole block in one call; _chain multiplies each group out pairwise,
-    all groups of the block at once as a (group, groups, P, n, n) stack,
+    all groups of the block at once as a (group, groups, ..., n, n) stack,
     and y <- y + X y takes the groups in order: by matmul when y is a
     state column, by _mm otherwise. A short last group is padded with
     exact identity steps, X = 0, which leave the pairing of its steps as
@@ -451,18 +438,15 @@ def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
     return y, np.array(ys[:-1]).reshape(-1, *y.shape) if stride else None
 
 
-def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
+def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h: float,
              stride: int | None = None):
-    """Sixth-order Magnus steps of P independent windows in one pass.
+    """Sixth-order Magnus steps of one window.
 
-    diag is the diagonal; channels is a list of (A_c, drive_c), drive_c
-    the (P, 3 steps) complex drive w e^{-i phi} at the three
-    Gauss-Legendre nodes of every step. Shared by all problems or given
-    per problem, and stored once when shared: the step h, a scalar or
-    (P,); the diagonal, (n,) or (P, n); each absorption matrix A_c, (n,
-    n) or (P, n, n); the start y, (n, m) or (P, n, m), state columns (m =
-    1) or operators (m = n). With G_i = -i h H at node i, a step is y <-
-    exp(Omega) y with
+    diag is the (n,) diagonal; channels is a list of (A_c, drive_c), A_c
+    an (n, n) absorption matrix and drive_c the (3 steps,) complex drive
+    w e^{-i phi} at the three Gauss-Legendre nodes of every step; h is
+    the step and y the (n, m) start, a state column (m = 1) or operators
+    (m = n). With G_i = -i h H at node i, a step is y <- exp(Omega) y with
 
         alpha_1 = G_2,    alpha_2 = (sqrt(15) / 3) (G_3 - G_1),
         alpha_3 = (10 / 3) (G_3 - 2 G_2 + G_1),
@@ -476,34 +460,39 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h,
     any step count. The series converges for h max ||H(tau)|| < pi, which
     the caller checks.
 
-    The alphas of a block of steps are one batched product of their
-    drive coefficients with _basis, and Omega takes three commutators of
-    them per step. A window drives two channels with phase callables, so
-    its commutators have no small basis; a pulse's do (_pulse_pass).
+    The generator -i h H(tau) is the row (1, drive_1(tau),
+    conj(drive_1(tau)), ...) times the basis -i h (diag, A_1, A_1^dagger,
+    A_2, ...), each of its M matrices flattened to n^2 entries; so the
+    alphas of a block of steps are one product of their drive
+    coefficients with it, and Omega takes three commutators of them per
+    step. A window drives two channels with phase callables, so its
+    commutators have no small basis; a pulse's do (_pulse_pass).
     The steps are _magnus_steps, whose (y, snapshots) it returns: the
-    (P, n, m) y after the last step and, with a stride, the (steps - 1) //
+    (n, m) y after the last step and, with a stride, the (steps - 1) //
     stride snapshots of y every stride steps, or None.
     """
-    P, n = channels[0][1].shape[0], diag.shape[-1]
-    basis = _basis(diag, channels, h)
-    steps = channels[0][1].shape[1] // 3
+    n = diag.size
+    mats = [np.diag(diag)]
+    for A, _ in channels:
+        mats += [A, A.conj().T]
+    basis = -1j * h * np.reshape(mats, (len(mats), n * n))
+    steps = channels[0][1].size // 3
 
     def omega(start: int, stop: int) -> np.ndarray:
         k = stop - start
-        coef = np.zeros((3, k, P, 1, basis.shape[1]), dtype=complex)
-        coef[0, ..., 0] = 1.0  # the diagonal enters alpha_1 only
+        coef = np.zeros((3, k, len(mats)), dtype=complex)
+        coef[0, :, 0] = 1.0  # the diagonal enters alpha_1 only
         for c, (_, drive) in enumerate(channels):
-            nodes = drive[:, 3 * start:3 * stop].reshape(P, k, 3)
-            weights = (nodes @ _ALPHA_WEIGHTS.T).transpose(2, 1, 0)
-            coef[..., 0, 1 + 2 * c] = weights
-            coef[..., 0, 2 + 2 * c] = weights.conj()
-        a1, a2, a3 = (coef @ basis).reshape(3, k, P, n, n)
+            weights = drive[3 * start:3 * stop].reshape(k, 3) @ _ALPHA_WEIGHTS.T
+            coef[..., 1 + 2 * c] = weights.T
+            coef[..., 2 + 2 * c] = weights.T.conj()
+        a1, a2, a3 = (coef @ basis).reshape(3, k, n, n)
         c1 = _mm(a1, a2) - _mm(a2, a1)
         b = 2.0 * a3 + c1
         c2 = (_mm(b, a1) - _mm(a1, b)) / 60.0
         left, right = c1 - 20.0 * a1 - a3, a2 + c2
         return a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
-    return _magnus_steps(omega, y, steps, P * n * n, stride)
+    return _magnus_steps(omega, y, steps, n * n, stride)
 
 
 def _estimate_n0(length, bound) -> int:
@@ -1060,10 +1049,10 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     def records(steps: int, final: bool = False):
         # the recorded states, or only the last one if final
         y, snapshots = _magnus6(
-            diag, [(a, d[None]) for a, d in zip(A, sampled(steps))], start,
-            duration / steps, None if final else max(1, steps // 400))
-        return (y[0, :, 0] if final
-                else [start[:, 0], *snapshots[:, 0, :, 0], y[0, :, 0]])
+            diag, list(zip(A, sampled(steps))), start, duration / steps,
+            None if final else max(1, steps // 400))
+        return (y[:, 0] if final
+                else [start[:, 0], *snapshots[:, :, 0], y[:, 0]])
 
     # the estimate's finer pass may be the result; its coarser one never is
     kept = functools.cache(records)

@@ -248,17 +248,21 @@ def _batch_dump_transfer(masks, c0, dips, dipole_phases, d_exc, d_b, pulse,
     """Target population after one dump pulse, one row per mask.
 
     The same envelope and coupling conventions as the production
-    integrator, integrated by RK4 on the dump-coupled subspace and
-    vectorized over masks, so 10^4 masks cost one integration. The
-    amplitudes are laid out as (levels, masks), -i is folded into the
+    integrator, integrated by RK4 on the dump-coupled subspace. A mask
+    enters only as phases on the excited rows: with a_e = e^{i mask}
+    a_e', the masked equations are the unmasked ones for a_e' from
+    e^{-i mask} c0. So the target amplitude is u . (e^{-i mask} c0),
+    u the unmasked final a_b of the five unit columns, and 10^4 masks
+    cost one integration of five columns. The
+    amplitudes are laid out as (levels, columns), -i is folded into the
     coefficients, and the envelope is sampled once at every step's
     start, middle and end.
     """
-    base = -0.5 * (dips * np.exp(1j * (dipole_phases + masks))).T  # (n, M)
+    base = -0.5 * (dips * np.exp(1j * dipole_phases))[:, None]  # (n, 1)
     coup, back = -1j * base, -1j * base.conj()
     rot, rot_b = -1j * d_exc[:, None], -1j * d_b
-    a_e = np.repeat(c0.astype(complex)[:, None], len(masks), axis=1)
-    a_b = np.zeros(len(masks), dtype=complex)
+    a_e = np.eye(len(c0), dtype=complex)
+    a_b = np.zeros(len(c0), dtype=complex)
     T = pulse.support_ps
     h = T / steps
     t = np.arange(steps) * h
@@ -275,7 +279,7 @@ def _batch_dump_transfer(masks, c0, dips, dipole_phases, d_exc, d_b, pulse,
         k4e, k4b = rhs(w_end[k], a_e + h * k3e, a_b + h * k3b)
         a_e = a_e + (h / 6.0) * (k1e + 2.0 * k2e + 2.0 * k3e + k4e)
         a_b = a_b + (h / 6.0) * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return np.abs(a_b) ** 2
+    return np.abs((np.exp(-1j * masks) * c0) @ a_b) ** 2
 
 
 def test_ac10_designed_mask_is_never_beaten():

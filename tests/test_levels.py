@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,20 @@ def test_file_round_trip_and_unknown_keys(tmp_path):
     data["format_version"] = 99
     with pytest.raises(ValueError):
         system_from_dict(data)
+
+
+def test_a_failed_save_keeps_the_earlier_file(tmp_path):
+    """A system that fails to serialise (a numpy float is not JSON) leaves
+    the file it would replace byte for byte, and no temporary file."""
+    path = tmp_path / "system.json"
+    save_system(build_three_level(), str(path))
+    before = path.read_bytes()
+    bad = replace(build_three_level(), carrier_anchor=np.float32(0.5))
+    with pytest.raises(TypeError):
+        save_system(bad, str(path))
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob("*.tmp"))
+    assert load_system(str(path)).carrier_anchor == 0.0
 
 
 def test_system_file_values_take_their_types():

@@ -322,12 +322,13 @@ def _omegas(monkeypatch, run):
 def test_the_basis_omega_is_the_commutator_omega(P, b, monkeypatch):
     """Each Omega that a pulse pass forms from the pulse's basis, over
     the first ceil(N / 2) of its N steps, equals the alpha-commutator
-    Omega of the window assembly (_magnus6) on the same block, drive and
-    h to 1e-14 max(1, ||Omega||_1): pulses at zero detuning on blocks of
-    b levels with decay, dipole phases, a phase-masked dump, a nonzero
-    centre phase (Z Omega Z^dagger of the basis pass, which runs at phase
-    0 in the real gauge: Z takes the centre phase and the row phases of
-    the dump) and h per problem."""
+    Omega of the window assembly (_magnus6, one call per pulse) on the
+    same block, drive and h to 1e-14 max(1, ||Omega||_1): pulses at zero
+    detuning on blocks of b levels with decay, dipole phases, a
+    phase-masked dump, a nonzero centre phase (Z Omega Z^dagger of the
+    basis pass, which runs at phase 0 in the real gauge: Z takes the
+    centre phase and the row phases of the dump) and each pulse's own h.
+    The pass's Omegas come step by step, each step's over its pulses."""
     dipole_phases = tuple(np.linspace(0.7, -1.9, b - 1))
     system = build_synthetic_molecule(SyntheticMoleculeSpec(
         b - 1, 11150.0, (7.0,), dipole_profile="gaussian", decay_lifetime=0.3,
@@ -358,9 +359,10 @@ def test_the_basis_omega_is_the_commutator_omega(P, b, monkeypatch):
     drive = np.stack([_lab_drive(p, phi, steps)[:3 * taken]
                       for p, phi in zip(pulses, phases)])
     h = np.array([p.support_ps / steps for p in pulses])
-    alpha_omega = _omegas(monkeypatch, lambda: propagator._magnus6(
-        propagator._diagonal(system, frame)[rows], [(A, drive)],
-        np.eye(b, dtype=complex), h))
+    diag = propagator._diagonal(system, frame)[rows]
+    alpha_omega = np.stack([_omegas(monkeypatch, lambda: propagator._magnus6(
+        diag[p], [(A[p], drive[p])], np.eye(b, dtype=complex), h[p]))
+        for p in range(P)], axis=1).reshape(taken * P, b, b)
 
     angle = np.zeros(rows.shape)
     angle[inside] = theta.ravel()
@@ -496,15 +498,15 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
         for steps in (8, 16, 32):
             ops, snapshots = propagator._integrate_pulses(
                 system, frame, [pulse], [0.4], steps, samples=8)[:2]
-            drive = _lab_drive(pulse, 0.4, steps)[None]
+            drive = _lab_drive(pulse, 0.4, steps)
 
             def lab_after(stop):
                 # the lab-frame operator after the first `stop` steps
                 return propagator._magnus6(
                     propagator._diagonal(system, frame),
                     [(propagator._absorption_matrix(system, channel),
-                      drive[:, :3 * stop])],
-                    np.eye(n, dtype=complex), pulse.support_ps / steps)[0]
+                      drive[:3 * stop])],
+                    np.eye(n, dtype=complex), pulse.support_ps / steps)[0][None]
 
             lab = lab_after(steps)
             lab_snapshots = np.array([lab_after(k * steps // 8)
@@ -760,43 +762,6 @@ def test_window_follows_a_chirped_drive_and_never_gains_norm():
     assert np.max(np.abs(traj.final_state.amplitudes - sol.y[:, -1])) < 1e-8
 
 
-def _kernel_inputs(P, m):
-    """A decaying 1 + 3 + 1 system with random two-channel drives at the
-    three nodes of 150 steps, h and a start of m columns, for _magnus6."""
-    mol = build_synthetic_molecule(SyntheticMoleculeSpec(
-        3, 11200.0, (12.0,), decay_lifetime=0.5, ground_b_energies=(-2333.0,)))
-    n, steps = mol.n_levels, 150
-    diag = propagator._diagonal(mol, PhaseFrame.for_system(mol))
-    A = [propagator._absorption_matrix(mol, c) for c in ("pump", "dump")]
-    rng = np.random.default_rng(7)
-    drives = [rng.normal(size=(P, 3 * steps))
-              + 1j * rng.normal(size=(P, 3 * steps)) for _ in A]
-    y = (np.eye(n, dtype=complex) if m == n
-         else rng.normal(size=(n, 1)) + 1j * rng.normal(size=(n, 1)))
-    return diag, list(zip(A, drives)), y, 0.013
-
-
-@pytest.mark.parametrize("P", [3, 100])
-@pytest.mark.parametrize("m", [1, 5])
-def test_kernel_inputs_shared_or_per_problem_give_the_same_bits(P, m):
-    """_magnus6 given h, the couplings and the start once per pass returns
-    the states or operators and snapshots of the same inputs repeated per
-    problem; 100 problems take blocks of one stride of steps."""
-    diag, channels, y, h = _kernel_inputs(P, m)
-    n, steps, stride = diag.size, 150, 7
-    A, drives = zip(*channels)
-
-    shared = propagator._magnus6(diag, channels, y, h, stride)
-    per_problem = propagator._magnus6(
-        diag, [(np.broadcast_to(a, (P, n, n)).copy(), d)
-               for a, d in zip(A, drives)],
-        np.broadcast_to(y, (P, n, m)).copy(), np.full(P, h), stride)
-    assert shared[0].shape == (P, n, m)
-    assert shared[1].shape == ((steps - 1) // stride, P, n, m)
-    for ours, theirs in zip(shared, per_problem):
-        assert np.array_equal(ours, theirs)
-
-
 def test_band_reference_windows_trace_under_4_mb():
     """The traced peak of a default 100 ps reference on a 9- and a
     16-level band, the state stepped through its groups, stays under 4
@@ -889,12 +854,14 @@ def _packet_molecule():
         ground_b_energies=(-2333.0,))), delta_T
 
 
-def _band_molecule(intermediates=21):
-    """2 + k + 2 levels, intermediates one 10 ps comb tooth apart."""
+def _band_molecule(intermediates=21, **spec):
+    """2 + k + 2 levels, intermediates one 10 ps comb tooth apart; spec
+    adds SyntheticMoleculeSpec fields."""
     tooth = 1.0 / (C_CM_PER_PS * 10.0)
     return build_synthetic_molecule(SyntheticMoleculeSpec(
         intermediates, 11145.0, (tooth,), dipole_profile="gaussian",
-        ground_a_energies=(0.0, 37.0), ground_b_energies=(-2333.0, -2291.0)))
+        ground_a_energies=(0.0, 37.0), ground_b_energies=(-2333.0, -2291.0),
+        **spec))
 
 
 def _ramped_run(case, record="none", **kw):
@@ -951,10 +918,12 @@ def test_default_reference_meets_the_tolerance():
 def test_given_steps_keep_their_bits(monkeypatch):
     """A given count takes no estimate and keeps its bits: pulses on the
     Magnus kernel, above the cap too, and windows of 3, 12 and 25
-    levels. The sha256 prefixes were taken on x86-64 with numpy 2.4 and
-    one OpenBLAS thread. The pulse digests were retaken when pulse passes
-    began to integrate half their steps; amplitudes and populations
-    moved by at most 6.7e-16 from the full passes."""
+    levels, and a stirap and a chirped crp window on a 14-level band with
+    dipole phases and 0.3 ns decay. The sha256 prefixes were taken on
+    x86-64 with numpy 2.4 and one OpenBLAS thread. The pulse digests were
+    retaken when pulse passes began to integrate half their steps;
+    amplitudes and populations moved by at most 6.7e-16 from the full
+    passes."""
     import hashlib
 
     def no_estimate(*args):
@@ -977,11 +946,16 @@ def test_given_steps_keep_their_bits(monkeypatch):
         assert traj.diagnostics == {"steps": steps, "error_estimate": None,
                                     "events": 6,
                                     "distinct_pulses": len(sched.pulses)}
-    windows = [(sys3, 5003, "25a4fd466e3dd97c"),
-               (_band_molecule(8), 1001, "fdf8bb9d809bf08f"),
-               (_band_molecule(), 401, "46ab714626683055")]
-    for system, steps, digest in windows:
-        ref = run_reference_ap(system, "stirap", 20.0, 1.47, steps=steps).trajectory
+    phased = _band_molecule(10, decay_lifetime=0.3,
+                            dipole_phases=tuple(np.linspace(0.7, -1.9, 10)))
+    windows = [(sys3, "stirap", 0.0, 5003, "25a4fd466e3dd97c"),
+               (_band_molecule(8), "stirap", 0.0, 1001, "fdf8bb9d809bf08f"),
+               (_band_molecule(), "stirap", 0.0, 401, "46ab714626683055"),
+               (phased, "stirap", 0.0, 601, "468a51c2a3b4a8b1"),
+               (phased, "crp", 0.3, 601, "c25166229071a72d")]
+    for system, kind, chirp, steps, digest in windows:
+        ref = run_reference_ap(system, kind, 20.0, 1.47, chirp,
+                               steps=steps).trajectory
         data = ref.final_state.amplitudes.tobytes() + ref.populations.tobytes()
         assert hashlib.sha256(data).hexdigest()[:16] == digest
 

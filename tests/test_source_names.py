@@ -1,4 +1,4 @@
-"""The sources cite no private name that papsim does not define."""
+"""The sources and tests cite no private name that they do not define."""
 
 import ast
 import re
@@ -6,7 +6,8 @@ from pathlib import Path
 
 import papsim
 
-SOURCES = sorted(Path(papsim.__file__).parent.glob("*.py"))
+SOURCES = sorted(Path(papsim.__file__).parent.glob("*.py")) + sorted(
+    Path(__file__).parent.glob("*.py"))
 
 # a private name of at least two characters after its underscore, not
 # inside a longer word: one-letter subscripts such as ||A||_F are notation
@@ -30,9 +31,9 @@ def _defined(source: str) -> set:
 
 
 def test_every_cited_private_name_is_defined():
-    """Code, docstrings and comments of every papsim module cite only
-    private names that some papsim module defines, so that prose does
-    not outlive the code it names."""
+    """Code, docstrings and comments of every papsim module and test cite
+    only private names that some papsim module or test defines, so that
+    prose does not outlive the code it names."""
     texts = {path.name: path.read_text() for path in SOURCES}
     defined = set().union(*map(_defined, texts.values()))
     stale = {(module, name) for module, text in texts.items()
