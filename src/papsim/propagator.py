@@ -72,18 +72,24 @@ convergence bound and N0 take max |D'| over all n levels.
 
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
-such rows. The one event loop, _run_events, has the distinct pulses
+such rows. The one train runner, _run_events, has the distinct pulses
 integrated in one batched pass (_integrate_pulses), then steps a (C, n)
 stack of states through them by exact phase conjugation, each row with
-its own events, and keeps row 0's states entering and leaving each
-event. It reads the event starts, supports and center phases
+its own events. It reads the event starts, supports and center phases
 (pulse_center_phase element by element) straight from the schedule's
-arrays. run_schedule is one row and records after the loop:
-record="dense" applies the operator snapshots that the pass keeps 40
-times per pulse, every max(1, N // 40) of its N steps, to the entering
-states, all events at once per sample, at the sample times the pass
-returns. A scan column is one row per cell. propagate_pulse calls the
-pulse pass directly.
+arrays. A run that keeps no per-event states (record="none", and every
+scan column) takes each row's periodic middle as a power: in a flat
+pair train pair j is pair 1 shifted by (j - 1) delta_T, a shift that
+only adds the comb slip, a diagonal S, so the middle's J periods are
+S^J (S^-1 P)^J, P one period's operator, formed in long double and
+squared about log2 J times. Its events before and after, and every
+event of a recorded run, go through the loop, which keeps row 0's
+states entering and leaving each event when recorded. run_schedule is
+one row and records after the loop: record="dense" applies the
+operator snapshots that the pass keeps 40 times per pulse, every max(1,
+N // 40) of its N steps, to the entering states, all events at once per
+sample, at the sample times the pass returns. A scan column is one row
+per cell. propagate_pulse calls the pulse pass directly.
 
 Step counts come from a tolerance unless they are given, and the pass
 picks them itself (_integrate_pulses): it integrates the largest-area
@@ -871,7 +877,7 @@ class Trajectory:
 
 def _run_events(system: LevelSystem, frame: PhaseFrame,
                 schedule: TrainSchedule, steps: int | None, amps: np.ndarray,
-                t0, samples: int | None = None):
+                t0, record: str = "none"):
     """Integrate schedule.pulses, in their stored order, in one batched
     pass (_integrate_pulses, over the E events of a row), then step the
     (C, n) stack amps, row c from time t0[c] through row c of the
@@ -879,43 +885,119 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     applies operator schedule.pulse[k]; a row's result does not depend
     on the other rows.
 
+    With record="none" a row's periodic middle takes a power. Event k
+    repeats event k - 2 when it has its pulse, carrier phase and gap
+    (equal up to 16 ulp of the row's times, their rounding) and another
+    channel than event k - 1: it is then event k - 2 shifted by the
+    period tau = t_k - t_{k-2}, which only adds the comb slip, the
+    diagonal S of exp(i K carrier_detuning tau) on the levels each
+    event's phase rides on. With the two events before it, the first 2 J
+    - 1 >= 3 events of a row's first run of such events (all of an odd
+    run) are J periods P_j = S^j P_0 S^-j and one more copy of their
+    first event, so this middle is S^J M_0 (S^-1 P_0)^J, M_0 that first
+    event and P_0 = M_1 M_0. M_0 and M_1 are formed in long double, with
+    their gaps and phases from their own times, near the train's start;
+    (S^-1 P_0)^J takes about log2 J squarings (_mm)
+    and reaches the state by its binary digits, and S^J is formed once.
+    A run of two events (the two equal central pairs of a crp train of
+    even n_pairs) is no middle. The events before and after the middle,
+    and every event of a recorded run, take the loop. A row's split
+    depends on that row alone, so its bits do not depend on the stack.
+
     Returns the final (amps, times), what the loop kept of row 0 and the
     diagnostics of the steps. Of row 0 it keeps its (E,) event starts
-    and ends, the (E, n) states entering each event after its
-    conjugation and leaving it, the (E, n) conjugations z (the state
-    leaving event k is z_k U_k entering_k), and with it the pass's (S,
-    P, n, n) snapshots `samples` times per pulse and their (S, P, 1)
-    times past each support start (None without samples or pulses)."""
+    and ends and, when recorded, the (E, n) states entering each event
+    after its conjugation and leaving it and the (E, n) conjugations z
+    (the state leaving event k is z_k U_k entering_k; without records,
+    those of the events the loop takes), and with record="dense"
+    the pass's (S, P, n, n) snapshots 40 times per pulse and their (S,
+    P, 1) times past each support start (else None)."""
     n, pulses = system.n_levels, schedule.pulses
     ops, snapshots, sampled, diagnostics = _integrate_pulses(
         system, frame, pulses, [0.0] * len(pulses), steps,
-        schedule.time.shape[-1], samples)
+        schedule.time.shape[-1], _DENSE_SAMPLES if record == "dense" else None)
     op_rows, time, phase, support = np.atleast_2d(
         schedule.pulse, schedule.time, schedule.carrier_phase, schedule.support)
     starts = time - support / 2.0
     times = np.column_stack([t0, starts + support])
     gaps = starts - times[:, :-1]
-    # pulse_center_phase, element by element
     detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning for p in pulses])
-    phases = np.exp(1j * (phase + detuning[op_rows] * time))
     # the levels whose phase each pulse carries: ground_a for a pump,
     # ground_b for a dump
     level, excited = np.arange(n), system.slice_excited()
-    dump = np.array([p.channel == "dump" for p in pulses], dtype=bool)
-    carried = np.where(dump[:, None], level >= excited.stop,
-                       level < excited.start)[op_rows]
-    # every event's phase conjugation z and, on entry, its conjugate times
-    # the free evolution over the gap before it (none for a gap <= 0: the
-    # factor is then exactly 1), laid out before the loop
-    z = np.where(carried, phases[..., None], 1.0)
-    drift = np.exp(-1j * _diagonal(system, frame)
-                   * np.maximum(gaps, 0.0)[..., None])
+    dump = np.array([p.channel == "dump" for p in pulses])
+    rides = np.where(dump[:, None], level >= excited.stop, level < excited.start)
+    C, E = time.shape
+    repeat = np.zeros((C, E + 1), bool)  # the last False ends every run
+    if record == "none" and E > 3:
+        slack = 16.0 * np.spacing(abs(times).max(axis=1, keepdims=True))
+        repeat[:, 2:E] = ((op_rows[:, 2:] == op_rows[:, :-2])
+                          & (phase[:, 2:] == phase[:, :-2])
+                          & (abs(gaps[:, 2:] - gaps[:, :-2]) <= slack)
+                          & (dump[op_rows[:, 2:]] != dump[op_rows[:, 1:-1]]))
+    first = np.argmax(repeat, axis=1)
+    stop = np.argmin(repeat | (np.arange(E + 1) < first[:, None]), axis=1)
+    periods = (stop - first + 1) // 2
+    periods *= periods > 1
+    head, tail = np.where(periods > 0, [first - 2, first + 2 * periods - 1], E)
+    # the events the loop takes, and where each sits among them
+    used = np.arange(E)
+    used = (used < head.max()) | (used >= tail.min())
+    at = np.cumsum(used) - 1
+    # their phase conjugations z (pulse_center_phase, element by element)
+    # and, on entry, its conjugate times the free evolution over the gap
+    # before each (none for a gap <= 0: the factor is then exactly 1)
+    z = np.where(rides[op_rows[:, used]], np.exp(1j * (
+        phase[:, used] + detuning[op_rows[:, used]] * time[:, used]))[..., None], 1.0)
+    diag = _diagonal(system, frame)
+    drift = np.exp(-1j * diag * np.maximum(gaps[:, used], 0.0)[..., None])
     entry = np.conj(z) * drift
-    entering, leaving = np.empty_like(z[0]), np.empty_like(z[0])
-    for k in range(time.shape[1]):
-        rotated = entry[:, k] * amps
-        amps = z[:, k] * np.matmul(ops[op_rows[:, k]], rotated[:, :, None])[:, :, 0]
-        entering[k], leaving[k] = rotated[0], amps[0]
+    amps = np.array(amps, complex)
+    kept = record != "none"
+    entering, leaving = np.empty((2, E, n), complex) if kept else (None, None)
+
+    def step(rows, k):
+        # event k of each row of `rows`
+        rotated = entry[rows, at[k]] * amps[rows]
+        amps[rows] = z[rows, at[k]] * np.matmul(ops[op_rows[rows, k]],
+                                            rotated[..., None])[..., 0]
+        return rotated
+
+    for k in range(head.max()):
+        rotated = step(slice(None) if head.min() > k else k < head, k)
+        if kept:
+            entering[k], leaving[k] = rotated[0], amps[0]
+    rows = np.flatnonzero(periods)
+    if rows.size:
+        # the first two events of each middle: their operators, from their
+        # gaps and phases, and the slip over one period, in long double
+        r, k, wide = rows[:, None], head[rows, None] + [0, 1], time.astype(np.longdouble)
+        t = wide[r, k]
+        before = np.where(k > 0, wide[r, k - 1] + support[r, k - 1] / 2.0,
+                          times[r, 0])
+        gap = np.maximum(t - support[r, k] / 2.0 - before, 0.0)
+        one = np.where(rides[op_rows[r, k]], np.exp(1j * (
+            phase[r, k] + detuning[op_rows[r, k]] * t))[..., None], 1.0)
+        one = one[..., None] * ops[op_rows[r, k]] * (
+            np.conj(one) * np.exp(-1j * diag * gap[..., None]))[..., None, :]
+        tau = time[r, k[:, :1] + 2] - t[:, :1]
+        slip = np.where(rides[op_rows[r, k]], (detuning[op_rows[r, k]] * tau)[..., None],
+                        0.0).sum(axis=1)
+        power = np.exp(-1j * slip)[..., None] * _mm(one[:, 1], one[:, 0])
+        count, state = periods[rows], amps[rows].astype(np.clongdouble)
+        while True:
+            state = np.where((count % 2 > 0)[:, None],
+                             np.matmul(power, state[..., None])[..., 0], state)
+            count //= 2
+            if not count.any():
+                break
+            power = _mm(power, power)
+        # and the copy of its first event that ends the middle
+        state = np.matmul(one[:, 0], state[..., None])[..., 0]
+        amps[rows] = np.exp(1j * periods[rows, None] * slip) * state
+    for j in range((E - tail).max()):
+        rows = tail + j < E
+        step(rows, (tail + j)[rows])
     return amps, times[:, -1], (starts[0], times[0, 1:], entering, leaving,
                                 z[0], snapshots, sampled), diagnostics
 
@@ -940,11 +1022,15 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     The distinct pulses of the schedule (equal up to carrier phase) are
     integrated together in one batched pass, each into its evolution
     operator; per-event carrier phases enter through an exact diagonal
-    conjugation, so a train costs one pass plus matrix-vector products.
-    The event loop keeps the states entering and leaving each event
-    (_run_events). Dense recording keeps operator snapshots and their
-    times from the same pass and, after the loop, applies each event's
-    to the state entering it, all events at once per sample index.
+    conjugation. A recorded train then costs one pass plus a
+    matrix-vector product per event: the event loop keeps the states
+    entering and leaving each event (_run_events). With record="none" a
+    flat pair train's periodic middle is one period's operator raised to
+    its J periods by about log2 J squarings, so a train costs one pass
+    plus O(log n_pairs) small matrix products. Dense recording keeps
+    operator snapshots and their times from the same pass and, after the
+    loop, applies each event's to the state entering it, all events at
+    once per sample index.
     """
     if record not in ("compressed", "dense", "none"):
         raise ValueError(f"unknown record policy {record!r}")
@@ -959,9 +1045,13 @@ def run_schedule(state: QuantumState, system: LevelSystem,
 
     amps, end, row, diagnostics = _run_events(
         system, frame, schedule, steps, state.amplitudes[None], [state.time],
-        _DENSE_SAMPLES if record == "dense" else None)
+        record)
     starts, ends, entering, leaving, z, snapshots, sampled = row
-    pops = np.abs(leaving) ** 2
+    if record == "none":
+        ends = ends[-1:]
+        pops = np.abs(amps[:len(ends)]) ** 2
+    else:
+        pops = np.abs(leaving) ** 2
     if snapshots is not None:
         # (E, S + 1) rows: each event's S in-pulse samples, then its end;
         # one sample index at a time, so that no (S, E, n, n) stack of
@@ -970,8 +1060,6 @@ def run_schedule(state: QuantumState, system: LevelSystem,
                  for s in snapshots]
         pops = np.stack(inner + [pops], axis=1)
         ends = np.vstack([starts + sampled[:, schedule.pulse, 0], ends]).T
-    if record == "none":
-        ends, pops = ends[-1:], pops[-1:]
     pops = np.concatenate([[state.populations()],
                            pops.reshape(-1, system.n_levels)])
     return Trajectory(

@@ -13,7 +13,8 @@ its own (with delta_t > delta_T the pumps pass the next pairs' dumps),
 and a row whose supports overlap is dropped with its reason. The rest
 run as they are, one ground state per row from its first pulse start:
 the cells share the frame and both pulse operators, so one batched pass
-and one event loop serve them all.
+and one train runner serve them all, which takes each cell's periodic
+middle as a power of one comb period.
 """
 
 from __future__ import annotations
@@ -78,7 +79,11 @@ def _scan_column(args) -> tuple[np.ndarray, dict]:
     """One delta_T column of the map and the reasons of its failed cells;
     module-level so workers can pickle it. A cell whose pulses overlap
     fails alone; the others' stack goes to _run_events as it is, whose
-    one operator pass, and its failure, is each one's."""
+    one operator pass, and its failure, is each one's. It keeps no
+    per-event states, so each cell's periodic middle (every event after
+    the first, when 0 < delta_t < delta_T) takes O(log n_pairs) small
+    matrix products, as the cell's direct run_pair_train(record="none")
+    does, bit for bit."""
     system, base, delta_T, delta_t_axis = args
     keys = [(float(dt_small), float(delta_T)) for dt_small in delta_t_axis]
     failures = {}

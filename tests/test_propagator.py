@@ -838,6 +838,130 @@ def test_event_rows_do_not_depend_on_the_stack():
         assert direct.time == all_times[i]
 
 
+def _delay_scan_column(n_pairs, **pulse):
+    """The molecule, frame, delta_T, delta_t axis and pulses of the
+    shipped delay_scan.cfg column at n_pairs; pulse adds make_pulse fields
+    to both prototypes."""
+    from papsim import build_system, load_config
+
+    cfg = load_config(str(Path(__file__).parent.parent / "configs"
+                          / "delay_scan.cfg"))
+    scan = cfg["scan"]
+    delta_T = scan["delta_T_values"][0]
+    axis = np.linspace(scan["delta_t_start"], scan["delta_t_stop"],
+                       scan["delta_t_points"])
+    pump = make_pulse("sin2", 110.0, cfg["train"]["pump_area"], channel="pump")
+    dump = make_pulse("sin2", 110.0, cfg["train"]["dump_area"], channel="dump")
+    return build_system(cfg), delta_T, axis, n_pairs, pump, dump
+
+
+def _long_double_loop(system, frame, stack, n_pairs, delta_T):
+    """The event loop of a flat pair-train stack in np.longdouble, from
+    the operators of the same pass: each row's event times n delta_T and
+    n delta_T + delta_t_small, its gaps from the differences of n and of
+    those offsets (so that no gap is rounded at the scale of the train),
+    and the carrier phases and free evolution from them, as run_schedule
+    applies them."""
+    wide = np.longdouble
+    ops = propagator._integrate_pulses(
+        system, frame, stack.pulses, [0.0] * len(stack.pulses), None,
+        stack.time.shape[1])[0].astype(np.clongdouble)
+    pair = np.repeat(np.arange(n_pairs), 2)
+    offset = np.array([[wide(0.0), wide(dt)] * n_pairs for dt in stack.delta_t_small])
+    order = np.argsort(pair * delta_T + offset.astype(float), axis=1, kind="stable")
+    pair, offset = pair[order], np.take_along_axis(offset, order, axis=1)
+    time = pair * wide(delta_T) + offset
+    assert np.max(np.abs(time.astype(float) - stack.time)) < 1e-9
+    half = stack.support.astype(wide) / 2
+    gaps = np.zeros(time.shape, dtype=wide)
+    gaps[:, 1:] = (np.diff(pair, axis=1) * wide(delta_T) + np.diff(offset, axis=1)
+                   - half[:, 1:] - half[:, :-1])
+    drift = np.exp(-1j * propagator._diagonal(system, frame).astype(np.clongdouble)
+                   * gaps[..., None])
+    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning
+                         for p in stack.pulses], dtype=wide)[stack.pulse]
+    dump = np.array([p.channel == "dump" for p in stack.pulses])[stack.pulse]
+    level, excited = np.arange(system.n_levels), system.slice_excited()
+    carried = np.where(dump[..., None], level >= excited.stop,
+                       level < excited.start)
+    z = np.where(carried, np.exp(1j * (stack.carrier_phase.astype(wide)
+                                      + detuning * time))[..., None], 1.0)
+    amps = np.zeros((len(time), system.n_levels), dtype=np.clongdouble)
+    amps[:, system.initial_index] = 1.0
+    for k in range(time.shape[1]):
+        rotated = np.conj(z[:, k]) * drift[:, k] * amps
+        amps = z[:, k] * (ops[stack.pulse[:, k]] @ rotated[..., None])[..., 0]
+    return amps
+
+
+@pytest.mark.parametrize("column, frame_args, bound", [
+    # the shipped delay scan at 50 and 200 pairs: Delta T is no round
+    # number, so the loop's gaps carry the rounding of times up to n Delta T
+    pytest.param(_delay_scan_column(50), (), 1e-10, id="delay_scan_50"),
+    pytest.param(_delay_scan_column(200), (), 2e-10, id="delay_scan_200"),
+    # decay, an offset comb and detuned carriers, so that S != 1
+    pytest.param((build_synthetic_molecule(SyntheticMoleculeSpec(
+        2, 11145.0, (45.0,), ground_b_energies=(-500.0,), decay_lifetime=0.5)),
+        *_delay_scan_column(200, carrier_detuning=0.7)[1:4],
+        make_pulse("sin2", 110.0, math.pi, carrier_detuning=0.7),
+        make_pulse("sin2", 110.0, math.pi, channel="dump",
+                   carrier_detuning=-0.4)), (0.013,), 1e-10, id="slipping_200"),
+    # the 3-pair column of test_default_counts_keep_their_bits
+    pytest.param((build_three_level(pump_detuning=4.0, decay_rate=0.02), 10.0,
+                  np.array([2.0, 3.0, 4.0, 6.0]), 3,
+                  make_pulse("sin2", 110.0, math.pi),
+                  make_pulse("sin2", 110.0, math.pi, channel="dump")),
+                 (), 1e-10, id="three_pairs"),
+])
+def test_flat_train_powers_are_nearer_a_long_double_loop(column, frame_args,
+                                                         bound):
+    """A scan column's periodic middle, taken as a power, is at least as
+    near an event loop in np.longdouble as the float64 loop of its
+    recorded runs is, and agrees with that loop."""
+    system, delta_T, axis, n_pairs, pump, dump = column
+    frame = PhaseFrame.comb_locked(system, delta_T, *frame_args)
+    stack, errors = _pair_trains("flat_pairs", n_pairs, delta_T, axis, pump, dump)
+    assert not errors
+    starts = stack.time[:, 0] - stack.support[:, 0] / 2.0
+    ground = np.tile(ground_state(system).amplitudes, (len(axis), 1))
+    power = _run_events(system, frame, stack, None, ground, starts)[0]
+    loop = _run_events(system, frame, stack, None, ground, starts,
+                       "compressed")[0]
+    single = build_train("flat_pairs", n_pairs, delta_T, axis[-1], pump, dump)
+    recorded = run_schedule(ground_state(system, starts[-1]), system, single,
+                            frame, record="compressed")
+    assert np.array_equal(recorded.final_state.amplitudes, loop[-1])
+    exact = _long_double_loop(system, frame, stack, n_pairs, delta_T)
+    assert np.max(np.abs(power - exact)) <= np.max(np.abs(loop - exact))
+    assert np.max(np.abs(power - loop)) <= bound
+
+
+def test_the_event_stage_grows_as_log_n_pairs(monkeypatch):
+    """A flat train without records takes its middle in about two stacked
+    products per doubling of n_pairs: 64 times the pairs, with every
+    pulse the same in both runs, add at most 12 + 2 products through _mm
+    and np.matmul. An event loop adds two matrix-vector products per
+    pair."""
+    from papsim import run_pair_train
+
+    counts, product, matmul = [], propagator._mm, np.matmul
+
+    def counted(call):
+        def spy(*args, **kwargs):
+            counts[-1] += 1
+            return call(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(propagator, "_mm", counted(product))
+    monkeypatch.setattr(np, "matmul", counted(matmul))
+    for n_pairs in (64, 4096):
+        counts.append(0)
+        run = run_pair_train(build_three_level(), n_pairs, 10.0, 4.0,
+                             pump_area=0.05 * n_pairs, dump_area=0.05 * n_pairs,
+                             record="none", steps=40)
+        assert np.isfinite(run.efficiency)
+    assert counts[1] - counts[0] <= 12 + 2
+
 # --- step counts from a tolerance ---
 
 # the tolerance of the default step counts
@@ -964,7 +1088,10 @@ def test_default_counts_keep_their_bits():
     """Default counts take the estimate and keep their bits: the shipped
     stirap3_resonant.cfg recorded densely, a 4-cell scan column and
     propagate_pulse. The sha256 prefixes were taken on x86-64 with numpy
-    2.4 and one OpenBLAS thread."""
+    2.4 and one OpenBLAS thread. The column's was retaken when flat trains
+    began to take their periodic middle as a power: its amplitudes came
+    4.9e-17 from an event loop in np.longdouble, against 7.9e-16 for the
+    float64 loop (test_flat_train_powers_are_nearer_a_long_double_loop)."""
     import hashlib
 
     from papsim import build_system, load_config
@@ -984,7 +1111,7 @@ def test_default_counts_keep_their_bits():
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     emap = scan_2d(sys3, {"n_pairs": 3, "pump_area": math.pi,
                           "dump_area": math.pi}, [10.0], [2.0, 3.0, 4.0, 6.0])
-    assert digest(emap.efficiency) == "4389561ec5478358"
+    assert digest(emap.efficiency) == "731e0808ec86083f"
     pulse = make_pulse("sin2", 100.0, 2.0, carrier_detuning=5.0)
     state = propagate_pulse(ground_state(sys3), sys3, pulse,
                             PhaseFrame.comb_locked(sys3, 10.0))

@@ -82,6 +82,24 @@ def _packet_molecule():
     # delta_t_small > delta_T: each pump lands after the next pair's dump
     pytest.param(build_three_level(pump_detuning=3.0, decay_rate=0.01), BASE,
                  3.0, [3.5, 4.0, 5.5, 7.5], [], id="interleaved"),
+    # delta_t_small < 0: each pump comes before its pair's dump
+    pytest.param(build_three_level(pump_detuning=3.0), BASE, 10.0,
+                 [-7.0, -4.5, -2.0], [], id="pump_first"),
+    # 2 delta_T < delta_t_small < 3 delta_T: three dumps before the first pump
+    pytest.param(build_three_level(pump_detuning=3.0, decay_rate=0.01),
+                 {**BASE, "n_pairs": 9}, 3.0, [6.5, 7.0, 8.5], [],
+                 id="three_dumps_first"),
+    # a longer shaped packet train on an offset comb, at its default steps
+    pytest.param(_packet_molecule(),
+                 {"n_pairs": 17, "pump_area": 2.0, "dump_area": 1.5,
+                  "dump_phase_mask": [0.1, -0.3, 0.7, 0.0, 1.2],
+                  "f0_pump": 0.013},
+                 20.0, [-3.0, 2.0, 4.5, 27.0], [], id="shaped_packet_long"),
+    # no whole period repeats: the middle is empty
+    pytest.param(build_three_level(), {**BASE, "n_pairs": 1}, 10.0,
+                 [-2.0, 2.0, 4.0], [], id="one_pair"),
+    pytest.param(build_three_level(), {**BASE, "n_pairs": 2}, 10.0,
+                 [-2.0, 2.0, 4.0, 12.0], [], id="two_pairs"),
 ])
 def test_column_cells_match_direct_runs(system, base, delta_T, dts, failing):
     """Valid cells keep the bits of their direct runs, failed ones their
