@@ -114,14 +114,38 @@ def rabi_envelope(pulse: PulseSpec, tau) -> np.ndarray:
     Zero outside [0, support]. The integral over the support equals
     pulse.area by construction.
     """
-    tau = np.asarray(tau, dtype=float)
+    return _profile(pulse, np.asarray(tau, dtype=float), pulse.area)
+
+
+def _envelopes(pulses, nodes, steps) -> np.ndarray:
+    """The (len(pulses),) + nodes.shape Rabi envelopes (rad/ps) at tau =
+    nodes * (support / steps) ps past each pulse's support start. The
+    profile is sampled once per shape and fwhm, whose pulses differ only
+    in area, and scaled by each pulse's amplitude: the bits of a
+    rabi_envelope call per pulse."""
+    nodes = np.asarray(nodes, dtype=float)
+    out = np.empty((len(pulses),) + nodes.shape)
+    shared = {}
+    for i, pulse in enumerate(pulses):
+        shared.setdefault((pulse.shape, pulse.fwhm), []).append(i)
+    for i in shared.values():
+        pulse = pulses[i[0]]
+        area = np.reshape([pulses[k].area for k in i], (-1,) + (1,) * nodes.ndim)
+        out[i] = _profile(pulse, nodes * (pulse.support_ps / steps), area)
+    return out
+
+
+def _profile(pulse: PulseSpec, tau: np.ndarray, area) -> np.ndarray:
+    """The Rabi envelope (rad/ps) of the pulse's shape and fwhm at tau
+    (ps) past the support start, for `area`: a float, or an array of
+    areas that broadcasts against tau."""
     T = pulse.support_ps
     if pulse.shape == "sin2":
-        amp = 2.0 * pulse.area / T
+        amp = 2.0 * area / T
         out = amp * np.sin(np.pi * np.clip(tau, 0.0, T) / T) ** 2
     else:
         sigma = pulse.gaussian_sigma_ps
-        amp = pulse.area / (sigma * math.sqrt(2.0 * math.pi) * _GAUSS_TRUNC_NORM)
+        amp = area / (sigma * math.sqrt(2.0 * math.pi) * _GAUSS_TRUNC_NORM)
         out = amp * np.exp(-((tau - T / 2.0) ** 2) / (2.0 * sigma**2))
     return np.where((tau >= 0.0) & (tau <= T), out, 0.0)
 

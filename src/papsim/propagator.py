@@ -53,9 +53,13 @@ each call (_pulse_bases; Munthe-Kaas and Owren, Phil. Trans. R. Soc. A
 and the production pass. A block's Omega stack is one product of per-step
 coefficients in the envelope with that basis (_pulse_pass): no
 commutator is formed per step. The envelope is sampled once per pass,
-one vectorized rabi_envelope call per pulse. A pass without snapshots
-takes only the first half of its steps: the second half is its
-transpose (_pulse_pass).
+one vectorized call per shape and fwhm (fields._envelopes, which
+rabi_envelope uses too): a built train's pulses differ only in area.
+Every pass exponentiates only the first half of its steps: step N - 1 -
+k takes the transpose of step k's exp(Omega) - I. A pass without
+snapshots also multiplies out only that half, and the second half is
+its transpose; a pass with snapshots multiplies out every step in order
+(_pulse_pass).
 
 A pulse couples only its own channel: a pump pulse ground_a and the
 excited levels, a dump pulse the excited levels and ground_b. So the
@@ -64,8 +68,9 @@ block of b = n - min(n_ga, n_gb) levels (_blocks), the first b for a
 pump pulse and the last b for a dump pulse: 2 of 3 levels on the Lambda
 system, 23 of 25 on the band. The levels outside the block take their
 exact free phase exp(-i d_k t), decay included, and _integrate_pulses
-embeds both into the (P, n, n) operators and (S, P, n, n) snapshots its
-callers read. The step-doubling estimate compares the block operators
+embeds both into the (P, n, n) operators its callers read; its (S, P,
+b, b) snapshots stay on the blocks, in the real gauge. The step-doubling
+estimate compares the block operators
 of the pass directly, since both of its passes carry the same phases of
 modulus 1 outside the blocks, in the frame and in the gauge; the
 convergence bound and N0 take max |D'| over all n levels.
@@ -85,11 +90,16 @@ S^J (S^-1 P)^J, P one period's operator, formed in long double and
 squared about log2 J times. Its events before and after, and every
 event of a recorded run, go through the loop, which keeps row 0's
 states entering and leaving each event when recorded. run_schedule is
-one row and records after the loop: record="dense" applies the
-operator snapshots that the pass keeps 40 times per pulse, every max(1,
-N // 40) of its N steps, to the entering states, all events at once per
-sample, at the sample times the pass returns. A scan column is one row
-per cell. propagate_pulse calls the pulse pass directly.
+one row and records after the loop: record="dense" samples each event
+at the 40 snapshots per pulse that the pass keeps, every max(1, N // 40)
+of its N steps, all events at once per sample, at the sample times the
+pass returns. A sample's populations come from vectors: on the pulse's
+block, |B_s (conj(g(0)) . entering)|^2 with B_s the block snapshot of
+the real gauge and g the frame and gauge phases; outside it,
+|exp(-i d t_s) . entering|^2. Every other factor of the operator is a
+phase of modulus 1, so no snapshot is embedded on all n levels or
+conjugated. A scan column is one row per cell. propagate_pulse calls
+the pulse pass directly.
 
 Step counts come from a tolerance unless they are given, and the pass
 picks them itself (_integrate_pulses): it integrates the largest-area
@@ -118,7 +128,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import PulseSpec, TrainSchedule, rabi_envelope
+from .fields import PulseSpec, TrainSchedule, _envelopes, rabi_envelope
 from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
@@ -400,19 +410,19 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
     return x
 
 
-def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
+def _magnus_steps(exps, y: np.ndarray, steps: int, entries: int,
                   stride: int | None = None):
     """The Magnus step loop that pulses and windows share: y <- exp(Omega)
-    y over `steps` steps, omega(start, stop) giving the Omega stack of
-    those steps: (stop - start, P, n, n) for the P pulses of a pass,
-    (stop - start, n, n) for a window, with y shaped alike. `entries` =
-    P n^2, or n^2, is the size of one step's Omega, so that a block
-    holds at most B = max(1, _BLOCK_ENTRIES // entries) steps.
+    y over `steps` steps, exps(start, stop) giving exp(Omega) - I of
+    those steps (_expm1): (stop - start, P, n, n) for the P pulses of a
+    pass, (stop - start, n, n) for a window, with y shaped alike.
+    `entries` = P n^2, or n^2, is the size of one step's Omega, so that a
+    block holds at most B = max(1, _BLOCK_ENTRIES // entries) steps.
 
     The steps go in groups of `stride` steps, or of B without a stride,
     and a block holds max(1, B // group) whole groups: at most B steps,
-    or one group that is longer. _expm1 gives exp(Omega) - I of the
-    whole block in one call; _chain multiplies each group out pairwise,
+    or one group that is longer. exps gives the whole block in one call;
+    _chain multiplies each group out pairwise,
     all groups of the block at once as a (group, groups, ..., n, n) stack,
     and y <- y + X y takes the groups in order: by matmul when y is a
     state column, by _mm otherwise. A short last group is padded with
@@ -422,26 +432,29 @@ def _magnus_steps(omega, y: np.ndarray, steps: int, entries: int,
 
     Returns (y, snapshots): y after the last step and, with a stride, the
     stack of y after each group that ends strictly inside the run,
-    (steps - 1) // stride of them; without a stride, None.
+    (steps - 1) // stride of them, written into one stack laid out at
+    the first group, once the first block's exponentials are freed;
+    without a stride, None.
     """
     block = max(1, _BLOCK_ENTRIES // entries)
     group = stride or block
     block = max(1, block // group) * group
     product = np.matmul if y.shape[-1] == 1 else _mm
-    ys = []
     for start in range(0, steps, block):
-        # x holds each stack of the block in turn (Omega, exp(Omega) - I,
-        # a group's product), so that none outlives it into the next
-        x = omega(start, min(start + block, steps))
-        x = _expm1(x.reshape(-1, *x.shape[-2:])).reshape(x.shape)
+        # x holds each stack of the block in turn (exp(Omega) - I, a
+        # group's product), so that none outlives it into the next
+        x = exps(start, min(start + block, steps))
         k = min(group, len(x))
         if len(x) % k:
             x = np.concatenate([x, np.zeros_like(x[:-len(x) % k])])
-        for x in _chain(x.reshape((-1, k) + x.shape[1:]).swapaxes(0, 1)):
+        for j, x in enumerate(_chain(x.reshape((-1, k) + x.shape[1:]).swapaxes(0, 1)),
+                              start // group):
             y = y + product(x, y)
             if stride:
-                ys.append(y)
-    return y, np.array(ys[:-1]).reshape(-1, *y.shape) if stride else None
+                if not j:  # laid out once the first exponentials are freed
+                    ys = np.empty((-(-steps // group),) + y.shape, complex)
+                ys[j] = y
+    return y, ys[:-1] if stride else None
 
 
 def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h: float,
@@ -484,7 +497,7 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h: float,
     basis = -1j * h * np.reshape(mats, (len(mats), n * n))
     steps = channels[0][1].size // 3
 
-    def omega(start: int, stop: int) -> np.ndarray:
+    def exps(start, stop):
         k = stop - start
         coef = np.zeros((3, k, len(mats)), dtype=complex)
         coef[0, :, 0] = 1.0  # the diagonal enters alpha_1 only
@@ -497,8 +510,8 @@ def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h: float,
         b = 2.0 * a3 + c1
         c2 = (_mm(b, a1) - _mm(a1, b)) / 60.0
         left, right = c1 - 20.0 * a1 - a3, a2 + c2
-        return a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0
-    return _magnus_steps(omega, y, steps, n * n, stride)
+        return _expm1(a1 + a3 / 12.0 + (_mm(left, right) - _mm(right, left)) / 240.0)
+    return _magnus_steps(exps, y, steps, n * n, stride)
 
 
 def _estimate_n0(length, bound) -> int:
@@ -612,53 +625,66 @@ def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
     Omega stack is one batched product of these coefficients with the
     basis, plus X on the diagonal: no commutator is formed per step.
 
-    Without a stride the pass takes only the first ceil(N / 2) of its N
-    steps, since step N - 1 - k mirrors step k. Three conditions make
+    A pass samples the envelope and forms and exponentiates Omega on the
+    first ceil(N / 2) of its N steps only, since step N - 1 - k mirrors
+    step k. Three conditions make
     its Omega the transpose of Omega_k: the Gauss-Legendre nodes are
     symmetric, so its nodes are those of step k reflected about T / 2 in
     reverse order; the envelope is even, f(T - t) = f(t) (PULSE_SHAPES);
     and H' is complex-symmetric, V_0 being real. Then alpha_1 and
     alpha_3 are symmetric, alpha_2 and C_1 change sign, and Omega_{N-1-k}
     = Omega_k^T: the scheme is time-symmetric (Blanes, Casas, Oteo and
-    Ros, Phys. Rep. 470, 151 (2009)). With U_a after floor(N / 2) steps
-    and Y after ceil(N / 2), U' = U_a^T Y. A pass with a stride takes
-    every step, which its snapshots need.
+    Ros, Phys. Rep. 470, 151 (2009)). Without a stride the pass takes
+    only those steps: with U_a after floor(N / 2) steps and Y after
+    ceil(N / 2), U' = U_a^T Y. A pass with a stride multiplies out every
+    step in order, which its snapshots need, and keeps the first half's
+    exp(Omega) - I in one (ceil(N / 2), P, b, b) stack: step N - 1 - k
+    takes X_k^T, since exp(Omega^T) - I = X_k^T. Its snapshots are
+    those of _magnus_steps, (S, P, b, b).
     """
     P, b = len(pulses), bases[0].diag.size
     h = np.array([p.support_ps / steps for p in pulses])
-    taken = steps if stride else (steps + 1) // 2
-    f = np.empty((P, taken, 3))
-    nodes = np.arange(taken)[:, None] + _GAUSS_NODES
-    for row, p in zip(f, pulses):
-        row[:] = rabi_envelope(p, nodes * (p.support_ps / steps))
+    taken = (steps + 1) // 2
+    f = _envelopes(pulses, np.arange(taken)[:, None] + _GAUSS_NODES, steps)
     f1, f2, f3 = (f @ _ALPHA_WEIGHTS.T).transpose(2, 0, 1)
-    l1, l3 = f2, -(20.0 * f1 + f3)
+    l3 = -(20.0 * f1 + f3)  # and l_1 = f_2
     r2, r3, r4 = -f3 / 30.0, -f2 / 60.0, -f1 * f2 / 60.0
     # the (taken, P, 9) real terms of the step coefficients; a block's
     # coefficients of the (P, 9, b^2) basis are its terms times scale
     scale = (-1j * h[:, None]) ** _BASIS_DEPTH * _BASIS_WEIGHTS
     terms = np.array([
-        f1 + f3 / 12.0, -20.0 * f2, -20.0 * r2, l3 * r2 - l1 * f2, -20.0 * r3,
-        -20.0 * r4 + l3 * r3, l3 * r4, l1 * r3, l1 * r4]).T.copy()
-    del f1, f2, f3, l1, l3, r2, r3, r4  # not kept through the pass
+        f1 + f3 / 12.0, -20.0 * f2, -20.0 * r2, l3 * r2 - f2 * f2, -20.0 * r3,
+        -20.0 * r4 + l3 * r3, l3 * r4, f2 * r3, f2 * r4]).T.copy()
+    del f1, f2, f3, l3, r2, r3, r4  # not kept through the pass
     basis = np.array([g.basis for g in bases])
     x = -1j * h[:, None] * np.array([g.diag for g in bases])
 
-    def omega(start: int, stop: int) -> np.ndarray:
+    def exps(start, stop):
         coef = np.multiply(terms[start:stop], scale)[:, :, None]
-        om = (coef @ basis).reshape(stop - start, P, b, b)
-        om.reshape(stop - start, P, b * b)[..., ::b + 1] += x
-        return om
+        om = (coef @ basis).reshape(-1, b, b)
+        om.reshape(-1, P, b * b)[..., ::b + 1] += x
+        return _expm1(om).reshape(-1, P, b, b)
 
-    eye, entries = np.eye(b, dtype=complex), P * b * b
+    # one identity per pulse: a stride's snapshot stack takes y's shape
+    eye, entries = np.tile(np.eye(b, dtype=complex), (P, 1, 1)), P * b * b
     if stride:
-        y, snapshots = _magnus_steps(omega, eye, steps, entries, stride)
+        # the first half's exp(Omega) - I, for the steps that mirror them
+        kept = np.empty((taken, P, b, b), complex)
+
+        def mirrored(start, stop):
+            # steps start..stop: the first half's fresh, step k >= taken
+            # as X_{N-1-k}^T
+            fresh = min(stop, taken)
+            if start < fresh:
+                kept[start:fresh] = exps(start, fresh)
+            late = kept[steps - stop:steps - max(start, taken)][::-1]
+            return np.concatenate([kept[start:fresh], late.swapaxes(-1, -2)])
+        y, snapshots = _magnus_steps(mirrored, eye, steps, entries, stride)
     else:
         half, snapshots = steps // 2, None
-        u = y = _magnus_steps(omega, eye, half, entries)[0]
+        u = y = _magnus_steps(exps, eye, half, entries)[0]
         if taken > half:  # the middle step of an odd count
-            y = _magnus_steps(lambda start, stop: omega(half + start, half + stop),
-                              u, 1, entries)[0]
+            y = u + _mm(exps(half, taken)[0], u)
         # a contiguous U_a^T: a product with the transposed view raised
         # the peak memory of the 25-level band's passes by 0.1-0.2 MB
         y = _mm(u.swapaxes(-1, -2).copy(), y)
@@ -667,23 +693,20 @@ def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
     return y, snapshots, h * bound
 
 
-def _embed(block: np.ndarray, rows: np.ndarray, phase: np.ndarray) -> np.ndarray:
-    """(..., P, n, n) operators that are block (..., P, b, b) on each
-    problem's rows and the diagonal phase (..., P, n) elsewhere."""
-    out = phase[..., None] * np.eye(phase.shape[-1])
-    out[..., np.arange(len(rows))[:, None, None], rows[:, :, None],
-        rows[:, None, :]] = block
-    return out
-
-
 def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
                       center_phases, steps: int | None, events: int = 1,
                       samples: int | None = None):
-    """The (P, n, n) evolution operators of N Magnus steps over each
-    pulse's support, all pulses in one batched pass; with `samples`,
-    their (S, P, n, n) snapshots every stride = max(1, N // samples)
-    steps and the (S, P, 1) times of those snapshots past each support
-    start (else None); and the diagnostics of the steps.
+    """(ops, dense, diagnostics): the (P, n, n) evolution operators of N
+    Magnus steps over each pulse's support, all pulses in one batched
+    pass; with `samples`, dense = (snapshots, times, rows, gauge), else
+    None; and the diagnostics of the steps. The snapshots are the (S, P,
+    b, b) block operators U'(t) of the real gauge every stride = max(1,
+    N // samples) steps, at the (S, P, 1) times t past each support
+    start; rows are the (P, b) levels of each pulse's block (_blocks) and
+    gauge the (P, b) conj(g(0)) on them, g as below, at the centre
+    phases given. So on the block the operator up to t is g(t) U'(t)
+    gauge, whose populations from a state v are |U'(t) (gauge . v)|^2,
+    and outside it the free phase exp(-i d t).
 
     N is the given steps (at least 4), or with steps=None the tolerance
     rule's count for `events` events in a row, at most
@@ -696,7 +719,7 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     gauge, and those outside the blocks, are the same in both passes and
     of modulus 1. The diagnostics are those of _chosen_steps and the
     distinct pulses P; without pulses nothing is integrated, and the
-    operators, snapshots and times are None.
+    operators and dense are None.
 
     The pass runs on each pulse's block of levels (_pulse_pass) in its
     carrier's frame, R(t) = exp(-i omega (t - T/2)) on the excited levels
@@ -710,7 +733,7 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     real rabi_envelope and V_0 = A_r + A_r^T. At omega = 0 the carrier
     frame is the rotating frame of this module. The levels outside the
     block take their exact free phase exp(-i d_k t), decay included,
-    over the support or up to the snapshot. Raises NumericsError naming
+    over the support. Raises NumericsError naming
     the channel of the first pulse whose steps leave the convergence
     bound h max ||H'|| < pi: past it the Magnus series diverges, and a
     step would return a finite, wrong operator.
@@ -718,14 +741,15 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     bases = _pulse_bases(system, frame, pulses)
     largest = {}
     for pulse, basis in zip(pulses, bases) if steps is None else ():
-        key = replace(pulse, area=0.0)
+        key = (pulse.shape, pulse.fwhm, pulse.carrier_detuning,
+               pulse.carrier_phase, pulse.channel, pulse.phase_mask)
         if key not in largest or abs(pulse.area) > abs(largest[key][0].area):
             largest[key] = pulse, basis
     group = [p for p, _ in largest.values()]
     group_bases = [g for _, g in largest.values()]
     n0 = MIN_STEPS_PER_PULSE // 32
     if group:
-        peak = np.abs([rabi_envelope(p, p.support_ps / 2.0) for p in group])
+        peak = np.abs(_envelopes(group, 0.5, 1))  # at half the support
         bound = np.array([g.offset + a * g.coupling
                           for g, a in zip(group_bases, peak)])
         n0 = _estimate_n0(np.array([p.support_ps for p in group]), bound)
@@ -737,7 +761,7 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
         samples or 1)
     diagnostics["distinct_pulses"] = len(pulses)
     if not pulses:
-        return None, None, None, diagnostics
+        return None, None, diagnostics
     stride = max(1, n // samples) if samples else None
     block, snapshots, bound = _pulse_pass(bases, pulses, n, stride)
     outside = ~(bound < math.pi)
@@ -747,7 +771,7 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
             f"{n} steps per pulse leave the Magnus convergence bound "
             f"h max|H| < pi of a {pulses[first].channel} pulse (h max|H| = "
             f"{bound[first]:.3g})")
-    diag, rows = _diagonal(system, frame), _blocks(system, pulses)
+    rows = _blocks(system, pulses)
     levels = system.slice_excited()
     excited = (rows >= levels.start) & (rows < levels.stop)
     omega = K_RAD_PS_PER_CM * np.array([[p.carrier_detuning] for p in pulses])
@@ -756,20 +780,18 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     phi += np.asarray(center_phases, dtype=float)[:, None]
     support = np.array([p.support_ps for p in pulses])[:, None]
 
-    def frame_phase(t):
-        return np.where(excited, np.exp(-1j * (omega * (t - support / 2.0) + phi)),
-                        1.0)
-
-    right = np.conj(frame_phase(0.0))[:, None, :]
-    block = frame_phase(support)[:, :, None] * block * right
-    ops = _embed(block, rows, np.exp(-1j * diag * support))
-    t = None
+    # g(T) and g(0), the frame and gauge phases at the ends of each support
+    left, right = (np.where(excited, np.exp(-1j * (omega * (t - support / 2.0) + phi)),
+                            1.0) for t in (support, 0.0))
+    right = np.conj(right)
+    ops = (np.exp(-1j * _diagonal(system, frame) * support)[..., None]
+           * np.eye(system.n_levels))
+    ops[np.arange(len(rows))[:, None, None], rows[:, :, None], rows[:, None, :]] = (
+        left[:, :, None] * block * right[:, None, :])
     if snapshots is not None:
-        t = (stride * np.arange(1, len(snapshots) + 1)[:, None, None]
-             * (support / n))
-        snapshots = frame_phase(t)[..., None] * snapshots * right
-        snapshots = _embed(snapshots, rows, np.exp(-1j * diag * t))
-    return ops, snapshots, t, diagnostics
+        snapshots = (snapshots, np.arange(stride, n, stride)[:, None, None]
+                     * (support / n), rows, right)
+    return ops, snapshots, diagnostics
 
 
 def _steps(steps: int | None) -> int:
@@ -907,13 +929,13 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     Returns the final (amps, times), what the loop kept of row 0 and the
     diagnostics of the steps. Of row 0 it keeps its (E,) event starts
     and ends and, when recorded, the (E, n) states entering each event
-    after its conjugation and leaving it and the (E, n) conjugations z
-    (the state leaving event k is z_k U_k entering_k; without records,
-    those of the events the loop takes), and with record="dense"
-    the pass's (S, P, n, n) snapshots 40 times per pulse and their (S,
-    P, 1) times past each support start (else None)."""
+    after its conjugation and leaving it (the state leaving event k is
+    z_k U_k entering_k, z_k its phase conjugation, of modulus 1), and
+    with record="dense" the pass's dense tuple of _integrate_pulses,
+    block snapshots 40 times per pulse in the real gauge with their
+    times, rows and gauge (else None)."""
     n, pulses = system.n_levels, schedule.pulses
-    ops, snapshots, sampled, diagnostics = _integrate_pulses(
+    ops, dense, diagnostics = _integrate_pulses(
         system, frame, pulses, [0.0] * len(pulses), steps,
         schedule.time.shape[-1], _DENSE_SAMPLES if record == "dense" else None)
     op_rows, time, phase, support = np.atleast_2d(
@@ -972,17 +994,16 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
         # the first two events of each middle: their operators, from their
         # gaps and phases, and the slip over one period, in long double
         r, k, wide = rows[:, None], head[rows, None] + [0, 1], time.astype(np.longdouble)
-        t = wide[r, k]
+        t, o = wide[r, k], op_rows[r, k]
         before = np.where(k > 0, wide[r, k - 1] + support[r, k - 1] / 2.0,
                           times[r, 0])
         gap = np.maximum(t - support[r, k] / 2.0 - before, 0.0)
-        one = np.where(rides[op_rows[r, k]], np.exp(1j * (
-            phase[r, k] + detuning[op_rows[r, k]] * t))[..., None], 1.0)
-        one = one[..., None] * ops[op_rows[r, k]] * (
+        one = np.where(rides[o], np.exp(1j * (
+            phase[r, k] + detuning[o] * t))[..., None], 1.0)
+        one = one[..., None] * ops[o] * (
             np.conj(one) * np.exp(-1j * diag * gap[..., None]))[..., None, :]
         tau = time[r, k[:, :1] + 2] - t[:, :1]
-        slip = np.where(rides[op_rows[r, k]], (detuning[op_rows[r, k]] * tau)[..., None],
-                        0.0).sum(axis=1)
+        slip = np.where(rides[o], (detuning[o] * tau)[..., None], 0.0).sum(axis=1)
         power = np.exp(-1j * slip)[..., None] * _mm(one[:, 1], one[:, 0])
         count, state = periods[rows], amps[rows].astype(np.clongdouble)
         while True:
@@ -999,7 +1020,7 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
         rows = tail + j < E
         step(rows, (tail + j)[rows])
     return amps, times[:, -1], (starts[0], times[0, 1:], entering, leaving,
-                                z[0], snapshots, sampled), diagnostics
+                                dense), diagnostics
 
 
 def run_schedule(state: QuantumState, system: LevelSystem,
@@ -1028,9 +1049,13 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     flat pair train's periodic middle is one period's operator raised to
     its J periods by about log2 J squarings, so a train costs one pass
     plus O(log n_pairs) small matrix products. Dense recording keeps
-    operator snapshots and their times from the same pass and, after the
-    loop, applies each event's to the state entering it, all events at
-    once per sample index.
+    the block snapshots of the real gauge and their times from the same
+    pass, whose second half's exponentials are its first half's
+    transposed, and after the loop forms each sample's populations from
+    vectors, all events at once per sample index: on the pulse's block
+    the snapshot applied to the block of the state entering the event,
+    taken into the real gauge, and outside the block that state's free
+    phase; the other phases have modulus 1.
     """
     if record not in ("compressed", "dense", "none"):
         raise ValueError(f"unknown record policy {record!r}")
@@ -1046,20 +1071,27 @@ def run_schedule(state: QuantumState, system: LevelSystem,
     amps, end, row, diagnostics = _run_events(
         system, frame, schedule, steps, state.amplitudes[None], [state.time],
         record)
-    starts, ends, entering, leaving, z, snapshots, sampled = row
+    starts, ends, entering, leaving, dense = row
     if record == "none":
         ends = ends[-1:]
         pops = np.abs(amps[:len(ends)]) ** 2
     else:
         pops = np.abs(leaving) ** 2
-    if snapshots is not None:
-        # (E, S + 1) rows: each event's S in-pulse samples, then its end;
-        # one sample index at a time, so that no (S, E, n, n) stack of
-        # gathered snapshots is laid out
-        inner = [np.abs(z * (s[schedule.pulse] @ entering[:, :, None])[..., 0]) ** 2
-                 for s in snapshots]
-        pops = np.stack(inner + [pops], axis=1)
-        ends = np.vstack([starts + sampled[:, schedule.pulse, 0], ends]).T
+    if dense is not None:
+        # (E, S + 1) rows: each event's S in-pulse samples, then its end.
+        # Outside its block a sample is the entering state's free phase;
+        # on the block, the block snapshot of the real gauge applied to it
+        # in that gauge: the other factors are phases of modulus 1
+        snapshots, sampled, rows, gauge = dense
+        pulse, events = schedule.pulse, np.arange(len(entering))[:, None]
+        sampled = sampled[:, pulse]
+        inner = np.abs(entering * np.exp(-1j * _diagonal(system, frame) * sampled)) ** 2
+        rows = rows[pulse]
+        inside = (gauge[pulse] * entering[events, rows])[..., None]
+        for out, s in zip(inner, snapshots):
+            out[events, rows] = np.abs(s[pulse] @ inside)[..., 0] ** 2
+        pops = np.concatenate([inner, pops[None]]).swapaxes(0, 1)
+        ends = np.vstack([starts + sampled[..., 0], ends]).T
     pops = np.concatenate([[state.populations()],
                            pops.reshape(-1, system.n_levels)])
     return Trajectory(
@@ -1116,7 +1148,7 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     offset = np.abs(diag - 0.5 * (diag.real.max() + diag.real.min())).max()
 
     @functools.cache
-    def sampled(steps: int):
+    def sampled(steps):
         grid = t0 + ((np.arange(steps)[:, None] + _GAUSS_NODES)
                      * (duration / steps)).ravel()
         drives = []
@@ -1129,12 +1161,12 @@ def propagate_window(state: QuantumState, system: LevelSystem,
             raise NumericsError("a drive of the window is not finite")
         return drives
 
-    def bound(steps: int) -> float:
+    def bound(steps):
         # max ||H - centre|| over the samples, at most
         return offset + sum(np.abs(d).max() * np.linalg.norm(a)
                             for a, d in zip(A, sampled(steps)))
 
-    def records(steps: int, final: bool = False):
+    def records(steps, final=False):
         # the recorded states, or only the last one if final
         y, snapshots = _magnus6(
             diag, list(zip(A, sampled(steps))), start, duration / steps,
@@ -1152,7 +1184,7 @@ def propagate_window(state: QuantumState, system: LevelSystem,
            and (need := _estimate_n0(duration, bound(n0))) > n0):
         n0 = need
 
-    def error(n0: int) -> float:
+    def error(n0):
         return _doubling_error(lambda: records(n0, final=True),
                                lambda: kept(2 * n0)[-1])
 

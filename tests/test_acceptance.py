@@ -126,7 +126,7 @@ def test_ac03_piecewise_stirap_efficiency_and_transient():
           and elapsed < 10.0)
     _report("AC03", ok,
             f"efficiency {res.efficiency:.6f} (>= 0.95), transient excited "
-            f"{res.max_transient_excited:.4f} (<= 0.1), {elapsed:.1f} s (< 10 s)")
+            f"{res.max_transient_excited:.4f} (<= 0.1), {elapsed * 1e3:.1f} ms (< 10 s)")
 
 
 # --- AC4: chirped passage is robust to chirp sign and extra delay ---
@@ -221,7 +221,7 @@ def test_ac08_delay_scan_fft_finds_the_45_cm_spacing(tmp_path):
     _report("AC08", ok,
             f"beat peak at {spectrum.peak_frequency:.4f} cm^-1, off by "
             f"{err:.4f} (bin {spectrum.bin_width:.4f}), 256-point column in "
-            f"{elapsed:.0f} s (< 300 s)")
+            f"{elapsed * 1e3:.1f} ms (< 300 s)")
 
 
 # --- AC9: trains only transfer when the comb rides the resonance ---

@@ -221,6 +221,45 @@ def _two_three_one(decay=0.0):
         dipole_phases=np.array([0.3, -1.2, 2.0]), carrier_anchor=11150.0)
 
 
+def _embedded(system, frame, pulses, phases, dense):
+    """The (S, P, n, n) snapshots of a pass on all n levels, rebuilt from
+    the block snapshots of the real gauge that _integrate_pulses returns
+    as the pass used to embed them: g(t) U'(t) conj(g(0)) on each pulse's
+    block, g(t) = exp(-i (omega (t - T/2) + phi_c - theta)) on its excited
+    levels and 1 elsewhere, and the free phase exp(-i d t) outside the
+    block. Also checks the returned gauge against conj(g(0))."""
+    snapshots, times, rows, gauge = dense
+    excited = system.slice_excited()
+    inside = (rows >= excited.start) & (rows < excited.stop)
+    omega = K_RAD_PS_PER_CM * np.array([[p.carrier_detuning] for p in pulses])
+    phi = np.zeros(rows.shape)
+    phi[inside] = -np.concatenate([propagator._row_angles(system, p)
+                                   for p in pulses])
+    phi += np.asarray(phases, dtype=float)[:, None]
+    support = np.array([p.support_ps for p in pulses])[:, None]
+
+    def frame_phase(t):
+        return np.where(inside, np.exp(-1j * (omega * (t - support / 2.0) + phi)),
+                        1.0)
+
+    right = np.conj(frame_phase(0.0))
+    assert np.max(np.abs(gauge - right)) <= 1e-15
+    block = frame_phase(times)[..., None] * snapshots * right[:, None, :]
+    diag = propagator._diagonal(system, frame)
+    out = np.exp(-1j * diag * times)[..., None] * np.eye(system.n_levels)
+    out[:, np.arange(len(pulses))[:, None, None], rows[:, :, None],
+        rows[:, None, :]] = block
+    return out
+
+
+def _pass(system, frame, pulses, phases, steps, samples=None):
+    """The (P, n, n) operators of _integrate_pulses and, with samples, its
+    snapshots embedded on all n levels (_embedded)."""
+    ops, dense, _ = propagator._integrate_pulses(system, frame, pulses, phases,
+                                                 steps, samples=samples)
+    return ops, dense and _embedded(system, frame, pulses, phases, dense)
+
+
 def _full_pass(system, frame, pulses, phases, steps, samples=None):
     """The operators and snapshots of the pulse pass on all n levels:
     every pulse's block holds the whole system."""
@@ -228,8 +267,7 @@ def _full_pass(system, frame, pulses, phases, steps, samples=None):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(propagator, "_blocks",
                       lambda system, pulses: np.tile(np.arange(n), (len(pulses), 1)))
-        return propagator._integrate_pulses(system, frame, pulses, phases,
-                                            steps, samples=samples)[:2]
+        return _pass(system, frame, pulses, phases, steps, samples)
 
 
 @pytest.mark.parametrize("case", ["asymmetric", "masked_dump", "decaying",
@@ -253,8 +291,7 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case, monkeypatch):
                          phase_mask=mask)]
     # 13 samples of 40 steps: a stride of 3
     phases, steps, samples = [0.3, -1.1], 40, 13
-    ops, snapshots = propagator._integrate_pulses(
-        system, frame, pulses, phases, steps, samples=samples)[:2]
+    ops, snapshots = _pass(system, frame, pulses, phases, steps, samples)
     full, full_snapshots = _full_pass(system, frame, pulses, phases, steps,
                                       samples)
     assert ops.shape == full.shape and snapshots.shape == full_snapshots.shape
@@ -393,22 +430,23 @@ def _symmetric_case():
 
 def test_half_passes_match_the_full_pass():
     """A pass without snapshots integrates the first ceil(N / 2) steps
-    and folds the rest in by transposition; its operators equal the full
-    N-step pass (the final operator of a pass with stride 1, which takes
-    every step) to 1e-14 at even and odd N and at the count the tolerance
-    picks: both shapes on both channels, decay, dipole phases, a phase
-    mask, a carrier detuning and nonzero centre phases."""
+    and folds the rest in by transposition, U' = U_a^T Y; its operators
+    equal the full N-step pass (the final operator of a pass with stride
+    1, which multiplies out every step in order, the second half's
+    exponentials being the first half's transposed) to 1e-14 at even and
+    odd N and at the count the tolerance picks: both shapes on both
+    channels, decay, dipole phases, a phase mask, a carrier detuning and
+    nonzero centre phases."""
     system, frame, pulses = _symmetric_case()
     phases = [0.3, -1.1, 2.4, 0.8]
     # the count of a row of 4 events, one per pulse
     default = propagator._integrate_pulses(system, frame, pulses, phases,
-                                           None, 4)[3]["steps"]
+                                           None, 4)[2]["steps"]
     assert default > 13
     for steps in (4, 5, 8, 13, default):
         half = propagator._integrate_pulses(system, frame, pulses, phases,
                                             steps)[0]
-        full, snapshots = propagator._integrate_pulses(
-            system, frame, pulses, phases, steps, samples=steps)[:2]
+        full, snapshots = _pass(system, frame, pulses, phases, steps, steps)
         assert snapshots.shape == (steps - 1, 4, 6, 6)
         assert np.max(np.abs(half - full)) < 1e-14
 
@@ -444,13 +482,15 @@ def _exponentiated(monkeypatch, run):
 
 
 def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
-    """A pass without a stride exponentiates P ceil(N / 2) matrices and a
-    pass with one P N. The default crp run on the 25-level band takes
-    88 steps per pulse: its production pass over 8 distinct pulses
-    exponentiates 352 matrices and its estimate, on 2 pulses at 16 and
-    32 steps, 48 (704 and 96 when every pass took all its steps). A
-    dense default-count train and a scan column also take one estimate,
-    two half passes on their largest pulses, and one production pass.
+    """A pass exponentiates P ceil(N / 2) matrices, with a stride or
+    without: step N - 1 - k takes the transpose of step k's. The default
+    crp run on the 25-level band takes 88 steps per pulse: its
+    production pass over 8 distinct pulses exponentiates 352 matrices
+    and its estimate, on 2 pulses at 16 and 32 steps, 48 (704 and 96
+    when every pass took all its steps). A dense default-count train,
+    whose production pass exponentiated P N matrices before it mirrored
+    them too, and a scan column also take one estimate, two half passes
+    on their largest pulses, and one production pass.
     Each call builds one basis per channel and carrier detuning, which
     the estimate and the production pass share."""
     system, frame, pulses = _symmetric_case()
@@ -460,8 +500,7 @@ def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
             passes, built = _exponentiated(
                 monkeypatch, lambda: propagator._integrate_pulses(
                     system, frame, pulses, [0.0] * 4, steps, samples=samples))
-            taken = steps if stride else (steps + 1) // 2
-            assert passes == [(4, steps, stride, 4 * taken)]
+            assert passes == [(4, steps, stride, 4 * ((steps + 1) // 2))]
             assert built == 2
     passes, built = _exponentiated(monkeypatch, lambda: _ramped_run("crp_n25"))
     assert passes == [(2, 16, None, 16), (2, 32, None, 32), (8, 88, None, 352)]
@@ -469,7 +508,7 @@ def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
     # 40 steps, a multiple of the 40 samples, at a stride of 1
     passes, built = _exponentiated(
         monkeypatch, lambda: _ramped_run("stirap_n3", record="dense"))
-    assert passes == [(2, 8, None, 8), (2, 16, None, 16), (20, 40, 1, 800)]
+    assert passes == [(2, 8, None, 8), (2, 16, None, 16), (20, 40, 1, 400)]
     assert built == 2
     passes, built = _exponentiated(monkeypatch, lambda: scan_2d(
         build_three_level(pump_detuning=4.0), {"n_pairs": 3, "pump_area": math.pi,
@@ -496,8 +535,7 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
                            channel=channel)
         diffs = []
         for steps in (8, 16, 32):
-            ops, snapshots = propagator._integrate_pulses(
-                system, frame, [pulse], [0.4], steps, samples=8)[:2]
+            ops, snapshots = _pass(system, frame, [pulse], [0.4], steps, 8)
             drive = _lab_drive(pulse, 0.4, steps)
 
             def lab_after(stop):
@@ -1047,7 +1085,12 @@ def test_given_steps_keep_their_bits(monkeypatch):
     x86-64 with numpy 2.4 and one OpenBLAS thread. The pulse digests were
     retaken when pulse passes began to integrate half their steps;
     amplitudes and populations moved by at most 6.7e-16 from the full
-    passes."""
+    passes. The dense digest was retaken (45e6c0208514f359 ->
+    f1eeaaa8aab56f79) when dense passes began to take their second half's
+    exponentials as the first half's transposed and to sample
+    populations from vectors: its amplitudes moved by 1.6e-16 and its
+    populations by 4.4e-16
+    (test_dense_samples_match_the_embedded_operators)."""
     import hashlib
 
     def no_estimate(*args):
@@ -1059,7 +1102,7 @@ def test_given_steps_keep_their_bits(monkeypatch):
     sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
     expected = {(60, "none"): "852a671e3691f563",
                 (60, "compressed"): "921d716467f0c28e",
-                (60, "dense"): "45e6c0208514f359",
+                (60, "dense"): "f1eeaaa8aab56f79",
                 (800, "none"): "a4c9ee9e4649e540",
                 (800, "compressed"): "d700db6af5ee2401"}
     for (steps, record), digest in expected.items():
@@ -1091,7 +1134,11 @@ def test_default_counts_keep_their_bits():
     2.4 and one OpenBLAS thread. The column's was retaken when flat trains
     began to take their periodic middle as a power: its amplitudes came
     4.9e-17 from an event loop in np.longdouble, against 7.9e-16 for the
-    float64 loop (test_flat_train_powers_are_nearer_a_long_double_loop)."""
+    float64 loop (test_flat_train_powers_are_nearer_a_long_double_loop).
+    The dense run's was retaken (10960148d8eeb06f -> 57c76f4a5ffb4c06)
+    when dense passes began to mirror their exponentials and to sample
+    from vectors: its amplitudes moved by 3.3e-16, its populations by
+    4.4e-16 and its times not at all."""
     import hashlib
 
     from papsim import build_system, load_config
@@ -1107,7 +1154,7 @@ def test_default_counts_keep_their_bits():
                              **cfg["train"]).trajectory
     assert traj.diagnostics["steps"] == 40
     assert digest(traj.final_state.amplitudes, traj.populations,
-                  traj.times) == "10960148d8eeb06f"
+                  traj.times) == "57c76f4a5ffb4c06"
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     emap = scan_2d(sys3, {"n_pairs": 3, "pump_area": math.pi,
                           "dump_area": math.pi}, [10.0], [2.0, 3.0, 4.0, 6.0])
@@ -1120,12 +1167,14 @@ def test_default_counts_keep_their_bits():
 
 def test_one_sample_keeps_no_snapshots():
     """One sample per pulse is a stride of N steps, after which no
-    snapshot lies strictly inside the pass: an empty stack."""
+    snapshot lies strictly inside the pass: an empty stack of the
+    5-level blocks."""
     system, frame, pulses = _symmetric_case()
-    _, snapshots, times, _ = propagator._integrate_pulses(
+    _, (snapshots, times, rows, gauge), _ = propagator._integrate_pulses(
         system, frame, pulses, [0.0] * 4, 8, samples=1)
-    assert snapshots.shape == (0, 4, 6, 6)
+    assert snapshots.shape == (0, 4, 5, 5)
     assert times.shape == (0, 4, 1)
+    assert rows.shape == gauge.shape == (4, 5)
 
 
 @pytest.mark.parametrize("case, expected", [
@@ -1326,8 +1375,11 @@ def test_the_taylor_exponential_matches_expm(monkeypatch):
     """exp(Omega) - I from T18 matches scipy's expm - I to 1e-14 on the
     Omega stacks of the n = 3, 7 and 25 runs, at their default counts
     and at 8 steps, where many steps are scaled; at 8 steps also
-    recorded densely, whose passes take every step where the others
-    take half. Their pulses are integrated on blocks of 2, 6 and 23
+    recorded densely, and at 9 steps recorded densely, whose step h
+    differs. Every pass exponentiates the first half of its steps only,
+    so the 8-step dense runs repeat the Omegas of the others and the
+    9-step runs bring more scaled ones (136 against 96 without them).
+    Their pulses are integrated on blocks of 2, 6 and 23
     levels. The Omegas of a block size go in as one stack, whose rows
     take different numbers of squarings, and its scaled rows as
     another, where every row takes the first squaring."""
@@ -1342,7 +1394,8 @@ def test_the_taylor_exponential_matches_expm(monkeypatch):
 
     monkeypatch.setattr(propagator, "_expm1", spy)
     for case in ("stirap_n3", "crp_n3_decaying", "stirap_n7", "crp_n25"):
-        for steps, record in ((None, "none"), (8, "none"), (8, "dense")):
+        for steps, record in ((None, "none"), (8, "none"), (8, "dense"),
+                              (9, "dense")):
             _ramped_run(case, record, steps=steps)
     monkeypatch.undo()
     halvings = []
@@ -1418,6 +1471,78 @@ def test_the_broadcast_product_matches_matmul(n):
         assert np.max(np.abs(product - a @ b)) < 1e-14
 
 
+def _dense_case(case):
+    """The system, frame and schedule of a dense-sampling case."""
+    if case == "band":
+        run = _ramped_run("crp_n25")
+        return _band_molecule(), run.frame, run.schedule
+    if case == "packet":
+        # the decaying packet on an offset comb, a pump detuned from its
+        # carrier and a phase-masked dump, pulses repeating
+        system, delta_T = _packet_molecule()
+        frame = PhaseFrame.comb_locked(system, delta_T, 0.013)
+        mask = tuple(np.linspace(-1.5, 2.0, 5))
+        pulses = [make_pulse("sin2", 110.0, 2.5, carrier_detuning=3.0),
+                  make_pulse("gaussian", 90.0, 3.0, channel="dump",
+                             phase_mask=mask, carrier_phase=0.7)]
+    else:
+        system, frame, pulses = _symmetric_case()
+    events = [TrainEvent(0.5 + 0.4 * k, pulses[k % len(pulses)])
+              for k in range(6)]
+    return system, frame, make_schedule(events, 3, 0.8, 0.0, "mixed")
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("band", None), ("packet", None), ("symmetric", 5), ("symmetric", 13),
+    ("symmetric", 41), ("symmetric", 123)])
+def test_dense_samples_match_the_embedded_operators(case, steps):
+    """A dense run forms each sample from vectors: the block snapshot of
+    the real gauge on the entering state's block, in that gauge, and the
+    free phase outside the block. Its populations equal, to 1e-14 at
+    every sample, the sampling that embedded the snapshots on all n
+    levels with their frame and gauge phases (_embedded) and formed z_k
+    U_s[p_k] entering_k, on the same pass and event loop. The cases: the
+    crp train of the 25-level band (blocks of 23 levels) and the decaying
+    1 + 5 + 1 packet with a detuned pump and a phase-masked dump, at
+    their default counts (multiples of 40: strides 3 and 1), and the
+    2 + 3 + 1 system at given counts 5, 13 and 41 (stride 1, odd: the
+    mirror's middle step) and 123 (stride 3, a short last group). The
+    dense run's final amplitudes and its populations at the event ends
+    match a compressed run at the same count, whose pass takes half its
+    steps and U_a^T Y, to 1e-14."""
+    system, frame, schedule = _dense_case(case)
+    state = ground_state(system, schedule.start_time)
+    traj = run_schedule(state, system, schedule, frame, record="dense",
+                        steps=steps)
+    count = traj.diagnostics["steps"]
+    assert steps is None and count % 40 == 0 or count == steps
+    _, _, row, _ = _run_events(system, frame, schedule, count,
+                               state.amplitudes[None], [state.time], "dense")
+    _, _, entering, leaving, dense = row
+    pulses = schedule.pulses
+    snapshots = _embedded(system, frame, pulses, [0.0] * len(pulses), dense)
+    assert len(snapshots) == (count - 1) // max(1, count // 40)
+    # the conjugation of each event, as run_schedule used to apply it
+    level, excited = np.arange(system.n_levels), system.slice_excited()
+    dump = np.array([p.channel == "dump" for p in pulses])[schedule.pulse]
+    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning
+                         for p in pulses])[schedule.pulse]
+    z = np.where(np.where(dump[:, None], level >= excited.stop,
+                          level < excited.start),
+                 np.exp(1j * (schedule.carrier_phase
+                              + detuning * schedule.time))[:, None], 1.0)
+    inner = [np.abs(z * (s[schedule.pulse] @ entering[:, :, None])[..., 0]) ** 2
+             for s in snapshots]
+    old = np.stack(inner + [np.abs(leaving) ** 2], axis=1)
+    new = traj.populations[1:].reshape(old.shape)
+    assert np.max(np.abs(new - old)) <= 1e-14
+    compressed = run_schedule(state, system, schedule, frame,
+                              record="compressed", steps=count)
+    assert np.max(np.abs(traj.final_state.amplitudes
+                         - compressed.final_state.amplitudes)) <= 1e-14
+    assert np.max(np.abs(new[:, -1] - compressed.populations[1:])) <= 1e-14
+
+
 def test_dense_runs_keep_forty_samples_per_pulse():
     """Dense recording samples every max(1, steps // 40) steps, so a run
     at the default count keeps at least the 39 in-pulse samples of 800
@@ -1435,12 +1560,14 @@ def test_dense_runs_keep_forty_samples_per_pulse():
 
 
 def test_dense_passes_exponentiate_per_block(monkeypatch):
-    """A dense pass takes one _expm1 call per block of steps, not one per
-    stride: the 100 distinct pulses of a 50-pair ramped stirap train, on
-    blocks of 2 levels, fill blocks of 8192 // (100 * 4) = 20 steps, so
-    40 steps at stride 1 take 2 calls. Its operators and snapshots have
-    the bits of the same pass at one step per block (_BLOCK_ENTRIES =
-    400), which takes one call per stride."""
+    """A dense pass takes one _expm1 call per block of steps in the first
+    half of the pass, not one per stride, and none in the second, whose
+    exponentials are the first half's transposed: the 100 distinct
+    pulses of a 50-pair ramped stirap train, on blocks of 2 levels, fill
+    blocks of 8192 // (100 * 4) = 20 steps, so 40 steps at stride 1 take
+    1 call. Its operators and snapshots have the bits of the same pass at
+    one step per block (_BLOCK_ENTRIES = 400), which takes one call per
+    step of the first half."""
     sys3 = build_three_level()
     frame = PhaseFrame.for_system(sys3)
     sched = run_piecewise_stirap(sys3, 50, 10.0, record="none", steps=40).schedule
@@ -1454,16 +1581,16 @@ def test_dense_passes_exponentiate_per_block(monkeypatch):
 
     def dense_pass():
         calls.clear()
-        return propagator._integrate_pulses(sys3, frame, pulses,
-                                            [0.0] * len(pulses), 40,
-                                            samples=40)[:2]
+        ops, dense, _ = propagator._integrate_pulses(
+            sys3, frame, pulses, [0.0] * len(pulses), 40, samples=40)
+        return ops, dense[0]
 
     monkeypatch.setattr(propagator, "_expm1", spy)
     ops, snapshots = dense_pass()
-    assert calls == [(20 * 100, 2, 2)] * 2
-    assert snapshots.shape == (39, 100, 3, 3)
+    assert calls == [(20 * 100, 2, 2)]
+    assert snapshots.shape == (39, 100, 2, 2)
     monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 400)
     per_step = dense_pass()
-    assert len(calls) == 40
+    assert len(calls) == 20
     assert np.array_equal(ops, per_step[0])
     assert np.array_equal(snapshots, per_step[1])
