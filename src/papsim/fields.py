@@ -191,10 +191,13 @@ class TrainSchedule:
     delta_t_small: float
     envelope_profile: str
 
-    @property
+    @cached_property
     def support(self) -> np.ndarray:
-        """Support length (ps) of every event."""
-        return np.array([p.support_ps for p in self.pulses])[self.pulse]
+        """Support length (ps) of every event, read-only, built on first
+        use."""
+        support = np.array([p.support_ps for p in self.pulses])[self.pulse]
+        support.flags.writeable = False
+        return support
 
     @property
     def start_time(self) -> float:

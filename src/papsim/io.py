@@ -69,7 +69,11 @@ def write_map_csv(path: str, emap: EfficiencyMap) -> None:
 
 
 def read_map_csv(path: str) -> EfficiencyMap:
-    """Read a map written by write_map_csv; other files are a ValueError."""
+    """Read a map written by write_map_csv; other files are a ValueError.
+
+    Each row is checked as it is read: a data row before the axis row, a
+    cell that is not a float or a row without one value per delta_T
+    names the file and its line."""
     meta: dict = {}
     rows: list[list[float]] = []
     delta_T: np.ndarray | None = None
@@ -79,7 +83,7 @@ def read_map_csv(path: str) -> EfficiencyMap:
         if tag != f"# {MAP_FORMAT}":
             raise ValueError(f"{path} is not a map file: its first line is "
                              f"{tag!r}, expected '# {MAP_FORMAT}'")
-        for raw in fh:
+        for number, raw in enumerate(fh, 2):
             line = raw.strip()
             if not line:
                 continue
@@ -90,17 +94,29 @@ def read_map_csv(path: str) -> EfficiencyMap:
                     meta[key] = val
                 continue
             cells = line.split(",")
-            if cells[0] == "delta_t_ps":
-                delta_T = np.array([float(c) for c in cells[1:]])
-                continue
-            dts.append(float(cells[0]))
-            rows.append([float(c) for c in cells[1:]])
-    if delta_T is None or not rows:
+            is_axis = cells[0] == "delta_t_ps"
+            where = f"{path}, line {number}"
+            try:
+                values = [float(c) for c in (cells[1:] if is_axis else cells)]
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from None
+            if is_axis:
+                delta_T, axis = np.array(values), where
+            elif delta_T is None:
+                raise ValueError(f"{where}: a data row before the delta_t_ps "
+                                 f"axis row; {path} is not a map file")
+            elif len(values) != len(delta_T) + 1:
+                raise ValueError(f"{where}: expected one value per delta_T, "
+                                 f"{len(delta_T)}, after delta_t, got "
+                                 f"{len(values) - 1}")
+            else:
+                dts.append(values[0])
+                rows.append(values[1:])
+    if delta_T is None:
         raise ValueError(f"{path} is not a map file (missing axis row)")
-    eff = np.array(rows)
-    if eff.shape[1] != len(delta_T):
-        raise ValueError(f"{path}: ragged rows")
-    return EfficiencyMap(delta_T, np.array(dts), eff,
+    if not rows:
+        raise ValueError(f"{axis}: an axis row but no data rows after it")
+    return EfficiencyMap(delta_T, np.array(dts), np.array(rows),
                          meta.get("fingerprint", ""), meta)
 
 

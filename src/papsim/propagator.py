@@ -25,16 +25,15 @@ a Magnus step integrates a commuting H(t) exactly; a smooth reference
 passage changes slowly, which Magnus steps also resolve in few steps.
 Both share one step loop, _magnus_steps: a block of steps forms its
 Omega stack, exp(Omega) - I comes from a batched degree-18 Taylor
-polynomial in five products with scaling and squaring (_expm1), and the
-block's step matrices are multiplied out pairwise (_chain). A pass that
-keeps snapshots every stride steps cuts its steps into groups of one
-stride; a block holds whole groups, at least one, takes one _expm1
-call, and multiplies all its groups out at once before y takes them
-in order, a snapshot after each. Every
-product of these goes through _mm, which multiplies stacks of at most 3
-levels as broadcast multiply-adds: there numpy's stacked matmul costs
-more per tiny matrix than the arithmetic; a state column takes each
-group by one matmul, which costs less. For a lossless H each
+polynomial in five products with scaling and squaring (_expm1), and y
+takes the block's steps one at a time in order, y <- y + X y with X =
+exp(Omega) - I, a snapshot after every stride steps. A block only bounds
+memory: no step's product depends on how many steps or pulses share its
+block, so a pulse's operator has the same bits alone and in any batch.
+Every product of these goes through _mm, which multiplies stacks of at
+most 3 levels as broadcast multiply-adds: there numpy's stacked matmul
+costs more per tiny matrix than the arithmetic; a state column takes
+each step by one matmul, which costs less. For a lossless H each
 exp(Omega) is unitary, whatever the steps. The Magnus series converges
 for h max ||H|| < pi; a pass whose steps leave that bound raises
 NumericsError rather than return a finite, wrong operator.
@@ -116,8 +115,8 @@ and the events in the trajectory's diagnostics, and their production
 steps must keep h max ||H|| inside the convergence bound, or
 NumericsError is raised.
 
-propagate_window steps its state through the groups of _magnus_steps
-and records it after each. oracle_propagate is the independent check.
+propagate_window steps its state through _magnus_steps and records it
+every stride steps. oracle_propagate is the independent check.
 """
 
 from __future__ import annotations
@@ -292,10 +291,9 @@ def _diagonal(system: LevelSystem, frame: PhaseFrame) -> np.ndarray:
 # the order of the Magnus steps' global error, for the step-doubling rule
 _MAGNUS_ORDER = 6
 
-# (problem, step) pairs times n^2: the complex entries of each Omega
-# stack that a Magnus pass lays out at once, which bounds its memory;
-# a pass with snapshots lays out at least one stride of steps at once
-# (_magnus_steps)
+# (pulse, step) pairs times n^2: the complex entries of each Omega stack
+# that a Magnus pass lays out at once, at least one step's. It bounds
+# memory only: the steps multiply y one at a time (_magnus_steps)
 _BLOCK_ENTRIES = 2 ** 13
 
 # the three Gauss-Legendre nodes of a step, as fractions of it, and the
@@ -353,18 +351,6 @@ def _mm(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _chain(x: np.ndarray) -> np.ndarray:
-    """(I + x[-1]) ... (I + x[1]) (I + x[0]) - I of a stack of step
-    matrices I + X, later steps on the left, multiplied out pairwise (an
-    associative scan: Blelloch, CMU-CS-90-190, 1990) and kept as
-    (I + X_b)(I + X_a) - I = X_b + X_a + X_b X_a, so that nothing small
-    is rounded against the identity."""
-    while len(x) > 1:
-        a, b = x[:len(x) - 1:2], x[1::2]
-        x = np.concatenate([b + a + _mm(b, a), x[len(x) - len(x) % 2:]])
-    return x[0]
-
-
 def _expm1(omega: np.ndarray) -> np.ndarray:
     """exp(omega) - I of a (K, n, n) stack, each matrix on its own.
 
@@ -412,49 +398,35 @@ def _expm1(omega: np.ndarray) -> np.ndarray:
 
 def _magnus_steps(exps, y: np.ndarray, steps: int, entries: int,
                   stride: int | None = None):
-    """The Magnus step loop that pulses and windows share: y <- exp(Omega)
-    y over `steps` steps, exps(start, stop) giving exp(Omega) - I of
-    those steps (_expm1): (stop - start, P, n, n) for the P pulses of a
-    pass, (stop - start, n, n) for a window, with y shaped alike.
-    `entries` = P n^2, or n^2, is the size of one step's Omega, so that a
-    block holds at most B = max(1, _BLOCK_ENTRIES // entries) steps.
-
-    The steps go in groups of `stride` steps, or of B without a stride,
-    and a block holds max(1, B // group) whole groups: at most B steps,
-    or one group that is longer. exps gives the whole block in one call;
-    _chain multiplies each group out pairwise,
-    all groups of the block at once as a (group, groups, ..., n, n) stack,
-    and y <- y + X y takes the groups in order: by matmul when y is a
-    state column, by _mm otherwise. A short last group is padded with
-    exact identity steps, X = 0, which leave the pairing of its steps as
-    it is. So a group's product does not depend on how many groups share
-    its block.
+    """The Magnus step loop that pulses and windows share: y <- y + X y
+    for each of `steps` steps in order, exps(start, stop) giving X =
+    exp(Omega) - I of those steps (_expm1): (stop - start, P, n, n) for
+    the P pulses of a pass, (stop - start, n, n) for a window, with y
+    shaped alike; a state column takes each step by matmul, anything
+    else by _mm. `entries` = P n^2, or n^2, is the size of one step's
+    Omega, and exps is asked for at most max(1, _BLOCK_ENTRIES //
+    entries) steps at once: that bounds memory only, since each step
+    multiplies y on its own. So a pulse's bits do not depend on the
+    other pulses of its pass.
 
     Returns (y, snapshots): y after the last step and, with a stride, the
-    stack of y after each group that ends strictly inside the run,
-    (steps - 1) // stride of them, written into one stack laid out at
-    the first group, once the first block's exponentials are freed;
+    stack of y after every stride steps strictly inside the run, (steps
+    - 1) // stride of them, laid out once the first block's X are formed;
     without a stride, None.
     """
     block = max(1, _BLOCK_ENTRIES // entries)
-    group = stride or block
-    block = max(1, block // group) * group
     product = np.matmul if y.shape[-1] == 1 else _mm
+    ys = None
     for start in range(0, steps, block):
-        # x holds each stack of the block in turn (exp(Omega) - I, a
-        # group's product), so that none outlives it into the next
         x = exps(start, min(start + block, steps))
-        k = min(group, len(x))
-        if len(x) % k:
-            x = np.concatenate([x, np.zeros_like(x[:-len(x) % k])])
-        for j, x in enumerate(_chain(x.reshape((-1, k) + x.shape[1:]).swapaxes(0, 1)),
-                              start // group):
-            y = y + product(x, y)
-            if stride:
-                if not j:  # laid out once the first exponentials are freed
-                    ys = np.empty((-(-steps // group),) + y.shape, complex)
-                ys[j] = y
-    return y, ys[:-1] if stride else None
+        if stride and ys is None:
+            ys = np.empty(((steps - 1) // stride,) + y.shape, complex)
+        for j, xj in enumerate(x, start + 1):
+            y = y + product(xj, y)
+            if stride and j % stride == 0 and j < steps:
+                ys[j // stride - 1] = y
+        del x, xj  # freed before the next block's are formed
+    return y, ys
 
 
 def _magnus6(diag: np.ndarray, channels, y: np.ndarray, h: float,
@@ -636,8 +608,8 @@ def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
     = Omega_k^T: the scheme is time-symmetric (Blanes, Casas, Oteo and
     Ros, Phys. Rep. 470, 151 (2009)). Without a stride the pass takes
     only those steps: with U_a after floor(N / 2) steps and Y after
-    ceil(N / 2), U' = U_a^T Y. A pass with a stride multiplies out every
-    step in order, which its snapshots need, and keeps the first half's
+    ceil(N / 2), U' = U_a^T Y. A pass with a stride takes every step in
+    order, a snapshot after every stride steps, and keeps the first half's
     exp(Omega) - I in one (ceil(N / 2), P, b, b) stack: step N - 1 - k
     takes X_k^T, since exp(Omega^T) - I = X_k^T. Its snapshots are
     those of _magnus_steps, (S, P, b, b).
@@ -1131,9 +1103,8 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     steps leave the convergence bound h max ||H|| < pi raises
     NumericsError; the estimate's passes are exempt.
 
-    The state steps through groups of s = max(1, steps // 400) steps,
-    each multiplied out before the state takes it (_magnus_steps), and
-    the trajectory records it after each group: every s steps and at the
+    The state takes the steps one at a time (_magnus_steps), and the
+    trajectory records it every s = max(1, steps // 400) steps and at the
     end.
     """
     if not 0 < duration < math.inf:

@@ -142,6 +142,18 @@ def test_train_event_times_exact():
     assert sched.start_time == -dumps[0].pulse.support_ps / 2.0
 
 
+def test_train_support_is_built_once_and_read_only():
+    """A schedule's supports are one read-only array, built on first use:
+    a run reads them several times."""
+    pump, dump = _prototypes()
+    sched = build_train("stirap", 5, 10.0, 2.0, pump, dump)
+    support = sched.support
+    assert sched.support is support
+    assert np.array_equal(support, [ev.pulse.support_ps for ev in sched.events])
+    with pytest.raises(ValueError):
+        support[0] = 1.0
+
+
 def test_train_total_area_is_conserved():
     pump, dump = _prototypes(total=5.0 * math.pi)
     for kind in ("stirap", "crp", "flat_pairs"):

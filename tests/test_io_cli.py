@@ -64,6 +64,28 @@ def test_map_reader_checks_the_format_tag(tmp_path):
     assert str(spectrum) in str(err.value)
 
 
+@pytest.mark.parametrize("rows, line, message", [
+    ("4.0,0.5,0.25\n5.0,0.5\n", 5,
+     "expected one value per delta_T, 2, after delta_t, got 1"),
+    ("4.0,0.5,half\n", 4, "could not convert string to float: 'half'"),
+    ("", 3, "an axis row but no data rows after it")],
+    ids=["unequal_rows", "non_numeric_cell", "no_data_rows"])
+def test_malformed_maps_name_their_file_and_line(tmp_path, capsys, rows, line,
+                                                 message):
+    """A malformed map is a ValueError that names the file and the line,
+    from read_map_csv and through analyze-fft, which exits 2."""
+    path = tmp_path / "map.csv"
+    path.write_text("# papsim-map v1\n# fingerprint=fp\n"
+                    "delta_t_ps,10.0,12.0\n" + rows)
+    where = f"{path}, line {line}: {message}"
+    with pytest.raises(ValueError) as err:
+        read_map_csv(str(path))
+    assert str(err.value) == where
+    assert main(["analyze-fft", "--map", str(path), "--column", "0",
+                 "--out", str(tmp_path / "spec.csv")]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_trajectory_csv_shape(tmp_path):
     sys3 = build_three_level()
     res = run_piecewise_stirap(sys3, n_pairs=4, delta_T=10.0, record="dense")

@@ -279,8 +279,8 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case, monkeypatch):
     the oracle. The pump is detuned by 5 cm^-1, so both passes run in its
     carrier's frame. The dense cases also run propagate_pulse on a
     state; in the last, a block of the 5-level pass holds 2 steps and
-    one of the 6-level pass 1, fewer than a stride of 3, so each block
-    takes one stride group."""
+    one of the 6-level pass 1, fewer than a stride of 3, so the steps
+    between two snapshots come from more than one block."""
     if case == "dense_short_blocks":
         monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 100)
     system = _two_three_one(0.05 if case == "decaying" else 0.0)
@@ -326,7 +326,7 @@ def test_the_propagator_source_stays_below_8192_code_tokens():
     with open(propagator.__file__, "rb") as source:
         count = sum(token.type not in skip
                     for token in tokenize.tokenize(source.readline))
-    assert count < 8192
+    assert count < 8192, count
 
 
 def _lab_drive(pulse, center_phase, steps):
@@ -1090,7 +1090,19 @@ def test_given_steps_keep_their_bits(monkeypatch):
     exponentials as the first half's transposed and to sample
     populations from vectors: its amplitudes moved by 1.6e-16 and its
     populations by 4.4e-16
-    (test_dense_samples_match_the_embedded_operators)."""
+    (test_dense_samples_match_the_embedded_operators). The none and
+    compressed digests and those of the windows of 5003 and 1001 steps
+    were retaken when a pass began to take its steps one at a time
+    (test_passes_stay_near_their_steps_multiplied_in_long_double): 60
+    steps 852a671e3691f563 -> abdd998715000c0d (none) and
+    921d716467f0c28e -> a3a1908ff6300000 (compressed), amplitudes moved
+    by 6.1e-16 and populations by 6.7e-16; 800 steps a4c9ee9e4649e540 ->
+    fb217358a5eb3b9e (none) and d700db6af5ee2401 -> f9465f2efb9b375b
+    (compressed), 5.1e-16 and 5.6e-16; the 5003-step window
+    25a4fd466e3dd97c -> 30fe52dbb01b9b0c, 2.2e-15 and 6.0e-15; the
+    1001-step window fdf8bb9d809bf08f -> f9a20650cc1bcb0f, 1.4e-15 and
+    3.1e-15. The dense digest and those of the windows of 401 and 601
+    steps, which already took one step at a time, kept their bits."""
     import hashlib
 
     def no_estimate(*args):
@@ -1100,11 +1112,11 @@ def test_given_steps_keep_their_bits(monkeypatch):
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     frame = PhaseFrame.comb_locked(sys3, 10.0)
     sched = _train(sys3, n_pairs=3, kind="crp", alpha_pump=0.1, alpha_dump=0.1)
-    expected = {(60, "none"): "852a671e3691f563",
-                (60, "compressed"): "921d716467f0c28e",
+    expected = {(60, "none"): "abdd998715000c0d",
+                (60, "compressed"): "a3a1908ff6300000",
                 (60, "dense"): "f1eeaaa8aab56f79",
-                (800, "none"): "a4c9ee9e4649e540",
-                (800, "compressed"): "d700db6af5ee2401"}
+                (800, "none"): "fb217358a5eb3b9e",
+                (800, "compressed"): "f9465f2efb9b375b"}
     for (steps, record), digest in expected.items():
         traj = run_schedule(ground_state(sys3, sched.start_time), sys3, sched,
                             frame, record=record, steps=steps)
@@ -1115,8 +1127,8 @@ def test_given_steps_keep_their_bits(monkeypatch):
                                     "distinct_pulses": len(sched.pulses)}
     phased = _band_molecule(10, decay_lifetime=0.3,
                             dipole_phases=tuple(np.linspace(0.7, -1.9, 10)))
-    windows = [(sys3, "stirap", 0.0, 5003, "25a4fd466e3dd97c"),
-               (_band_molecule(8), "stirap", 0.0, 1001, "fdf8bb9d809bf08f"),
+    windows = [(sys3, "stirap", 0.0, 5003, "30fe52dbb01b9b0c"),
+               (_band_molecule(8), "stirap", 0.0, 1001, "f9a20650cc1bcb0f"),
                (_band_molecule(), "stirap", 0.0, 401, "46ab714626683055"),
                (phased, "stirap", 0.0, 601, "468a51c2a3b4a8b1"),
                (phased, "crp", 0.3, 601, "c25166229071a72d")]
@@ -1138,7 +1150,13 @@ def test_default_counts_keep_their_bits():
     The dense run's was retaken (10960148d8eeb06f -> 57c76f4a5ffb4c06)
     when dense passes began to mirror their exponentials and to sample
     from vectors: its amplitudes moved by 3.3e-16, its populations by
-    4.4e-16 and its times not at all."""
+    4.4e-16 and its times not at all. The column's (731e0808ec86083f ->
+    f865fa499227cf26, efficiencies moved by 2.2e-16) and propagate_pulse's
+    (bca81fa8a25fa239 -> fadb57e9d55c9bcc, amplitudes moved by 4.4e-16)
+    were retaken when a pass began to take its steps one at a time
+    (test_passes_stay_near_their_steps_multiplied_in_long_double); the
+    dense run, whose stride of 1 already took one step at a time, kept
+    its bits."""
     import hashlib
 
     from papsim import build_system, load_config
@@ -1158,11 +1176,11 @@ def test_default_counts_keep_their_bits():
     sys3 = build_three_level(pump_detuning=4.0, decay_rate=0.02)
     emap = scan_2d(sys3, {"n_pairs": 3, "pump_area": math.pi,
                           "dump_area": math.pi}, [10.0], [2.0, 3.0, 4.0, 6.0])
-    assert digest(emap.efficiency) == "731e0808ec86083f"
+    assert digest(emap.efficiency) == "f865fa499227cf26"
     pulse = make_pulse("sin2", 100.0, 2.0, carrier_detuning=5.0)
     state = propagate_pulse(ground_state(sys3), sys3, pulse,
                             PhaseFrame.comb_locked(sys3, 10.0))
-    assert digest(state.amplitudes) == "bca81fa8a25fa239"
+    assert digest(state.amplitudes) == "fadb57e9d55c9bcc"
 
 
 def test_one_sample_keeps_no_snapshots():
@@ -1565,9 +1583,10 @@ def test_dense_passes_exponentiate_per_block(monkeypatch):
     exponentials are the first half's transposed: the 100 distinct
     pulses of a 50-pair ramped stirap train, on blocks of 2 levels, fill
     blocks of 8192 // (100 * 4) = 20 steps, so 40 steps at stride 1 take
-    1 call. Its operators and snapshots have the bits of the same pass at
-    one step per block (_BLOCK_ENTRIES = 400), which takes one call per
-    step of the first half."""
+    1 call. Its operators and snapshots, and the operators of the pass
+    without snapshots, have the bits of the same passes at one step per
+    block (_BLOCK_ENTRIES = 400), which take one call per step of the
+    first half: every step multiplies y on its own, whatever its block."""
     sys3 = build_three_level()
     frame = PhaseFrame.for_system(sys3)
     sched = run_piecewise_stirap(sys3, 50, 10.0, record="none", steps=40).schedule
@@ -1579,18 +1598,90 @@ def test_dense_passes_exponentiate_per_block(monkeypatch):
         calls.append(omega.shape)
         return taylor(omega)
 
-    def dense_pass():
+    def dense_pass(samples=40):
         calls.clear()
         ops, dense, _ = propagator._integrate_pulses(
-            sys3, frame, pulses, [0.0] * len(pulses), 40, samples=40)
-        return ops, dense[0]
+            sys3, frame, pulses, [0.0] * len(pulses), 40, samples=samples)
+        return ops, dense and dense[0]
 
     monkeypatch.setattr(propagator, "_expm1", spy)
     ops, snapshots = dense_pass()
     assert calls == [(20 * 100, 2, 2)]
     assert snapshots.shape == (39, 100, 2, 2)
+    plain = dense_pass(None)[0]
     monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 400)
     per_step = dense_pass()
     assert len(calls) == 20
     assert np.array_equal(ops, per_step[0])
     assert np.array_equal(snapshots, per_step[1])
+    assert np.array_equal(plain, dense_pass(None)[0])
+    assert len(calls) == 20
+
+
+@pytest.mark.parametrize("case, steps", [
+    ("band", 88), ("band", 87), ("symmetric", 123), ("ramped_stirap", 88)])
+def test_a_pulse_has_the_same_bits_alone_and_in_any_batch(case, steps):
+    """Each step multiplies y on its own, so a pulse's operator, and its
+    snapshots in a dense pass, have the same bits integrated alone and
+    in its batch, whose block of _BLOCK_ENTRIES // (P b^2) steps is
+    shorter than the half pass's steps: the 8 distinct pulses of the
+    band crp train on 23 levels (1 step per block against 15 alone), the
+    4 decaying 6-level pulses (56 against 227) and the 100 pulses of a
+    50-pair ramped stirap train on 2 levels (20 against 2048)."""
+    if case == "ramped_stirap":
+        system = build_three_level()
+        frame = PhaseFrame.for_system(system)
+        pulses = run_piecewise_stirap(system, 50, 10.0, record="none",
+                                      steps=steps).schedule.pulses
+    else:
+        system, frame, schedule = _dense_case(case)
+        pulses = schedule.pulses
+    phases = np.linspace(-2.0, 2.5, len(pulses))
+    for samples in (None, 8):
+        ops, dense, _ = propagator._integrate_pulses(
+            system, frame, pulses, phases, steps, samples=samples)
+        for i, (pulse, phi) in enumerate(zip(pulses, phases)):
+            alone, alone_dense, _ = propagator._integrate_pulses(
+                system, frame, [pulse], [phi], steps, samples=samples)
+            assert np.array_equal(ops[i], alone[0])
+            if samples:
+                assert np.array_equal(dense[0][:, i], alone_dense[0][:, 0])
+
+
+@pytest.mark.parametrize("case, steps, stride", [
+    ("band", 256, None), ("band", 87, None), ("band", 87, 2),
+    ("symmetric", 41, 3)])
+def test_passes_stay_near_their_steps_multiplied_in_long_double(
+        case, steps, stride, monkeypatch):
+    """A pass takes its steps one at a time in float64. Its operators,
+    and its snapshots with a stride, stay within 4e-15 of the same
+    exp(Omega) - I multiplied out step by step in np.clongdouble, the
+    second half's as the first half's transposed: the 8 distinct pulses
+    of the band crp train on 23 of 25 levels at 256 steps and at an odd
+    count, and the decaying 6-level pulses with their masks and
+    detunings. The pass without snapshots folds its second half in by
+    transposition, U' = U_a^T Y."""
+    system, frame, schedule = _dense_case(case)
+    pulses = schedule.pulses
+    xs, taylor = [], propagator._expm1
+
+    def spy(omega):
+        xs.append(taylor(omega))
+        return xs[-1]
+
+    monkeypatch.setattr(propagator, "_expm1", spy)
+    bases = propagator._pulse_bases(system, frame, pulses)
+    ops, snapshots, _ = propagator._pulse_pass(bases, pulses, steps, stride)
+    P, b = ops.shape[:2]
+    taken = (steps + 1) // 2
+    xs = np.concatenate(xs).reshape(taken, P, b, b).astype(np.clongdouble)
+    y = np.tile(np.eye(b, dtype=np.clongdouble), (P, 1, 1))
+    kept = []
+    for k in range(steps):
+        y = y + (xs[k] if k < taken else xs[steps - 1 - k].swapaxes(-1, -2)) @ y
+        if stride and (k + 1) % stride == 0 and k + 1 < steps:
+            kept.append(y)
+    assert np.max(np.abs(ops - y)) < 4e-15
+    if stride:
+        assert snapshots.shape == ((steps - 1) // stride, P, b, b)
+        assert np.max(np.abs(snapshots - np.array(kept))) < 4e-15
