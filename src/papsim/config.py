@@ -278,8 +278,8 @@ def config_fingerprint(obj) -> str:
 
     Exports carry this so a CSV can be matched to the exact
     configuration that produced it; any change to any field changes the
-    fingerprint.
+    fingerprint. A non-finite float hashes as NaN, Infinity or -Infinity,
+    so a scan whose cells fail on one still returns its map.
     """
-    text = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"),
-                      allow_nan=False)
+    text = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()[:16]

@@ -45,10 +45,10 @@ class PulseSpec:
         Integrated Rabi angle of the peak-coupled channel, rad. The
         envelope is normalized so its integral over the support equals
         this value exactly.
-    carrier_detuning : float
-        Offset of the carrier from the frame reference transition, cm^-1.
     carrier_phase : float
-        Carrier phase at the pulse center, rad.
+        Carrier phase at the pulse center, rad. The carrier frequency is
+        the channel's frequency of the frame (propagator.PhaseFrame),
+        which a detuned carrier shifts.
     channel : str
         "pump" (ground_a <-> excited) or "dump" (ground_b <-> excited).
     phase_mask : tuple of float, optional
@@ -59,7 +59,6 @@ class PulseSpec:
     shape: str
     fwhm: float
     area: float
-    carrier_detuning: float = 0.0
     carrier_phase: float = 0.0
     channel: str = "pump"
     phase_mask: tuple[float, ...] | None = None
@@ -84,8 +83,7 @@ class PulseSpec:
 
 
 def make_pulse(shape: str, fwhm: float, area: float, *,
-               carrier_detuning: float = 0.0, carrier_phase: float = 0.0,
-               channel: str = "pump",
+               carrier_phase: float = 0.0, channel: str = "pump",
                phase_mask: Sequence[float] | None = None) -> PulseSpec:
     """Validated PulseSpec constructor. fwhm is fs, area is rad."""
     if shape not in PULSE_SHAPES:
@@ -94,7 +92,6 @@ def make_pulse(shape: str, fwhm: float, area: float, *,
         raise ValueError(f"channel must be one of {CHANNELS}, got {channel!r}")
     mask = None if phase_mask is None else tuple(float(p) for p in phase_mask)
     for name, value in (("fwhm", fwhm), ("area", area),
-                        ("carrier_detuning", carrier_detuning),
                         ("carrier_phase", carrier_phase)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
@@ -104,8 +101,8 @@ def make_pulse(shape: str, fwhm: float, area: float, *,
         raise ValueError("fwhm must be positive")
     if area < 0:
         raise ValueError("area must be non-negative")
-    return PulseSpec(shape, float(fwhm), float(area), float(carrier_detuning),
-                     float(carrier_phase), channel, mask)
+    return PulseSpec(shape, float(fwhm), float(area), float(carrier_phase),
+                     channel, mask)
 
 
 def rabi_envelope(pulse: PulseSpec, tau) -> np.ndarray:
@@ -162,8 +159,8 @@ class TrainEvent:
 
 def _pulse_key(pulse: PulseSpec) -> tuple:
     """A pulse up to its carrier phase, which its operator absorbs."""
-    return (pulse.shape, pulse.fwhm, pulse.area, pulse.carrier_detuning,
-            pulse.channel, pulse.phase_mask)
+    return (pulse.shape, pulse.fwhm, pulse.area, pulse.channel,
+            pulse.phase_mask)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,10 +276,10 @@ def build_train(kind: str, n_pairs: int, delta_T: float, delta_t_small: float,
     n*delta_T + delta_t_small, so positive delta_t_small means the pump
     comes after the dump. The prototypes' ``area`` is the TOTAL integral
     action of that channel (rad); pulse n carries the fraction
-    w(n)/sum(w) of it. Shape, width, carrier detuning, carrier phase and
-    phase mask of every pulse come from its channel's prototype; the
-    prototype phase adds to the train's phase schedule. n_pairs = 0
-    yields an empty schedule. Both delays must be finite.
+    w(n)/sum(w) of it. Shape, width, carrier phase and phase mask of
+    every pulse come from its channel's prototype; the prototype phase
+    adds to the train's phase schedule. n_pairs = 0 yields an empty
+    schedule. Both delays must be finite.
 
     Kinds
     -----

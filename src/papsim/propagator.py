@@ -10,10 +10,10 @@ Hamiltonian of level k carries the diagonal d_k - i Gamma_k / 2 with
     d_b = K (E_b - E_i) - omega_pump + omega_dump   (ground_b)
 
 and a pulse couples its channel with the envelope Rabi rate times
-exp(-i phi(t)) on the absorption leg (lower manifold -> excited for the
-pump, ground_b -> excited for the dump). phi(t) is the carrier phase,
-d phi = K * carrier_detuning per unit time plus the per-pulse constant;
-it is evaluated analytically from the schedule, never integrated.
+exp(-i phi) on the absorption leg (lower manifold -> excited for the
+pump, ground_b -> excited for the dump). The frame's frequencies are
+the carriers' (PhaseFrame), so phi is the pulse's constant carrier
+phase, read from the schedule, never integrated.
 
 Free evolution is exact: a_k <- a_k exp(-i d_k dt - Gamma_k dt / 2),
 from the same diagonal the kernel uses.
@@ -42,23 +42,22 @@ The two assemble Omega differently. A window drives both channels
 through phase callables, so _magnus6 forms three commutators of its
 alphas per step, which have no small basis; one basis -i h (diag, A_c,
 A_c^dagger) turns its drive samples into generators -i h H. A window
-is one problem: its own step, diagonal and couplings.
-A pulse drives one channel with one carrier and a real envelope, and
-is integrated in its carrier's frame and a real gauge
-(_integrate_pulses). There every commutator of Omega is a fixed
-combination of eight matrices built once per channel and detuning in
-each call (_pulse_bases; Munthe-Kaas and Owren, Phil. Trans. R. Soc. A
-357, 957 (1999)), without h, and shared by the step-doubling estimate
-and the production pass. A block's Omega stack is one product of per-step
+is one problem: its own step, diagonal and couplings. A pulse drives
+one channel with one carrier and a real envelope, and is integrated in
+a real gauge (_integrate_pulses). There every commutator of Omega is a
+fixed combination of eight matrices built once per channel in each
+call (_pulse_bases; Munthe-Kaas and Owren, Phil. Trans. R. Soc. A 357,
+957 (1999)), without h, and shared by the step-doubling estimate and
+the production pass. A block's Omega stack is one product of per-step
 coefficients in the envelope with that basis (_pulse_pass): no
 commutator is formed per step. The envelope is sampled once per pass,
 one vectorized call per shape and fwhm (fields._envelopes, which
 rabi_envelope uses too): a built train's pulses differ only in area.
-Every pass exponentiates only the first half of its steps: step N - 1 -
-k takes the transpose of step k's exp(Omega) - I. A pass without
+Every pass exponentiates only the first half of its steps: step
+N - 1 - k takes the transpose of step k's exp(Omega) - I. A pass without
 snapshots also multiplies out only that half, and the second half is
-its transpose; a pass with snapshots multiplies out every step in order
-(_pulse_pass).
+its transpose; a pass with snapshots multiplies out every step in
+order (_pulse_pass).
 
 A pulse couples only its own channel: a pump pulse ground_a and the
 excited levels, a dump pulse the excited levels and ground_b. So the
@@ -71,32 +70,31 @@ embeds both into the (P, n, n) operators its callers read; its (S, P,
 b, b) snapshots stay on the blocks, in the real gauge. The step-doubling
 estimate compares the block operators
 of the pass directly, since both of its passes carry the same phases of
-modulus 1 outside the blocks, in the frame and in the gauge; the
-convergence bound and N0 take max |D'| over all n levels.
+modulus 1 outside the blocks and in the gauge; the convergence bound
+and N0 take max |D| over all n levels.
 
 A schedule holds each distinct pulse once and, per event, its time, an
 index into those pulses and a carrier phase; a scan column stacks C
 such rows. The one train runner, _run_events, has the distinct pulses
-integrated in one batched pass (_integrate_pulses), then steps a (C, n)
-stack of states through them by exact phase conjugation, each row with
-its own events. It reads the event starts, supports and center phases
-(pulse_center_phase element by element) straight from the schedule's
-arrays. A run that keeps no per-event states (record="none", and every
-scan column) takes each row's periodic middle as a power: in a flat
-pair train pair j is pair 1 shifted by (j - 1) delta_T, a shift that
-only adds the comb slip, a diagonal S, so the middle's J periods are
-S^J (S^-1 P)^J, P one period's operator, formed in long double and
-squared about log2 J times. Its events before and after, and every
-event of a recorded run, go through the loop, which keeps row 0's
-states entering and leaving each event when recorded. run_schedule is
-one row and records after the loop: record="dense" samples each event
-at the 40 snapshots per pulse that the pass keeps, every max(1, N // 40)
-of its N steps, all events at once per sample, at the sample times the
-pass returns. A sample's populations come from vectors: on the pulse's
-block, |B_s (conj(g(0)) . entering)|^2 with B_s the block snapshot of
-the real gauge and g the frame and gauge phases; outside it,
-|exp(-i d t_s) . entering|^2. Every other factor of the operator is a
-phase of modulus 1, so no snapshot is embedded on all n levels or
+integrated in one batched pass (_integrate_pulses), then steps a (C,
+n) stack of states through them by exact phase conjugation, each row
+with its own events. It reads the event starts, supports and carrier
+phases straight from the schedule's arrays. A run that keeps no
+per-event states (record="none", and every scan column) takes each
+row's periodic middle as a power: in a flat pair train pair j is pair
+1 shifted by (j - 1) delta_T, a shift that leaves its operator as it
+is, so the middle's J periods are P^J, P one period's operator, formed
+in long double and squared about log2 J times. Its events before and
+after, and every event of a recorded run, go through the loop, which
+keeps row 0's states entering and leaving each event when recorded.
+run_schedule is one row and records after the loop: record="dense"
+samples each event at the 40 snapshots per pulse that the pass keeps,
+every max(1, N // 40) of its N steps, all events at once per sample,
+at the sample times the pass returns. A sample's populations come from
+vectors: on the pulse's block, |B_s (conj(g) . entering)|^2 with B_s
+the block snapshot of the real gauge and g the gauge phases; outside
+it, |exp(-i d t_s) . entering|^2. Every other factor of the operator
+is a phase of modulus 1, so no snapshot is embedded on all n levels or
 conjugated. A scan column is one row per cell. propagate_pulse calls
 the pulse pass directly.
 
@@ -182,7 +180,12 @@ def ground_state(system: LevelSystem, time: float = 0.0) -> QuantumState:
 
 @dataclass(frozen=True)
 class PhaseFrame:
-    """Reference frequencies (rad/ps) of the two rotating channels.
+    """Reference frequencies (rad/ps) of the two rotating channels, and
+    the carrier frequencies of every pump and dump pulse: a pulse holds
+    only a constant carrier phase. Carriers detuned by delta_p and
+    delta_d cm^-1 are the frame PhaseFrame(omega_pump + K delta_p,
+    omega_dump + K delta_d), which for_system's offsets and comb_locked's
+    f0_pump build.
 
     Carrier phases of scheduled pulses are exact functions of the event
     times and comb parameters; nothing here is ever obtained by
@@ -200,8 +203,12 @@ class PhaseFrame:
         pump_offset detunes the pump reference (cm^-1, positive = carrier
         above the anchor transition); two_photon_offset detunes the
         two-photon reference so the target level sits that many cm^-1
-        from two-photon resonance.
+        from two-photon resonance. Both must be finite.
         """
+        for name, value in (("pump_offset", pump_offset),
+                            ("two_photon_offset", two_photon_offset)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         e_init = system.initial_level.energy
         omega_pump = K_RAD_PS_PER_CM * (system.anchor_energy() - e_init + pump_offset)
         omega_dump = omega_pump + K_RAD_PS_PER_CM * (raman_shift(system) - two_photon_offset)
@@ -221,6 +228,8 @@ class PhaseFrame:
         """
         if not 0 < delta_T < math.inf:
             raise ValueError(f"delta_T must be positive and finite, got {delta_T}")
+        if not math.isfinite(f0_pump):
+            raise ValueError(f"f0_pump must be finite, got {f0_pump}")
         f_rep = 1.0 / delta_T
         e_init = system.initial_level.energy
         f_nominal = K_RAD_PS_PER_CM * (system.anchor_energy() - e_init) / (2.0 * math.pi)
@@ -237,11 +246,6 @@ class PhaseFrame:
         d[system.slice_excited()] -= self.omega_pump
         d[system.slice_ground_b()] -= self.omega_pump - self.omega_dump
         return d
-
-
-def pulse_center_phase(pulse: PulseSpec, center_time: float) -> float:
-    """Analytic carrier phase of a pulse at its center time (rad)."""
-    return pulse.carrier_phase + K_RAD_PS_PER_CM * pulse.carrier_detuning * center_time
 
 
 # --- Hamiltonian assembly ---
@@ -519,12 +523,12 @@ _BASIS_WEIGHTS = np.array([1.0] + [1.0 / 240.0] * 8)
 @dataclass(frozen=True, eq=False)
 class _PulseBasis:
     """What a pulse's pass needs besides its envelope, shared by the
-    pulses of its channel and carrier detuning whatever their area,
-    shape, width or phase mask: the carrier-frame diagonal D' on its
-    block, the (9, b^2) basis Y, B3, ..., B10 of the real V_0 without h,
-    and the two parts of the norm bound max ||H'||_2 <= max |D'| + max f
-    ||A||_F over all n levels (A couples ground columns to excited rows
-    only, so ||f V_0||_2 = f ||A||_2, whatever its row phases)."""
+    pulses of its channel whatever their area, shape, width or phase
+    mask: the frame's diagonal D on its block, the (9, b^2) basis Y, B3,
+    ..., B10 of the real V_0 without h, and the two parts of the norm
+    bound max ||H'||_2 <= max |D| + max f ||A||_F over all n levels (A
+    couples ground columns to excited rows only, so ||f V_0||_2 = f
+    ||A||_2, whatever its row phases)."""
 
     diag: np.ndarray
     basis: np.ndarray
@@ -533,11 +537,10 @@ class _PulseBasis:
 
 
 def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses) -> list:
-    """Each pulse's _PulseBasis, built once per channel and carrier
-    detuning of the pulses.
+    """Each pulse's _PulseBasis, built once per channel of the pulses.
 
-    With H' = D' + f(t) V_0 in the carrier frame and real gauge
-    (_integrate_pulses), x = diag(D'), Delta_ij = x_i - x_j and Y = V_0,
+    With H' = D + f(t) V_0 in the real gauge (_integrate_pulses), x =
+    diag(D), Delta_ij = x_i - x_j and Y = V_0,
     every commutator of Omega is one of
 
         B3 = Delta . Y,  B4 = Delta . B3,  B6 = Delta . B4,
@@ -550,12 +553,9 @@ def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses) -> list:
     """
     built, out = {}, []
     for pulse in pulses:
-        key = (pulse.channel, pulse.carrier_detuning)
-        if key not in built:
+        if pulse.channel not in built:
             rows = _blocks(system, [pulse])[0]
             full = _diagonal(system, frame)
-            full[system.slice_excited()] -= (K_RAD_PS_PER_CM
-                                             * pulse.carrier_detuning)
             A = _absorption_matrix(replace(system, dipole_phases=None),
                                    pulse.channel)
             y = A[np.ix_(rows, rows)]
@@ -568,22 +568,22 @@ def _pulse_bases(system: LevelSystem, frame: PhaseFrame, pulses) -> list:
             basis = np.stack([y, b3, b4, b5, delta * b4, delta * b5,
                               y @ b5 - b5 @ y, b3 @ b4 - b4 @ b3,
                               b3 @ b5 - b5 @ b3])
-            built[key] = _PulseBasis(x, basis.reshape(9, -1),
-                                     float(np.abs(full).max()),
-                                     float(np.linalg.norm(A)))
-        out.append(built[key])
+            built[pulse.channel] = _PulseBasis(x, basis.reshape(9, -1),
+                                               float(np.abs(full).max()),
+                                               float(np.linalg.norm(A)))
+        out.append(built[pulse.channel])
     return out
 
 
 def _pulse_pass(bases, pulses, steps: int, stride: int | None = None):
-    """Magnus steps from the identity over each pulse's support in its
-    carrier's frame and real gauge (_integrate_pulses), on its block of
-    levels (_pulse_bases): returns the (P, b, b) operators U', their
+    """Magnus steps from the identity over each pulse's support in the
+    real gauge (_integrate_pulses), on its block of levels
+    (_pulse_bases): returns the (P, b, b) operators U', their
     snapshots and h max ||H'|| per pulse, the bound taken over all n
     levels.
 
     f_1, f_2, f_3 are _ALPHA_WEIGHTS applied to the envelope at the
-    step's three Gauss-Legendre nodes; with X = -i h D' and Y = -i h V_0
+    step's three Gauss-Legendre nodes; with X = -i h D and Y = -i h V_0
     the alphas of _magnus6 are X + f_1 Y, f_2 Y and f_3 Y, and its Omega
     is
 
@@ -675,8 +675,8 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     b, b) block operators U'(t) of the real gauge every stride = max(1,
     N // samples) steps, at the (S, P, 1) times t past each support
     start; rows are the (P, b) levels of each pulse's block (_blocks) and
-    gauge the (P, b) conj(g(0)) on them, g as below, at the centre
-    phases given. So on the block the operator up to t is g(t) U'(t)
+    gauge the (P, b) conj(g) on them, g as below, at the centre phases
+    given. So on the block the operator up to t is conj(gauge) U'(t)
     gauge, whose populations from a state v are |U'(t) (gauge . v)|^2,
     and outside it the free phase exp(-i d t).
 
@@ -685,36 +685,34 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     MIN_STEPS_PER_PULSE, rounded up to a multiple of `samples`. The rule
     estimates on the largest-area pulse of each group of pulses that
     differ only in area (for a runner's train, one pump and one dump),
-    at the N0 of _estimate_n0 with the norm bound of H' in the carrier
-    frame. Its passes are not held to the convergence bound, and compare
-    the block operators of _pulse_pass: the phases of the frame and the
-    gauge, and those outside the blocks, are the same in both passes and
-    of modulus 1. The diagnostics are those of _chosen_steps and the
-    distinct pulses P; without pulses nothing is integrated, and the
-    operators and dense are None.
+    at the N0 of _estimate_n0 with the norm bound of H'. Its passes are
+    not held to the convergence bound, and compare the block operators
+    of _pulse_pass: the phases of the gauge, and those outside the
+    blocks, are the same in both passes and of modulus 1. The
+    diagnostics are those of _chosen_steps and the distinct pulses P;
+    without pulses nothing is integrated, and the operators and dense
+    are None.
 
-    The pass runs on each pulse's block of levels (_pulse_pass) in its
-    carrier's frame, R(t) = exp(-i omega (t - T/2)) on the excited levels
-    with omega = K carrier_detuning, and in the real gauge. The pulse
-    couples with V = e^{-i phi_c} A + h.c., phi_c its centre phase; A's
-    excited rows carry the phases theta of _row_angles over the real
-    couplings A_r. With g(t) = exp(-i (omega (t - T/2) + phi_c - theta))
-    on the block's excited levels (1 elsewhere), the operator up to time
-    t is g(t) U'(t) conj(g(0)), elementwise in rows and columns, U' that
-    of H' = D' + f(t) V_0: D' = D - omega on the excited levels, f the
-    real rabi_envelope and V_0 = A_r + A_r^T. At omega = 0 the carrier
-    frame is the rotating frame of this module. The levels outside the
+    The pass runs on each pulse's block of levels (_pulse_pass) in the
+    real gauge. The pulse couples with V = e^{-i phi_c} A + h.c., phi_c
+    its centre phase, constant over the pulse since the frame's
+    frequency is its carrier's (PhaseFrame); A's excited rows carry the
+    phases theta of _row_angles over the real couplings A_r. With g =
+    exp(-i (phi_c - theta)) on the block's excited levels (1 elsewhere),
+    the operator up to time t is g U'(t) conj(g), elementwise in rows
+    and columns, U' that of H' = D + f(t) V_0: D the frame's diagonal, f
+    the real rabi_envelope and V_0 = A_r + A_r^T. The levels outside the
     block take their exact free phase exp(-i d_k t), decay included,
-    over the support. Raises NumericsError naming
-    the channel of the first pulse whose steps leave the convergence
-    bound h max ||H'|| < pi: past it the Magnus series diverges, and a
-    step would return a finite, wrong operator.
+    over the support. Raises NumericsError naming the channel of the
+    first pulse whose steps leave the convergence bound h max ||H'|| <
+    pi: past it the Magnus series diverges, and a step would return a
+    finite, wrong operator.
     """
     bases = _pulse_bases(system, frame, pulses)
     largest = {}
     for pulse, basis in zip(pulses, bases) if steps is None else ():
-        key = (pulse.shape, pulse.fwhm, pulse.carrier_detuning,
-               pulse.carrier_phase, pulse.channel, pulse.phase_mask)
+        key = (pulse.shape, pulse.fwhm, pulse.carrier_phase, pulse.channel,
+               pulse.phase_mask)
         if key not in largest or abs(pulse.area) > abs(largest[key][0].area):
             largest[key] = pulse, basis
     group = [p for p, _ in largest.values()]
@@ -746,23 +744,21 @@ def _integrate_pulses(system: LevelSystem, frame: PhaseFrame, pulses,
     rows = _blocks(system, pulses)
     levels = system.slice_excited()
     excited = (rows >= levels.start) & (rows < levels.stop)
-    omega = K_RAD_PS_PER_CM * np.array([[p.carrier_detuning] for p in pulses])
     phi = np.zeros(rows.shape)
     phi[excited] = -np.concatenate([_row_angles(system, p) for p in pulses])
     phi += np.asarray(center_phases, dtype=float)[:, None]
     support = np.array([p.support_ps for p in pulses])[:, None]
 
-    # g(T) and g(0), the frame and gauge phases at the ends of each support
-    left, right = (np.where(excited, np.exp(-1j * (omega * (t - support / 2.0) + phi)),
-                            1.0) for t in (support, 0.0))
-    right = np.conj(right)
+    # the gauge phases g, the same at every time, and the gauge conj(g)
+    g = np.where(excited, np.exp(-1j * phi), 1.0)
+    gauge = np.conj(g)
     ops = (np.exp(-1j * _diagonal(system, frame) * support)[..., None]
            * np.eye(system.n_levels))
     ops[np.arange(len(rows))[:, None, None], rows[:, :, None], rows[:, None, :]] = (
-        left[:, :, None] * block * right[:, None, :])
+        g[:, :, None] * block * gauge[:, None, :])
     if snapshots is not None:
         snapshots = (snapshots, np.arange(stride, n, stride)[:, None, None]
-                     * (support / n), rows, right)
+                     * (support / n), rows, gauge)
     return ops, snapshots, diagnostics
 
 
@@ -826,13 +822,10 @@ def propagate_pulse(state: QuantumState, system: LevelSystem, pulse: PulseSpec,
 
     Fixed-step sixth-order Magnus, by default MIN_STEPS_PER_PULSE steps
     over the support (override via ``steps``); raises NumericsError if
-    the steps leave the convergence bound. The carrier phase at the pulse
-    center is pulse.carrier_phase plus the analytic comb slip
-    K * carrier_detuning * t_center.
+    the steps leave the convergence bound. The pulse couples at
+    pulse.carrier_phase, on the frame's carrier (PhaseFrame).
     """
-    t_center = state.time + pulse.support_ps / 2.0
-    ops = _integrate_pulses(system, frame, [pulse],
-                            [pulse_center_phase(pulse, t_center)],
+    ops = _integrate_pulses(system, frame, [pulse], [pulse.carrier_phase],
                             _steps(steps))[0]
     return QuantumState(ops[0] @ state.amplitudes, state.time + pulse.support_ps)
 
@@ -882,17 +875,15 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     With record="none" a row's periodic middle takes a power. Event k
     repeats event k - 2 when it has its pulse, carrier phase and gap
     (equal up to 16 ulp of the row's times, their rounding) and another
-    channel than event k - 1: it is then event k - 2 shifted by the
-    period tau = t_k - t_{k-2}, which only adds the comb slip, the
-    diagonal S of exp(i K carrier_detuning tau) on the levels each
-    event's phase rides on. With the two events before it, the first 2 J
-    - 1 >= 3 events of a row's first run of such events (all of an odd
-    run) are J periods P_j = S^j P_0 S^-j and one more copy of their
-    first event, so this middle is S^J M_0 (S^-1 P_0)^J, M_0 that first
-    event and P_0 = M_1 M_0. M_0 and M_1 are formed in long double, with
-    their gaps and phases from their own times, near the train's start;
-    (S^-1 P_0)^J takes about log2 J squarings (_mm)
-    and reaches the state by its binary digits, and S^J is formed once.
+    channel than event k - 1: its operator, with its phase conjugation
+    and the free evolution over its gap, is then event k - 2's. With the
+    two events before it, the first 2 J - 1 >= 3 events of a row's first
+    run of such events (all of an odd run) are J periods P_0 and one more
+    copy of their first event, so this middle is M_0 P_0^J, M_0 that
+    first event and P_0 = M_1 M_0. M_0 and M_1 are formed in long double,
+    with their gaps and phases from their own times, near the train's
+    start; P_0^J takes about log2 J squarings (_mm) and reaches the state
+    by its binary digits.
     A run of two events (the two equal central pairs of a crp train of
     even n_pairs) is no middle. The events before and after the middle,
     and every event of a recorded run, take the loop. A row's split
@@ -915,7 +906,6 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     starts = time - support / 2.0
     times = np.column_stack([t0, starts + support])
     gaps = starts - times[:, :-1]
-    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning for p in pulses])
     # the levels whose phase each pulse carries: ground_a for a pump,
     # ground_b for a dump
     level, excited = np.arange(n), system.slice_excited()
@@ -938,11 +928,11 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     used = np.arange(E)
     used = (used < head.max()) | (used >= tail.min())
     at = np.cumsum(used) - 1
-    # their phase conjugations z (pulse_center_phase, element by element)
-    # and, on entry, its conjugate times the free evolution over the gap
-    # before each (none for a gap <= 0: the factor is then exactly 1)
-    z = np.where(rides[op_rows[:, used]], np.exp(1j * (
-        phase[:, used] + detuning[op_rows[:, used]] * time[:, used]))[..., None], 1.0)
+    # their phase conjugations z by the carrier phases and, on entry, its
+    # conjugate times the free evolution over the gap before each (none
+    # for a gap <= 0: the factor is then exactly 1)
+    z = np.where(rides[op_rows[:, used]],
+                 np.exp(1j * phase[:, used])[..., None], 1.0)
     diag = _diagonal(system, frame)
     drift = np.exp(-1j * diag * np.maximum(gaps[:, used], 0.0)[..., None])
     entry = np.conj(z) * drift
@@ -964,19 +954,17 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
     rows = np.flatnonzero(periods)
     if rows.size:
         # the first two events of each middle: their operators, from their
-        # gaps and phases, and the slip over one period, in long double
+        # gaps and phases, in long double
         r, k, wide = rows[:, None], head[rows, None] + [0, 1], time.astype(np.longdouble)
         t, o = wide[r, k], op_rows[r, k]
         before = np.where(k > 0, wide[r, k - 1] + support[r, k - 1] / 2.0,
                           times[r, 0])
         gap = np.maximum(t - support[r, k] / 2.0 - before, 0.0)
-        one = np.where(rides[o], np.exp(1j * (
-            phase[r, k] + detuning[o] * t))[..., None], 1.0)
+        one = np.where(rides[o], np.exp(1j * phase[r, k].astype(
+            np.longdouble))[..., None], 1.0)
         one = one[..., None] * ops[o] * (
             np.conj(one) * np.exp(-1j * diag * gap[..., None]))[..., None, :]
-        tau = time[r, k[:, :1] + 2] - t[:, :1]
-        slip = np.where(rides[o], (detuning[o] * tau)[..., None], 0.0).sum(axis=1)
-        power = np.exp(-1j * slip)[..., None] * _mm(one[:, 1], one[:, 0])
+        power = _mm(one[:, 1], one[:, 0])
         count, state = periods[rows], amps[rows].astype(np.clongdouble)
         while True:
             state = np.where((count % 2 > 0)[:, None],
@@ -986,8 +974,7 @@ def _run_events(system: LevelSystem, frame: PhaseFrame,
                 break
             power = _mm(power, power)
         # and the copy of its first event that ends the middle
-        state = np.matmul(one[:, 0], state[..., None])[..., 0]
-        amps[rows] = np.exp(1j * periods[rows, None] * slip) * state
+        amps[rows] = np.matmul(one[:, 0], state[..., None])[..., 0]
     for j in range((E - tail).max()):
         rows = tail + j < E
         step(rows, (tail + j)[rows])
@@ -1223,11 +1210,8 @@ def oracle_propagate(state: QuantumState, system: LevelSystem,
         pulse = ev.pulse
         T = pulse.support_ps
         h = T / steps
-        phi_c = pulse_center_phase(pulse, ev.time)
-        dw = K_RAD_PS_PER_CM * pulse.carrier_detuning
         tau = (np.arange(steps) + 0.5) * h
-        phi = phi_c + dw * (tau - T / 2.0)
-        field = rabi_envelope(pulse, tau) * np.exp(-1j * phi)
+        field = rabi_envelope(pulse, tau) * np.exp(-1j * pulse.carrier_phase)
         if pulse.channel == "pump":
             mu = system.pump_dipoles.astype(complex)
             ground = np.arange(system.n_ground_a)

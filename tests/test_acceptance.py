@@ -26,7 +26,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-# --- AC1: RK4 train propagation matches an independent expm oracle ---
+# --- AC1: Magnus train propagation matches an independent expm oracle ---
 
 def _random_system(rng, n_a, n_exc, n_b):
     e_exc = 11000.0 + np.sort(rng.uniform(-40.0, 40.0, n_exc))
@@ -59,18 +59,18 @@ def _random_case(rng, trial):
     mask = None
     if rng.random() < 0.5:
         mask = tuple(rng.uniform(-math.pi, math.pi, system.n_excited))
-    pump = make_pulse(shapes[int(rng.integers(2))],
-                      float(rng.uniform(80.0, 150.0)),
-                      float(rng.uniform(1.5, 12.0)),
-                      carrier_detuning=float(rng.uniform(-30.0, 30.0)),
-                      carrier_phase=float(rng.uniform(-3.0, 3.0)),
-                      channel="pump")
-    dump = make_pulse(shapes[int(rng.integers(2))],
-                      float(rng.uniform(80.0, 150.0)),
-                      float(rng.uniform(1.5, 12.0)),
-                      carrier_detuning=float(rng.uniform(-30.0, 30.0)),
-                      carrier_phase=float(rng.uniform(-3.0, 3.0)),
-                      channel="dump", phase_mask=mask)
+    # each channel's carrier detuning (cm^-1) shifts its frame frequency
+    detunings = []
+
+    def pulse(**kwargs):
+        shape = shapes[int(rng.integers(2))]
+        fwhm, area = float(rng.uniform(80.0, 150.0)), float(rng.uniform(1.5, 12.0))
+        detunings.append(float(rng.uniform(-30.0, 30.0)))
+        return make_pulse(shape, fwhm, area,
+                          carrier_phase=float(rng.uniform(-3.0, 3.0)), **kwargs)
+
+    pump = pulse(channel="pump")
+    dump = pulse(channel="dump", phase_mask=mask)
     kind = ("flat_pairs", "crp")[int(rng.integers(2))]
     schedule = build_train(kind, int(rng.integers(2, 5)), delta_T,
                            float(rng.uniform(1.0, delta_T - 1.0)), pump, dump,
@@ -82,6 +82,8 @@ def _random_case(rng, trial):
         frame = PhaseFrame.for_system(
             system, pump_offset=float(rng.uniform(-10.0, 10.0)),
             two_photon_offset=float(rng.uniform(-5.0, 5.0)))
+    frame = PhaseFrame(frame.omega_pump + K_RAD_PS_PER_CM * detunings[0],
+                       frame.omega_dump + K_RAD_PS_PER_CM * detunings[1])
     return system, schedule, frame
 
 
@@ -92,10 +94,10 @@ def test_ac01_propagator_matches_the_oracle():
     for trial in range(20):
         system, schedule, frame = _random_case(rng, trial)
         state = ground_state(system, schedule.start_time)
-        rk = run_schedule(state, system, schedule, frame, record="none")
+        run = run_schedule(state, system, schedule, frame, record="none")
         ora = oracle_propagate(state, system, schedule, frame,
                                steps_per_pulse=4000)
-        dev = float(np.max(np.abs(rk.final_state.amplitudes - ora.amplitudes)))
+        dev = float(np.max(np.abs(run.final_state.amplitudes - ora.amplitudes)))
         worst = max(worst, dev)
     elapsed = time.perf_counter() - start
     _report("AC01", worst < 1e-6 and elapsed < 60.0,

@@ -65,8 +65,7 @@ def systems_and_pulses(draw):
         pulses.append(make_pulse(
             draw(st.sampled_from(("sin2", "gaussian"))),
             draw(_floats(40.0, 200.0)), draw(_floats(0.0, 3.0 * math.pi)),
-            carrier_detuning=draw(_floats(-20.0, 20.0)), channel=channel,
-            phase_mask=mask))
+            channel=channel, phase_mask=mask))
     phases = draw(st.lists(_floats(-math.pi, math.pi), min_size=len(pulses),
                            max_size=len(pulses)))
     return system, pulses, phases
@@ -247,7 +246,6 @@ def _prototype(draw, channel):
             if channel == "dump" else None)
     return make_pulse(draw(st.sampled_from(("sin2", "gaussian"))),
                       draw(_floats(40.0, 400.0)), draw(_floats(0.0, 10.0)),
-                      carrier_detuning=draw(_floats(-20.0, 20.0)),
                       carrier_phase=draw(_floats(-math.pi, math.pi)),
                       channel=channel, phase_mask=mask)
 

@@ -17,7 +17,7 @@ from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, NumericsError, PhaseFrame,
 from papsim import propagator
 from papsim.levels import Level, LevelSystem
 from papsim.fields import _pair_trains, rabi_envelope
-from papsim.propagator import _run_events, pulse_center_phase
+from papsim.propagator import _run_events
 
 
 def _resonant():
@@ -88,13 +88,20 @@ def test_free_evolution_phase_and_decay():
 
 
 def test_comb_slip_phase_is_analytic():
-    # a carrier offset f0 slips the pulse-to-pulse phase by 2 pi f0 delta_T
-    f0 = 0.017  # THz
-    from papsim import C_CM_PER_PS
-    pulse = make_pulse("sin2", 100.0, 1.0, carrier_detuning=f0 / C_CM_PER_PS,
-                       carrier_phase=0.3)
-    delta_T = 10.0
-    slip = pulse_center_phase(pulse, delta_T) - pulse_center_phase(pulse, 0.0)
+    # a comb offset f0 moves both carriers by 2 pi f0 on the same tooth,
+    # so the excited level's phase slips by 2 pi f0 delta_T from one
+    # pulse to the next
+    f0, delta_T = 0.017, 10.0  # THz, ps
+    sys3 = build_three_level(pump_detuning=3.0)
+    base = PhaseFrame.comb_locked(sys3, delta_T)
+    comb = PhaseFrame.comb_locked(sys3, delta_T, f0)
+    assert abs(comb.omega_pump - base.omega_pump - 2.0 * math.pi * f0) < 1e-12
+    assert abs(comb.omega_dump - base.omega_dump - 2.0 * math.pi * f0) < 1e-12
+    excited = QuantumState(np.array([0.0, 1.0, 0.0], dtype=complex), 0.0)
+    base_phase, comb_phase = (
+        free_evolve(excited, sys3, delta_T, frame).amplitudes[1]
+        for frame in (base, comb))
+    slip = np.angle(comb_phase / base_phase)
     assert abs(slip - 2.0 * math.pi * f0 * delta_T) < 1e-12
 
 
@@ -112,6 +119,28 @@ def test_frame_offsets_move_detunings():
     tp = PhaseFrame.for_system(sys3, two_photon_offset=1.3)
     assert abs(tp.detunings(sys3)[2] + K_RAD_PS_PER_CM * 1.3) < 1e-12
     assert abs(tp.detunings(sys3)[1] - K_RAD_PS_PER_CM * 5.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["pump_offset", "two_photon_offset", "f0_pump"])
+def test_non_finite_frame_inputs_fail_by_name(name, bad):
+    """A NaN or infinite frame offset is a ValueError that names it, not
+    a NaN frame that fails deep in a run, steps blamed on the numerics
+    or an OverflowError; a scan at such an f0_pump returns NaN cells,
+    each failed for that reason."""
+    sys3 = build_three_level()
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        if name == "f0_pump":
+            PhaseFrame.comb_locked(sys3, 10.0, bad)
+        else:
+            PhaseFrame.for_system(sys3, **{name: bad})
+    if name == "f0_pump":
+        emap = scan_2d(sys3, {"n_pairs": 3, "f0_pump": bad}, [10.0, 12.0],
+                       [2.0, 3.0, 4.0])
+        assert np.isnan(emap.efficiency).all()
+        failures = emap.details["failures"]
+        assert len(failures) == emap.efficiency.size
+        assert all("f0_pump must be finite" in r for r in failures.values())
 
 
 def test_comb_locked_frame_keeps_raman_offset_exact():
@@ -224,27 +253,20 @@ def _two_three_one(decay=0.0):
 def _embedded(system, frame, pulses, phases, dense):
     """The (S, P, n, n) snapshots of a pass on all n levels, rebuilt from
     the block snapshots of the real gauge that _integrate_pulses returns
-    as the pass used to embed them: g(t) U'(t) conj(g(0)) on each pulse's
-    block, g(t) = exp(-i (omega (t - T/2) + phi_c - theta)) on its excited
-    levels and 1 elsewhere, and the free phase exp(-i d t) outside the
-    block. Also checks the returned gauge against conj(g(0))."""
+    as the pass used to embed them: g U'(t) conj(g) on each pulse's
+    block, g = exp(-i (phi_c - theta)) on its excited levels and 1
+    elsewhere, and the free phase exp(-i d t) outside the block. Also
+    checks the returned gauge against conj(g)."""
     snapshots, times, rows, gauge = dense
     excited = system.slice_excited()
     inside = (rows >= excited.start) & (rows < excited.stop)
-    omega = K_RAD_PS_PER_CM * np.array([[p.carrier_detuning] for p in pulses])
     phi = np.zeros(rows.shape)
     phi[inside] = -np.concatenate([propagator._row_angles(system, p)
                                    for p in pulses])
     phi += np.asarray(phases, dtype=float)[:, None]
-    support = np.array([p.support_ps for p in pulses])[:, None]
-
-    def frame_phase(t):
-        return np.where(inside, np.exp(-1j * (omega * (t - support / 2.0) + phi)),
-                        1.0)
-
-    right = np.conj(frame_phase(0.0))
-    assert np.max(np.abs(gauge - right)) <= 1e-15
-    block = frame_phase(times)[..., None] * snapshots * right[:, None, :]
+    g = np.where(inside, np.exp(-1j * phi), 1.0)
+    assert np.max(np.abs(gauge - np.conj(g))) <= 1e-15
+    block = g[:, :, None] * snapshots * np.conj(g)[:, None, :]
     diag = propagator._diagonal(system, frame)
     out = np.exp(-1j * diag * times)[..., None] * np.eye(system.n_levels)
     out[:, np.arange(len(pulses))[:, None, None], rows[:, :, None],
@@ -276,17 +298,18 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case, monkeypatch):
     """Pulses integrated on their blocks of levels, the levels outside
     taking their exact free phase, give the operators and snapshots of
     the same pass on all n levels to 1e-13, and their trains agree with
-    the oracle. The pump is detuned by 5 cm^-1, so both passes run in its
-    carrier's frame. The dense cases also run propagate_pulse on a
+    the oracle. The frame is 8 cm^-1 off the pump anchor and 5 cm^-1 off
+    two-photon resonance. The dense cases also run propagate_pulse on a
     state; in the last, a block of the 5-level pass holds 2 steps and
     one of the 6-level pass 1, fewer than a stride of 3, so the steps
     between two snapshots come from more than one block."""
     if case == "dense_short_blocks":
         monkeypatch.setattr(propagator, "_BLOCK_ENTRIES", 100)
     system = _two_three_one(0.05 if case == "decaying" else 0.0)
-    frame = PhaseFrame.for_system(system, pump_offset=3.0)
+    frame = PhaseFrame.for_system(system, pump_offset=8.0,
+                                  two_photon_offset=5.0)
     mask = (0.4, -2.0, 1.1) if case == "masked_dump" else None
-    pulses = [make_pulse("sin2", 100.0, 2.0, carrier_detuning=5.0),
+    pulses = [make_pulse("sin2", 100.0, 2.0),
               make_pulse("gaussian", 80.0, 1.5, channel="dump",
                          phase_mask=mask)]
     # 13 samples of 40 steps: a stride of 3
@@ -309,9 +332,9 @@ def test_block_passes_match_the_full_pass_and_the_oracle(case, monkeypatch):
     if record == "dense":
         state = QuantumState(np.array([0.6, 0.0, 0.0, 0.0, 0.0, 0.8j]), 0.0)
         for pulse in pulses:
-            phi = pulse_center_phase(pulse, pulse.support_ps / 2.0)
             out = propagate_pulse(state, system, pulse, frame, steps)
-            op, _ = _full_pass(system, frame, [pulse], [phi], steps)
+            op, _ = _full_pass(system, frame, [pulse], [pulse.carrier_phase],
+                               steps)
             assert np.max(np.abs(out.amplitudes - op[0] @ state.amplitudes)) < 1e-13
 
 
@@ -329,14 +352,14 @@ def test_the_propagator_source_stays_below_8192_code_tokens():
     assert count < 8192, count
 
 
-def _lab_drive(pulse, center_phase, steps):
+def _lab_drive(pulse, center_phase, steps, detuning=0.0):
     """w e^{-i phi} at the three Gauss-Legendre nodes of each step, the
-    carrier phase sliding at K carrier_detuning from center_phase at the
-    support midpoint: the drive of the lab frame."""
+    carrier phase sliding at K detuning (cm^-1) from center_phase at the
+    support midpoint: the drive of a carrier detuned from the frame."""
     T = pulse.support_ps
     tau = ((np.arange(steps)[:, None] + propagator._GAUSS_NODES)
            * (T / steps)).ravel()
-    phi = center_phase + K_RAD_PS_PER_CM * pulse.carrier_detuning * (tau - T / 2.0)
+    phi = center_phase + K_RAD_PS_PER_CM * detuning * (tau - T / 2.0)
     return rabi_envelope(pulse, tau) * np.exp(-1j * phi)
 
 
@@ -414,13 +437,12 @@ def test_the_basis_omega_is_the_commutator_omega(P, b, monkeypatch):
 
 
 def _symmetric_case():
-    """The decaying 2 + 3 + 1 system with dipole phases in a frame 3 cm^-1
+    """The decaying 2 + 3 + 1 system with dipole phases in a frame 8 cm^-1
     off the pump anchor, and a pump and a phase-masked dump pulse of
-    each shape, each at a carrier detuning of 5 cm^-1."""
+    each shape."""
     system = _two_three_one(0.05)
-    frame = PhaseFrame.for_system(system, pump_offset=3.0)
-    pulses = [make_pulse(shape, fwhm, area, carrier_detuning=5.0,
-                         channel=channel,
+    frame = PhaseFrame.for_system(system, pump_offset=8.0)
+    pulses = [make_pulse(shape, fwhm, area, channel=channel,
                          phase_mask=(0.4, -2.0, 1.1) if channel == "dump" else None)
               for shape, fwhm, area in (("sin2", 100.0, 2.0),
                                         ("gaussian", 80.0, 1.5))
@@ -435,7 +457,7 @@ def test_half_passes_match_the_full_pass():
     1, which multiplies out every step in order, the second half's
     exponentials being the first half's transposed) to 1e-14 at even and
     odd N and at the count the tolerance picks: both shapes on both
-    channels, decay, dipole phases, a phase mask, a carrier detuning and
+    channels, decay, dipole phases, a phase mask, a detuned frame and
     nonzero centre phases."""
     system, frame, pulses = _symmetric_case()
     phases = [0.3, -1.1, 2.4, 0.8]
@@ -491,8 +513,8 @@ def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
     whose production pass exponentiated P N matrices before it mirrored
     them too, and a scan column also take one estimate, two half passes
     on their largest pulses, and one production pass.
-    Each call builds one basis per channel and carrier detuning, which
-    the estimate and the production pass share."""
+    Each call builds one basis per channel, which the estimate and the
+    production pass share."""
     system, frame, pulses = _symmetric_case()
     for steps in (4, 5, 8, 13):
         # steps // 2 samples: a stride of 2
@@ -521,33 +543,46 @@ def test_passes_without_snapshots_exponentiate_half_their_steps(monkeypatch):
 @pytest.mark.parametrize("detuning", [5.0, -12.0, 30.0])
 def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
         detuning):
-    """A pulse detuned from the frame, integrated in its carrier's frame,
-    and the same pulse on Magnus steps in the lab frame (its phase
-    sliding in the drive) converge to each other at sixth order: their
-    difference falls at least 40x per doubling of the steps, for the
-    operators and the dense snapshots (in the lab frame, passes over the
-    first k steps). A train of such pulses agrees with the oracle."""
+    """A carrier detuned by K detuning from its channel's frame frequency
+    is the frame with that frequency shifted (PhaseFrame). A pulse
+    integrated in its carrier's frame, and the same pulse on Magnus
+    steps in the unshifted lab frame (its phase sliding in the drive)
+    converge to each other at sixth order once the rotation exp(-i s t)
+    between the frames' diagonals takes the lab operator into the
+    carrier's frame, where the phase of the drive is its value at the
+    support start: their difference falls at least 40x per doubling of
+    the steps, for the operators and the dense snapshots (in the lab
+    frame, passes over the first k steps). A train of such pulses in
+    the carrier frame agrees with the oracle."""
     system = _two_three_one(0.05)
     frame = PhaseFrame.for_system(system)
-    n = system.n_levels
+    n, shift = system.n_levels, K_RAD_PS_PER_CM * detuning
     for channel in ("pump", "dump"):
-        pulse = make_pulse("sin2", 100.0, 2.0, carrier_detuning=detuning,
-                           channel=channel)
+        pulse = make_pulse("sin2", 100.0, 2.0, channel=channel)
+        carrier = (PhaseFrame(frame.omega_pump + shift, frame.omega_dump)
+                   if channel == "pump" else
+                   PhaseFrame(frame.omega_pump, frame.omega_dump + shift))
+        rotation = (propagator._diagonal(system, carrier)
+                    - propagator._diagonal(system, frame)).real
+        T = pulse.support_ps
         diffs = []
         for steps in (8, 16, 32):
-            ops, snapshots = _pass(system, frame, [pulse], [0.4], steps, 8)
-            drive = _lab_drive(pulse, 0.4, steps)
+            ops, snapshots = _pass(system, carrier, [pulse],
+                                   [0.4 - shift * T / 2.0], steps, 8)
+            drive = _lab_drive(pulse, 0.4, steps, detuning)
 
             def lab_after(stop):
-                # the lab-frame operator after the first `stop` steps
-                return propagator._magnus6(
+                # the lab-frame operator after the first `stop` steps, in
+                # the carrier's frame
+                op = propagator._magnus6(
                     propagator._diagonal(system, frame),
                     [(propagator._absorption_matrix(system, channel),
                       drive[:3 * stop])],
-                    np.eye(n, dtype=complex), pulse.support_ps / steps)[0][None]
+                    np.eye(n, dtype=complex), T / steps)[0]
+                return np.exp(-1j * rotation * T * stop / steps)[:, None] * op
 
-            lab = lab_after(steps)
-            lab_snapshots = np.array([lab_after(k * steps // 8)
+            lab = lab_after(steps)[None]
+            lab_snapshots = np.array([lab_after(k * steps // 8)[None]
                                       for k in range(1, 8)])
             assert snapshots.shape == lab_snapshots.shape == (7, 1, n, n)
             diffs.append((np.max(np.abs(ops - lab)),
@@ -556,14 +591,14 @@ def test_a_detuned_pulse_in_its_carrier_frame_converges_to_the_lab_frame(
             assert fine[0] > 1e-13 and fine[1] > 1e-13
             assert coarse[0] / fine[0] >= 40.0 and coarse[1] / fine[1] >= 40.0
 
-    pump = make_pulse("sin2", 100.0, 2.0, carrier_detuning=detuning)
-    dump = make_pulse("gaussian", 80.0, 1.5, carrier_detuning=-detuning,
-                      channel="dump")
+    pump = make_pulse("sin2", 100.0, 2.0)
+    dump = make_pulse("gaussian", 80.0, 1.5, channel="dump")
+    carrier = PhaseFrame(frame.omega_pump + shift, frame.omega_dump - shift)
     events = [TrainEvent(0.5, pump), TrainEvent(1.5, dump), TrainEvent(2.5, pump)]
     sched = make_schedule(events, 2, 1.0, 0.0, "mixed")
     st = ground_state(system, sched.start_time)
-    traj = run_schedule(st, system, sched, frame, record="none")
-    ora = oracle_propagate(st, system, sched, frame, steps_per_pulse=4000)
+    traj = run_schedule(st, system, sched, carrier, record="none")
+    ora = oracle_propagate(st, system, sched, carrier, steps_per_pulse=4000)
     assert np.max(np.abs(traj.final_state.amplitudes - ora.amplitudes)) < 1e-7
 
 
@@ -629,14 +664,14 @@ def test_late_state_rejected():
 @pytest.mark.parametrize("record", ["dense", "compressed"])
 def test_early_state_evolves_freely_to_the_first_pulse(record):
     """A state that starts before the first pulse reaches it by exact free
-    evolution, with decaying ground levels and detuned pulses."""
+    evolution, with decaying ground levels and both carriers detuned
+    from the anchors."""
     base = build_three_level(pump_detuning=3.0, decay_rate=0.05)
     sys3 = replace(base, ground_a=(Level("g", 0.0, 0.004),),
                    ground_b=(Level("t", base.ground_b[0].energy, 0.002),))
-    frame = PhaseFrame.for_system(sys3, pump_offset=1.5, two_photon_offset=-0.5)
+    frame = PhaseFrame.for_system(sys3, pump_offset=-3.5, two_photon_offset=-9.5)
     events = [TrainEvent(2.0 * k + 0.8 * c, make_pulse(
-        "sin2", 100.0, 0.6, carrier_detuning=4.0 - 9.0 * c,
-        carrier_phase=0.3 * k, channel=channel))
+        "sin2", 100.0, 0.6, carrier_phase=0.3 * k, channel=channel))
         for k in range(3) for c, channel in enumerate(("dump", "pump"))]
     sched = make_schedule(events, 3, 2.0, 0.8, "custom")
     early = ground_state(sys3, sched.start_time - 0.7)
@@ -693,17 +728,19 @@ def test_nonfinite_amplitudes_raise():
 
 def test_blowup_in_a_batch_names_its_channel():
     # one pulse among ordinary ones whose steps leave the convergence
-    # bound of the H' it is integrated with, by a huge area or by a
-    # carrier frame far from the levels: the batch raises, naming the
-    # channel of that pulse, instead of returning finite, wrong operators
+    # bound of the H' it is integrated with, by a huge area, or every
+    # pulse, in a frame far from the levels: the batch raises, naming the
+    # channel of the first such pulse, instead of returning finite, wrong
+    # operators
     sys3 = _resonant()
-    frame = PhaseFrame.for_system(sys3)
-    for strong in ({"area": 1e12}, {"area": 1.0, "carrier_detuning": 1e4}):
+    near, far = PhaseFrame.for_system(sys3), PhaseFrame.for_system(sys3, 1e4)
+    for frame, areas in ((near, (1.0, 1e12, 2.0)), (far, (1.0, 1.0, 2.0))):
         for bad in ("pump", "dump"):
             good = "dump" if bad == "pump" else "pump"
-            pulses = [make_pulse("sin2", 100.0, 1.0, channel=good),
-                      make_pulse("sin2", 100.0, channel=bad, **strong),
-                      make_pulse("gaussian", 80.0, 2.0, channel=good)]
+            first = good if frame is near else bad
+            pulses = [make_pulse("sin2", 100.0, areas[0], channel=first),
+                      make_pulse("sin2", 100.0, areas[1], channel=bad),
+                      make_pulse("gaussian", 80.0, areas[2], channel=good)]
             events, t = [], 0.0
             for p in pulses:
                 events.append(TrainEvent(t + p.support_ps / 2.0, p))
@@ -876,10 +913,9 @@ def test_event_rows_do_not_depend_on_the_stack():
         assert direct.time == all_times[i]
 
 
-def _delay_scan_column(n_pairs, **pulse):
-    """The molecule, frame, delta_T, delta_t axis and pulses of the
-    shipped delay_scan.cfg column at n_pairs; pulse adds make_pulse fields
-    to both prototypes."""
+def _delay_scan_column(n_pairs):
+    """The molecule, delta_T, delta_t axis, n_pairs and pulses of the
+    shipped delay_scan.cfg column at n_pairs."""
     from papsim import build_system, load_config
 
     cfg = load_config(str(Path(__file__).parent.parent / "configs"
@@ -891,6 +927,16 @@ def _delay_scan_column(n_pairs, **pulse):
     pump = make_pulse("sin2", 110.0, cfg["train"]["pump_area"], channel="pump")
     dump = make_pulse("sin2", 110.0, cfg["train"]["dump_area"], channel="dump")
     return build_system(cfg), delta_T, axis, n_pairs, pump, dump
+
+
+def _offset_comb(system, delta_T):
+    """The comb-locked frame at f0_pump = 0.013 THz with the pump_offset
+    0.7 cm^-1 and the two_photon_offset 1.1 cm^-1 of
+    PhaseFrame.for_system: both carriers off their teeth, the pump by
+    0.7 cm^-1 and the dump by -0.4 cm^-1."""
+    comb = PhaseFrame.comb_locked(system, delta_T, 0.013)
+    return PhaseFrame(comb.omega_pump + K_RAD_PS_PER_CM * 0.7,
+                      comb.omega_dump + K_RAD_PS_PER_CM * (0.7 - 1.1))
 
 
 def _long_double_loop(system, frame, stack, n_pairs, delta_T):
@@ -916,14 +962,12 @@ def _long_double_loop(system, frame, stack, n_pairs, delta_T):
                    - half[:, 1:] - half[:, :-1])
     drift = np.exp(-1j * propagator._diagonal(system, frame).astype(np.clongdouble)
                    * gaps[..., None])
-    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning
-                         for p in stack.pulses], dtype=wide)[stack.pulse]
     dump = np.array([p.channel == "dump" for p in stack.pulses])[stack.pulse]
     level, excited = np.arange(system.n_levels), system.slice_excited()
     carried = np.where(dump[..., None], level >= excited.stop,
                        level < excited.start)
-    z = np.where(carried, np.exp(1j * (stack.carrier_phase.astype(wide)
-                                      + detuning * time))[..., None], 1.0)
+    z = np.where(carried, np.exp(1j * stack.carrier_phase.astype(wide))[..., None],
+                 1.0)
     amps = np.zeros((len(time), system.n_levels), dtype=np.clongdouble)
     amps[:, system.initial_index] = 1.0
     for k in range(time.shape[1]):
@@ -932,32 +976,32 @@ def _long_double_loop(system, frame, stack, n_pairs, delta_T):
     return amps
 
 
-@pytest.mark.parametrize("column, frame_args, bound", [
+@pytest.mark.parametrize("column, framed, bound", [
     # the shipped delay scan at 50 and 200 pairs: Delta T is no round
     # number, so the loop's gaps carry the rounding of times up to n Delta T
-    pytest.param(_delay_scan_column(50), (), 1e-10, id="delay_scan_50"),
-    pytest.param(_delay_scan_column(200), (), 2e-10, id="delay_scan_200"),
-    # decay, an offset comb and detuned carriers, so that S != 1
+    pytest.param(_delay_scan_column(50), PhaseFrame.comb_locked, 1e-10,
+                 id="delay_scan_50"),
+    pytest.param(_delay_scan_column(200), PhaseFrame.comb_locked, 2e-10,
+                 id="delay_scan_200"),
+    # decay, an offset comb and both carriers detuned through the frame
     pytest.param((build_synthetic_molecule(SyntheticMoleculeSpec(
         2, 11145.0, (45.0,), ground_b_energies=(-500.0,), decay_lifetime=0.5)),
-        *_delay_scan_column(200, carrier_detuning=0.7)[1:4],
-        make_pulse("sin2", 110.0, math.pi, carrier_detuning=0.7),
-        make_pulse("sin2", 110.0, math.pi, channel="dump",
-                   carrier_detuning=-0.4)), (0.013,), 1e-10, id="slipping_200"),
+        *_delay_scan_column(200)[1:]), _offset_comb, 1e-10, id="detuned_200"),
     # the 3-pair column of test_default_counts_keep_their_bits
     pytest.param((build_three_level(pump_detuning=4.0, decay_rate=0.02), 10.0,
                   np.array([2.0, 3.0, 4.0, 6.0]), 3,
                   make_pulse("sin2", 110.0, math.pi),
                   make_pulse("sin2", 110.0, math.pi, channel="dump")),
-                 (), 1e-10, id="three_pairs"),
+                 PhaseFrame.comb_locked, 1e-10, id="three_pairs"),
 ])
-def test_flat_train_powers_are_nearer_a_long_double_loop(column, frame_args,
+def test_flat_train_powers_are_nearer_a_long_double_loop(column, framed,
                                                          bound):
     """A scan column's periodic middle, taken as a power, is at least as
     near an event loop in np.longdouble as the float64 loop of its
-    recorded runs is, and agrees with that loop."""
+    recorded runs is, and agrees with that loop. framed(system, delta_T)
+    is the column's frame."""
     system, delta_T, axis, n_pairs, pump, dump = column
-    frame = PhaseFrame.comb_locked(system, delta_T, *frame_args)
+    frame = framed(system, delta_T)
     stack, errors = _pair_trains("flat_pairs", n_pairs, delta_T, axis, pump, dump)
     assert not errors
     starts = stack.time[:, 0] - stack.support[:, 0] / 2.0
@@ -1156,7 +1200,12 @@ def test_default_counts_keep_their_bits():
     were retaken when a pass began to take its steps one at a time
     (test_passes_stay_near_their_steps_multiplied_in_long_double); the
     dense run, whose stride of 1 already took one step at a time, kept
-    its bits."""
+    its bits. propagate_pulse's was retaken (fadb57e9d55c9bcc ->
+    04a9ebbe382a9a11) when pulses lost their own carrier detuning: its
+    pulse, 5 cm^-1 above the pump carrier, became the same pulse in the
+    frame whose pump carrier is 5 cm^-1 higher. Its populations kept
+    their bits; the excited amplitude turned by the frame's phase over
+    the support."""
     import hashlib
 
     from papsim import build_system, load_config
@@ -1177,10 +1226,12 @@ def test_default_counts_keep_their_bits():
     emap = scan_2d(sys3, {"n_pairs": 3, "pump_area": math.pi,
                           "dump_area": math.pi}, [10.0], [2.0, 3.0, 4.0, 6.0])
     assert digest(emap.efficiency) == "f865fa499227cf26"
-    pulse = make_pulse("sin2", 100.0, 2.0, carrier_detuning=5.0)
-    state = propagate_pulse(ground_state(sys3), sys3, pulse,
-                            PhaseFrame.comb_locked(sys3, 10.0))
-    assert digest(state.amplitudes) == "fadb57e9d55c9bcc"
+    comb = PhaseFrame.comb_locked(sys3, 10.0)
+    state = propagate_pulse(ground_state(sys3), sys3,
+                            make_pulse("sin2", 100.0, 2.0),
+                            PhaseFrame(comb.omega_pump + 5.0 * K_RAD_PS_PER_CM,
+                                       comb.omega_dump))
+    assert digest(state.amplitudes) == "04a9ebbe382a9a11"
 
 
 def test_one_sample_keeps_no_snapshots():
@@ -1495,12 +1546,14 @@ def _dense_case(case):
         run = _ramped_run("crp_n25")
         return _band_molecule(), run.frame, run.schedule
     if case == "packet":
-        # the decaying packet on an offset comb, a pump detuned from its
-        # carrier and a phase-masked dump, pulses repeating
+        # the decaying packet on an offset comb, its pump carrier 3 cm^-1
+        # off its tooth, and a phase-masked dump, pulses repeating
         system, delta_T = _packet_molecule()
-        frame = PhaseFrame.comb_locked(system, delta_T, 0.013)
+        comb = PhaseFrame.comb_locked(system, delta_T, 0.013)
+        frame = PhaseFrame(comb.omega_pump + 3.0 * K_RAD_PS_PER_CM,
+                           comb.omega_dump)
         mask = tuple(np.linspace(-1.5, 2.0, 5))
-        pulses = [make_pulse("sin2", 110.0, 2.5, carrier_detuning=3.0),
+        pulses = [make_pulse("sin2", 110.0, 2.5),
                   make_pulse("gaussian", 90.0, 3.0, channel="dump",
                              phase_mask=mask, carrier_phase=0.7)]
     else:
@@ -1521,7 +1574,7 @@ def test_dense_samples_match_the_embedded_operators(case, steps):
     levels with their frame and gauge phases (_embedded) and formed z_k
     U_s[p_k] entering_k, on the same pass and event loop. The cases: the
     crp train of the 25-level band (blocks of 23 levels) and the decaying
-    1 + 5 + 1 packet with a detuned pump and a phase-masked dump, at
+    1 + 5 + 1 packet with a detuned pump carrier and a phase-masked dump, at
     their default counts (multiples of 40: strides 3 and 1), and the
     2 + 3 + 1 system at given counts 5, 13 and 41 (stride 1, odd: the
     mirror's middle step) and 123 (stride 3, a short last group). The
@@ -1543,12 +1596,9 @@ def test_dense_samples_match_the_embedded_operators(case, steps):
     # the conjugation of each event, as run_schedule used to apply it
     level, excited = np.arange(system.n_levels), system.slice_excited()
     dump = np.array([p.channel == "dump" for p in pulses])[schedule.pulse]
-    detuning = np.array([K_RAD_PS_PER_CM * p.carrier_detuning
-                         for p in pulses])[schedule.pulse]
     z = np.where(np.where(dump[:, None], level >= excited.stop,
                           level < excited.start),
-                 np.exp(1j * (schedule.carrier_phase
-                              + detuning * schedule.time))[:, None], 1.0)
+                 np.exp(1j * schedule.carrier_phase)[:, None], 1.0)
     inner = [np.abs(z * (s[schedule.pulse] @ entering[:, :, None])[..., 0]) ** 2
              for s in snapshots]
     old = np.stack(inner + [np.abs(leaving) ** 2], axis=1)
