@@ -18,8 +18,8 @@ from .fields import (PulseSpec, TrainEvent, TrainSchedule, build_train,
                      design_dump_phase_mask, make_pulse, make_schedule,
                      rabi_envelope)
 from .propagator import (NumericsError, QuantumState, PhaseFrame, Trajectory,
-                         free_evolve, ground_state, oracle_propagate,
-                         propagate_pulse, propagate_window, run_schedule)
+                         free_evolve, ground_state, propagate_pulse,
+                         propagate_window, run_schedule)
 from .protocols import (RunResult, reference_envelopes, result_from_trajectory,
                         run_pair_train, run_piecewise_crp,
                         run_piecewise_stirap, run_reference_ap,
@@ -40,8 +40,8 @@ __all__ = [
     "PulseSpec", "TrainEvent", "TrainSchedule", "build_train",
     "design_dump_phase_mask", "make_pulse", "make_schedule", "rabi_envelope",
     "NumericsError", "QuantumState", "PhaseFrame", "Trajectory",
-    "free_evolve", "ground_state", "oracle_propagate", "propagate_pulse",
-    "propagate_window", "run_schedule",
+    "free_evolve", "ground_state", "propagate_pulse", "propagate_window",
+    "run_schedule",
     "RunResult", "reference_envelopes", "result_from_trajectory",
     "run_pair_train", "run_piecewise_crp", "run_piecewise_stirap",
     "run_reference_ap", "train_from_reference",

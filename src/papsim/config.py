@@ -10,6 +10,7 @@ JSON type its reader declares, checked by the one ``_check_types``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -261,7 +262,11 @@ def axis_values(section: dict, axis: str) -> np.ndarray:
 
 
 def _canonical(obj):
-    """JSON-stable form: sorted keys, lists for sequences, plain floats."""
+    """JSON-stable form: sorted keys, lists for sequences, plain floats,
+    and a dataclass instance (a PhaseFrame) as the dict of its fields."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _canonical({f.name: getattr(obj, f.name)
+                           for f in dataclasses.fields(obj)})
     if isinstance(obj, dict):
         return {str(k): _canonical(obj[k]) for k in sorted(obj, key=str)}
     if isinstance(obj, (list, tuple)):

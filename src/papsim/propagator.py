@@ -114,7 +114,7 @@ steps must keep h max ||H|| inside the convergence bound, or
 NumericsError is raised.
 
 propagate_window steps its state through _magnus_steps and records it
-every stride steps. oracle_propagate is the independent check.
+every stride steps.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fields import PulseSpec, TrainSchedule, _envelopes, rabi_envelope
+# rabi_envelope stays a module attribute: the benchmark counts its calls here
+from .fields import PulseSpec, TrainSchedule, _envelopes, rabi_envelope  # noqa: F401
 from .levels import LevelSystem, raman_shift
 from .units import K_RAD_PS_PER_CM
 
@@ -144,10 +145,6 @@ MIN_STEPS_PER_PULSE = 256
 # to half the tolerance. A run held at the cap with its estimate above
 # the tolerance is logged as a warning.
 _TOLERANCE = 1e-9
-
-ORACLE_MAX_LEVELS = 32
-# steps per stacked expm call of the oracle: 500 x 32 x 32 complex is 8 MB
-_ORACLE_CHUNK = 500
 
 # record="dense" samples inside each pulse every max(1, steps // this)
 # steps; a default count is a multiple of it, so a dense run samples at
@@ -194,6 +191,12 @@ class PhaseFrame:
 
     omega_pump: float
     omega_dump: float
+
+    def __post_init__(self):
+        for name in ("omega_pump", "omega_dump"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @classmethod
     def for_system(cls, system: LevelSystem, pump_offset: float = 0.0,
@@ -1162,77 +1165,3 @@ def propagate_window(state: QuantumState, system: LevelSystem,
     pops = np.abs(np.array(amps)) ** 2
     return Trajectory(times, pops, pops.sum(axis=1), system.labels, final,
                       diagnostics)
-
-
-# --- dense matrix-exponential oracle (tests only) ---
-
-def oracle_propagate(state: QuantumState, system: LevelSystem,
-                     schedule: TrainSchedule, frame: PhaseFrame,
-                     steps_per_pulse: int = 2000) -> QuantumState:
-    """Reference propagation: piecewise-constant H, one expm per step.
-
-    Deliberately independent of the kernels: the Hamiltonian is
-    reassembled entrywise here and each step applies
-    expm(-i H(midpoint) h), stacked per pulse in chunks of _ORACLE_CHUNK
-    steps. At least 2000 steps per pulse; systems are capped at 32
-    levels. Intended for verification, not production.
-    """
-    from scipy.linalg import expm
-
-    if system.n_levels > ORACLE_MAX_LEVELS:
-        raise ValueError(f"oracle supports at most {ORACLE_MAX_LEVELS} levels")
-    steps = max(int(steps_per_pulse), 2000)
-    if not schedule.events:
-        return state
-    if state.time > schedule.start_time + 1e-12:
-        raise ValueError("state starts after the first pulse support")
-
-    energies = system.energies()
-    gammas = system.decay_rates()
-    e_init = system.initial_level.energy
-    n = system.n_levels
-    sl_e = system.slice_excited()
-    excited = np.arange(sl_e.start, sl_e.stop)
-
-    # excited levels rotate with the pump, ground_b levels with pump - dump
-    offset = np.zeros(n)
-    offset[sl_e] = frame.omega_pump
-    offset[sl_e.stop:] = frame.omega_pump - frame.omega_dump
-    diag = K_RAD_PS_PER_CM * (energies - e_init) - offset - 0.5j * gammas
-
-    amps = state.amplitudes.astype(complex)
-    t_now = state.time
-    for ev in schedule.events:
-        start = ev.time - ev.pulse.support_ps / 2.0
-        gap = start - t_now
-        if gap > 0:
-            amps = amps * np.exp(-1j * diag * gap)
-        pulse = ev.pulse
-        T = pulse.support_ps
-        h = T / steps
-        tau = (np.arange(steps) + 0.5) * h
-        field = rabi_envelope(pulse, tau) * np.exp(-1j * pulse.carrier_phase)
-        if pulse.channel == "pump":
-            mu = system.pump_dipoles.astype(complex)
-            ground = np.arange(system.n_ground_a)
-        else:
-            mu = system.dump_dipoles.astype(complex)
-            if system.dipole_phases is not None:
-                mu = mu * np.exp(1j * np.asarray(system.dipole_phases))
-            if pulse.phase_mask is not None:
-                mu = mu * np.exp(1j * np.asarray(pulse.phase_mask))
-            ground = np.arange(sl_e.stop, n)
-        # c[k, i, j] couples ground level i to excited level j at step k
-        c = -0.5 * mu[None] * field[:, None, None]
-        for lo in range(0, steps, _ORACLE_CHUNK):
-            part = c[lo:lo + _ORACLE_CHUNK]
-            H = np.zeros((len(part), n, n), dtype=complex)
-            H[:, np.arange(n), np.arange(n)] = diag
-            H[:, excited[None, :], ground[:, None]] = part
-            H[:, ground[:, None], excited[None, :]] = np.conj(part)
-            for factor in expm(-1j * H * h):
-                amps = factor @ amps
-        t_now = start + T
-        if not np.all(np.isfinite(amps)):
-            raise NumericsError("oracle produced non-finite amplitudes")
-    return QuantumState(amps, t_now)

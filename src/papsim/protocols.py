@@ -146,6 +146,8 @@ def _train(protocol: str, kind: str, levels: LevelSystem, n_pairs: int,
         chirp = {"alpha_pump": alpha_pump, "alpha_dump": alpha_dump}
     if frame is None:
         frame = PhaseFrame.comb_locked(levels, delta_T, f0_pump)
+    elif not math.isfinite(f0_pump):
+        raise ValueError(f"f0_pump must be finite, got {f0_pump}")
     elif f0_pump:
         raise ValueError("f0_pump sets the comb-locked frame and cannot be "
                          "combined with a frame")
@@ -283,6 +285,16 @@ RUNNERS = {"stirap": run_piecewise_stirap, "crp": run_piecewise_crp,
 
 # --- smooth reference passage ---
 
+def _reference_gaussians(kind: str, duration: float):
+    """Width sigma = duration/8 and the pump and dump centres of the
+    reference envelopes, which the chop integrates in closed form."""
+    sig = duration / 8.0
+    t_mid = duration / 2.0
+    if kind == "stirap":
+        return sig, t_mid + 1.1 * sig / 2.0, t_mid - 1.1 * sig / 2.0
+    return sig, t_mid, t_mid
+
+
 def reference_envelopes(kind: str, duration: float, peak_rabi: float,
                         chirp_rate: float = 0.0):
     """Envelope and phase callables of the smooth reference passage.
@@ -303,20 +315,15 @@ def reference_envelopes(kind: str, duration: float, peak_rabi: float,
     for name, value in (("peak_rabi", peak_rabi), ("chirp_rate", chirp_rate)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    sig = duration / 8.0
-    t_mid = duration / 2.0
-
+    sig, t_pump, t_dump = _reference_gaussians(kind, duration)
+    pump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_pump) / sig) ** 2)
+    dump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_dump) / sig) ** 2)
     if kind == "stirap":
-        t_dump = t_mid - 1.1 * sig / 2.0
-        t_pump = t_mid + 1.1 * sig / 2.0
-        pump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_pump) / sig) ** 2)
-        dump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_dump) / sig) ** 2)
         return pump, dump, None, None
 
-    pump = lambda t: peak_rabi * math.exp(-0.5 * ((t - t_mid) / sig) ** 2)
-    dump = pump
-    pump_phase = lambda t: 0.5 * chirp_rate * (t - t_mid) ** 2
-    dump_phase = lambda t: -0.5 * chirp_rate * (t - t_mid) ** 2
+    # crp: both centres sit at the midpoint, about which the phases chirp
+    pump_phase = lambda t: 0.5 * chirp_rate * (t - t_pump) ** 2
+    dump_phase = lambda t: -0.5 * chirp_rate * (t - t_pump) ** 2
     return pump, dump, pump_phase, dump_phase
 
 
@@ -360,16 +367,26 @@ def train_from_reference(kind: str, duration: float, peak_rabi: float,
     The duration splits into n_pairs equal intervals. Pulse n of each
     channel carries the integral of that channel's smooth Rabi envelope
     over interval n (the piecewise prescription: same integral action,
-    delivered as a kick) and the smooth carrier phase evaluated at the
-    kick center. Kicks sit symmetrically about each interval midpoint,
-    dump first, delta_t_small apart (default half an interval).
+    delivered as a kick), a difference of two error functions, and the
+    smooth carrier phase evaluated at the kick center. Kicks sit
+    symmetrically about each interval midpoint, dump first,
+    delta_t_small apart (default half an interval).
     """
-    from scipy.integrate import quad
-
     if n_pairs < 1:
         raise ValueError("n_pairs must be >= 1")
-    pump_env, dump_env, pump_phase, dump_phase = reference_envelopes(
+    _, _, pump_phase, dump_phase = reference_envelopes(
         kind, duration, peak_rabi, chirp_rate)
+    sig, c_pump, c_dump = _reference_gaussians(kind, duration)
+    width = math.sqrt(2.0) * sig
+
+    def action(centre, lo, hi):
+        a, b = (lo - centre) / width, (hi - centre) / width
+        if a + b < 0:  # the Gaussian is even: mirror the interval right
+            a, b = -b, -a
+        # off the centre, erfc keeps the tail's digits that 1 - erf drops
+        ends = math.erfc(a) - math.erfc(b) if a > 0 else math.erf(b) - math.erf(a)
+        return peak_rabi * sig * math.sqrt(math.pi / 2.0) * ends
+
     delta_T = duration / n_pairs
     if delta_t_small is None:
         delta_t_small = delta_T / 2.0
@@ -381,8 +398,8 @@ def train_from_reference(kind: str, duration: float, peak_rabi: float,
         mid = lo + delta_T / 2.0
         t_dump = mid - delta_t_small / 2.0
         t_pump = mid + delta_t_small / 2.0
-        area_p, _ = quad(pump_env, lo, hi)
-        area_d, _ = quad(dump_env, lo, hi)
+        area_p = action(c_pump, lo, hi)
+        area_d = action(c_dump, lo, hi)
         ph_p = pump_phase(t_pump) if pump_phase else 0.0
         ph_d = dump_phase(t_dump) if dump_phase else 0.0
         events.append(TrainEvent(t_dump, make_pulse(

@@ -114,7 +114,9 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     base_config holds the run_pair_train keyword arguments that stay
     fixed across the grid (n_pairs, areas, shape, fwhm, f0_pump, ...).
     Each cell rebuilds its comb-locked frame from its own delta_T, which
-    is how a repetition-rate scan with a maintained Raman lock works.
+    is how a repetition-rate scan with a maintained Raman lock works; a
+    frame in base_config replaces that per-column lock, and every cell
+    runs in it.
     Results are deterministic and independent of the worker count: cells
     are pure functions of (levels, base_config, delta_T, delta_t). The
     pool never has more processes than columns or cores.
@@ -127,6 +129,14 @@ def scan_2d(levels: LevelSystem, base_config: dict,
     if "n_pairs" not in base:
         raise ValueError("base_config must set n_pairs")
     base.pop("record", None)
+    # taken first, so that a base it cannot hash fails before any column runs
+    fingerprint = config_fingerprint({
+        "protocol": "pairs",
+        "system": system_to_dict(levels),
+        "base": base,
+        "delta_T_grid": [float(x) for x in delta_T_axis],
+        "delta_t_grid": [float(x) for x in delta_t_axis],
+    })
 
     jobs = [(levels, base, dT, delta_t_axis) for dT in delta_T_axis]
     n_workers = min(workers, len(jobs), os.cpu_count() or 1)
@@ -139,13 +149,6 @@ def scan_2d(levels: LevelSystem, base_config: dict,
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(_scan_column, jobs))
 
-    fingerprint = config_fingerprint({
-        "protocol": "pairs",
-        "system": system_to_dict(levels),
-        "base": base,
-        "delta_T_grid": [float(x) for x in delta_T_axis],
-        "delta_t_grid": [float(x) for x in delta_t_axis],
-    })
     failures = {}
     for _, column_failures in results:
         failures.update(column_failures)

@@ -14,11 +14,11 @@ from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, Level, LevelSystem,
                     PhaseFrame, QuantumState, SyntheticMoleculeSpec,
                     build_synthetic_molecule, build_three_level, build_train,
                     design_dump_phase_mask, fft_delta_t, ground_state,
-                    make_pulse, oracle_propagate, propagate_pulse,
-                    rabi_envelope, read_map_csv, robustness_sweep,
-                    run_pair_train, run_piecewise_crp, run_piecewise_stirap,
-                    run_reference_ap, run_schedule, scan_2d,
-                    train_from_reference, write_map_csv)
+                    make_pulse, propagate_pulse, rabi_envelope, read_map_csv,
+                    robustness_sweep, run_pair_train, run_piecewise_crp,
+                    run_piecewise_stirap, run_reference_ap, run_schedule,
+                    scan_2d, train_from_reference, write_map_csv)
+from oracle import oracle_propagate
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

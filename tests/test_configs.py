@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from papsim import (ConfigError, PhaseFrame, SyntheticMoleculeSpec,
-                    build_system, build_three_level, load_config, scan_2d,
-                    validate_config)
+                    build_system, build_three_level, config_fingerprint,
+                    load_config, scan_2d, validate_config)
 from papsim.config import (_FRAME_KEYS, _JSON_TYPES, _SYNTHETIC_KEYS,
                            _SYNTHETIC_REQUIRED, _THREE_LEVEL_KEYS, _TRAIN_KEYS,
                            axis_values)
@@ -78,3 +78,22 @@ def test_shipped_config_runs(path):
         result = RUNNERS[cfg["protocol"]](system, record="none", **train)
         efficiency = result.final_target_population
     assert 0.0 <= efficiency <= 1.0
+
+
+def test_shipped_fingerprints_keep_their_values():
+    """A config's fingerprint, and the delay scan's map fingerprint, hash
+    plain config values as they always have; only dataclass instances,
+    which no config holds, are hashed through their fields."""
+    expected = {"crp3_resonant": "0accaa7a99e16765",
+                "delay_scan": "40acfb66cca75b23",
+                "stirap3_resonant": "c15e8c8a84bdf53c",
+                "synthetic_crp": "347eaaed087ed776",
+                "synthetic_stirap": "140a57a7c0273ac0"}
+    configs = {path.stem: load_config(str(path)) for path in SHIPPED}
+    assert {stem: config_fingerprint(cfg)
+            for stem, cfg in configs.items()} == expected
+    cfg = configs["delay_scan"]
+    emap = scan_2d(build_system(cfg), dict(cfg["train"]),
+                   axis_values(cfg["scan"], "delta_T"),
+                   axis_values(cfg["scan"], "delta_t"))
+    assert emap.config_fingerprint == "94cf80a286cf6a3a"

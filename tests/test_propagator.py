@@ -10,14 +10,15 @@ import pytest
 from papsim import (C_CM_PER_PS, K_RAD_PS_PER_CM, NumericsError, PhaseFrame,
                     QuantumState, TrainEvent, build_three_level,
                     build_synthetic_molecule, build_train, free_evolve,
-                    ground_state, make_pulse, make_schedule, oracle_propagate,
-                    propagate_pulse, propagate_window, run_piecewise_crp,
+                    ground_state, make_pulse, make_schedule, propagate_pulse,
+                    propagate_window, run_pair_train, run_piecewise_crp,
                     run_piecewise_stirap, run_reference_ap, run_schedule,
                     scan_2d, SyntheticMoleculeSpec)
 from papsim import propagator
 from papsim.levels import Level, LevelSystem
 from papsim.fields import _pair_trains, rabi_envelope
 from papsim.propagator import _run_events
+from oracle import oracle_propagate
 
 
 def _resonant():
@@ -122,19 +123,26 @@ def test_frame_offsets_move_detunings():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("name", ["pump_offset", "two_photon_offset", "f0_pump"])
+@pytest.mark.parametrize("name", ["pump_offset", "two_photon_offset", "f0_pump",
+                                  "omega_pump", "omega_dump"])
 def test_non_finite_frame_inputs_fail_by_name(name, bad):
-    """A NaN or infinite frame offset is a ValueError that names it, not
-    a NaN frame that fails deep in a run, steps blamed on the numerics
-    or an OverflowError; a scan at such an f0_pump returns NaN cells,
-    each failed for that reason."""
+    """A NaN or infinite frame offset or frequency, also of a frame built
+    directly, is a ValueError that names it, not a NaN frame that fails
+    deep in a run, steps blamed on the numerics or an OverflowError. Such
+    an f0_pump given with a frame is named too, not taken for a conflict
+    with it; a scan at it returns NaN cells, each failed for that reason."""
     sys3 = build_three_level()
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         if name == "f0_pump":
             PhaseFrame.comb_locked(sys3, 10.0, bad)
+        elif name.startswith("omega"):
+            PhaseFrame(**{"omega_pump": 0.0, "omega_dump": 0.0, name: bad})
         else:
             PhaseFrame.for_system(sys3, **{name: bad})
     if name == "f0_pump":
+        with pytest.raises(ValueError, match="f0_pump must be finite"):
+            run_pair_train(sys3, 3, 10.0, 4.0,
+                           frame=PhaseFrame.for_system(sys3), f0_pump=bad)
         emap = scan_2d(sys3, {"n_pairs": 3, "f0_pump": bad}, [10.0, 12.0],
                        [2.0, 3.0, 4.0])
         assert np.isnan(emap.efficiency).all()

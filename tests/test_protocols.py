@@ -1,5 +1,6 @@
 """Transfer protocols: population accounting, transients, references."""
 
+import ast
 import math
 import os
 import subprocess
@@ -197,27 +198,30 @@ def test_smooth_references_transfer():
 
 
 def test_chopping_preserves_interval_actions():
-    """Each kick carries the integral of its interval of the envelope."""
+    """Each kick carries the integral of its interval of the envelope:
+    the closed form agrees with quadrature on every interval of a stirap
+    and a crp chop."""
     n_pairs = 25
     duration = 100.0
     sched = train_from_reference("stirap", duration, 1.5, n_pairs)
     assert sched.n_pairs == n_pairs
     assert abs(sched.delta_T - duration / n_pairs) < 1e-15
+    crp = train_from_reference("crp", duration, 0.8, n_pairs, chirp_rate=0.05)
 
-    pump_env, dump_env, _, _ = reference_envelopes("stirap", duration, 1.5)
-    pump_areas = [ev.pulse.area for ev in sched.events
-                  if ev.pulse.channel == "pump"]
-    dump_areas = [ev.pulse.area for ev in sched.events
-                  if ev.pulse.channel == "dump"]
-    for n in (0, 7, 24):
-        lo, hi = n * sched.delta_T, (n + 1) * sched.delta_T
-        want_p, _ = quad(pump_env, lo, hi)
-        want_d, _ = quad(dump_env, lo, hi)
-        assert abs(pump_areas[n] - want_p) < 1e-9
-        assert abs(dump_areas[n] - want_d) < 1e-9
+    for kind, peak, chirp, chop in (("stirap", 1.5, 0.0, sched),
+                                    ("crp", 0.8, 0.05, crp)):
+        pump_env, dump_env, _, _ = reference_envelopes(kind, duration, peak,
+                                                       chirp)
+        for channel, env in (("pump", pump_env), ("dump", dump_env)):
+            areas = [ev.pulse.area for ev in chop.events
+                     if ev.pulse.channel == channel]
+            assert len(areas) == n_pairs
+            for n, area in enumerate(areas):
+                lo, hi = n * chop.delta_T, (n + 1) * chop.delta_T
+                want, _ = quad(env, lo, hi)
+                assert abs(area - want) < 1e-9
 
     # chirped chopping stamps the smooth phase onto each kick
-    crp = train_from_reference("crp", duration, 0.8, n_pairs, chirp_rate=0.05)
     mid = duration / 2.0
     for ev in crp.events:
         expected = 0.5 * 0.05 * (ev.time - mid) ** 2
@@ -230,13 +234,33 @@ def test_chopping_preserves_interval_actions():
 
 
 def test_import_loads_no_scipy():
-    """import papsim loads numpy only; scipy waits for train_from_reference
-    and the oracle, the two places that use it."""
-    code = "import sys, papsim; print([m for m in sys.modules if m.startswith('scipy')])"
+    """papsim runs on numpy alone: importing it, chopping a reference and
+    running one load no scipy module."""
+    code = ("import sys, papsim\n"
+            "papsim.train_from_reference('crp', 100.0, 0.8, 25, chirp_rate=0.05)\n"
+            "papsim.run_reference_ap(papsim.build_three_level(), 'stirap', "
+            "10.0, 1.0)\n"
+            "print([m for m in sys.modules if m.startswith('scipy')])")
     env = {**os.environ, "PYTHONPATH": str(Path(papsim.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_package_imports_only_the_stdlib_and_numpy():
+    """Every import of every papsim module names a standard library
+    module, numpy or papsim itself: numpy is the one runtime dependency."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "papsim"}
+    for path in Path(papsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)
 
 
 @pytest.mark.parametrize("runner, args, keyword", [

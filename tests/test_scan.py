@@ -6,10 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM, propagator,
-                    SweepResult, SyntheticMoleculeSpec, build_synthetic_molecule,
-                    build_three_level, fft_delta_t, revival_diagnostics,
-                    robustness_sweep, run_pair_train, scan_2d)
+from papsim import (C_CM_PER_PS, EfficiencyMap, K_RAD_PS_PER_CM, PhaseFrame,
+                    propagator, SweepResult, SyntheticMoleculeSpec,
+                    build_synthetic_molecule, build_three_level, fft_delta_t,
+                    revival_diagnostics, robustness_sweep, run_pair_train,
+                    scan_2d)
 from papsim.protocols import RUNNERS
 
 BASE = {"n_pairs": 5, "pump_area": math.pi, "dump_area": math.pi}
@@ -115,6 +116,30 @@ def test_column_cells_match_direct_runs(system, base, delta_T, dts, failing):
             direct = run_pair_train(system, delta_T=delta_T, delta_t_small=dt,
                                     record="none", **base)
             assert cell == direct.final_target_population
+
+
+def test_a_frame_in_the_base_runs_every_cell(monkeypatch):
+    """A frame in base_config replaces each column's comb lock: every cell
+    keeps the bits of its direct run in that frame, and the frame enters
+    the fingerprint. A base that cannot be hashed fails before any
+    column runs."""
+    system = build_three_level(pump_detuning=3.0, decay_rate=0.01)
+    frame = PhaseFrame.for_system(system, pump_offset=1.5)
+    dTs, dts = [8.0, 10.0], [2.0, 3.0, 4.5]
+    emap = scan_2d(system, {**BASE, "frame": frame}, dTs, dts)
+    assert not emap.details["failures"]
+    for j, dT in enumerate(dTs):
+        for i, dt in enumerate(dts):
+            direct = run_pair_train(system, delta_T=dT, delta_t_small=dt,
+                                    frame=frame, record="none", **BASE)
+            assert emap.efficiency[i, j] == direct.final_target_population
+    other = PhaseFrame.for_system(system, pump_offset=1.6)
+    assert scan_2d(system, {**BASE, "frame": other}, dTs,
+                   dts).config_fingerprint != emap.config_fingerprint
+
+    monkeypatch.setattr(propagator, "_integrate_pulses", None)
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        scan_2d(system, {**BASE, "frame": object()}, dTs, dts)
 
 
 def test_column_integrates_its_operators_once(monkeypatch):
